@@ -147,7 +147,7 @@ def _families_json(cover):
     ]
 
 
-def cover_to_json(cover, R, S, check_disjoint, group, moduli, nested=True):
+def cover_to_json(cover, R, S, check_disjoint, group, moduli, nested):
     return {
         "kind": "cover-witness",
         "group": group,
@@ -160,18 +160,53 @@ def cover_to_json(cover, R, S, check_disjoint, group, moduli, nested=True):
     }
 
 
+def _is_nested(box):
+    """The filtration kind a witness must record to rebuild the same box."""
+    return isinstance(box.filtration, Filtration)
+
+
+def _check_witness(ok, what):
+    if not ok:
+        raise ConfigError(f"malformed witness: {what}")
+
+
+def _int_list(value):
+    return type(value) is list and set(map(type, value)) <= {int}
+
+
+def _set_from_json(s):
+    """One witness set as a CoverSet, or None if it breaks the schema."""
+    if type(s) is not dict:
+        return None
+    label, parts = s.get("label"), s.get("parts")
+    center, radius = s.get("center"), s.get("radius")
+    if (type(label) is not str or type(parts) is not list
+            or not all(type(p) is list and len(p) == 2 and type(p[0]) is int
+                       and _int_list(p[1]) for p in parts)
+            or not (center is None or _int_list(center))
+            or not (radius is None or type(radius) is int)):
+        return None
+    return CoverSet(label=label, parts=tuple((ci, tuple(ids)) for ci, ids in parts),
+                    center=None if center is None else tuple(center), radius=radius)
+
+
 def cover_from_json(box, data):
-    families = []
-    for family in data["families"]:
+    """The cover a witness row describes; schema errors are ConfigError."""
+    families = data.get("families")
+    _check_witness(type(families) is list and all(type(f) is list for f in families),
+                   "'families' must be a list of lists of sets")
+    out = []
+    for family in families:
         sets = []
         for s in family:
-            parts = tuple((int(ci), tuple(int(v) for v in ids))
-                          for ci, ids in s["parts"])
-            center = tuple(s["center"]) if s.get("center") is not None else None
-            sets.append(CoverSet(label=s["label"], parts=parts,
-                                 center=center, radius=s.get("radius")))
-        families.append(tuple(sets))
-    return Cover(space=box, families=tuple(families))
+            cover_set = _set_from_json(s)
+            _check_witness(cover_set is not None,
+                           "each set needs a string 'label', 'parts' as "
+                           "[component, [vertex ids]] of integers, and an "
+                           "integer list 'center' and integer 'radius' or null")
+            sets.append(cover_set)
+        out.append(tuple(sets))
+    return Cover(space=box, families=tuple(out))
 
 
 def verify_witness(args, cfg):
@@ -180,28 +215,38 @@ def verify_witness(args, cfg):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read witness {args.verify_witness}: {e}") from None
+    _check_witness(isinstance(data, dict), "the top level must be an object")
     spec = group_from_config(cfg)
     if data.get("group") != spec.describe():
         raise ConfigError(f"witness group {data.get('group')!r} does not match "
                           f"the configured group {spec.describe()!r}")
-    moduli = tuple(int(m) for m in data["moduli"])
-    filtration = (Filtration(spec, moduli) if data.get("nested", True)
-                  else QuotientFamily(spec, moduli))
+    moduli = data.get("moduli")
+    nested = data.get("nested", True)
+    _check_witness(_int_list(moduli), "'moduli' must be a list of integers")
+    _check_witness(isinstance(nested, bool), "'nested' must be true or false")
+    filtration = (Filtration(spec, tuple(moduli)) if nested
+                  else QuotientFamily(spec, tuple(moduli)))
     box = build_box_space(filtration, threads=args.threads, cache=args.cache)
-    rows = data["rows"] if data.get("kind") == "profile-witness" else [data]
+    rows = data.get("rows") if data.get("kind") == "profile-witness" else [data]
+    _check_witness(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
+                   "'rows' must be a list of objects")
     checked = []
     for row in rows:
+        R, S = row.get("R"), row.get("S")
+        check_disjoint = row.get("check_disjoint", True)
+        _check_witness(type(R) is int, "'R' must be an integer")
+        _check_witness(S is None or type(S) is int, "'S' must be an integer or null")
+        _check_witness(isinstance(check_disjoint, bool),
+                       "'check_disjoint' must be true or false")
         cover = cover_from_json(box, row)
-        report = verify_cover(cover, row["R"], row.get("S"),
-                              check_disjoint=row.get("check_disjoint", True))
+        report = verify_cover(cover, R, S, check_disjoint=check_disjoint)
         if not report.ok:
             raise VerificationError(
-                f"witness failed verification at R={row['R']}: "
+                f"witness failed verification at R={R}: "
                 f"is_cover={report.is_cover} "
                 f"oversized={report.oversized_witness} "
                 f"close_pairs={report.close_pair_witnesses[:3]}")
-        checked.append({"R": row["R"], "S": row.get("S"),
-                        "r_multiplicity": report.r_multiplicity})
+        checked.append({"R": R, "S": S, "r_multiplicity": report.r_multiplicity})
     return None, {"task": "verify", "witness": str(args.verify_witness),
                   "verified": True, "rows": checked}, None
 
@@ -324,7 +369,8 @@ def task_cover(args, cfg, sec):
         "ok": report.ok,
     }
     witness = cover_to_json(cover, report.R, report.S, check_disjoint=False,
-                            group=spec.describe(), moduli=box.moduli)
+                            group=spec.describe(), moduli=box.moduli,
+                            nested=_is_nested(box))
     return _cover_rows(cover), summary, witness
 
 
@@ -350,7 +396,8 @@ def task_families(args, cfg, sec):
         "ok": report.ok,
     }
     witness = cover_to_json(cover, R, base_report.S, check_disjoint=True,
-                            group=spec.describe(), moduli=box.moduli)
+                            group=spec.describe(), moduli=box.moduli,
+                            nested=_is_nested(box))
     return _cover_rows(cover), summary, witness
 
 
@@ -398,8 +445,10 @@ def task_rsdim(args, cfg, sec):
         "n_points": space.n_vertices,
     }
     if result.cover is not None and source == "component":
+        # one modulus is always a filtration
         witness = cover_to_json(result.cover, R, S, check_disjoint=True,
-                                group=spec.describe(), moduli=[graph.modulus])
+                                group=spec.describe(), moduli=[graph.modulus],
+                                nested=True)
     return rows, summary, witness
 
 
@@ -439,7 +488,7 @@ def task_profile(args, cfg, sec):
     if witness_rows:
         witness = {"kind": "profile-witness",
                    "group": spec.describe(), "moduli": list(box.moduli),
-                   "nested": True,
+                   "nested": _is_nested(box),
                    "rows": witness_rows}
     return rows, summary, witness
 

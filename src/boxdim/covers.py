@@ -16,11 +16,19 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
 from .boxspace import BoxSpace
-from .cayley import GrowthBound, breadth_first_distances, coords_invert, coords_multiply, enumerate_ball
+from .cayley import (
+    GrowthBound,
+    breadth_first_distances,
+    coords_invert,
+    coords_multiply,
+    enumerate_ball,
+    sorted_distinct,
+)
 from .errors import (
     ConfigError,
     GrowthBoundError,
@@ -30,6 +38,10 @@ from .errors import (
 from .groups import GroupSpec, flatten, invert, multiply
 
 PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
+# Rows per batched verifier block: translated ball points for multiplicity,
+# set points for diameter keys.  It bounds the verifier's extra memory, so it
+# is a memory decision, not a speed knob.
+ROW_BLOCK = 50_000
 
 
 @dataclass(frozen=True)
@@ -169,8 +181,64 @@ class Cover:
     def n_sets(self) -> int:
         return sum(len(f) for f in self.families)
 
+    @property
+    def layout(self) -> list:
+        """The flat per-component layout of every set, in all_sets() order.
 
-def validate_cover(cover: Cover) -> None:
+        Built on each access and not kept, so a cover held for output
+        holds no layout; callers keep the result while they use it.
+        """
+        return _flatten([s for _, s in self.all_sets()], len(self.space.components))
+
+
+@dataclass(frozen=True)
+class _Parts:
+    """The parts of a sequence of sets on one component, concatenated in set
+    order.  Each set has at most one part per component (validate_cover
+    rejects a repeated component), so set indices identify parts."""
+
+    ids: np.ndarray              # int64 vertex ids
+    owner: np.ndarray            # int64 index of the set each id belongs to
+    sets: np.ndarray             # int64 index of the set of each part, increasing
+    offsets: np.ndarray          # part k is ids[offsets[k]:offsets[k + 1]]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def part(self, k: int) -> np.ndarray:
+        return self.ids[self.offsets[k]:self.offsets[k + 1]]
+
+    def of_set(self, i: int) -> np.ndarray:
+        return self.part(int(np.searchsorted(self.sets, i)))
+
+
+def _flatten(sets, n_components: int) -> list:
+    """One _Parts per component; parts on other component indices are dropped."""
+    comp_of, set_of, seqs = [], [], []
+    for i, s in enumerate(sets):
+        for ci, ids in s.parts:
+            comp_of.append(ci)
+            set_of.append(i)
+            seqs.append(ids)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
+                      count=int(lengths.sum()))
+    comp_of = np.asarray(comp_of, dtype=np.int64)
+    set_of = np.asarray(set_of, dtype=np.int64)
+    row_comp = np.repeat(comp_of, lengths)
+    row_set = np.repeat(set_of, lengths)
+    out = []
+    for ci in range(n_components):
+        on = comp_of == ci
+        rows = row_comp == ci
+        out.append(_Parts(ids=ids[rows], owner=row_set[rows], sets=set_of[on],
+                          offsets=np.concatenate(([0], np.cumsum(lengths[on])))))
+    return out
+
+
+def validate_cover(cover: Cover, layout: list) -> None:
+    """Reject malformed covers; layout is cover.layout."""
     space = cover.space
     seen = set()
     for _, s in cover.all_sets():
@@ -179,14 +247,19 @@ def validate_cover(cover: Cover) -> None:
         seen.add(s.label)
         if s.n_points() == 0:
             raise ConfigError(f"empty set {s.label!r}")
-        for ci, ids in s.parts:
+        comps = s.component_indices()
+        for ci in comps:
             if not (0 <= ci < len(space.components)):
                 raise ConfigError(f"set {s.label!r} references component {ci}")
-            n = space.components[ci].n_vertices
-            for v in ids:
-                if not (0 <= v < n):
-                    raise ConfigError(f"set {s.label!r} references vertex {v} "
-                                      f"of component {ci}")
+        if len(set(comps)) != len(comps):
+            raise ConfigError(f"set {s.label!r} lists a component twice")
+    for ci, parts in enumerate(layout):
+        n = space.components[ci].n_vertices
+        if parts.ids.size and (parts.ids.min() < 0 or parts.ids.max() >= n):
+            k = int(np.flatnonzero((parts.ids < 0) | (parts.ids >= n))[0])
+            label = next(islice(cover.all_sets(), int(parts.owner[k]), None))[1].label
+            raise ConfigError(f"set {label!r} references vertex {parts.ids[k]} "
+                              f"of component {ci}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +319,9 @@ class _DiameterOracle:
 
     Left translation is an isometry of a Cayley graph, so a set's diameter
     depends only on its translation class; the class key is the set
-    translated to put its first vertex at the identity.
+    translated to put its first vertex at the identity.  Keys are computed
+    in blocks of equal-length parts, and only classes not seen before are
+    measured pairwise.
     """
 
     def __init__(self, space):
@@ -254,57 +329,84 @@ class _DiameterOracle:
         self._memo = {}
         self.exact = True
 
-    def _canonical(self, comp, ids: np.ndarray):
-        first = int(ids[0])
-        inv_first = coords_invert(comp.spec, comp.coords[first], comp.modulus)
-        moved = comp.encode(coords_multiply(comp.spec, inv_first,
-                                            comp.coords[ids], comp.modulus))
-        moved.sort()
-        return moved.tobytes()
+    def set_diameters(self, layout, n_sets: int) -> np.ndarray:
+        """Diameter of every set the layout was built from, by set index.
 
-    def part_diameter(self, ci: int, ids: np.ndarray) -> int:
+        A set with parts on several components has diameter at least the
+        cross distance of any two of them, the sum of their diameters; the
+        largest such sum is that of its two largest component diameters.
+        """
+        diams = self.space.diameters
+        out = np.zeros(n_sets, dtype=np.int64)
+        top = np.full((2, n_sets), -1, dtype=np.int64)
+        for ci, parts in enumerate(layout):
+            s = parts.sets
+            out[s] = np.maximum(out[s], self._part_diameters(ci, parts))
+            top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
+            top[0, s] = np.maximum(top[0, s], diams[ci])
+        return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0))
+
+    def _part_diameters(self, ci: int, parts: _Parts) -> np.ndarray:
         comp = self.space.components[ci]
-        if len(ids) <= 1:
-            return 0
-        if len(ids) == comp.n_vertices:
-            # the whole component; vertex transitivity gives the diameter
-            return self.space.diameters[ci]
+        lengths = parts.lengths
+        out = np.zeros(len(lengths), dtype=np.int64)
+        todo = lengths > 1
+        # the whole component; vertex transitivity gives the diameter
+        whole = todo & (lengths == comp.n_vertices)
+        out[whole] = self.space.diameters[ci]
+        todo &= ~whole
         if not hasattr(comp, "coords"):
-            return _part_pairwise_max(comp, ids)
-        if len(ids) ** 2 > PAIR_CAP:
+            for k in np.flatnonzero(todo):
+                out[k] = _part_pairwise_max(comp, parts.part(k))
+            return out
+        big = todo & (lengths ** 2 > PAIR_CAP)
+        for k in np.flatnonzero(big):
             # certified upper bound via the triangle inequality through any
             # fixed member; flagged, never silently treated as exact
             self.exact = False
-            f = comp.distances_from(int(ids[0]))[ids]
-            return int(f.max()) * 2
-        key = (ci, self._canonical(comp, ids))
-        if key not in self._memo:
-            self._memo[key] = _part_pairwise_max(comp, ids)
-        return self._memo[key]
+            ids = parts.part(k)
+            out[k] = int(comp.distances_from(int(ids[0]))[ids].max()) * 2
+        todo &= ~big
+        for L in sorted_distinct(lengths[todo]):
+            ks = np.flatnonzero(todo & (lengths == L))
+            step = max(1, ROW_BLOCK // int(L))
+            for lo in range(0, len(ks), step):
+                block = ks[lo:lo + step]
+                rows = parts.ids[parts.offsets[block][:, None] + np.arange(L)]
+                out[block] = self._class_diameters(ci, comp, rows)
+        return out
 
-    def set_diameter(self, s: CoverSet) -> int:
-        diams = self.space.diameters
-        best = 0
-        for ci, ids in s.parts:
-            best = max(best, self.part_diameter(ci, _ids_array(ids)))
-        comps = s.component_indices()
-        for a in range(len(comps)):
-            for b in range(a + 1, len(comps)):
-                best = max(best, diams[comps[a]] + diams[comps[b]])
-        return best
+    def _class_diameters(self, ci: int, comp, rows: np.ndarray) -> np.ndarray:
+        """Diameters of equal-length parts of one component, one per row."""
+        spec, m = comp.spec, comp.modulus
+        inv_first = coords_invert(spec, comp.coords[rows[:, 0]], m)
+        moved = comp.encode(coords_multiply(spec, inv_first[:, None, :],
+                                            comp.coords[rows], m))
+        moved.sort(axis=1)
+        keys, first, inverse = np.unique(moved, axis=0, return_index=True,
+                                         return_inverse=True)
+        diam = np.empty(len(keys), dtype=np.int64)
+        for c, key in enumerate(keys):
+            memo_key = (ci, key.tobytes())
+            if memo_key not in self._memo:
+                self._memo[memo_key] = _part_pairwise_max(comp, rows[first[c]])
+            diam[c] = self._memo[memo_key]
+        return diam[inverse.reshape(-1)]
 
 
-def _closest_pairs(comp, groups, cap: int):
-    """Candidate close pairs among distinct labeled vertex groups.
+def _closest_pairs(comp, parts: _Parts, cap: int):
+    """Candidate close pairs among the distinct sets of one component.
 
-    groups: list of (label, ids).  Returns {(label_a, label_b): bound} with
-    bound >= the true distance.  One multi-source BFS with owner
-    propagation, then d(u) + 1 + d(v) over edges whose endpoints have
-    different owners.  The midpoint argument makes the minimum over all
-    returned pairs the exact minimum over all group pairs whenever that
-    minimum is < cap (a closer pair would own the crossing edge), so the
-    empty dict certifies pairwise distance >= cap; individual non-minimal
-    entries may overestimate and callers recompute them exactly.
+    Returns {(set_a, set_b): bound}, a < b set indices, with bound >= the
+    true distance.  Each vertex is owned by the first set containing it,
+    and a later set containing it is a clash at distance 0.  One
+    multi-source BFS with owner propagation, then d(u) + 1 + d(v) over
+    edges whose endpoints have different owners.  The midpoint argument
+    makes the minimum over all returned pairs the exact minimum over all
+    set pairs whenever that minimum is < cap (a closer pair would own the
+    crossing edge), so the empty dict certifies pairwise distance >= cap;
+    individual non-minimal entries may overestimate and callers recompute
+    them exactly.
     """
     found = {}
     if cap <= 0:
@@ -320,25 +422,20 @@ def _closest_pairs(comp, groups, cap: int):
     n = comp.n_vertices
     owner = np.full(n, -1, dtype=np.int64)
     dist = np.full(n, -1, dtype=np.int32)
-    labels = []
-    for gi, (label, ids) in enumerate(groups):
-        labels.append(label)
-        ids = _ids_array(ids)
-        clash = ids[owner[ids] >= 0]
-        for v in clash:
-            note(labels[owner[int(v)]], label, 0)
-        fresh = ids[owner[ids] < 0]
-        owner[fresh] = gi
-        dist[fresh] = 0
+    verts, first = np.unique(parts.ids, return_index=True)
+    owner[verts] = parts.owner[first]
+    dist[verts] = 0
+    clash = parts.owner != owner[parts.ids]
+    for a, b in set(zip(owner[parts.ids[clash]].tolist(),
+                        parts.owner[clash].tolist())):
+        note(a, b, 0)
     if not hasattr(comp, "adjacency"):
         # dense fallback for matrix-backed components (small unions)
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                ia = _ids_array(groups[a][1])
-                ib = _ids_array(groups[b][1])
-                d = int(comp.dist_matrix[np.ix_(ia, ib)].min())
+        for x in range(len(parts.sets)):
+            for y in range(x + 1, len(parts.sets)):
+                d = int(comp.dist_matrix[np.ix_(parts.part(x), parts.part(y))].min())
                 if d < cap:
-                    note(groups[a][0], groups[b][0], d)
+                    note(int(parts.sets[x]), int(parts.sets[y]), d)
         return found
 
     depth = (cap + 1) // 2
@@ -363,7 +460,7 @@ def _closest_pairs(comp, groups, cap: int):
         tot = du.astype(np.int64) + dv + 1
         close = tot < cap
         for a, b, d in zip(owner[u[ok]][close], owner[v[ok]][close], tot[close]):
-            note(labels[int(a)], labels[int(b)], int(d))
+            note(int(a), int(b), int(d))
     return found
 
 
@@ -390,46 +487,43 @@ def family_violations(space, family, R: int):
     R-disjointness.  Non-minimal violating pairs whose geodesics run
     through a third set's territory may be absent.
     """
+    labels = [s.label for s in family]
+    layout = _flatten(family, len(space.components))
     out = {}
-    per_comp = {}
-    for s in family:
-        for ci, ids in s.parts:
-            per_comp.setdefault(ci, []).append((s.label, ids))
-    groups_by_label = {}
-    for ci, groups in per_comp.items():
-        for label, ids in groups:
-            groups_by_label.setdefault(label, {})[ci] = ids
-    for ci, groups in per_comp.items():
-        if len(groups) < 2:
+
+    def note(a, b, d):
+        key = tuple(sorted((labels[a], labels[b])))
+        if key not in out or out[key] > d:
+            out[key] = d
+
+    present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
+    for ci in present:
+        parts = layout[ci]
+        if parts.sets.size < 2:
             continue
         comp = space.components[ci]
-        for (a, b) in _closest_pairs(comp, groups, R):
-            d = _pair_distance(comp, groups_by_label[a][ci],
-                               groups_by_label[b][ci], R)
-            if d is not None and ((a, b) not in out or out[(a, b)] > d):
-                out[(a, b)] = d
+        for (a, b) in _closest_pairs(comp, parts, R):
+            d = _pair_distance(comp, parts.of_set(a), parts.of_set(b), R)
+            if d is not None:
+                note(a, b, d)
     # cross-component pairs sit at exactly the sum of the diameters
     diams = space.diameters
-    comp_list = sorted(per_comp)
-    for x in range(len(comp_list)):
-        for y in range(x + 1, len(comp_list)):
-            i, j = comp_list[x], comp_list[y]
+    for x, i in enumerate(present):
+        for j in present[x + 1:]:
             d = diams[i] + diams[j]
             if d >= R:
                 continue
-            for la, _ in per_comp[i]:
-                for lb, _ in per_comp[j]:
-                    if la != lb:
-                        key = (la, lb) if la <= lb else (lb, la)
-                        if key not in out or out[key] > d:
-                            out[key] = d
+            for a in layout[i].sets.tolist():
+                for b in layout[j].sets.tolist():
+                    if a != b:
+                        note(a, b, d)
     return [(a, b, d) for (a, b), d in sorted(out.items())]
 
 
 def _dilate(comp, ids: np.ndarray, r: int) -> np.ndarray:
     """Vertex ids within distance <= r of the given set, in one component."""
     if r == 0:
-        return np.unique(_ids_array(ids))
+        return sorted_distinct(_ids_array(ids))
     if hasattr(comp, "adjacency"):
         d = breadth_first_distances(comp.adjacency, _ids_array(ids), cap=r)
         return np.flatnonzero(d >= 0)
@@ -437,39 +531,95 @@ def _dilate(comp, ids: np.ndarray, r: int) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
+def _dilation_counts(comp, parts: _Parts, R: int, keep: np.ndarray) -> np.ndarray:
+    """Per vertex, how many of the kept parts have it within distance R.
+
+    On a Cayley graph B(v, R) = v B(e, R), so a part's R-dilation is the
+    identity ball translated onto its vertices.  Only its edge points need
+    the ball: B(P, R) = P | B(edge, R), where edge holds every point of P
+    with a neighbour outside P (a geodesic leaving P last touches P at such
+    a point).  Parts are expanded in blocks of at most ROW_BLOCK rows,
+    deduplicated per set with one sort on set * V + vertex, and counted
+    with bincount.  A part that covers the component (or a ball that does)
+    adds 1 everywhere; a part whose expansion alone exceeds a block is
+    dilated by multi-source BFS instead.
+    """
+    n = comp.n_vertices
+    counts = np.zeros(n, dtype=np.int64)
+    if not hasattr(comp, "coords"):
+        for k in np.flatnonzero(keep):
+            counts[_dilate(comp, parts.part(k), R)] += 1
+        return counts
+    ball = comp.identity_ball_ids(R)
+    lengths = parts.lengths
+    if ball.size == n:
+        whole = keep
+    else:
+        whole = keep & (lengths >= n)
+        for k in np.flatnonzero(whole):
+            whole[k] = sorted_distinct(parts.part(k)).size == n
+    counts += int(np.count_nonzero(whole))
+
+    todo = np.flatnonzero(keep & ~whole)
+    at = np.repeat(keep & ~whole, lengths)
+    ids, owner = parts.ids[at], parts.owner[at]
+    # the owner table names one set per vertex; where sets overlap, edge
+    # may hold extra points, which only adds rows
+    vowner = np.full(n, -1, dtype=np.int64)
+    vowner[ids] = owner
+    edge = np.zeros(len(ids), dtype=bool)
+    for column in comp.adjacency.T:
+        edge |= vowner[column[ids]] != owner
+    bounds = np.concatenate(([0], np.cumsum(lengths[todo])))
+    n_edge = np.diff(np.concatenate(([0], np.cumsum(edge)))[bounds])
+    rows = lengths[todo] + n_edge * ball.size
+    big = rows > ROW_BLOCK
+    for k in todo[big]:
+        counts[_dilate(comp, parts.part(k), R)] += 1
+
+    at = np.repeat(~big, lengths[todo])
+    ids, owner, edge = ids[at], owner[at], edge[at]
+    bounds = np.concatenate(([0], np.cumsum(lengths[todo[~big]])))
+    ends = np.cumsum(rows[~big])
+    ball_coords = comp.coords[ball][None, :, :]
+    lo = 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + ROW_BLOCK,
+                                 side="right"))
+        v, o, e = (a[bounds[lo]:bounds[hi]] for a in (ids, owner, edge))
+        o = o - o[0]
+        reached = comp.encode(coords_multiply(comp.spec, comp.coords[v[e]][:, None, :],
+                                              ball_coords, comp.modulus))
+        keys = sorted_distinct(np.concatenate(((o[e][:, None] * n + reached).ravel(),
+                                               o * n + v)))
+        counts += np.bincount(keys % n, minlength=n)
+        lo = hi
+    return counts
+
+
 def r_multiplicity(cover: Cover, R: int) -> int:
-    """max over points of the number of cover sets meeting B(point, R)."""
+    """max over points of the number of cover sets meeting B(point, R).
+
+    A set reaches the whole of component cj through another of its
+    components ci whenever diam(ci) + diam(cj) <= R; otherwise it reaches
+    the R-dilation of its part on cj, if it has one.
+    """
     if R < 0:
         raise ConfigError(f"R must be >= 0, got {R}")
     space = cover.space
-    counts = [np.zeros(c.n_vertices, dtype=np.int32) for c in space.components]
-    diams = space.diameters
-    for _, s in cover.all_sets():
-        part_ids = dict(s.parts)
-        for cj in range(len(space.components)):
-            # reachable through another component: the whole component is
-            # within R of the set, regardless of any local part
-            cross = any(diams[ci] + diams[cj] <= R
-                        for ci in part_ids if ci != cj)
-            if cross:
-                counts[cj] += 1
-            elif cj in part_ids:
-                hit = _dilate(space.components[cj], _ids_array(part_ids[cj]), R)
-                counts[cj][hit] += 1
-    return max(int(c.max()) for c in counts)
-
-
-def naive_r_multiplicity(cover: Cover, R: int) -> int:
-    """Reference implementation: per-point set intersection counting."""
-    space = cover.space
-    sets = [(j, s, set(s.points())) for j, s in cover.all_sets()]
+    diams = np.asarray(space.diameters, dtype=np.int64)
+    layout = cover.layout
+    member = np.zeros((len(layout), cover.n_sets()), dtype=bool)
+    for ci, parts in enumerate(layout):
+        member[ci, parts.sets] = True
     best = 0
-    for p in space.points():
-        c = 0
-        for _, _, pts in sets:
-            if any(space.distance(p, q) <= R for q in pts):
-                c += 1
-        best = max(best, c)
+    for cj, parts in enumerate(layout):
+        via = diams + diams[cj] <= R
+        via[cj] = False
+        cross = member[via].any(axis=0)
+        counts = _dilation_counts(space.components[cj], parts, R,
+                                  keep=~cross[parts.sets])
+        best = max(best, int(counts.max()) + int(np.count_nonzero(cross)))
     return best
 
 
@@ -478,32 +628,33 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
     """Exact verification: coverage, set diameters, per-family R-disjointness,
     and R-multiplicity.  Failures are report content with witnesses.
 
+    All four checks run on the cover's flat per-component layout.
     check_disjoint=False skips the family disjointness pass; covers bounded
     by multiplicity instead of disjointness (one family of overlapping
     balls) are verified that way.
     """
-    validate_cover(cover)
     space = cover.space
-    covered = [np.zeros(c.n_vertices, dtype=bool) for c in space.components]
-    for _, s in cover.all_sets():
-        for ci, ids in s.parts:
-            covered[ci][_ids_array(ids)] = True
+    layout = cover.layout
+    validate_cover(cover, layout)
     uncovered = None
-    for ci, mask in enumerate(covered):
-        missing = np.flatnonzero(~mask)
+    for ci, parts in enumerate(layout):
+        covered = np.zeros(space.components[ci].n_vertices, dtype=bool)
+        covered[parts.ids] = True
+        missing = np.flatnonzero(~covered)
         if missing.size:
             uncovered = (ci, int(missing[0]))
             break
 
     oracle = _DiameterOracle(space)
-    max_diam = 0
+    diameters = oracle.set_diameters(layout, cover.n_sets())
+    max_diam = int(diameters.max(initial=0))
     oversized = None
-    for _, s in cover.all_sets():
-        d = oracle.set_diameter(s)
-        if d > max_diam:
-            max_diam = d
-        if S is not None and d > S and oversized is None:
-            oversized = (s.label, d)
+    if S is not None:
+        over = np.flatnonzero(diameters > S)
+        if over.size:
+            i = int(over[0])
+            oversized = (next(islice(cover.all_sets(), i, None))[1].label,
+                         int(diameters[i]))
 
     fam_mins = []
     close = []
@@ -712,10 +863,10 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
         cover = covers_by_scale[k]
         if cover.space is not box:
             raise ConfigError(f"cover at scale {k} is not over the given box space")
-        oracle = _DiameterOracle(box)
+        diameters = _DiameterOracle(box).set_diameters(cover.layout, cover.n_sets())
         # straddling sets never enter the admissible window, so the scale
         # diameter is taken over the single-component sets only
-        oracle_diam[k] = max((oracle.set_diameter(s) for _, s in cover.all_sets()
+        oracle_diam[k] = max((int(d) for d, (_, s) in zip(diameters, cover.all_sets())
                               if len(s.parts) == 1), default=0)
 
     i_k = {}

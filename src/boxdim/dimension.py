@@ -491,8 +491,14 @@ class ProfileTable:
             yield tuple(str(v) for v in row.csv_values())
 
 
+def _check_scales(R: int, S_cap: int) -> None:
+    if R < 1 or S_cap < 1:
+        raise ConfigError(f"need R >= 1 and S_cap >= 1, got R={R}, S_cap={S_cap}")
+
+
 def s_ladder(R: int, S_cap: int):
     """Candidate diameter budgets: 2R, 4R, ... capped at S_cap."""
+    _check_scales(R, S_cap)
     out = []
     v = 2 * R
     while v < S_cap:
@@ -575,9 +581,11 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
         raise ConfigError(f"mode must be one of {PROFILE_MODES}, got {mode!r}")
     if mode == "prop41" and growth is None:
         raise ConfigError("prop41 mode needs a growth bound")
+    R_list = sorted(set(int(r) for r in R_list))
+    _check_scales(min(R_list, default=1), S_cap)
     h = hirsch_length(box.spec)
     rows = []
-    for R in sorted(set(int(r) for r in R_list)):
+    for R in R_list:
         t0 = time.perf_counter()
         if mode == "prop41":
             cover, report = cover_prop41(box, R, growth, threads=threads)

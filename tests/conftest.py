@@ -1,0 +1,19 @@
+"""Shared helpers for the test suite."""
+import os
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(extra=None):
+    """Environment for a `python -m boxdim` child process.
+
+    The absolute src path leads PYTHONPATH, so the child imports this
+    checkout whatever its working directory is.
+    """
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if extra:
+        env.update(extra)
+    return env

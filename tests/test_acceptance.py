@@ -32,6 +32,7 @@ from boxdim.dimension import (
 )
 from boxdim.errors import InsufficientInputError, VerificationError
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
+from conftest import cli_env
 
 
 @contextmanager
@@ -294,7 +295,7 @@ def _run_pipeline(tmp_path, tag, ini_template, threads):
     proc = subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(cfg),
          "--threads", str(threads)],
-        capture_output=True, text=True, cwd=tmp_path)
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     return out
 

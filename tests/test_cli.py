@@ -1,19 +1,19 @@
 """End-to-end CLI tests through subprocess, matching documented exit codes."""
+import copy
 import json
-import os
 import subprocess
 import sys
+
+import pytest
+from conftest import cli_env
 
 
 def run_cli(tmp_path, ini_text, *flags, env_extra=None):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini_text)
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(cfg), *flags],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(env_extra))
 
 
 PROFILE_INI = """\
@@ -110,6 +110,78 @@ def test_witness_group_mismatch_is_config_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_malformed_witness_exit_codes(tmp_path):
+    wit = tmp_path / "wit.json"
+    assert run_cli(tmp_path, PROFILE_INI, "--export-witness", str(wit)).returncode == 0
+    good = json.loads(wit.read_text())
+
+    def first_set(d):
+        return d["rows"][0]["families"][0][0]
+
+    def drop(owner, key):
+        def edit(d):
+            del owner(d)[key]
+            return d
+        return edit
+
+    def set_vertex(value):
+        def edit(d):
+            first_set(d)["parts"][0][1][0] = value
+            return d
+        return edit
+
+    cases = [  # (case, edit, exit code)
+        ("missing moduli", drop(lambda d: d, "moduli"), 2),
+        ("missing families", drop(lambda d: d["rows"][0], "families"), 2),
+        ("missing parts", drop(first_set, "parts"), 2),
+        ("string vertex id", set_vertex("x"), 2),
+        ("fractional vertex id", set_vertex(0.5), 2),
+        ("top-level list", lambda d: [d], 2),
+        ("dropped set", drop(lambda d: d["rows"][0]["families"][0], 0), 4),
+    ]
+    bad = tmp_path / "bad.json"
+    for case, edit, code in cases:
+        bad.write_text(json.dumps(edit(copy.deepcopy(good))))
+        proc = run_cli(tmp_path, PROFILE_INI, "--verify-witness", str(bad))
+        assert proc.returncode == code, (case, proc.stderr)
+        assert "Traceback" not in proc.stderr, case
+
+
+NON_NESTED_INI = """\
+[group]
+kind = free_abelian
+rank = 1
+
+[filtration]
+moduli = 6 9 15
+nested = false
+
+[task]
+{task}
+[output]
+dir = out
+"""
+
+EXPORTING_TASKS = {
+    "profile": "name = profile\nr_list = 2\ns_cap = 16\nmode = structured\n",
+    "cover": "name = cover\nr = 2\ngrowth_c = 3\ngrowth_d = 1\n",
+    "families": "name = families\nr = 2\ngrowth_c = 3\ngrowth_d = 1\n",
+    "rsdim": "name = rsdim\nr = 2\ns = 3\ncomponent = 0\nmethod = exact\n",
+}
+
+
+@pytest.mark.parametrize("task", sorted(EXPORTING_TASKS))
+def test_non_nested_witness_roundtrip(tmp_path, task):
+    ini = NON_NESTED_INI.format(task=EXPORTING_TASKS[task])
+    wit = tmp_path / "wit.json"
+    proc = run_cli(tmp_path, ini, "--export-witness", str(wit))
+    assert proc.returncode == 0, proc.stderr
+    # an rsdim witness covers one component, and one modulus is a filtration
+    assert json.loads(wit.read_text())["nested"] is (task == "rsdim")
+    ok = run_cli(tmp_path, ini, "--verify-witness", str(wit))
+    assert ok.returncode == 0, ok.stderr
+
+
 def test_malformed_moduli_exit_code(tmp_path):
     ini = PROFILE_INI.replace("rule = powers\nbase = 2\ncount = 8",
                               "moduli = 3 4")
@@ -142,7 +214,7 @@ vertex_cap = 1000
 def test_missing_config_and_unknown_task(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(tmp_path / "none.ini")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2
     proc = run_cli(tmp_path, PROFILE_INI.replace("name = profile", "name = box"))
     assert proc.returncode == 2

@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from boxdim import covers as covers_module
 from boxdim.boxspace import build_box_space, isometry_profile
-from boxdim.cayley import GrowthBound, build_quotient_cayley
+from boxdim.cayley import GrowthBound, build_quotient_cayley, coords_multiply
 from boxdim.covers import (
     Cover,
     CoverParams,
@@ -25,6 +26,7 @@ from boxdim.covers import (
     packing_count_max,
     r_multiplicity,
     verify_cover,
+    _part_pairwise_max,
 )
 from boxdim.errors import (
     ConfigError,
@@ -32,7 +34,7 @@ from boxdim.errors import (
     InsufficientInputError,
     VerificationError,
 )
-from boxdim.groups import CongruenceQuotient, Filtration, free_abelian
+from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
 
 
 # --- reference implementations ------------------------------------------------
@@ -255,6 +257,146 @@ def test_multiplicity_counts_cross_component_reach():
     assert r_multiplicity(cover, 2) == brute_multiplicity(cover, 2) == 1
 
 
+# --- batched kernels against per-set references ---------------------------------
+
+KERNEL_BOXES = {
+    "Z": (free_abelian(1), (4, 8, 16)),
+    "Z2": (free_abelian(2), (2, 4, 8)),
+    "UT3": (unitriangular(3), (2, 4)),
+}
+
+
+def translate(comp, ids, h, side):
+    """The part h * ids or ids * h, in the order of ids; only left
+    translation is an isometry."""
+    a, b = comp.coords[list(ids)], comp.coords[h]
+    moved = coords_multiply(comp.spec, *((b, a) if side == "left" else (a, b)),
+                            comp.modulus)
+    return tuple(comp.encode(moved).tolist())
+
+
+def random_cover(rng, box, n_sets):
+    """Overlapping random sets: some on two components, some a whole
+    component, some listing a vertex twice, some a left or right translate
+    of an earlier set."""
+    sets = []
+    for k in range(n_sets):
+        if sets and rng.random() < 0.3:
+            (ci, ids), = rng.choice(sets).parts[:1]
+            comp = box.components[ci]
+            moved = translate(comp, ids, rng.randrange(comp.n_vertices),
+                              rng.choice(("left", "right")))
+            sets.append(CoverSet(label=f"s{k}", parts=((ci, moved),)))
+            continue
+        comps = sorted(rng.sample(range(box.component_count), rng.choice((1, 1, 1, 2))))
+        parts = []
+        for ci in comps:
+            n = box.components[ci].n_vertices
+            shape = rng.random()
+            if shape < 0.1:
+                ids = list(range(n))
+            elif shape < 0.2:
+                ids = list(range(1, n)) + [1]   # n ids, not the whole component
+            else:
+                ids = rng.sample(range(n), rng.randint(1, min(n, 12)))
+                if rng.random() < 0.2:
+                    ids.append(ids[0])
+            parts.append((ci, tuple(sorted(ids))))
+        sets.append(CoverSet(label=f"s{k}", parts=tuple(parts)))
+    return Cover(space=box, families=(tuple(sets[::2]), tuple(sets[1::2])))
+
+
+def per_set_diameters(box, cover):
+    """Set diameters part by part, the way a per-set verifier measures them:
+    exact pairwise maxima, the whole-component diameter, or the flagged
+    2 * eccentricity bound for parts past PAIR_CAP comparisons."""
+    out, exact = [], True
+    for _, s in cover.all_sets():
+        best = 0
+        for ci, ids in s.parts:
+            comp, ids = box.components[ci], np.asarray(ids)
+            if len(ids) <= 1:
+                d = 0
+            elif len(ids) == comp.n_vertices:
+                d = box.diameters[ci]
+            elif len(ids) ** 2 > covers_module.PAIR_CAP:
+                exact = False
+                d = 2 * int(comp.distances_from(int(ids[0]))[ids].max())
+            else:
+                d = _part_pairwise_max(comp, ids)
+            best = max(best, d)
+        comps = s.component_indices()
+        for a in range(len(comps)):
+            for b in range(a + 1, len(comps)):
+                best = max(best, box.diameters[comps[a]] + box.diameters[comps[b]])
+        out.append(best)
+    return out, exact
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+@pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
+def test_batched_multiplicity_matches_brute_force(monkeypatch, name, row_block):
+    # a 40-row block splits covers into many blocks and sends every part
+    # whose expansion exceeds it through the BFS branch
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"mult-{name}")
+    for _ in range(3):
+        cover = random_cover(rng, box, rng.randrange(3, 8))
+        sets = [s for _, s in cover.all_sets()]
+        for R in (0, 1, 2, 6):
+            assert r_multiplicity(cover, R) == brute_multiplicity(cover, R), (name, R)
+            # the per-vertex dilation counts behind the maximum
+            for ci, parts in enumerate(cover.layout):
+                comp = box.components[ci]
+                got = covers_module._dilation_counts(
+                    comp, parts, R, keep=np.ones(len(parts.sets), dtype=bool))
+                want = [sum(1 for i in parts.sets
+                            if any(comp.distance(v, u) <= R
+                                   for u in dict(sets[i].parts)[ci]))
+                        for v in range(comp.n_vertices)]
+                assert got.tolist() == want, (name, R, ci)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+@pytest.mark.parametrize("pair_cap", [covers_module.PAIR_CAP, 50])
+def test_batched_diameters_match_per_set_reference(monkeypatch, name, pair_cap):
+    # a 50-comparison cap sends parts of 8 or more points to the bound
+    monkeypatch.setattr(covers_module, "PAIR_CAP", pair_cap)
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"diam-{name}")
+    for _ in range(8):
+        cover = random_cover(rng, box, rng.randrange(3, 10))
+        want, exact = per_set_diameters(box, cover)
+        S = sorted(want)[len(want) // 2]
+        labels = [s.label for _, s in cover.all_sets()]
+        first_over = next(((labels[i], d) for i, d in enumerate(want) if d > S), None)
+        report = verify_cover(cover, R=1, S=S)
+        oracle = covers_module._DiameterOracle(box)
+        assert oracle.set_diameters(cover.layout, cover.n_sets()).tolist() == want
+        assert report.max_set_diameter == max(want)
+        assert report.oversized_witness == first_over
+        assert report.diameters_exact == exact
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_flat_family_violations_match_brute_force(name):
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"fam-{name}")
+    for _ in range(6):
+        fam = [s for f in random_cover(rng, box, rng.randrange(2, 6)).families for s in f]
+        want = brute_family_min(box, fam)
+        for R in (1, 2, 4, 9):
+            viol = family_violations(box, tuple(fam), R)
+            if want is not None and want < R:
+                assert min(d for _, _, d in viol) == want
+            else:
+                assert viol == []
+
+
 # --- verify_cover ---------------------------------------------------------------
 
 def four_arc_cover(box):
@@ -329,6 +471,11 @@ def test_verify_cover_rejects_malformed():
     dup = (arc_set("x", 0, (0,)), arc_set("x", 0, (1,)))
     with pytest.raises(ConfigError):
         verify_cover(Cover(space=box, families=(dup,)), 1, 1)
+    twice = CoverSet(label="x", parts=((0, (0,)), (0, (1,))))
+    with pytest.raises(ConfigError, match="component twice"):
+        verify_cover(Cover(space=box, families=((twice,),)), 1, 1)
+    with pytest.raises(ConfigError, match="vertex -1 of component 0"):
+        verify_cover(Cover(space=box, families=((arc_set("y", 0, (3, -1)),),)), 1, 1)
 
 
 def test_verify_cover_diameters_match_brute_force():

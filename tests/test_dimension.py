@@ -289,6 +289,17 @@ def test_s_ladder():
     assert s_ladder(8, 10) == [10]
 
 
+@pytest.mark.parametrize("R, S_cap", [(0, 8), (-1, 8), (2, 0), (2, -1)])
+def test_scales_below_one_are_config_errors(R, S_cap):
+    # R = 0 used to double 0 forever; S_cap = -1 divided by S + 1 = 0
+    with pytest.raises(ConfigError):
+        s_ladder(R, S_cap)
+    box = build_box_space(Filtration(free_abelian(1), (4, 8)))
+    for mode in ("structured", "greedy"):
+        with pytest.raises(ConfigError):
+            asdim_profile(box, (2, R), S_cap=S_cap, mode=mode)
+
+
 def test_box_witness_cover_merges_small_components():
     box = build_box_space(Filtration(free_abelian(1), (2, 4, 256)))
     got = box_witness_cover(box, R=4, S=16, mode="structured")
