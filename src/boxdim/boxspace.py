@@ -1,24 +1,25 @@
 """Finite truncations of box spaces and the coarse metric between components.
 
 A box space here is a prefix of the infinite object: one Cayley graph per
-modulus of a filtration, with the coarse disjoint-union metric.  Within a
-component distances are graph distances; between components i != j the
-distance is exactly diameters[i] + diameters[j].
+modulus of a filtration, with the coarse disjoint-union metric (CoarseUnion).
+Within a component distances are graph distances; between components
+i != j the distance is exactly diameters[i] + diameters[j].
 
 Also provided: ball-isometry radii (the largest k such that B(e, k) of the
 infinite group maps injectively into the quotient) and coarse unions of
-balls of the infinite group, which serve as the subspace substrate for the
-transfer arguments.
+balls of the infinite group (matrix-backed FiniteMetricSpace components),
+which serve as the subspace substrate for the transfer arguments.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
-from .cayley import CayleyGraph, build_quotient_cayley, enumerate_ball
+from .errors import ConfigError, ResourceCapError, ShapeMismatchError
+from .cayley import breadth_first_distances, build_quotient_cayley, enumerate_ball
 from .groups import (
     Filtration,
     GroupSpec,
@@ -32,20 +33,27 @@ from .groups import (
 )
 
 
-@dataclass
-class BoxSpace:
-    """Components in filtration order; points are (component_index, vertex_id)."""
+def thread_map(fn, items, threads: int) -> list:
+    """list(map(fn, items)), on a pool of threads when threads > 1 and
+    there is more than one item; results keep the order of items."""
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
-    filtration: Filtration | QuotientFamily
-    components: tuple
 
-    @property
-    def spec(self) -> GroupSpec:
-        return self.filtration.spec
+class CoarseUnion:
+    """Coarse disjoint union of finite metric spaces.
 
-    @property
-    def moduli(self) -> tuple:
-        return tuple(g.modulus for g in self.components)
+    Points are (component_index, vertex_id).  Each component offers
+    n_vertices, diameter, check_vertex, distance, distances_from and the
+    two verifier methods distances_to (a multi-source distance field) and
+    subset_diameter; CayleyGraph and FiniteMetricSpace both do.
+    """
+
+    def __init__(self, components):
+        self.components = tuple(components)
 
     @property
     def diameters(self) -> tuple:
@@ -78,9 +86,96 @@ class BoxSpace:
         return self.diameters[p[0]] + self.diameters[q[0]]
 
 
+@dataclass
+class BoxSpace(CoarseUnion):
+    """The quotient Cayley graphs of a filtration, in filtration order."""
+
+    filtration: Filtration | QuotientFamily
+    components: tuple
+
+    @property
+    def spec(self) -> GroupSpec:
+        return self.filtration.spec
+
+    @property
+    def moduli(self) -> tuple:
+        return tuple(g.modulus for g in self.components)
+
+
 def box_distance(space, p, q) -> int:
     """Coarse disjoint-union metric; works for box spaces and ball unions."""
     return space.distance(p, q)
+
+
+MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
+
+
+class FiniteMetricSpace:
+    """A finite metric space backed by an explicit integer distance matrix.
+
+    elements names the points of a ball of the group (coarse_union_of_balls)
+    and is None otherwise.
+    """
+
+    def __init__(self, dist_matrix: np.ndarray, elements: tuple | None = None):
+        self.dist_matrix = np.asarray(dist_matrix, dtype=np.int32)
+        self.n_vertices = self.dist_matrix.shape[0]
+        self.elements = elements
+
+    @cached_property
+    def diameter(self) -> int:
+        # dist_matrix is never mutated after construction
+        return int(self.dist_matrix.max())
+
+    def check_vertex(self, v: int) -> None:
+        if not (0 <= v < self.n_vertices):
+            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
+
+    def distance(self, u: int, v: int) -> int:
+        self.check_vertex(u)
+        self.check_vertex(v)
+        return int(self.dist_matrix[u, v])
+
+    def distances_from(self, v: int) -> np.ndarray:
+        self.check_vertex(v)
+        return self.dist_matrix[v]
+
+    def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
+        """Distance from every point to the nearest of ids; -1 beyond cap."""
+        d = self.dist_matrix[np.asarray(ids, dtype=np.int64)].min(axis=0)
+        return d if cap is None else np.where(d <= cap, d, -1)
+
+    def subset_diameter(self, ids) -> int:
+        ids = np.asarray(ids, dtype=np.int64)
+        return int(self.dist_matrix[np.ix_(ids, ids)].max())
+
+    @classmethod
+    def from_matrix(cls, matrix) -> "FiniteMetricSpace":
+        m = np.asarray(matrix, dtype=np.int64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ConfigError(f"distance matrix must be square, got {m.shape}")
+        n = m.shape[0]
+        if n > MATRIX_POINT_CAP:
+            raise ResourceCapError(f"matrix too large to validate ({n} points)")
+        if (m.diagonal() != 0).any():
+            raise ConfigError("distance matrix has a nonzero diagonal entry")
+        if (m != m.T).any():
+            raise ConfigError("distance matrix is not symmetric")
+        off = m[~np.eye(n, dtype=bool)]
+        if n > 1 and (off <= 0).any():
+            raise ConfigError("off-diagonal distances must be positive")
+        # triangle inequality, all triples
+        if n and (m > (m[:, :, None] + m[None, :, :]).min(axis=1)).any():
+            raise ConfigError("distance matrix violates the triangle inequality")
+        return cls(m)
+
+    @classmethod
+    def from_graph(cls, graph, point_cap: int = 4096) -> "FiniteMetricSpace":
+        """The full distance matrix of any component, row by row."""
+        n = graph.n_vertices
+        if n > point_cap:
+            raise ResourceCapError(f"{n} points exceeds the cap {point_cap}")
+        return cls(np.stack([graph.distances_from(v) for v in range(n)]))
 
 
 def build_box_space(filtration, component_count: int | None = None,
@@ -96,12 +191,8 @@ def build_box_space(filtration, component_count: int | None = None,
     def build(q):
         return build_quotient_cayley(q, vertex_cap=vertex_cap, cache=cache)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            components = tuple(pool.map(build, quotients))
-    else:
-        components = tuple(build(q) for q in quotients)
-    return BoxSpace(filtration=filtration, components=components)
+    return BoxSpace(filtration=filtration,
+                    components=tuple(thread_map(build, quotients, threads)))
 
 
 # --- ball-isometry radii ----------------------------------------------------
@@ -201,123 +292,27 @@ def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:
 
 # --- coarse unions of balls of the infinite group ---------------------------
 
-@dataclass
-class InducedBallGraph:
-    """B_G(e, radius) with the metric of the subgraph induced by G's edges."""
+def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
+    """B_G(e, radius) with the metric of the subgraph induced by G's edges.
 
-    spec: GroupSpec
-    radius: int
-    elements: tuple              # group elements, sorted by (word length, coords)
-    dist_matrix: np.ndarray      # (n, n) int32 all-pairs distances
-    word_lengths: tuple          # d_G(e, elt) per element
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.elements)
-
-    @property
-    def diameter(self) -> int:
-        return int(self.dist_matrix.max())
-
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n_vertices):
-            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
-
-    def distance(self, u: int, v: int) -> int:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return int(self.dist_matrix[u, v])
-
-    def distances_from(self, v: int) -> np.ndarray:
-        self.check_vertex(v)
-        return self.dist_matrix[v]
-
-    def ball_ids(self, center: int, r: int) -> np.ndarray:
-        self.check_vertex(center)
-        return np.flatnonzero(self.dist_matrix[center] <= r)
-
-
-def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> InducedBallGraph:
+    A generator step that leaves the ball becomes a self-loop of the
+    neighbour table, which BFS then never follows.
+    """
     lengths = enumerate_ball(spec, radius, state_cap)
     elements = sorted(lengths, key=lambda v: (lengths[v], flatten(spec, v)))
     index = {v: i for i, v in enumerate(elements)}
     gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    neighbors = []
-    for v in elements:
-        row = []
-        for g in gens:
-            w = multiply(spec, v, g)
-            j = index.get(w)
-            if j is not None:
-                row.append(j)
-        neighbors.append(row)
-    n = len(elements)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in neighbors[u]:
-                    if dist[s, w] < 0:
-                        dist[s, w] = d
-                        nxt.append(w)
-            frontier = nxt
+    table = np.array([[index.get(multiply(spec, v, g), i) for g in gens]
+                      for i, v in enumerate(elements)], dtype=np.int32)
+    dist = np.stack([breadth_first_distances(table, [s]) for s in range(len(elements))])
     # balls of a connected graph stay connected through the identity
     assert (dist >= 0).all()
-    return InducedBallGraph(spec=spec, radius=radius, elements=tuple(elements),
-                            dist_matrix=dist,
-                            word_lengths=tuple(lengths[v] for v in elements))
-
-
-@dataclass
-class BallUnionSpace:
-    """Coarse disjoint union of balls of G; same point addressing and the
-    same cross-component metric convention as BoxSpace."""
-
-    spec: GroupSpec
-    components: tuple            # of InducedBallGraph, radii increasing
-
-    @property
-    def radii(self) -> tuple:
-        return tuple(c.radius for c in self.components)
-
-    @property
-    def diameters(self) -> tuple:
-        return tuple(c.diameter for c in self.components)
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def n_points(self) -> int:
-        return sum(c.n_vertices for c in self.components)
-
-    def check_point(self, p) -> None:
-        ci, v = p
-        if not (0 <= ci < len(self.components)):
-            raise ShapeMismatchError(f"component index {ci} out of range")
-        self.components[ci].check_vertex(v)
-
-    def points(self):
-        for ci, c in enumerate(self.components):
-            for v in range(c.n_vertices):
-                yield (ci, v)
-
-    def distance(self, p, q) -> int:
-        self.check_point(p)
-        self.check_point(q)
-        if p[0] == q[0]:
-            return self.components[p[0]].distance(p[1], q[1])
-        return self.diameters[p[0]] + self.diameters[q[0]]
+    return FiniteMetricSpace(dist, elements=tuple(elements))
 
 
 def coarse_union_of_balls(spec: GroupSpec, radii,
-                          state_cap: int = 10 ** 6) -> BallUnionSpace:
+                          state_cap: int = 10 ** 6) -> CoarseUnion:
+    """The balls B_G(e, r), r in radii, as one coarse disjoint union."""
     radii = tuple(int(r) for r in radii)
     if not radii:
         raise ConfigError("need at least one radius")
@@ -326,5 +321,4 @@ def coarse_union_of_balls(spec: GroupSpec, radii,
             raise ConfigError(f"radii must be strictly increasing, got {a} then {b}")
     if radii[0] < 0:
         raise ConfigError("radii must be non-negative")
-    comps = tuple(_induced_ball(spec, r, state_cap) for r in radii)
-    return BallUnionSpace(spec=spec, components=comps)
+    return CoarseUnion(_induced_ball(spec, r, state_cap) for r in radii)

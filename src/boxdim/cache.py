@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cayley import CayleyGraph
+from .cayley import CayleyGraph, quotient_coords
 from .errors import ConfigError
-from .groups import CongruenceQuotient, flatten, num_coordinates
+from .groups import CongruenceQuotient, flatten
 
 MAGIC = b"BXDM"
 VERSION = 1
@@ -81,16 +81,8 @@ class GraphCache:
         dist = np.frombuffer(body[n * degree * 4:], dtype="<i4")
         if adjacency.size and (adjacency.min() < 0 or adjacency.max() >= n):
             return None
-        m = quotient.modulus
-        k = num_coordinates(quotient.spec)
-        ids = np.arange(n, dtype=np.int64)
-        coords = np.empty((n, k), dtype=np.int64)
-        acc = ids
-        for i in range(k):
-            coords[:, i] = acc % m
-            acc = acc // m
         return CayleyGraph(quotient=quotient, generators=generators,
-                           coords=coords,
+                           coords=quotient_coords(quotient),
                            adjacency=np.ascontiguousarray(adjacency.astype(np.int32)),
                            dist=dist.astype(np.int32))
 

@@ -38,6 +38,7 @@ from .groups import (
 )
 
 _INT64_SAFE = 2 ** 62
+PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
 
 
 def _overflow_bound(spec: GroupSpec, m: int) -> int:
@@ -213,6 +214,25 @@ class CayleyGraph:
         out.sort()
         return out
 
+    def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
+        """Distance from every vertex to the nearest of ids; -1 beyond cap."""
+        return breadth_first_distances(self.adjacency, ids, cap)
+
+    def subset_diameter(self, ids) -> int:
+        """Exact diameter of a vertex subset, as max d(e, u^-1 v) over its
+        pairs, in blocks of at most PAIR_CAP pairs."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pts = self.coords[ids]
+        inv_pts = coords_invert(self.spec, pts, self.modulus)
+        best = 0
+        chunk = max(1, PAIR_CAP // max(1, len(ids)))
+        for lo in range(0, len(ids), chunk):
+            prods = coords_multiply(self.spec, inv_pts[lo:lo + chunk][:, None, :],
+                                    pts[None, :, :], self.modulus)
+            d = self.dist[self.encode(prods.reshape(-1, prods.shape[-1]))]
+            best = max(best, int(d.max()))
+        return best
+
     def ball_size(self, r: int) -> int:
         """|B(v, r)|, independent of v by vertex transitivity."""
         if r < 0:
@@ -263,6 +283,17 @@ def breadth_first_distances(adjacency: np.ndarray, sources, cap: int | None = No
     return dist
 
 
+def quotient_coords(quotient: CongruenceQuotient) -> np.ndarray:
+    """(V, k) coordinates of the vertex ids 0..V-1, decoded mixed-radix."""
+    m = quotient.modulus
+    acc = np.arange(quotient.order, dtype=np.int64)
+    coords = np.empty((quotient.order, num_coordinates(quotient.spec)), dtype=np.int64)
+    for i in range(coords.shape[1]):
+        coords[:, i] = acc % m
+        acc = acc // m
+    return coords
+
+
 def build_quotient_cayley(quotient: CongruenceQuotient,
                           generators=None,
                           vertex_cap: int = 10 ** 6,
@@ -295,15 +326,8 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
         raise ResourceCapError(
             f"quotient order {n} exceeds the vertex cap {vertex_cap}")
 
-    k = num_coordinates(spec)
-    ids = np.arange(n, dtype=np.int64)
-    coords = np.empty((n, k), dtype=np.int64)
-    acc = ids
-    for i in range(k):
-        coords[:, i] = acc % m
-        acc = acc // m
-
-    powers = np.array([m ** i for i in range(k)], dtype=np.int64)
+    coords = quotient_coords(quotient)
+    powers = np.array([m ** i for i in range(coords.shape[1])], dtype=np.int64)
     cols = []
     for g in generators:
         row = np.array(flatten(spec, g), dtype=object)

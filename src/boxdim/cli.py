@@ -52,11 +52,46 @@ def _ints(text):
     return [int(t) for t in re.split(r"[,\s]+", text.strip()) if t]
 
 
-def _require(section, key):
-    value = section.get(key)
+def _bool(text):
+    """An INI boolean, spelled as configparser accepts it (yes/no, on/off...)."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
     if value is None:
-        raise ConfigError(f"[{section.name}] is missing the {key!r} key")
+        raise ValueError("not a boolean")
     return value
+
+
+FACTOR_KINDS = {"free_abelian": free_abelian, "unitriangular": unitriangular}
+
+
+def _factors(text):
+    factors = []
+    for item in re.split(r"[,\s]+", text.strip()):
+        if item:
+            name, _, arg = item.partition(":")
+            if name not in FACTOR_KINDS:
+                raise ConfigError(f"unknown factor kind {name!r}")
+            factors.append(FACTOR_KINDS[name](int(arg)))
+    return factors
+
+
+_MISSING = object()
+
+
+def _get(section, key, parse=int, fallback=_MISSING):
+    """section[key] read by parse (int, str, _ints, _bool, ...).
+
+    An absent key gives fallback, or a ConfigError if there is none; a value
+    parse rejects is a ConfigError naming the section and the key.
+    """
+    text = section.get(key)
+    if text is None:
+        if fallback is _MISSING:
+            raise ConfigError(f"[{section.name}] is missing the {key!r} key")
+        return fallback
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"[{section.name}] {key} = {text!r} is malformed: {e}") from None
 
 
 def load_config(path):
@@ -75,23 +110,13 @@ def group_from_config(cfg):
     if "group" not in cfg:
         raise ConfigError("config needs a [group] section")
     sec = cfg["group"]
-    kind = _require(sec, "kind")
+    kind = _get(sec, "kind", str)
     if kind == "free_abelian":
-        return free_abelian(int(_require(sec, "rank")))
+        return free_abelian(_get(sec, "rank"))
     if kind == "unitriangular":
-        return unitriangular(int(_require(sec, "size")))
+        return unitriangular(_get(sec, "size"))
     if kind == "direct_product":
-        factors = []
-        for item in re.split(r"[,\s]+", _require(sec, "factors").strip()):
-            if not item:
-                continue
-            name, _, arg = item.partition(":")
-            if name == "free_abelian":
-                factors.append(free_abelian(int(arg)))
-            elif name == "unitriangular":
-                factors.append(unitriangular(int(arg)))
-            else:
-                raise ConfigError(f"unknown factor kind {name!r}")
+        factors = _get(sec, "factors", _factors)
         if not factors:
             raise ConfigError("direct_product needs at least one factor")
         return direct_product(*factors)
@@ -103,17 +128,17 @@ def moduli_from_config(cfg):
         raise ConfigError("config needs a [filtration] section")
     sec = cfg["filtration"]
     if sec.get("moduli"):
-        moduli = _ints(sec["moduli"])
+        moduli = _get(sec, "moduli", _ints)
     elif sec.get("rule") == "powers":
-        base = int(_require(sec, "base"))
-        count = int(_require(sec, "count"))
+        base = _get(sec, "base")
+        count = _get(sec, "count")
         if base < 2 or count < 1:
             raise ConfigError(f"powers rule needs base >= 2 and count >= 1, "
                               f"got base={base} count={count}")
         moduli = [base ** i for i in range(1, count + 1)]
     else:
         raise ConfigError("[filtration] needs either moduli or rule = powers")
-    nested = sec.getboolean("nested", fallback=True)
+    nested = _get(sec, "nested", _bool, True)
     return tuple(moduli), nested
 
 
@@ -126,11 +151,11 @@ def filtration_from_config(cfg, spec):
 
 def growth_from_config(sec, spec, state_cap):
     """Explicit growth_c/growth_d if configured, else a fitted bound."""
-    c = sec.get("growth_c")
-    d = sec.get("growth_d")
+    c = _get(sec, "growth_c", Fraction, None)
+    d = _get(sec, "growth_d", int, None)
     if c is not None and d is not None:
-        return GrowthBound(C=Fraction(c), d=int(d), validated_range=(1, 0))
-    r_max = sec.getint("growth_r_max", fallback=8)
+        return GrowthBound(C=c, d=d, validated_range=(1, 0))
+    r_max = _get(sec, "growth_r_max", int, 8)
     return fit_growth(growth_profile(spec, r_max, state_cap))
 
 
@@ -255,9 +280,9 @@ def verify_witness(args, cfg):
 
 def task_growth(args, cfg, sec):
     spec = group_from_config(cfg)
-    r_max = sec.getint("r_max", fallback=8)
+    r_max = _get(sec, "r_max", int, 8)
     profile = growth_profile(spec, r_max, args.state_cap)
-    d = sec.getint("growth_d", fallback=None)
+    d = _get(sec, "growth_d", int, None)
     bound = fit_growth(profile, d=d)
     rows = [["r", "ball_size"]]
     rows += [[str(r), str(sz)] for r, sz in enumerate(profile.sizes)]
@@ -322,7 +347,7 @@ def task_isoradius(args, cfg, sec):
         rows.append([str(i), str(box.moduli[i]), str(r.radius),
                      str(r.exact).lower(), str(effective[i])])
     thresholds = {}
-    for k in _ints(sec.get("k_list", "")):
+    for k in _get(sec, "k_list", _ints, []):
         t = profile.threshold(k)
         thresholds[str(k)] = t
     summary = {
@@ -352,9 +377,7 @@ def task_cover(args, cfg, sec):
     filtration = filtration_from_config(cfg, spec)
     box = build_box_space(filtration, threads=args.threads, cache=args.cache,
                           vertex_cap=args.vertex_cap)
-    R = sec.getint("r", fallback=None)
-    if R is None:
-        raise ConfigError("[task] cover needs r")
+    R = _get(sec, "r")
     growth = growth_from_config(sec, spec, args.state_cap)
     cover, report = cover_prop41(box, R, growth, threads=args.threads)
     summary = {
@@ -379,9 +402,7 @@ def task_families(args, cfg, sec):
     filtration = filtration_from_config(cfg, spec)
     box = build_box_space(filtration, threads=args.threads, cache=args.cache,
                           vertex_cap=args.vertex_cap)
-    R = sec.getint("r", fallback=None)
-    if R is None:
-        raise ConfigError("[task] families needs r")
+    R = _get(sec, "r")
     growth = growth_from_config(sec, spec, args.state_cap)
     base, base_report = cover_prop41(box, R, growth, threads=args.threads)
     cover = families_from_multiplicity_cover(base, R)
@@ -403,22 +424,20 @@ def task_families(args, cfg, sec):
 
 def task_rsdim(args, cfg, sec):
     source = sec.get("source", fallback="component")
-    R = sec.getint("r", fallback=None)
-    S = sec.getint("s", fallback=None)
-    if R is None or S is None:
-        raise ConfigError("[task] rsdim needs r and s")
+    R = _get(sec, "r")
+    S = _get(sec, "s")
     method = sec.get("method", fallback="exact")
     witness = None
     if source == "random":
         import random as _random
-        points = sec.getint("points", fallback=8)
-        max_distance = sec.getint("max_distance", fallback=6)
+        points = _get(sec, "points", int, 8)
+        max_distance = _get(sec, "max_distance", int, 6)
         space = random_metric_space(_random.Random(args.seed), points, max_distance)
         label = f"random(points={points}, max_distance={max_distance}, seed={args.seed})"
     elif source == "component":
         spec = group_from_config(cfg)
         filtration = filtration_from_config(cfg, spec)
-        index = sec.getint("component", fallback=0)
+        index = _get(sec, "component", int, 0)
         quotients = filtration.quotients()
         if not (0 <= index < len(quotients)):
             raise ConfigError(f"component index {index} out of range")
@@ -430,10 +449,10 @@ def task_rsdim(args, cfg, sec):
         raise ConfigError(f"unknown rsdim source {source!r}")
     kwargs = {}
     if method == "exact":
-        kwargs = {"n_cap": sec.getint("n_cap", fallback=8),
-                  "point_cap": sec.getint("point_cap", fallback=60)}
+        kwargs = {"n_cap": _get(sec, "n_cap", int, 8),
+                  "point_cap": _get(sec, "point_cap", int, 60)}
     elif method == "exhaustive":
-        kwargs = {"point_cap": sec.getint("point_cap", fallback=12)}
+        kwargs = {"point_cap": _get(sec, "point_cap", int, 12)}
     result = rs_dim(space, R, S, method=method, **kwargs)
     rows = [["point", "family"]]
     if result.coloring is not None:
@@ -457,18 +476,16 @@ def task_profile(args, cfg, sec):
     filtration = filtration_from_config(cfg, spec)
     box = build_box_space(filtration, threads=args.threads, cache=args.cache,
                           vertex_cap=args.vertex_cap)
-    r_list = _ints(_require(sec, "r_list"))
-    S_cap = sec.getint("s_cap", fallback=None)
-    if S_cap is None:
-        raise ConfigError("[task] profile needs s_cap")
+    r_list = _get(sec, "r_list", _ints)
+    S_cap = _get(sec, "s_cap")
     mode = sec.get("mode", fallback="structured")
     growth = None
     if mode == "prop41":
         growth = growth_from_config(sec, spec, args.state_cap)
     table = asdim_profile(box, r_list, S_cap=S_cap, mode=mode, growth=growth,
                           threads=args.threads,
-                          n_cap=sec.getint("n_cap", fallback=8),
-                          point_cap=sec.getint("point_cap", fallback=60))
+                          n_cap=_get(sec, "n_cap", int, 8),
+                          point_cap=_get(sec, "point_cap", int, 60))
     rows = [list(r) for r in table.as_csv_rows()]
     summary = {
         "task": "profile", "group": spec.describe(), "moduli": list(box.moduli),
@@ -502,12 +519,10 @@ def task_transfer(args, cfg, sec):
     if spec.describe() != free_abelian(1).describe():
         raise ConfigError("the built-in striped inputs need the rank-1 free "
                           "abelian group")
-    R = sec.getint("r", fallback=2)
-    S = sec.getint("s", fallback=3)
-    r0 = sec.getint("r0", fallback=None)
-    if r0 is None:
-        raise ConfigError("[task] transfer needs r0")
-    radii = _ints(_require(sec, "radii"))
+    R = _get(sec, "r", int, 2)
+    S = _get(sec, "s", int, 3)
+    r0 = _get(sec, "r0")
+    radii = _get(sec, "radii", _ints)
     stripe = S + 1
     if stripe < R:
         raise ConfigError(f"striped inputs need S + 1 >= R, got S={S} R={R}")
@@ -531,9 +546,7 @@ def task_transfer(args, cfg, sec):
 def task_cache_gc(args, cfg, sec):
     if args.cache is None:
         raise ConfigError("cache_gc needs --cache-dir or BOXDIM_CACHE_DIR")
-    budget = sec.getint("budget", fallback=None)
-    if budget is None:
-        raise ConfigError("[task] cache_gc needs budget (bytes)")
+    budget = _get(sec, "budget")
     kept, deleted, freed = args.cache.gc(budget)
     summary = {"task": "cache_gc", "directory": str(args.cache.directory),
                "budget_bytes": budget,
@@ -585,8 +598,8 @@ def run(args):
     args.state_cap = 10 ** 7
     args.vertex_cap = 10 ** 6
     if "limits" in cfg:
-        args.state_cap = cfg["limits"].getint("state_cap", fallback=args.state_cap)
-        args.vertex_cap = cfg["limits"].getint("vertex_cap", fallback=args.vertex_cap)
+        args.state_cap = _get(cfg["limits"], "state_cap", int, args.state_cap)
+        args.vertex_cap = _get(cfg["limits"], "vertex_cap", int, args.vertex_cap)
 
     if args.verify_witness:
         csv_rows, summary, witness = verify_witness(args, cfg)
@@ -595,7 +608,7 @@ def run(args):
         if "task" not in cfg:
             raise ConfigError("config needs a [task] section")
         sec = cfg["task"]
-        name = _require(sec, "name")
+        name = _get(sec, "name", str)
         if name not in TASK_FUNCS:
             raise ConfigError(f"unknown task {name!r}; expected one of {TASKS}")
         csv_rows, summary, witness = TASK_FUNCS[name](args, cfg, sec)

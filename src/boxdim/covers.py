@@ -13,17 +13,17 @@ from the data rather than trusted from the construction.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
 
-from .boxspace import BoxSpace
+from .boxspace import BoxSpace, thread_map
 from .cayley import (
+    PAIR_CAP,
+    CayleyGraph,
     GrowthBound,
-    breadth_first_distances,
     coords_invert,
     coords_multiply,
     enumerate_ball,
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .groups import GroupSpec, flatten, invert, multiply
 
-PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
 # Rows per batched verifier block: translated ball points for multiplicity,
 # set points for diameter keys.  It bounds the verifier's extra memory, so it
 # is a memory decision, not a speed knob.
@@ -209,9 +208,6 @@ class _Parts:
     def part(self, k: int) -> np.ndarray:
         return self.ids[self.offsets[k]:self.offsets[k + 1]]
 
-    def of_set(self, i: int) -> np.ndarray:
-        return self.part(int(np.searchsorted(self.sets, i)))
-
 
 def _flatten(sets, n_components: int) -> list:
     """One _Parts per component; parts on other component indices are dropped."""
@@ -294,26 +290,6 @@ def _ids_array(ids) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def _part_pairwise_max(comp, ids: np.ndarray) -> int:
-    """Exact diameter of a vertex subset of one component."""
-    if hasattr(comp, "dist_matrix"):
-        sub = comp.dist_matrix[np.ix_(ids, ids)]
-        return int(sub.max())
-    spec = comp.spec
-    m = comp.modulus
-    pts = comp.coords[ids]
-    inv_pts = coords_invert(spec, pts, m)
-    best = 0
-    chunk = max(1, PAIR_CAP // max(1, len(ids)) )
-    for lo in range(0, len(ids), chunk):
-        block = inv_pts[lo:lo + chunk][:, None, :]
-        prods = coords_multiply(spec, block, pts[None, :, :], m)
-        flat = prods.reshape(-1, prods.shape[-1])
-        d = comp.dist[comp.encode(flat)]
-        best = max(best, int(d.max()))
-    return best
-
-
 class _DiameterOracle:
     """Exact set diameters with translation-class memoization.
 
@@ -321,7 +297,8 @@ class _DiameterOracle:
     depends only on its translation class; the class key is the set
     translated to put its first vertex at the identity.  Keys are computed
     in blocks of equal-length parts, and only classes not seen before are
-    measured pairwise.
+    measured pairwise.  Components other than Cayley graphs measure every
+    part pairwise.
     """
 
     def __init__(self, space):
@@ -355,9 +332,9 @@ class _DiameterOracle:
         whole = todo & (lengths == comp.n_vertices)
         out[whole] = self.space.diameters[ci]
         todo &= ~whole
-        if not hasattr(comp, "coords"):
+        if not isinstance(comp, CayleyGraph):
             for k in np.flatnonzero(todo):
-                out[k] = _part_pairwise_max(comp, parts.part(k))
+                out[k] = comp.subset_diameter(parts.part(k))
             return out
         big = todo & (lengths ** 2 > PAIR_CAP)
         for k in np.flatnonzero(big):
@@ -389,13 +366,13 @@ class _DiameterOracle:
         for c, key in enumerate(keys):
             memo_key = (ci, key.tobytes())
             if memo_key not in self._memo:
-                self._memo[memo_key] = _part_pairwise_max(comp, rows[first[c]])
+                self._memo[memo_key] = comp.subset_diameter(rows[first[c]])
             diam[c] = self._memo[memo_key]
         return diam[inverse.reshape(-1)]
 
 
-def _closest_pairs(comp, parts: _Parts, cap: int):
-    """Candidate close pairs among the distinct sets of one component.
+def _closest_pairs(comp: CayleyGraph, parts: _Parts, cap: int):
+    """Candidate close pairs among the distinct sets of one Cayley graph.
 
     Returns {(set_a, set_b): bound}, a < b set indices, with bound >= the
     true distance.  Each vertex is owned by the first set containing it,
@@ -429,15 +406,6 @@ def _closest_pairs(comp, parts: _Parts, cap: int):
     for a, b in set(zip(owner[parts.ids[clash]].tolist(),
                         parts.owner[clash].tolist())):
         note(a, b, 0)
-    if not hasattr(comp, "adjacency"):
-        # dense fallback for matrix-backed components (small unions)
-        for x in range(len(parts.sets)):
-            for y in range(x + 1, len(parts.sets)):
-                d = int(comp.dist_matrix[np.ix_(parts.part(x), parts.part(y))].min())
-                if d < cap:
-                    note(int(parts.sets[x]), int(parts.sets[y]), d)
-        return found
-
     depth = (cap + 1) // 2
     frontier = np.flatnonzero(dist == 0)
     deg = comp.adjacency.shape[1]
@@ -464,29 +432,38 @@ def _closest_pairs(comp, parts: _Parts, cap: int):
     return found
 
 
-def _pair_distance(comp, ids_a, ids_b, cap: int):
-    """Exact distance between two vertex sets if < cap, else None."""
-    if cap <= 0:
-        return None
-    ids_a, ids_b = _ids_array(ids_a), _ids_array(ids_b)
-    if hasattr(comp, "adjacency"):
-        d = breadth_first_distances(comp.adjacency, ids_a, cap=max(cap - 1, 0))
-        vals = d[ids_b]
-        vals = vals[vals >= 0]
-    else:
-        vals = comp.dist_matrix[np.ix_(ids_a, ids_b)].ravel()
-        vals = vals[vals < cap]
-    return int(vals.min()) if vals.size else None
+def _close_pairs(comp, parts: _Parts, R: int) -> dict:
+    """{(set_a, set_b): distance} for every pair of sets on one component
+    closer than R, a < b set indices, each distance exact.
+
+    On a Cayley graph owner propagation (_closest_pairs) runs first, and
+    its usual empty answer certifies the component R-disjoint.  Otherwise
+    only the sets it names are measured: walking a geodesic of length < R
+    out of a set A, the first vertex owned by another set (or a vertex A
+    shares) gives a named pair with A in it.  Other components measure
+    every set.
+    """
+    found = {}
+    if R <= 0:
+        return found
+    ks = np.arange(len(parts.sets))
+    if isinstance(comp, CayleyGraph):
+        named = {a for pair in _closest_pairs(comp, parts, R) for a in pair}
+        ks = np.searchsorted(parts.sets, sorted(named))
+    for i, x in enumerate(ks):
+        near = comp.distances_to(parts.part(x), cap=R - 1)
+        for y in ks[i + 1:]:
+            d = near[parts.part(y)]
+            d = d[d >= 0]
+            if d.size:
+                found[(int(parts.sets[x]), int(parts.sets[y]))] = int(d.min())
+    return found
 
 
 def family_violations(space, family, R: int):
-    """(label_a, label_b, distance) pairs of one family closer than R.
-
-    The minimum over the returned pairs is the family's exact minimum
-    inter-set distance when that minimum is < R; an empty list certifies
-    R-disjointness.  Non-minimal violating pairs whose geodesics run
-    through a third set's territory may be absent.
-    """
+    """(label_a, label_b, distance) for every pair of sets of one family
+    closer than R, with the exact distance; an empty list certifies
+    R-disjointness."""
     labels = [s.label for s in family]
     layout = _flatten(family, len(space.components))
     out = {}
@@ -498,13 +475,8 @@ def family_violations(space, family, R: int):
 
     present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
     for ci in present:
-        parts = layout[ci]
-        if parts.sets.size < 2:
-            continue
-        comp = space.components[ci]
-        for (a, b) in _closest_pairs(comp, parts, R):
-            d = _pair_distance(comp, parts.of_set(a), parts.of_set(b), R)
-            if d is not None:
+        if layout[ci].sets.size > 1:
+            for (a, b), d in _close_pairs(space.components[ci], layout[ci], R).items():
                 note(a, b, d)
     # cross-component pairs sit at exactly the sum of the diameters
     diams = space.diameters
@@ -524,11 +496,7 @@ def _dilate(comp, ids: np.ndarray, r: int) -> np.ndarray:
     """Vertex ids within distance <= r of the given set, in one component."""
     if r == 0:
         return sorted_distinct(_ids_array(ids))
-    if hasattr(comp, "adjacency"):
-        d = breadth_first_distances(comp.adjacency, _ids_array(ids), cap=r)
-        return np.flatnonzero(d >= 0)
-    hit = comp.dist_matrix[_ids_array(ids)].min(axis=0) <= r
-    return np.flatnonzero(hit)
+    return np.flatnonzero(comp.distances_to(_ids_array(ids), cap=r) >= 0)
 
 
 def _dilation_counts(comp, parts: _Parts, R: int, keep: np.ndarray) -> np.ndarray:
@@ -542,11 +510,12 @@ def _dilation_counts(comp, parts: _Parts, R: int, keep: np.ndarray) -> np.ndarra
     deduplicated per set with one sort on set * V + vertex, and counted
     with bincount.  A part that covers the component (or a ball that does)
     adds 1 everywhere; a part whose expansion alone exceeds a block is
-    dilated by multi-source BFS instead.
+    dilated by multi-source BFS instead.  Components other than Cayley
+    graphs dilate every part through their distance field.
     """
     n = comp.n_vertices
     counts = np.zeros(n, dtype=np.int64)
-    if not hasattr(comp, "coords"):
+    if not isinstance(comp, CayleyGraph):
         for k in np.flatnonzero(keep):
             counts[_dilate(comp, parts.part(k), R)] += 1
         return counts
@@ -703,11 +672,7 @@ def cover_prop41(box: BoxSpace, R: int, growth: GrowthBound,
         pc = packing_count_max(comp, centers, rn)
         return rn, centers, pc
 
-    if threads > 1 and len(large) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, large))
-    else:
-        results = [work(ci) for ci in large]
+    results = thread_map(work, large, threads)
 
     sets = []
     if small:
@@ -1018,28 +983,35 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
                           discarded_radii=discarded)
 
 
+def close_clusters(n: int, close) -> list:
+    """Connected components of the graph on 0..n-1 with an edge i - j
+    wherever close(i, j), i < j, by union-find.  Each is an increasing
+    index list; the list is ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if close(i, j):
+                parent[find(i)] = find(j)
+    out = {}
+    for i in range(n):
+        out.setdefault(find(i), []).append(i)
+    return list(out.values())
+
+
 def _coloring_partition_valid(points, dist, coloring, R: int, S: int) -> bool:
     """Every same-color <R-connected cluster must have diameter <= S."""
     by_color = {}
     for p in points:
         by_color.setdefault(coloring[p], []).append(p)
     for pts in by_color.values():
-        parent = list(range(len(pts)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if dist(pts[i], pts[j]) < R:
-                    parent[find(i)] = find(j)
-        clusters = {}
-        for i in range(len(pts)):
-            clusters.setdefault(find(i), []).append(i)
-        for members in clusters.values():
+        for members in close_clusters(len(pts), lambda i, j: dist(pts[i], pts[j]) < R):
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     if dist(pts[members[a]], pts[members[b]]) > S:

@@ -16,62 +16,15 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxspace import BoxSpace
+from .boxspace import MATRIX_POINT_CAP, BoxSpace, CoarseUnion, FiniteMetricSpace, thread_map
 from .cayley import GrowthBound
-from .covers import Cover, CoverSet, _dilate, cover_prop41, verify_cover
+from .covers import Cover, CoverSet, _dilate, close_clusters, cover_prop41, verify_cover
 from .errors import ConfigError, ResourceCapError, VerificationError
 from .groups import FREE_ABELIAN, hirsch_length
-
-
-class FiniteMetricSpace:
-    """A finite metric space backed by an explicit integer distance matrix."""
-
-    def __init__(self, dist_matrix: np.ndarray):
-        self.dist_matrix = np.asarray(dist_matrix, dtype=np.int32)
-        self.n_vertices = self.dist_matrix.shape[0]
-
-    @property
-    def diameter(self) -> int:
-        return int(self.dist_matrix.max())
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self.dist_matrix[u, v])
-
-    def distances_from(self, v: int) -> np.ndarray:
-        return self.dist_matrix[v]
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "FiniteMetricSpace":
-        m = np.asarray(matrix, dtype=np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"distance matrix must be square, got {m.shape}")
-        n = m.shape[0]
-        if n > 1024:
-            raise ResourceCapError(f"matrix too large to validate ({n} points)")
-        if (m.diagonal() != 0).any():
-            raise ConfigError("distance matrix has a nonzero diagonal entry")
-        if (m != m.T).any():
-            raise ConfigError("distance matrix is not symmetric")
-        off = m[~np.eye(n, dtype=bool)]
-        if n > 1 and (off <= 0).any():
-            raise ConfigError("off-diagonal distances must be positive")
-        # triangle inequality, all triples
-        if n and (m > (m[:, :, None] + m[None, :, :]).min(axis=1)).any():
-            raise ConfigError("distance matrix violates the triangle inequality")
-        return cls(m)
-
-    @classmethod
-    def from_graph(cls, graph, point_cap: int = 4096) -> "FiniteMetricSpace":
-        n = graph.n_vertices
-        if n > point_cap:
-            raise ResourceCapError(f"{n} points exceeds the cap {point_cap}")
-        rows = np.stack([graph.distances_from(v) for v in range(n)])
-        return cls(rows)
 
 
 def random_metric_space(rng: random.Random, n_points: int,
@@ -79,6 +32,8 @@ def random_metric_space(rng: random.Random, n_points: int,
     """Random integer metric: symmetric draws closed under shortest paths."""
     if n_points < 1 or max_distance < 1:
         raise ConfigError("need n_points >= 1 and max_distance >= 1")
+    if n_points > MATRIX_POINT_CAP:
+        raise ResourceCapError(f"{n_points} points exceeds the cap {MATRIX_POINT_CAP}")
     m = np.zeros((n_points, n_points), dtype=np.int64)
     for i in range(n_points):
         for j in range(i + 1, n_points):
@@ -88,24 +43,6 @@ def random_metric_space(rng: random.Random, n_points: int,
     return FiniteMetricSpace(m)
 
 
-class SingleComponentSpace:
-    """Adapts one metric component to the box-space addressing protocol,
-    so covers of a single space go through the same verifier."""
-
-    def __init__(self, comp):
-        self.components = (comp,)
-        self.diameters = (int(comp.diameter),)
-        self.component_count = 1
-        self.n_points = comp.n_vertices
-
-    def points(self):
-        for v in range(self.components[0].n_vertices):
-            yield (0, v)
-
-    def distance(self, p, q) -> int:
-        return self.components[0].distance(p[1], q[1])
-
-
 @dataclass(frozen=True)
 class RSDimResult:
     n: int | None                # smallest n found; None if the cap was hit
@@ -113,7 +50,7 @@ class RSDimResult:
     S: int
     method: str
     coloring: tuple | None       # per point, in the space's own indexing
-    cover: Cover | None          # expanded witness over SingleComponentSpace
+    cover: Cover | None          # expanded witness over CoarseUnion((space,))
     exceeded_cap: bool = False
 
     @property
@@ -121,34 +58,13 @@ class RSDimResult:
         return None if self.n is None else self.n + 1
 
 
-def _full_matrix(space) -> np.ndarray:
-    if hasattr(space, "dist_matrix"):
-        return np.asarray(space.dist_matrix)
-    return np.stack([space.distances_from(v) for v in range(space.n_vertices)])
-
-
 def _clusters_of_color(D: np.ndarray, pts, R: int):
-    """<R-connected clusters among pts (indices), by union-find."""
-    parent = list(range(len(pts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if D[pts[i], pts[j]] < R:
-                parent[find(i)] = find(j)
-    out = {}
-    for i in range(len(pts)):
-        out.setdefault(find(i), []).append(pts[i])
-    return list(out.values())
+    """<R-connected clusters among pts (indices)."""
+    near = D[np.ix_(pts, pts)] < R
+    return [[pts[i] for i in c] for c in close_clusters(len(pts), near.item)]
 
 
 def _coloring_to_cover(space, D: np.ndarray, coloring, R: int) -> Cover:
-    wrapper = SingleComponentSpace(space)
     by_color = {}
     for v, c in enumerate(coloring):
         by_color.setdefault(c, []).append(v)
@@ -159,7 +75,7 @@ def _coloring_to_cover(space, D: np.ndarray, coloring, R: int) -> Cover:
             sets.append(CoverSet(label=f"f{c}.s{ci}",
                                  parts=((0, tuple(sorted(cluster))),)))
         families.append(tuple(sets))
-    return Cover(space=wrapper, families=tuple(families))
+    return Cover(space=CoarseUnion((space,)), families=tuple(families))
 
 
 def _verified_result(space, D, coloring, R, S, method) -> RSDimResult:
@@ -189,7 +105,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
-    D = _full_matrix(space)
+    D = FiniteMetricSpace.from_graph(space).dist_matrix
     order = sorted(range(n_pts), key=lambda v: (int(D[0, v]), v))
 
     def solve(kmax: int):
@@ -277,7 +193,7 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> RSDimResult
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
-    D = _full_matrix(space)
+    D = FiniteMetricSpace.from_graph(space).dist_matrix
 
     def valid(coloring) -> bool:
         by_color = {}
@@ -320,11 +236,7 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     k = len(clusters)
     adj = [set() for _ in range(k)]
     for i, cluster in enumerate(clusters):
-        if hasattr(space, "adjacency"):
-            near = _dilate(space, cluster, max(R - 1, 0))
-        else:
-            hit = space.dist_matrix[cluster].min(axis=0) <= R - 1
-            near = np.flatnonzero(hit)
+        near = _dilate(space, cluster, R - 1)
         for j in set(int(x) for x in assigned[near]):
             if j != i:
                 adj[i].add(j)
@@ -340,9 +252,7 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     for i, cluster in enumerate(clusters):
         for v in cluster:
             coloring[int(v)] = cluster_color[i]
-    D = _full_matrix(space) if n_pts <= 4096 else None
-    if D is None:
-        raise ResourceCapError("greedy witness verification needs <= 4096 points")
+    D = FiniteMetricSpace.from_graph(space).dist_matrix
     return _verified_result(space, D, coloring, R, S, "greedy")
 
 
@@ -541,11 +451,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
             fams.append([list(s.parts[0][1]) for s in fam])
         return fams
 
-    if threads > 1 and len(large) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, large))
-    else:
-        solved = [solve(ci) for ci in large]
+    solved = thread_map(solve, large, threads)
     if any(f is None for f in solved):
         return None
 

@@ -211,6 +211,60 @@ vertex_cap = 1000
     assert "resource cap" in proc.stderr
 
 
+COVER_INI = """\
+[group]
+kind = free_abelian
+rank = 1
+
+[filtration]
+moduli = 8 16
+
+[task]
+name = cover
+r = 2
+growth_c = 3
+growth_d = 1
+
+[output]
+dir = out
+"""
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("rank = 1", "rank = abc", "[group] rank"),
+    ("name = cover\nr = 2", "name = profile\nr_list = 2 x\ns_cap = 8", "[task] r_list"),
+    ("r = 2", "r = two", "[task] r"),
+    ("[output]", "[limits]\nvertex_cap = lots\n\n[output]", "[limits] vertex_cap"),
+    ("moduli = 8 16", "moduli = 8 16\nnested = maybe", "[filtration] nested"),
+    ("kind = free_abelian\nrank = 1", "kind = direct_product\nfactors = free_abelian:x",
+     "[group] factors"),
+])
+def test_malformed_ini_values_exit_2(tmp_path, old, new, key):
+    # each used to escape as a ValueError traceback with exit 1
+    assert old in COVER_INI
+    proc = run_cli(tmp_path, COVER_INI.replace(old, new))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
+
+
+def test_random_rsdim_point_cap_exit_3(tmp_path):
+    ini = """\
+[task]
+name = rsdim
+source = random
+points = 1000000
+r = 2
+s = 2
+method = greedy
+
+[output]
+dir = r
+"""
+    proc = run_cli(tmp_path, ini)
+    assert proc.returncode == 3, proc.stderr
+    assert "resource cap" in proc.stderr
+
 def test_missing_config_and_unknown_task(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(tmp_path / "none.ini")],

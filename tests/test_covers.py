@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from boxdim import covers as covers_module
-from boxdim.boxspace import build_box_space, isometry_profile
+from boxdim.boxspace import CoarseUnion, FiniteMetricSpace, build_box_space, isometry_profile
 from boxdim.cayley import GrowthBound, build_quotient_cayley, coords_multiply
 from boxdim.covers import (
     Cover,
@@ -26,8 +26,8 @@ from boxdim.covers import (
     packing_count_max,
     r_multiplicity,
     verify_cover,
-    _part_pairwise_max,
 )
+from boxdim.dimension import rs_dim_greedy
 from boxdim.errors import (
     ConfigError,
     GrowthBoundError,
@@ -323,7 +323,7 @@ def per_set_diameters(box, cover):
                 exact = False
                 d = 2 * int(comp.distances_from(int(ids[0]))[ids].max())
             else:
-                d = _part_pairwise_max(comp, ids)
+                d = comp.subset_diameter(ids)
             best = max(best, d)
         comps = s.component_indices()
         for a in range(len(comps)):
@@ -396,6 +396,56 @@ def test_flat_family_violations_match_brute_force(name):
             else:
                 assert viol == []
 
+
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_family_violations_list_every_close_pair(name):
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"pairs-{name}")
+    for _ in range(6):
+        fam = [s for f in random_cover(rng, box, rng.randrange(2, 7)).families for s in f]
+        dists = {tuple(sorted((a.label, b.label))): brute_set_distance(box, a, b)
+                 for i, a in enumerate(fam) for b in fam[i + 1:]}
+        for R in (1, 2, 4, 9):
+            want = sorted((a, b, d) for (a, b), d in dists.items() if d < R)
+            assert family_violations(box, tuple(fam), R) == want, (name, R)
+
+# --- the two component kinds ----------------------------------------------------
+
+def matrix_twin(box):
+    """The same coarse union with every component an explicit distance matrix."""
+    return CoarseUnion(FiniteMetricSpace.from_graph(g) for g in box.components)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_cover_reports_agree_on_cayley_and_matrix_components(name):
+    # the Cayley fast paths (diameter memo, ball translation, owner
+    # propagation) against the matrix fallbacks, field by field
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    twin = matrix_twin(box)
+    rng = random.Random(f"twin-{name}")
+    for _ in range(4):
+        cover = random_cover(rng, box, rng.randrange(3, 9))
+        on_matrix = Cover(space=twin, families=cover.families)
+        for R in range(4):
+            for check_disjoint in (True, False):
+                want = verify_cover(cover, R, S=4, check_disjoint=check_disjoint)
+                got = verify_cover(on_matrix, R, S=4, check_disjoint=check_disjoint)
+                assert got == want, (name, R, check_disjoint)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_greedy_coloring_agrees_on_cayley_and_matrix_components(name):
+    spec, moduli = KERNEL_BOXES[name]
+    for g in build_box_space(Filtration(spec, moduli)).components:
+        twin = FiniteMetricSpace.from_graph(g)
+        for R, S in ((1, 2), (2, 3), (3, 6)):
+            want, got = rs_dim_greedy(g, R, S), rs_dim_greedy(twin, R, S)
+            assert got.coloring == want.coloring, (name, g.modulus, R, S)
+            assert got.cover.families == want.cover.families
 
 # --- verify_cover ---------------------------------------------------------------
 
