@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ResourceCapError, ShapeMismatchError
-from .cayley import breadth_first_distances, build_quotient_cayley, enumerate_ball
+from .cayley import CayleyGraph, breadth_first_distances, build_quotient_cayley, enumerate_ball
 from .groups import (
     Filtration,
     GroupSpec,
@@ -108,6 +108,7 @@ def box_distance(space, p, q) -> int:
 
 
 MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
+GRAPH_POINT_CAP = 4096      # largest component from_graph or the greedy solver takes
 
 
 class FiniteMetricSpace:
@@ -170,12 +171,16 @@ class FiniteMetricSpace:
         return cls(m)
 
     @classmethod
-    def from_graph(cls, graph, point_cap: int = 4096) -> "FiniteMetricSpace":
-        """The full distance matrix of any component, row by row."""
+    def from_graph(cls, graph, point_cap: int = GRAPH_POINT_CAP) -> "FiniteMetricSpace":
+        """The full distance matrix of any component; a Cayley graph's is
+        built in row blocks by CayleyGraph.distance_blocks."""
         n = graph.n_vertices
         if n > point_cap:
             raise ResourceCapError(f"{n} points exceeds the cap {point_cap}")
-        return cls(np.stack([graph.distances_from(v) for v in range(n)]))
+        if not isinstance(graph, CayleyGraph):
+            return cls(graph.dist_matrix)
+        ids = np.arange(n)
+        return cls(np.concatenate(list(graph.distance_blocks(ids, ids))))
 
 
 def build_box_space(filtration, component_count: int | None = None,

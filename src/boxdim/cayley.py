@@ -34,11 +34,13 @@ from .groups import (
     invert,
     multiply,
     num_coordinates,
+    reduce_mod,
     validate_element,
 )
 
 _INT64_SAFE = 2 ** 62
 PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
+PAIR_ROWS = 256             # rows per block of pairwise distances
 
 
 def _overflow_bound(spec: GroupSpec, m: int) -> int:
@@ -62,14 +64,48 @@ def _work_dtype(spec: GroupSpec, m: int):
     return np.int64 if _overflow_bound(spec, m) < _INT64_SAFE else object
 
 
+def _id_dtype(spec: GroupSpec, m: int):
+    """Narrowest dtype in which one product and its mixed-radix id are exact."""
+    top = max(_overflow_bound(spec, m), m ** num_coordinates(spec))
+    if top < 2 ** 31:
+        return np.int32
+    return np.int64 if top < _INT64_SAFE else object
+
+
 def coords_multiply(spec: GroupSpec, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Row-wise group product of flat coordinate arrays, reduced mod m.
 
     a and b broadcast against each other ((V, k) with (k,) is the common
     case).  Returns int64 coordinates in [0, m).
     """
-    out = _raw_multiply(spec, np.asarray(a), np.asarray(b), _work_dtype(spec, m))
+    dtype = _work_dtype(spec, m)
+    cols = _raw_multiply(spec, np.asarray(a).astype(dtype, copy=False),
+                         np.asarray(b).astype(dtype, copy=False))
+    out = np.stack(np.broadcast_arrays(*cols), axis=-1)
     return (out % m).astype(np.int64)
+
+
+def product_ids(spec: GroupSpec, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Vertex ids of the row-wise products a·b mod m, for coordinates in
+    [0, m) broadcast as in coords_multiply: equal to encoding its result,
+    without building it.
+
+    Each product column is reduced and added into the mixed-radix id as it
+    is produced, in the narrowest dtype _id_dtype proves exact: int32 when
+    the overflow bound and m^k fit, else int64, else exact object integers.
+    """
+    dtype = _id_dtype(spec, m)
+    a = np.asarray(a).astype(dtype, copy=False)
+    b = np.asarray(b).astype(dtype, copy=False)
+    ids = None
+    for i, col in enumerate(_raw_multiply(spec, a, b)):
+        col %= m
+        if i:
+            col *= m ** i
+            ids += col
+        else:
+            ids = col
+    return ids
 
 
 def coords_invert(spec: GroupSpec, a: np.ndarray, m: int) -> np.ndarray:
@@ -78,30 +114,28 @@ def coords_invert(spec: GroupSpec, a: np.ndarray, m: int) -> np.ndarray:
     return (out % m).astype(np.int64)
 
 
-def _raw_multiply(spec, a, b, dtype):
-    a = a.astype(dtype, copy=False)
-    b = b.astype(dtype, copy=False)
+def _raw_multiply(spec, a, b):
+    """The columns of the row-wise products a·b, unreduced, in coordinate
+    order; a and b are already in the working dtype.  Every column is a
+    fresh array (or scalar) the caller may modify."""
     if spec.kind == FREE_ABELIAN:
-        return a + b
+        for i in range(spec.rank):
+            yield a[..., i] + b[..., i]
+        return
     if spec.kind == UNITRIANGULAR:
         n = spec.size
         idx = _ut_index(n)
-        cols = []
         for (i, j) in _ut_entries(n):
             s = a[..., idx[(i, j)]] + b[..., idx[(i, j)]]
             for k in range(i + 1, j):
                 s = s + a[..., idx[(i, k)]] * b[..., idx[(k, j)]]
-            cols.append(s)
-        return np.stack(np.broadcast_arrays(*cols), axis=-1)
+            yield s
+        return
     pos = 0
-    parts = []
     for f in spec.factors:
         k = num_coordinates(f)
-        parts.append(_raw_multiply(f, a[..., pos:pos + k], b[..., pos:pos + k], dtype))
+        yield from _raw_multiply(f, a[..., pos:pos + k], b[..., pos:pos + k])
         pos += k
-    shape = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
-    parts = [np.broadcast_to(p, shape + p.shape[-1:]) for p in parts]
-    return np.concatenate(parts, axis=-1)
 
 
 def _raw_invert(spec, a, dtype):
@@ -187,15 +221,14 @@ class CayleyGraph:
         if v == self.identity_id:
             return self.dist
         inv_v = coords_invert(self.spec, self.coords[v], self.modulus)
-        ids = self.encode(coords_multiply(self.spec, inv_v, self.coords, self.modulus))
-        return self.dist[ids]
+        return self.dist[product_ids(self.spec, inv_v, self.coords, self.modulus)]
 
     def distance(self, u: int, v: int) -> int:
         self.check_vertex(u)
         self.check_vertex(v)
         inv_u = coords_invert(self.spec, self.coords[u], self.modulus)
-        w = coords_multiply(self.spec, inv_u, self.coords[v], self.modulus)
-        return int(self.dist[int(self.encode(w))])
+        w = product_ids(self.spec, inv_u, self.coords[v], self.modulus)
+        return int(self.dist[int(w)])
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
         if r < 0:
@@ -208,9 +241,8 @@ class CayleyGraph:
         base = self.identity_ball_ids(r)
         if center == self.identity_id:
             return base
-        shifted = coords_multiply(self.spec, self.coords[center],
-                                  self.coords[base], self.modulus)
-        out = self.encode(shifted)
+        out = product_ids(self.spec, self.coords[center], self.coords[base],
+                          self.modulus).astype(np.int64)
         out.sort()
         return out
 
@@ -218,19 +250,29 @@ class CayleyGraph:
         """Distance from every vertex to the nearest of ids; -1 beyond cap."""
         return breadth_first_distances(self.adjacency, ids, cap)
 
+    def distance_blocks(self, rows, cols):
+        """d(u, v) for u in rows and v in cols, as d(e, u^-1 v): one
+        (block, len(cols)) matrix per block of PAIR_ROWS consecutive rows
+        (fewer when a block would pass PAIR_CAP pairs)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        col_coords = self.coords[np.asarray(cols, dtype=np.int64)][None, :, :]
+        step = max(1, min(PAIR_ROWS, PAIR_CAP // max(1, col_coords.shape[1])))
+        for lo in range(0, len(rows), step):
+            inv = coords_invert(self.spec, self.coords[rows[lo:lo + step]], self.modulus)
+            yield self.dist[product_ids(self.spec, inv[:, None, :], col_coords,
+                                        self.modulus)]
+
     def subset_diameter(self, ids) -> int:
-        """Exact diameter of a vertex subset, as max d(e, u^-1 v) over its
-        pairs, in blocks of at most PAIR_CAP pairs."""
-        ids = np.asarray(ids, dtype=np.int64)
-        pts = self.coords[ids]
-        inv_pts = coords_invert(self.spec, pts, self.modulus)
+        """Exact diameter of a vertex subset, the max over distance_blocks.
+
+        The scan stops once the running max reaches the graph diameter,
+        which bounds the diameter of every subset.
+        """
         best = 0
-        chunk = max(1, PAIR_CAP // max(1, len(ids)))
-        for lo in range(0, len(ids), chunk):
-            prods = coords_multiply(self.spec, inv_pts[lo:lo + chunk][:, None, :],
-                                    pts[None, :, :], self.modulus)
-            d = self.dist[self.encode(prods.reshape(-1, prods.shape[-1]))]
+        for d in self.distance_blocks(ids, ids):
             best = max(best, int(d.max()))
+            if best == self.diameter:
+                break
         return best
 
     def ball_size(self, r: int) -> int:
@@ -327,15 +369,13 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
             f"quotient order {n} exceeds the vertex cap {vertex_cap}")
 
     coords = quotient_coords(quotient)
-    powers = np.array([m ** i for i in range(coords.shape[1])], dtype=np.int64)
-    cols = []
-    for g in generators:
-        row = np.array(flatten(spec, g), dtype=object)
-        cols.append(coords_multiply(spec, coords, row, m) @ powers)
-    for g in generators:
-        row = np.array(flatten(spec, invert(spec, g)), dtype=object)
-        cols.append(coords_multiply(spec, coords, row, m) @ powers)
-    adjacency = np.stack(cols, axis=1).astype(np.int32)
+    # generator coordinates are reduced first, so the product's operands
+    # lie in [0, m) as the overflow bound assumes
+    steps = list(generators) + [invert(spec, g) for g in generators]
+    adjacency = np.stack(
+        [product_ids(spec, coords, np.array(flatten(spec, reduce_mod(quotient, g)),
+                                            dtype=np.int64), m)
+         for g in steps], axis=1).astype(np.int32, copy=False)
 
     dist = breadth_first_distances(adjacency, [0])
     if (dist < 0).any():

@@ -25,8 +25,8 @@ from .cayley import (
     CayleyGraph,
     GrowthBound,
     coords_invert,
-    coords_multiply,
     enumerate_ball,
+    product_ids,
     sorted_distinct,
 )
 from .errors import (
@@ -329,7 +329,9 @@ class _DiameterOracle:
         out = np.zeros(len(lengths), dtype=np.int64)
         todo = lengths > 1
         # the whole component; vertex transitivity gives the diameter
-        whole = todo & (lengths == comp.n_vertices)
+        whole = todo & (lengths >= comp.n_vertices)
+        for k in np.flatnonzero(whole):
+            whole[k] = sorted_distinct(parts.part(k)).size == comp.n_vertices
         out[whole] = self.space.diameters[ci]
         todo &= ~whole
         if not isinstance(comp, CayleyGraph):
@@ -357,8 +359,7 @@ class _DiameterOracle:
         """Diameters of equal-length parts of one component, one per row."""
         spec, m = comp.spec, comp.modulus
         inv_first = coords_invert(spec, comp.coords[rows[:, 0]], m)
-        moved = comp.encode(coords_multiply(spec, inv_first[:, None, :],
-                                            comp.coords[rows], m))
+        moved = product_ids(spec, inv_first[:, None, :], comp.coords[rows], m)
         moved.sort(axis=1)
         keys, first, inverse = np.unique(moved, axis=0, return_index=True,
                                          return_inverse=True)
@@ -557,8 +558,8 @@ def _dilation_counts(comp, parts: _Parts, R: int, keep: np.ndarray) -> np.ndarra
                                  side="right"))
         v, o, e = (a[bounds[lo]:bounds[hi]] for a in (ids, owner, edge))
         o = o - o[0]
-        reached = comp.encode(coords_multiply(comp.spec, comp.coords[v[e]][:, None, :],
-                                              ball_coords, comp.modulus))
+        reached = product_ids(comp.spec, comp.coords[v[e]][:, None, :],
+                              ball_coords, comp.modulus)
         keys = sorted_distinct(np.concatenate(((o[e][:, None] * n + reached).ravel(),
                                                o * n + v)))
         counts += np.bincount(keys % n, minlength=n)
@@ -983,26 +984,58 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
                           discarded_radii=discarded)
 
 
-def close_clusters(n: int, close) -> list:
-    """Connected components of the graph on 0..n-1 with an edge i - j
-    wherever close(i, j), i < j, by union-find.  Each is an increasing
-    index list; the list is ordered by smallest member."""
-    parent = list(range(n))
+def close_clusters(n: int, pairs) -> list:
+    """Connected components of the graph on 0..n-1 whose edges are given
+    as an iterable of (i, j) index-array blocks.  Each component is an
+    increasing int64 array; the list is ordered by smallest member.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Every label starts as its own vertex and only decreases: each pass
+    hooks the larger root of every edge whose ends differ onto the smaller
+    one, then jumps pointers until every label is a root.  A label is
+    always a vertex of its own component, so at the fixpoint each
+    component is labelled by its smallest member.  Blocks are merged into
+    the labels one at a time.
+    """
+    if n == 0:
+        return []
+    lab = np.arange(n, dtype=np.int64)
+    for i, j in pairs:
+        i, j = _ids_array(i), _ids_array(j)
+        while True:
+            li, lj = lab[i], lab[j]
+            differ = li != lj
+            if not differ.any():
+                break
+            li, lj = li[differ], lj[differ]
+            np.minimum.at(lab, np.maximum(li, lj), np.minimum(li, lj))
+            while True:
+                up = lab[lab]
+                if np.array_equal(up, lab):
+                    break
+                lab = up
+    order = np.argsort(lab, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if close(i, j):
-                parent[find(i)] = find(j)
-    out = {}
-    for i in range(n):
-        out.setdefault(find(i), []).append(i)
-    return list(out.values())
+
+def near_pairs(comp, R: int):
+    """Blocks (u, v) of index arrays listing every ordered pair of
+    vertices at distance < R, self-pairs included.
+
+    On a Cayley graph the pairs at u are u·B(e, R-1): the identity ball
+    translated onto blocks of at most ROW_BLOCK pairs.  Other components
+    read them from their distance matrix.
+    """
+    if R < 1:
+        return
+    if not isinstance(comp, CayleyGraph):
+        yield np.nonzero(comp.dist_matrix < R)
+        return
+    ball = comp.coords[comp.identity_ball_ids(R - 1)][None, :, :]
+    step = max(1, ROW_BLOCK // ball.shape[1])
+    for lo in range(0, comp.n_vertices, step):
+        u = np.arange(lo, min(lo + step, comp.n_vertices))
+        v = product_ids(comp.spec, comp.coords[u][:, None, :], ball, comp.modulus)
+        yield np.repeat(u, ball.shape[1]), v.ravel()
 
 
 def _coloring_partition_valid(points, dist, coloring, R: int, S: int) -> bool:
@@ -1011,7 +1044,11 @@ def _coloring_partition_valid(points, dist, coloring, R: int, S: int) -> bool:
     for p in points:
         by_color.setdefault(coloring[p], []).append(p)
     for pts in by_color.values():
-        for members in close_clusters(len(pts), lambda i, j: dist(pts[i], pts[j]) < R):
+        close = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))
+                 if dist(pts[a], pts[b]) < R]
+        pairs = np.array(close, dtype=np.int64).reshape(-1, 2).T
+        for members in close_clusters(len(pts), [pairs]):
+            members = members.tolist()
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     if dist(pts[members[a]], pts[members[b]]) > S:

@@ -20,9 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxspace import MATRIX_POINT_CAP, BoxSpace, CoarseUnion, FiniteMetricSpace, thread_map
+from .boxspace import (
+    GRAPH_POINT_CAP,
+    MATRIX_POINT_CAP,
+    BoxSpace,
+    CoarseUnion,
+    FiniteMetricSpace,
+    thread_map,
+)
 from .cayley import GrowthBound
-from .covers import Cover, CoverSet, _dilate, close_clusters, cover_prop41, verify_cover
+from .covers import (
+    Cover,
+    CoverSet,
+    _dilate,
+    close_clusters,
+    cover_prop41,
+    near_pairs,
+    verify_cover,
+)
 from .errors import ConfigError, ResourceCapError, VerificationError
 from .groups import FREE_ABELIAN, hirsch_length
 
@@ -60,26 +75,33 @@ class RSDimResult:
 
 def _clusters_of_color(D: np.ndarray, pts, R: int):
     """<R-connected clusters among pts (indices)."""
-    near = D[np.ix_(pts, pts)] < R
-    return [[pts[i] for i in c] for c in close_clusters(len(pts), near.item)]
+    near = np.nonzero(D[np.ix_(pts, pts)] < R)
+    return [[pts[i] for i in c] for c in close_clusters(len(pts), [near])]
 
 
-def _coloring_to_cover(space, D: np.ndarray, coloring, R: int) -> Cover:
-    by_color = {}
-    for v, c in enumerate(coloring):
-        by_color.setdefault(c, []).append(v)
-    families = []
-    for c in sorted(by_color):
-        sets = []
-        for ci, cluster in enumerate(_clusters_of_color(D, by_color[c], R)):
-            sets.append(CoverSet(label=f"f{c}.s{ci}",
-                                 parts=((0, tuple(sorted(cluster))),)))
-        families.append(tuple(sets))
-    return Cover(space=CoarseUnion((space,)), families=tuple(families))
+def _coloring_to_cover(space, coloring, R: int) -> Cover:
+    """One family per color; its sets are the color's <R-connected
+    clusters, ordered by smallest member, from the same-color pairs of
+    near_pairs."""
+    colors = np.asarray(coloring, dtype=np.int64)
+
+    def same_color_pairs():
+        for u, v in near_pairs(space, R):
+            keep = colors[u] == colors[v]
+            yield u[keep], v[keep]
+
+    families = {}
+    for cluster in close_clusters(len(colors), same_color_pairs()):
+        c = int(colors[cluster[0]])
+        sets = families.setdefault(c, [])
+        sets.append(CoverSet(label=f"f{c}.s{len(sets)}",
+                             parts=((0, tuple(cluster.tolist())),)))
+    return Cover(space=CoarseUnion((space,)),
+                 families=tuple(tuple(families[c]) for c in sorted(families)))
 
 
-def _verified_result(space, D, coloring, R, S, method) -> RSDimResult:
-    cover = _coloring_to_cover(space, D, coloring, R)
+def _verified_result(space, coloring, R, S, method) -> RSDimResult:
+    cover = _coloring_to_cover(space, coloring, R)
     report = verify_cover(cover, R, S)
     if not report.ok:
         raise VerificationError(
@@ -160,7 +182,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     for k in range(1, min(n_pts, n_cap + 1) + 1):
         coloring = solve(k)
         if coloring is not None:
-            return _verified_result(space, D, coloring, R, S, "exact")
+            return _verified_result(space, coloring, R, S, "exact")
     return RSDimResult(n=None, R=R, S=S, method="exact", coloring=None,
                        cover=None, exceeded_cap=True)
 
@@ -210,7 +232,7 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> RSDimResult
     for k in range(1, n_pts + 1):
         for seq in _restricted_growth_strings(n_pts, k):
             if max(seq) == k - 1 and valid(seq):
-                return _verified_result(space, D, list(seq), R, S, "exhaustive")
+                return _verified_result(space, list(seq), R, S, "exhaustive")
     raise VerificationError("no valid coloring found; unreachable for k = n")
 
 
@@ -220,6 +242,8 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     n_pts = space.n_vertices
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+    if n_pts > GRAPH_POINT_CAP:
+        raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
     carve = S // 2
     assigned = np.full(n_pts, -1, dtype=np.int64)
     nearest = np.full(n_pts, np.iinfo(np.int32).max, dtype=np.int64)
@@ -252,8 +276,7 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     for i, cluster in enumerate(clusters):
         for v in cluster:
             coloring[int(v)] = cluster_color[i]
-    D = FiniteMetricSpace.from_graph(space).dist_matrix
-    return _verified_result(space, D, coloring, R, S, "greedy")
+    return _verified_result(space, coloring, R, S, "greedy")
 
 
 def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResult:

@@ -12,6 +12,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from boxdim import cayley as cayley_module
+from boxdim.boxspace import FiniteMetricSpace
 from boxdim.cayley import (
     GrowthProfile,
     breadth_first_distances,
@@ -22,6 +24,7 @@ from boxdim.cayley import (
     fit_growth,
     growth_profile,
     loglog_slope,
+    product_ids,
     _work_dtype,
 )
 from boxdim.errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
@@ -34,6 +37,7 @@ from boxdim.groups import (
     invert,
     multiply,
     reduce_mod,
+    unflatten,
     unitriangular,
 )
 
@@ -326,6 +330,107 @@ def test_overflow_guard_switches_to_exact_integers():
     assert tuple(int(x) for x in got) == reduce_mod(q, multiply(spec, ta, tb))
     inv = coords_invert(spec, a, big)
     assert tuple(int(x) for x in inv) == reduce_mod(q, invert(spec, ta))
+
+
+# --- fused product ids and pairwise distance blocks --------------------------
+
+ID_SPECS = {
+    "Z": (free_abelian(1), 7),
+    "Z2": (free_abelian(2), 5),
+    "UT3": (unitriangular(3), 6),
+    "UT4": (unitriangular(4), 3),
+    "ZxUT3": (direct_product(free_abelian(1), unitriangular(3)), 4),
+}
+
+
+def encoded(coords, m):
+    """Mixed-radix ids of coordinate rows, in exact Python integers."""
+    coords = np.asarray(coords, dtype=object)
+    return sum(coords[..., i] * m ** i for i in range(coords.shape[-1]))
+
+
+@pytest.mark.parametrize("name", sorted(ID_SPECS))
+def test_product_ids_match_encoded_products(name):
+    spec, m = ID_SPECS[name]
+    k = len(flatten(spec, identity(spec)))
+    rng = np.random.default_rng(len(name))
+    a = rng.integers(0, m, size=(9, k))
+    b = rng.integers(0, m, size=(6, k))
+    shapes = ((a[0], b), (a, b[0]), (a[0], b[0]),
+              (a[:, None, :], b[None, :, :]))
+    for x, y in shapes:
+        got = product_ids(spec, x, y, m)
+        want = encoded(coords_multiply(spec, x, y, m), m)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    # the all-pairs block against the scalar tuple arithmetic
+    q = CongruenceQuotient(spec, m)
+    block = product_ids(spec, a[:, None, :], b[None, :, :], m)
+    for r, u in enumerate(a.tolist()):
+        for c, v in enumerate(b.tolist()):
+            w = reduce_mod(q, multiply(spec, unflatten(spec, u), unflatten(spec, v)))
+            assert block[r, c] == encoded(flatten(spec, w), m)
+
+
+@pytest.mark.parametrize("m", [2 ** 11 + 1, 2 ** 40])
+def test_product_ids_exact_beyond_int32(m):
+    # UT(3) ids pass int32 at 2^11 + 1; at 2^40 the products and the ids
+    # pass int64, and exact integers take over
+    spec = unitriangular(3)
+    a = np.array([[m - 1, m - 2, m - 3], [1, 0, m - 1], [m // 2, m - 1, 7]], dtype=object)
+    b = np.array([m - 5, m - 7, m - 11], dtype=object)
+    got = product_ids(spec, a, b, m)
+    q = CongruenceQuotient(spec, m)
+    want = [sum(c * m ** i for i, c in enumerate(
+        reduce_mod(q, multiply(spec, tuple(int(x) for x in row), tuple(int(x) for x in b)))))
+        for row in a]
+    assert got.tolist() == want
+
+
+DIAMETER_GRAPHS = {
+    "Z12": (free_abelian(1), 12),
+    "Z2_8": (free_abelian(2), 8),
+    "UT3_4": (unitriangular(3), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
+@pytest.mark.parametrize("rows", [cayley_module.PAIR_ROWS, 1, 7])
+def test_subset_diameter_matches_brute_force(monkeypatch, name, rows):
+    monkeypatch.setattr(cayley_module, "PAIR_ROWS", rows)
+    spec, m = DIAMETER_GRAPHS[name]
+    g = build_quotient_cayley(CongruenceQuotient(spec, m))
+    D = np.stack([breadth_first_distances(g.adjacency, [v]) for v in range(g.n_vertices)])
+
+    def brute(ids):
+        return int(D[np.ix_(ids, ids)].max())
+
+    rng = random.Random(f"{name}-{rows}")
+    for _ in range(30):
+        ids = rng.sample(range(g.n_vertices), rng.randint(1, min(20, g.n_vertices)))
+        assert g.subset_diameter(ids) == brute(ids)
+    # subsets of balls of radius < diameter / 2 never reach the early exit
+    for _ in range(30):
+        ball = g.ball_ids(rng.randrange(g.n_vertices), (g.diameter - 1) // 2).tolist()
+        ids = rng.sample(ball, rng.randint(1, min(20, len(ball))))
+        ids += ids[:rng.randint(0, 2)]
+        want = brute(ids)
+        assert want < g.diameter
+        assert g.subset_diameter(ids) == want
+    for center in (0, g.n_vertices - 1, rng.randrange(g.n_vertices)):
+        for r in range(g.diameter + 1):
+            ids = g.ball_ids(center, r)
+            assert g.subset_diameter(ids) == brute(ids), (center, r)
+
+
+def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
+    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 7)
+    for spec, m in ID_SPECS.values():
+        g = build_quotient_cayley(CongruenceQuotient(spec, m))
+        got = FiniteMetricSpace.from_graph(g).dist_matrix
+        want = np.stack([breadth_first_distances(g.adjacency, [v])
+                         for v in range(g.n_vertices)])
+        assert np.array_equal(got, want)
 
 
 def test_loglog_slope_short_profile():

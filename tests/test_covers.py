@@ -317,7 +317,7 @@ def per_set_diameters(box, cover):
             comp, ids = box.components[ci], np.asarray(ids)
             if len(ids) <= 1:
                 d = 0
-            elif len(ids) == comp.n_vertices:
+            elif len(set(ids.tolist())) == comp.n_vertices:
                 d = box.diameters[ci]
             elif len(ids) ** 2 > covers_module.PAIR_CAP:
                 exact = False
@@ -446,6 +446,22 @@ def test_greedy_coloring_agrees_on_cayley_and_matrix_components(name):
             want, got = rs_dim_greedy(g, R, S), rs_dim_greedy(twin, R, S)
             assert got.coloring == want.coloring, (name, g.modulus, R, S)
             assert got.cover.families == want.cover.families
+
+@pytest.mark.parametrize("kind", ["matrix", "cayley"])
+def test_part_with_repeated_ids_is_not_the_whole_component(kind):
+    # as many ids as the component has vertices, but not all of them
+    if kind == "matrix":
+        space = CoarseUnion((FiniteMetricSpace.from_matrix(
+            [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),))
+        sets = (arc_set("a", 0, (0, 1, 1)), arc_set("b", 0, (2,)))
+    else:
+        space = z_box(4)
+        sets = (arc_set("a", 0, (0, 0, 1, 1)), arc_set("b", 0, (2, 3)))
+    report = verify_cover(Cover(space=space, families=(sets,)), R=1, S=1)
+    assert report.max_set_diameter == 1
+    assert report.oversized_witness is None
+    assert report.diameters_exact
+
 
 # --- verify_cover ---------------------------------------------------------------
 

@@ -9,9 +9,10 @@ import random
 import numpy as np
 import pytest
 
+from boxdim import covers as covers_module
 from boxdim.boxspace import build_box_space
 from boxdim.cayley import GrowthBound, build_quotient_cayley
-from boxdim.covers import Cover, CoverSet, verify_cover
+from boxdim.covers import Cover, CoverSet, close_clusters, near_pairs, verify_cover
 from boxdim.dimension import (
     FiniteMetricSpace,
     ProfileRow,
@@ -203,6 +204,115 @@ def test_greedy_cycle_frozen():
     # carving radius 1 yields four three-point arcs in a cycle, 2-colorable
     assert res.n == 1
     assert verify_cover(res.cover, R=2, S=3).ok
+
+
+def union_find_clusters(n, close):
+    """Components of the graph with an edge i - j wherever close(i, j),
+    i < j, by a per-pair union-find: the clustering the greedy witness
+    used before it stopped building the full distance matrix."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if close(i, j):
+                parent[find(i)] = find(j)
+    out = {}
+    for i in range(n):
+        out.setdefault(find(i), []).append(i)
+    return list(out.values())
+
+
+def dense_greedy(space, R, S):
+    """The greedy witness by the dense path: BFS distance rows for the
+    carving, the full distance matrix, and union-find clusters per color.
+    Returns the coloring and the families of the witness cover."""
+    n = space.n_vertices
+    rows = [space.distances_to([v]) for v in range(n)]
+    D = np.stack(rows)
+    assigned = np.full(n, -1)
+    nearest = np.full(n, np.iinfo(np.int32).max, dtype=np.int64)
+    clusters = []
+    while (assigned < 0).any():
+        free = np.flatnonzero(assigned < 0)
+        center = int(free[np.argmax(nearest[free])])
+        cluster = free[D[center, free] <= S // 2]
+        assigned[cluster] = len(clusters)
+        clusters.append(cluster)
+        nearest = np.minimum(nearest, D[center])
+    colors = []
+    for i, cluster in enumerate(clusters):
+        near = set(assigned[(D[cluster] < R).any(axis=0)].tolist()) - {i}
+        used = {colors[j] for j in near if j < i}
+        colors.append(min(set(range(len(used) + 1)) - used))
+    coloring = [colors[a] for a in assigned]
+    families = []
+    for c in sorted(set(coloring)):
+        pts = [v for v in range(n) if coloring[v] == c]
+        found = union_find_clusters(len(pts), lambda i, j: D[pts[i], pts[j]] < R)
+        families.append(tuple(
+            CoverSet(label=f"f{c}.s{k}", parts=((0, tuple(pts[i] for i in members)),))
+            for k, members in enumerate(found)))
+    return coloring, tuple(families)
+
+
+def greedy_spaces():
+    for spec, m in ((unitriangular(3), 4), (unitriangular(3), 8),
+                    (free_abelian(2), 16), (free_abelian(1), 12)):
+        yield f"{spec.describe()}/{m}", build_quotient_cayley(CongruenceQuotient(spec, m))
+    yield "matrix UT(3)/4", FiniteMetricSpace.from_graph(
+        build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4)))
+    yield "random", random_metric_space(random.Random(11), 40, max_distance=5)
+
+
+@pytest.mark.parametrize("name, space", list(greedy_spaces()))
+def test_greedy_matches_dense_path(name, space):
+    for R in (1, 2, 3, 4):
+        for S in (0, 2, 4, 8):
+            coloring, families = dense_greedy(space, R, S)
+            res = rs_dim_greedy(space, R, S)
+            assert list(res.coloring) == coloring, (name, R, S)
+            assert res.cover.families == families, (name, R, S)
+
+
+def test_greedy_refuses_more_than_4096_points():
+    g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), 5000))
+    with pytest.raises(ResourceCapError, match="^5000 points exceeds the cap 4096$"):
+        rs_dim_greedy(g, 1, 2)
+
+
+def test_close_clusters_match_union_find():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 60)
+        edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        # the edges arrive in blocks, in both orientations, self-loops included
+        edges = sorted(edges)
+        blocks = [(np.array([e[0] for e in edges[lo:lo + 5]], dtype=np.int64),
+                   np.array([e[1] for e in edges[lo:lo + 5]], dtype=np.int64))
+                  for lo in range(0, len(edges), 5)]
+        got = [c.tolist() for c in close_clusters(n, blocks)]
+        want = union_find_clusters(
+            n, lambda i, j: (i, j) in edges or (j, i) in edges)
+        assert got == want
+    assert close_clusters(0, []) == []
+
+
+@pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
+def test_near_pairs_are_the_pairs_closer_than_r(monkeypatch, row_block):
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+    g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4))
+    twin = FiniteMetricSpace.from_graph(g)
+    D = np.stack([g.distances_to([v]) for v in range(g.n_vertices)])
+    for R in range(0, g.diameter + 2):
+        want = set(zip(*np.nonzero(D < R)))
+        for space in (g, twin):
+            got = [p for u, v in near_pairs(space, R) for p in zip(u.tolist(), v.tolist())]
+            assert len(got) == len(want) and set(got) == want, (R, space)
 
 
 # --- metric space plumbing --------------------------------------------------------
