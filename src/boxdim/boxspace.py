@@ -15,22 +15,21 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ResourceCapError, ShapeMismatchError
-from .cayley import CayleyGraph, breadth_first_distances, build_quotient_cayley, enumerate_ball
-from .groups import (
-    Filtration,
-    GroupSpec,
-    QuotientFamily,
-    flatten,
-    identity,
-    invert,
-    is_kernel_element,
-    multiply,
-    reduce_mod,
+from .cayley import (
+    CayleyGraph,
+    ball_levels,
+    breadth_first_distances,
+    build_quotient_cayley,
+    neighbour_table,
+    row_keys,
+    sorted_distinct,
 )
+from .groups import Filtration, GroupSpec, QuotientFamily, unflatten
 
 
 def thread_map(fn, items, threads: int) -> list:
@@ -220,28 +219,17 @@ def isometry_radius(quotient, budget: int = 10 ** 7) -> IsometryRadius:
     A first kernel hit at word length L pins the exact radius floor((L-1)/2):
     every shorter ball misses the kernel and B(e, L) does not.
     """
-    spec = quotient.spec
-    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    e = identity(spec)
-    seen = {e}
-    frontier = [e]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = multiply(spec, v, g)
-                if w in seen:
-                    continue
-                if is_kernel_element(quotient, w):
-                    return IsometryRadius(radius=(level - 1) // 2, exact=True)
-                seen.add(w)
-                nxt.append(w)
-        if len(seen) > budget:
+    m = quotient.modulus
+    total = 1
+    for level, rows in enumerate(ball_levels(quotient.spec)):
+        if level == 0:
+            continue
+        if (rows % m == 0).all(axis=1).any():
+            return IsometryRadius(radius=(level - 1) // 2, exact=True)
+        total += rows.shape[0]
+        if total > budget:
             # level fully explored and kernel-free, so B(e, level) is clean
             return IsometryRadius(radius=level // 2, exact=False)
-        frontier = nxt
     raise ConfigError("group exhausted without reaching the kernel; "
                       "generators do not generate an infinite group")
 
@@ -251,13 +239,16 @@ def verify_ball_isometry(quotient, k: int, state_cap: int = 10 ** 7) -> bool:
 
     Injectivity makes the rooted, generator-labeled ball of the quotient an
     exact copy of the ball of G: edges and labels are preserved by any
-    homomorphism, so injectivity is the entire content.
+    homomorphism, so injectivity is the entire content.  It holds iff the
+    reduced coordinates of the ball's elements, read as base-m keys, are
+    distinct.
     """
     if k < 0:
         raise ConfigError(f"radius must be >= 0, got {k}")
-    ball = enumerate_ball(quotient.spec, k, state_cap)
-    images = {reduce_mod(quotient, v) for v in ball}
-    return len(images) == len(ball)
+    m = quotient.modulus
+    keys = np.concatenate([row_keys(rows % m, 0, m) for rows in
+                           islice(ball_levels(quotient.spec, state_cap), k + 1)])
+    return sorted_distinct(keys).size == keys.size
 
 
 @dataclass(frozen=True)
@@ -300,19 +291,20 @@ def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:
 def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
     """B_G(e, radius) with the metric of the subgraph induced by G's edges.
 
-    A generator step that leaves the ball becomes a self-loop of the
-    neighbour table, which BFS then never follows.
+    Points are ordered by word length, then lexicographically.  The
+    neighbour table finds each generator step by searchsorted on the
+    ball's keys; a step that leaves the ball becomes a self-loop, which
+    BFS then never follows.
     """
-    lengths = enumerate_ball(spec, radius, state_cap)
-    elements = sorted(lengths, key=lambda v: (lengths[v], flatten(spec, v)))
-    index = {v: i for i, v in enumerate(elements)}
-    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    table = np.array([[index.get(multiply(spec, v, g), i) for g in gens]
-                      for i, v in enumerate(elements)], dtype=np.int32)
-    dist = np.stack([breadth_first_distances(table, [s]) for s in range(len(elements))])
+    ball = np.concatenate(list(islice(ball_levels(spec, state_cap), radius + 1)))
+    table = neighbour_table(spec, ball)
+    own = np.arange(ball.shape[0])[:, None]
+    table = np.where(table < 0, own, table).astype(np.int32)
+    dist = np.stack([breadth_first_distances(table, [s]) for s in range(ball.shape[0])])
     # balls of a connected graph stay connected through the identity
     assert (dist >= 0).all()
-    return FiniteMetricSpace(dist, elements=tuple(elements))
+    elements = tuple(unflatten(spec, row) for row in ball.tolist())
+    return FiniteMetricSpace(dist, elements=elements)
 
 
 def coarse_union_of_balls(spec: GroupSpec, radii,

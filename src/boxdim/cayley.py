@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, islice
 from math import log
 
 import numpy as np
 
 from .errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
 from .groups import (
-    DIRECT_PRODUCT,
     FREE_ABELIAN,
     UNITRIANGULAR,
     CongruenceQuotient,
@@ -31,10 +31,8 @@ from .groups import (
     _ut_index,
     flatten,
     identity,
-    invert,
-    multiply,
     num_coordinates,
-    reduce_mod,
+    unflatten,
     validate_element,
 )
 
@@ -161,6 +159,13 @@ def _raw_invert(spec, a, dtype):
         parts.append(_raw_invert(f, a[..., pos:pos + k], dtype))
         pos += k
     return np.concatenate(parts, axis=-1)
+
+
+def _steps(spec: GroupSpec, generators) -> np.ndarray:
+    """(2g, k) exact object rows: the generators, then their inverses."""
+    gens = np.array([flatten(spec, g) for g in generators], dtype=object)
+    gens = gens.reshape(-1, num_coordinates(spec))
+    return np.concatenate([gens, _raw_invert(spec, gens, object)])
 
 
 @dataclass
@@ -310,7 +315,7 @@ def breadth_first_distances(adjacency: np.ndarray, sources, cap: int | None = No
     """
     n = adjacency.shape[0]
     dist = np.full(n, -1, dtype=np.int32)
-    frontier = np.asarray(sorted(set(int(s) for s in sources)), dtype=np.int64)
+    frontier = sorted_distinct(np.asarray(sources, dtype=np.int64))
     dist[frontier] = 0
     level = 0
     while frontier.size and (cap is None or level < cap):
@@ -371,11 +376,9 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
     coords = quotient_coords(quotient)
     # generator coordinates are reduced first, so the product's operands
     # lie in [0, m) as the overflow bound assumes
-    steps = list(generators) + [invert(spec, g) for g in generators]
-    adjacency = np.stack(
-        [product_ids(spec, coords, np.array(flatten(spec, reduce_mod(quotient, g)),
-                                            dtype=np.int64), m)
-         for g in steps], axis=1).astype(np.int32, copy=False)
+    steps = (_steps(spec, generators) % m).astype(np.int64)
+    adjacency = np.stack([product_ids(spec, coords, g, m) for g in steps],
+                         axis=1).astype(np.int32, copy=False)
 
     dist = breadth_first_distances(adjacency, [0])
     if (dist < 0).any():
@@ -390,31 +393,126 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
 
 # --- growth of the infinite group ------------------------------------------
 
+def _abs_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def row_keys(rows: np.ndarray, lo: int, base: int) -> np.ndarray:
+    """Mixed-radix keys of (n, k) coordinate rows with entries in
+    [lo, lo + base).  The first coordinate is the most significant digit,
+    so keys sort like the rows, lexicographically.  int64 when base^k
+    fits, else exact object integers."""
+    k = rows.shape[1]
+    dtype = np.int64 if base ** k < _INT64_SAFE else object
+    rows = rows.astype(dtype, copy=False)
+    keys = np.zeros(rows.shape[0], dtype=dtype)
+    for i in range(k):
+        keys *= base
+        keys += rows[:, i] - lo
+    return keys
+
+
+def _key_rows(keys: np.ndarray, lo: int, base: int, k: int) -> np.ndarray:
+    """The rows of row_keys, decoded."""
+    rows = np.empty((keys.size, k), dtype=keys.dtype)
+    for i in range(k - 1, -1, -1):
+        rows[:, i] = keys % base
+        keys = keys // base
+    rows += lo
+    return rows
+
+
+def _find_sorted(sorted_b: np.ndarray, a: np.ndarray):
+    """(pos, found) for each entry of a: an index into the sorted array
+    sorted_b, and whether sorted_b holds the entry there."""
+    if not sorted_b.size:
+        return np.zeros(a.shape, dtype=np.int64), np.zeros(a.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_b, a), sorted_b.size - 1)
+    return pos, sorted_b[pos] == a
+
+
+def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(n, 2g, k) exact products rows[i]·steps[j], in int64 when the
+    overflow bound at the largest |coordinate| proves it, else object."""
+    c = max(_abs_max(rows), _abs_max(steps))
+    dtype = _work_dtype(spec, c + 1)
+    cols = _raw_multiply(spec, rows.astype(dtype)[:, None, :],
+                         steps.astype(dtype)[None, :, :])
+    return np.stack(list(cols), axis=-1)
+
+
+def neighbour_table(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """(n, 2g) int64: entry (i, j) is the index in rows of rows[i] times
+    generator j (the inverses follow the generators), or -1 where that
+    product is not a row.  Rows must be distinct; found by searchsorted on
+    their mixed-radix keys."""
+    steps = _products(spec, rows, _steps(spec, spec.generators))
+    span = max(_abs_max(rows), _abs_max(steps))
+    keys = row_keys(rows, -span, 2 * span + 1)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    step_keys = row_keys(steps.reshape(-1, rows.shape[1]), -span, 2 * span + 1)
+    pos, found = _find_sorted(sorted_keys, step_keys)
+    table = np.where(found, order[pos], -1)
+    return table.reshape(steps.shape[:2])
+
+
+def ball_levels(spec: GroupSpec, state_cap: int | None = None):
+    """The spheres of the infinite group's Cayley graph, outward from e.
+
+    Yields, for word length L = 0, 1, 2, ..., the (n_L, k) coordinate rows
+    of the elements of length exactly L, in lexicographic row order; stops
+    after the first empty sphere (never, for an infinite group).  Each
+    sphere is the product of the previous one with every generator and
+    inverse, deduplicated on mixed-radix keys.  The generating set is
+    symmetric, so every neighbour of sphere L lies in sphere L-1, L or L+1:
+    a candidate is new unless it is in sphere L or L-1, and only those two
+    spheres are kept.  Arithmetic is exact: int64 where the overflow bound
+    at the sphere's largest coordinate proves it, object integers
+    elsewhere.  Raises ResourceCapError once a sphere takes the ball past
+    state_cap elements.
+    """
+    k = num_coordinates(spec)
+    steps = _steps(spec, spec.generators)
+    prev = np.zeros((0, k), dtype=np.int64)
+    level = np.zeros((1, k), dtype=np.int64)
+    total = 1
+    radius = 0
+    while True:
+        yield level
+        if not level.shape[0]:
+            return
+        radius += 1
+        cand = _products(spec, level, steps).reshape(-1, k)
+        span = max(_abs_max(cand), _abs_max(level), _abs_max(prev))
+        base = 2 * span + 1
+        keys = sorted_distinct(row_keys(cand, -span, base))
+        known = np.sort(np.concatenate([row_keys(level, -span, base),
+                                        row_keys(prev, -span, base)]))
+        keys = keys[~_find_sorted(known, keys)[1]]
+        prev, level = level, _key_rows(keys, -span, base, k)
+        total += keys.size
+        if keys.size and state_cap is not None and total > state_cap:
+            raise ResourceCapError(
+                f"ball enumeration exceeded {state_cap} elements at radius {radius}")
+
+
+def _ball(spec: GroupSpec, r_max: int, state_cap: int):
+    """The spheres of ball_levels out to word length r_max."""
+    if r_max < 0:
+        raise ConfigError(f"r_max must be >= 0, got {r_max}")
+    return islice(ball_levels(spec, state_cap), r_max + 1)
+
+
 def enumerate_ball(spec: GroupSpec, r_max: int, state_cap: int = 10 ** 7):
     """BFS ball of the infinite group: dict element -> word length <= r_max.
 
-    Exact tuple arithmetic throughout; raises ResourceCapError if more than
-    state_cap elements would be stored.
+    Exact arithmetic throughout (ball_levels); raises ResourceCapError if
+    more than state_cap elements would be stored.
     """
-    if r_max < 0:
-        raise ConfigError(f"r_max must be >= 0, got {r_max}")
-    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    dist = {identity(spec): 0}
-    frontier = [identity(spec)]
-    for level in range(1, r_max + 1):
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = multiply(spec, v, g)
-                if w not in dist:
-                    dist[w] = level
-                    nxt.append(w)
-                    if len(dist) > state_cap:
-                        raise ResourceCapError(
-                            f"ball enumeration exceeded {state_cap} elements "
-                            f"at radius {level}")
-        frontier = nxt
-    return dist
+    return {unflatten(spec, row): L
+            for L, rows in enumerate(_ball(spec, r_max, state_cap))
+            for row in rows.tolist()}
 
 
 @dataclass(frozen=True)
@@ -430,15 +528,10 @@ class GrowthProfile:
 
 
 def growth_profile(spec: GroupSpec, r_max: int, state_cap: int = 10 ** 7) -> GrowthProfile:
-    dist = enumerate_ball(spec, r_max, state_cap)
-    counts = [0] * (r_max + 1)
-    for d in dist.values():
-        counts[d] += 1
-    sizes = []
-    total = 0
-    for c in counts:
-        total += c
-        sizes.append(total)
+    """Ball sizes out to r_max, summed from the sphere sizes of ball_levels."""
+    sizes = list(accumulate(rows.shape[0] for rows in _ball(spec, r_max, state_cap)))
+    # a finite group runs out of spheres; its ball sizes stay constant
+    sizes += sizes[-1:] * (r_max + 1 - len(sizes))
     return GrowthProfile(spec=spec, sizes=tuple(sizes))
 
 

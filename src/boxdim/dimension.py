@@ -127,46 +127,54 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
-    D = FiniteMetricSpace.from_graph(space).dist_matrix
-    order = sorted(range(n_pts), key=lambda v: (int(D[0, v]), v))
+    D = FiniteMetricSpace.from_graph(space).dist_matrix.tolist()
+    order = sorted(range(n_pts), key=lambda v: (D[0][v], v))
+
+    def fits(row, merged) -> bool:
+        """Whether p joined with the merged clusters (p's distance row
+        given) keeps diameter <= S.  Each cluster already does, so only
+        p's distances to their members and the distances across each pair
+        of clusters can pass S."""
+        for i, members in enumerate(merged):
+            if max(row[q] for q in members) > S:
+                return False
+            for other in merged[:i]:
+                if max(D[a][b] for a in members for b in other) > S:
+                    return False
+        return True
 
     def solve(kmax: int):
-        color = {}
-        clusters = {}           # cid -> (frozen members tuple, diam)
+        color = [0] * n_pts
+        by_color = [[] for _ in range(kmax)]    # colored points, per color
+        clusters = {}           # cid -> members tuple
         point_cid = {}
         counter = [0]
 
-        def assign(idx: int) -> bool:
+        def assign(idx: int, used: int) -> bool:
             if idx == n_pts:
                 return True
             p = order[idx]
-            used = 1 + max(color.values(), default=-1)
+            row = D[p]
             for c in range(min(used + 1, kmax)):
-                near = {point_cid[q] for q in color
-                        if color[q] == c and D[p, q] < R}
-                members = [p]
-                diam = 0
-                for cid in near:
-                    members.extend(clusters[cid][0])
-                ok = True
-                if len(members) > 1:
-                    sub = D[np.ix_(members, members)]
-                    diam = int(sub.max())
-                    ok = diam <= S
-                if not ok:
+                near = {point_cid[q] for q in by_color[c] if row[q] < R}
+                merged = [clusters[cid] for cid in near]
+                if merged and not fits(row, merged):
                     continue
+                members = [p]
+                for cluster in merged:
+                    members.extend(cluster)
                 cid_new = counter[0]
                 counter[0] += 1
                 stash = [(cid, clusters.pop(cid)) for cid in near]
                 moved = [(q, point_cid[q]) for q in members if q != p]
-                clusters[cid_new] = (tuple(members), diam)
+                clusters[cid_new] = tuple(members)
                 for q in members:
                     point_cid[q] = cid_new
                 color[p] = c
-                point_cid[p] = cid_new
-                if assign(idx + 1):
+                by_color[c].append(p)
+                if assign(idx + 1, max(used, c + 1)):
                     return True
-                del color[p]
+                by_color[c].pop()
                 del point_cid[p]
                 del clusters[cid_new]
                 for cid, data in stash:
@@ -175,9 +183,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
                     point_cid[q] = cid
             return False
 
-        if assign(0):
-            return [color[v] for v in range(n_pts)]
-        return None
+        return color if assign(0, 0) else None
 
     for k in range(1, min(n_pts, n_cap + 1) + 1):
         coloring = solve(k)

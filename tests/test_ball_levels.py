@@ -1,0 +1,279 @@
+"""The frontier BFS of the infinite group against a scalar tuple oracle.
+
+The oracles below are the tuple-arithmetic loops that ball enumeration,
+isometry radii, ball-isometry checks and induced balls used before they
+were rebuilt on cayley.ball_levels; every result must agree exactly,
+including cap errors and budget cuts.
+"""
+import numpy as np
+import pytest
+
+from boxdim import cayley as cayley_module
+from boxdim.boxspace import _induced_ball, isometry_radius, verify_ball_isometry
+from boxdim.cayley import ball_levels, breadth_first_distances, enumerate_ball, growth_profile
+from boxdim.errors import ConfigError, ResourceCapError
+from boxdim.groups import (
+    CongruenceQuotient,
+    direct_product,
+    flatten,
+    free_abelian,
+    identity,
+    invert,
+    is_kernel_element,
+    multiply,
+    reduce_mod,
+    unitriangular,
+)
+
+
+def old_enumerate_ball(spec, r_max, state_cap=10 ** 7):
+    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
+    dist = {identity(spec): 0}
+    frontier = [identity(spec)]
+    for level in range(1, r_max + 1):
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = multiply(spec, v, g)
+                if w not in dist:
+                    dist[w] = level
+                    nxt.append(w)
+                    if len(dist) > state_cap:
+                        raise ResourceCapError(
+                            f"ball enumeration exceeded {state_cap} elements "
+                            f"at radius {level}")
+        frontier = nxt
+    return dist
+
+
+def old_isometry_radius(quotient, budget=10 ** 7):
+    spec = quotient.spec
+    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
+    e = identity(spec)
+    seen = {e}
+    frontier = [e]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = multiply(spec, v, g)
+                if w in seen:
+                    continue
+                if is_kernel_element(quotient, w):
+                    return ((level - 1) // 2, True)
+                seen.add(w)
+                nxt.append(w)
+        if len(seen) > budget:
+            return (level // 2, False)
+        frontier = nxt
+    raise ConfigError("group exhausted")
+
+
+def old_verify_ball_isometry(quotient, k, state_cap=10 ** 7):
+    ball = old_enumerate_ball(quotient.spec, k, state_cap)
+    return len({reduce_mod(quotient, v) for v in ball}) == len(ball)
+
+
+def old_induced_ball(spec, radius, state_cap):
+    lengths = old_enumerate_ball(spec, radius, state_cap)
+    elements = sorted(lengths, key=lambda v: (lengths[v], flatten(spec, v)))
+    index = {v: i for i, v in enumerate(elements)}
+    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
+    table = np.array([[index.get(multiply(spec, v, g), i) for g in gens]
+                      for i, v in enumerate(elements)], dtype=np.int32)
+    dist = np.stack([breadth_first_distances(table, [s]) for s in range(len(elements))])
+    return dist, tuple(elements)
+
+
+BIG = 2 ** 61
+HUGE = 2 ** 31
+
+# name -> (spec, r_max for ball comparisons)
+SPECS = {
+    "Z1": (free_abelian(1), 12),
+    "Z2": (free_abelian(2), 9),
+    "Z3": (free_abelian(3), 6),
+    "UT3": (unitriangular(3), 9),
+    "UT4": (unitriangular(4), 5),
+    "ZxUT3": (direct_product(free_abelian(1), unitriangular(3)), 6),
+    "Z_gen_2_3": (free_abelian(1, [(2,), (3,)]), 10),
+    "Z2_skew": (free_abelian(2, [(1, 2), (3, -1)]), 6),
+    # products fit int64, keys do not: object keys
+    "UT3_gen_2^20": (unitriangular(3, [(2 ** 20, 0, 0), (0, 2 ** 20, 0)]), 5),
+    # neither products nor keys fit int64: object arithmetic
+    "Z_gen_2^61": (free_abelian(1, [(BIG,)]), 6),
+    "UT3_gen_2^31": (unitriangular(3, [(HUGE, 0, 0), (0, HUGE, 0)]), 5),
+    "Z2_gen_2^61_and_1": (free_abelian(2, [(BIG, 0), (1, 1)]), 4),
+}
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_ball_and_growth_match_scalar_bfs(name):
+    spec, r = SPECS[name]
+    old = old_enumerate_ball(spec, r)
+    assert enumerate_ball(spec, r) == old
+    sizes = [sum(1 for L in old.values() if L <= s) for s in range(r + 1)]
+    assert growth_profile(spec, r).sizes == tuple(sizes)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_levels_are_sorted_spheres(name):
+    spec, r = SPECS[name]
+    old = old_enumerate_ball(spec, r)
+    for L, rows in zip(range(r + 1), ball_levels(spec)):
+        flat = [tuple(row) for row in rows.tolist()]
+        assert flat == sorted(flatten(spec, v) for v, d in old.items() if d == L)
+
+
+def test_object_path_is_taken_for_huge_generators():
+    spec, _ = SPECS["Z_gen_2^61"]
+    levels = list(zip(range(4), ball_levels(spec)))
+    assert levels[3][1].dtype == object
+    assert levels[3][1].tolist() == [[-3 * BIG], [3 * BIG]]
+    # products in int64, keys (2^41 + 1)^3 past int64
+    spec, _ = SPECS["UT3_gen_2^20"]
+    assert cayley_module._work_dtype(spec, 2 ** 21) is np.int64
+    assert [rows.dtype for _, rows in zip(range(3), ball_levels(spec))][1:] == [object] * 2
+    spec, _ = SPECS["UT3"]
+    assert all(rows.dtype == np.int64 for _, rows in zip(range(8), ball_levels(spec)))
+
+
+def test_finite_group_stops_after_the_empty_sphere():
+    spec = free_abelian(1, [(0,)])
+    assert [rows.shape[0] for rows in ball_levels(spec)] == [1, 0]
+    assert growth_profile(spec, 4).sizes == (1, 1, 1, 1, 1)
+    assert enumerate_ball(spec, 4) == old_enumerate_ball(spec, 4)
+    # an empty sphere adds nothing, so it cannot pass the cap
+    assert enumerate_ball(spec, 4, state_cap=0) == old_enumerate_ball(spec, 4, 0)
+
+
+@pytest.mark.parametrize("name,r,caps", [
+    ("Z3", 20, (0, 1, 6, 7, 24, 25, 100, 1000)),
+    ("UT3", 12, (0, 4, 5, 16, 17, 50, 2000)),
+    ("ZxUT3", 8, (10, 300)),
+    ("Z_gen_2^61", 30, (3, 4, 9)),
+])
+def test_state_cap_raises_at_the_same_radius(name, r, caps):
+    spec, _ = SPECS[name]
+    for cap in caps:
+        with pytest.raises(ResourceCapError) as old:
+            old_enumerate_ball(spec, r, state_cap=cap)
+        with pytest.raises(ResourceCapError) as new:
+            enumerate_ball(spec, r, state_cap=cap)
+        assert str(new.value) == str(old.value)
+        with pytest.raises(ResourceCapError) as prof:
+            growth_profile(spec, r, state_cap=cap)
+        assert str(prof.value) == str(old.value)
+
+
+def test_state_cap_not_reached():
+    spec = free_abelian(2)
+    assert enumerate_ball(spec, 3, state_cap=25) == old_enumerate_ball(spec, 3, 25)
+    assert enumerate_ball(spec, 0, state_cap=0) == {(0, 0): 0}
+
+
+ISO_CASES = [
+    ("Z1", range(2, 20)),
+    ("Z2", range(2, 12)),
+    ("UT3", range(2, 17)),
+    ("UT4", range(2, 6)),
+    ("ZxUT3", range(2, 8)),
+    ("Z_gen_2_3", range(2, 14)),
+    ("Z2_skew", range(2, 9)),
+    ("Z_gen_2^61", (2, 3, 5, 7)),
+    ("UT3_gen_2^31", (2, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("name,moduli", ISO_CASES)
+def test_isometry_radius_matches_scalar_bfs(name, moduli):
+    spec, _ = SPECS[name]
+    for m in moduli:
+        q = CongruenceQuotient(spec, m)
+        for budget in (0, 1, 2, 5, 20, 100, 10 ** 7):
+            got = isometry_radius(q, budget=budget)
+            assert (got.radius, got.exact) == old_isometry_radius(q, budget), (m, budget)
+
+
+def test_isometry_radius_budget_cuts_are_inexact():
+    q = CongruenceQuotient(unitriangular(3), 32)
+    cut = isometry_radius(q, budget=1000)
+    assert not cut.exact
+    assert (cut.radius, cut.exact) == old_isometry_radius(q, 1000)
+
+
+def test_isometry_radius_on_a_finite_group():
+    q = CongruenceQuotient(free_abelian(1, [(0,)]), 5)
+    with pytest.raises(ConfigError):
+        isometry_radius(q)
+    with pytest.raises(ConfigError):
+        old_isometry_radius(q)
+    got = isometry_radius(q, budget=0)
+    assert (got.radius, got.exact) == old_isometry_radius(q, budget=0)
+
+
+@pytest.mark.parametrize("name,moduli", [
+    ("Z2", (3, 6, 10)),
+    ("UT3", (2, 4, 5, 9)),
+    ("UT4", (3,)),
+    ("ZxUT3", (4,)),
+    ("Z_gen_2_3", (7, 12)),
+    ("Z_gen_2^61", (3, 5)),
+    ("UT3_gen_2^20", (3,)),
+])
+def test_verify_ball_isometry_matches_scalar_bfs(name, moduli):
+    spec, r = SPECS[name]
+    for m in moduli:
+        q = CongruenceQuotient(spec, m)
+        for k in range(r + 1):
+            assert verify_ball_isometry(q, k) == old_verify_ball_isometry(q, k), (m, k)
+    q = CongruenceQuotient(spec, moduli[0])
+    with pytest.raises(ResourceCapError) as old:
+        old_verify_ball_isometry(q, r, state_cap=3)
+    with pytest.raises(ResourceCapError) as new:
+        verify_ball_isometry(q, r, state_cap=3)
+    assert str(new.value) == str(old.value)
+
+
+def test_verify_ball_isometry_with_keys_beyond_int64():
+    # m^k >= 2^62: the reduced keys are exact object integers
+    q = CongruenceQuotient(unitriangular(3), 2 ** 21 + 1)
+    for k in (0, 3, 6):
+        assert verify_ball_isometry(q, k) == old_verify_ball_isometry(q, k)
+
+
+@pytest.mark.parametrize("name,radii", [
+    ("Z1", (0, 1, 4)),
+    ("Z2", (0, 1, 2, 3)),
+    ("UT3", (0, 1, 2, 3, 4)),
+    ("UT4", (0, 1, 2)),
+    ("ZxUT3", (0, 1, 2)),
+    ("Z_gen_2_3", (3,)),
+    ("Z2_skew", (2,)),
+    ("UT3_gen_2^20", (2,)),
+    ("Z_gen_2^61", (3,)),
+    ("UT3_gen_2^31", (2,)),
+])
+def test_induced_ball_matches_scalar_tables(name, radii):
+    spec, _ = SPECS[name]
+    for r in radii:
+        ball = _induced_ball(spec, r, 10 ** 6)
+        dist, elements = old_induced_ball(spec, r, 10 ** 6)
+        assert ball.elements == elements
+        assert np.array_equal(ball.dist_matrix, dist)
+
+
+def test_neighbour_table_marks_steps_out_of_the_rows():
+    spec = unitriangular(3)
+    steps = list(spec.generators) + [invert(spec, g) for g in spec.generators]
+    identity_row = np.zeros((1, 3), dtype=np.int64)
+    assert cayley_module.neighbour_table(spec, identity_row).tolist() == [[-1] * 4]
+    ball = np.concatenate([rows for _, rows in zip(range(3), ball_levels(spec))])
+    table = cayley_module.neighbour_table(spec, ball)
+    elements = [tuple(row) for row in ball.tolist()]
+    for i, v in enumerate(elements):
+        for j, g in enumerate(steps):
+            w = multiply(spec, v, g)
+            assert table[i, j] == (elements.index(w) if w in elements else -1)

@@ -436,3 +436,15 @@ def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
 def test_loglog_slope_short_profile():
     with pytest.raises(GrowthBoundError):
         loglog_slope(GrowthProfile(spec=free_abelian(1), sizes=(1, 3)))
+
+
+def test_bfs_seeds_with_repeated_and_unsorted_sources():
+    g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), 12))
+    want = breadth_first_distances(g.adjacency, [0, 3, 6])
+    for sources in ([6, 0, 6, 3, 0], np.array([3, 6, 6, 0, 3]), (6, 3, 0)):
+        assert np.array_equal(breadth_first_distances(g.adjacency, sources), want)
+    assert want.tolist() == [0, 1, 1, 0, 1, 1, 0, 1, 2, 3, 2, 1]
+    assert np.array_equal(breadth_first_distances(g.adjacency, [5, 5], cap=1),
+                          breadth_first_distances(g.adjacency, [5], cap=1))
+    for empty in ([], np.array([], dtype=np.int64)):
+        assert (breadth_first_distances(g.adjacency, empty) == -1).all()

@@ -506,3 +506,80 @@ def test_profile_rejects_unknown_mode():
     box = build_box_space(Filtration(free_abelian(1), (8,)))
     with pytest.raises(ConfigError):
         asdim_profile(box, (2,), S_cap=8, mode="magic")
+
+
+def ix_search(space, R, S, n_cap=8):
+    """The branch and bound of rs_dim_exact as it was with one np.ix_
+    cluster-diameter check per tried color: the coloring it finds."""
+    n_pts = space.n_vertices
+    D = FiniteMetricSpace.from_graph(space).dist_matrix
+    order = sorted(range(n_pts), key=lambda v: (int(D[0, v]), v))
+
+    def solve(kmax):
+        color, clusters, point_cid, counter = {}, {}, {}, [0]
+
+        def assign(idx):
+            if idx == n_pts:
+                return True
+            p = order[idx]
+            used = 1 + max(color.values(), default=-1)
+            for c in range(min(used + 1, kmax)):
+                near = {point_cid[q] for q in color if color[q] == c and D[p, q] < R}
+                members = [p]
+                diam = 0
+                for cid in near:
+                    members.extend(clusters[cid][0])
+                if len(members) > 1:
+                    diam = int(D[np.ix_(members, members)].max())
+                    if diam > S:
+                        continue
+                cid_new = counter[0]
+                counter[0] += 1
+                stash = [(cid, clusters.pop(cid)) for cid in near]
+                moved = [(q, point_cid[q]) for q in members if q != p]
+                clusters[cid_new] = (tuple(members), diam)
+                for q in members:
+                    point_cid[q] = cid_new
+                color[p] = c
+                point_cid[p] = cid_new
+                if assign(idx + 1):
+                    return True
+                del color[p]
+                del point_cid[p]
+                del clusters[cid_new]
+                for cid, data in stash:
+                    clusters[cid] = data
+                for q, cid in moved:
+                    point_cid[q] = cid
+            return False
+
+        return tuple(color[v] for v in range(n_pts)) if assign(0) else None
+
+    for k in range(1, min(n_pts, n_cap + 1) + 1):
+        coloring = solve(k)
+        if coloring is not None:
+            return coloring
+    return None
+
+
+def exact_search_spaces():
+    yield pytest.param(build_quotient_cayley(CongruenceQuotient(unitriangular(3), 3)),
+                       [(2, 2), (1, 0), (2, 4)], id="UT3/3")
+    yield pytest.param(build_quotient_cayley(CongruenceQuotient(free_abelian(2), 4)),
+                       [(1, 0), (2, 1), (2, 2), (3, 2), (2, 3)], id="Z2/4")
+    for m in (5, 8, 12):
+        yield pytest.param(cycle_space(m), [(1, 0), (2, 1), (2, 3), (3, 2), (4, 5)],
+                           id=f"C{m}")
+    for n in (4, 7, 10):
+        yield pytest.param(path_space(n), [(1, 0), (2, 1), (2, 2), (3, 4)], id=f"P{n}")
+    rng = random.Random(2024)
+    for i in range(12):
+        space = random_metric_space(rng, rng.randint(4, 14), max_distance=6)
+        yield pytest.param(space, [(2, 2), (3, 3), (4, 2), (5, 6)], id=f"random{i}")
+
+
+@pytest.mark.parametrize("space,params", list(exact_search_spaces()))
+def test_exact_coloring_matches_ix_search(space, params):
+    for R, S in params:
+        got = rs_dim_exact(space, R, S)
+        assert got.coloring == ix_search(space, R, S), (R, S)
