@@ -107,7 +107,7 @@ def box_distance(space, p, q) -> int:
 
 
 MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
-GRAPH_POINT_CAP = 4096      # largest component from_graph or the greedy solver takes
+GRAPH_POINT_CAP = 4096      # largest space from_graph, greedy, an induced ball or transfer takes
 
 
 class FiniteMetricSpace:
@@ -291,12 +291,15 @@ def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:
 def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
     """B_G(e, radius) with the metric of the subgraph induced by G's edges.
 
-    Points are ordered by word length, then lexicographically.  The
+    Points are ordered by word length, then lexicographically.  A ball of
+    more than GRAPH_POINT_CAP points is refused before its matrix.  The
     neighbour table finds each generator step by searchsorted on the
     ball's keys; a step that leaves the ball becomes a self-loop, which
     BFS then never follows.
     """
     ball = np.concatenate(list(islice(ball_levels(spec, state_cap), radius + 1)))
+    if ball.shape[0] > GRAPH_POINT_CAP:
+        raise ResourceCapError(f"{ball.shape[0]} points exceeds the cap {GRAPH_POINT_CAP}")
     table = neighbour_table(spec, ball)
     own = np.arange(ball.shape[0])[:, None]
     table = np.where(table < 0, own, table).astype(np.int32)

@@ -432,7 +432,7 @@ def _find_sorted(sorted_b: np.ndarray, a: np.ndarray):
 
 
 def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """(n, 2g, k) exact products rows[i]·steps[j], in int64 when the
+    """(n, s, k) exact products rows[i]·steps[j], in int64 when the
     overflow bound at the largest |coordinate| proves it, else object."""
     c = max(_abs_max(rows), _abs_max(steps))
     dtype = _work_dtype(spec, c + 1)
@@ -502,6 +502,33 @@ def _ball(spec: GroupSpec, r_max: int, state_cap: int):
     if r_max < 0:
         raise ConfigError(f"r_max must be >= 0, got {r_max}")
     return islice(ball_levels(spec, state_cap), r_max + 1)
+
+
+def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
+    """(n, n) int32 word distances d(u, v) = |u^-1 v| in G between the n
+    elements of B(e, r), in ball_levels order.
+
+    levels are the spheres of B(e, 2r), which holds every u^-1 v; its
+    length is the index of the sphere whose keys contain it.  Products go
+    in blocks of PAIR_ROWS rows, in int64 where _work_dtype proves it at
+    the ball's largest |coordinate|, else in object integers.
+    """
+    rows = np.concatenate(levels)
+    lengths = np.repeat(np.arange(len(levels)), [s.shape[0] for s in levels])
+    span = _abs_max(rows)
+    keys = row_keys(rows, -span, 2 * span + 1)
+    order = np.argsort(keys)
+    keys = keys[order]
+    ball = rows[:sum(s.shape[0] for s in levels[:r + 1])]
+    dtype = _work_dtype(spec, _abs_max(ball) + 1)
+    n, k = ball.shape
+    out = np.empty((n, n), dtype=np.int32)
+    for lo in range(0, n, PAIR_ROWS):
+        prod = _products(spec, _raw_invert(spec, ball[lo:lo + PAIR_ROWS], dtype), ball)
+        pos, found = _find_sorted(keys, row_keys(prod.reshape(-1, k), -span, 2 * span + 1))
+        assert found.all()
+        out[lo:lo + PAIR_ROWS] = lengths[order[pos]].reshape(-1, n)
+    return out
 
 
 def enumerate_ball(spec: GroupSpec, r_max: int, state_cap: int = 10 ** 7):

@@ -251,7 +251,8 @@ def verify_witness(args, cfg):
     _check_witness(isinstance(nested, bool), "'nested' must be true or false")
     filtration = (Filtration(spec, tuple(moduli)) if nested
                   else QuotientFamily(spec, tuple(moduli)))
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache)
+    box = build_box_space(filtration, vertex_cap=args.vertex_cap, threads=args.threads,
+                          cache=args.cache)
     rows = data.get("rows") if data.get("kind") == "profile-witness" else [data]
     _check_witness(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
                    "'rows' must be a list of objects")

@@ -19,23 +19,25 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .boxspace import BoxSpace, thread_map
+from .boxspace import GRAPH_POINT_CAP, BoxSpace, CoarseUnion, FiniteMetricSpace, thread_map
 from .cayley import (
     PAIR_CAP,
     CayleyGraph,
     GrowthBound,
+    _ball,
     coords_invert,
-    enumerate_ball,
     product_ids,
     sorted_distinct,
+    word_distances,
 )
 from .errors import (
     ConfigError,
     GrowthBoundError,
     InsufficientInputError,
+    ResourceCapError,
     VerificationError,
 )
-from .groups import GroupSpec, flatten, invert, multiply
+from .groups import GroupSpec, unflatten
 
 # Rows per batched verifier block: translated ball points for multiplicity,
 # set points for diameter keys.  It bounds the verifier's extra memory, so it
@@ -451,13 +453,18 @@ def _close_pairs(comp, parts: _Parts, R: int) -> dict:
     if isinstance(comp, CayleyGraph):
         named = {a for pair in _closest_pairs(comp, parts, R) for a in pair}
         ks = np.searchsorted(parts.sets, sorted(named))
+    # the ids of the measured parts, each with its part's position in ks
+    rank = np.full(len(parts.sets), -1)
+    rank[ks] = np.arange(len(ks))
+    rank = np.repeat(rank, parts.lengths)
+    ids, rank = parts.ids[rank >= 0], rank[rank >= 0]
     for i, x in enumerate(ks):
-        near = comp.distances_to(parts.part(x), cap=R - 1)
-        for y in ks[i + 1:]:
-            d = near[parts.part(y)]
-            d = d[d >= 0]
-            if d.size:
-                found[(int(parts.sets[x]), int(parts.sets[y]))] = int(d.min())
+        d = comp.distances_to(parts.part(x), cap=R - 1)[ids]
+        hit = (rank > i) & (d >= 0)
+        best = np.full(len(ks), R, dtype=np.int64)
+        np.minimum.at(best, rank[hit], d[hit])
+        for j in np.flatnonzero(best < R):
+            found[(int(parts.sets[x]), int(parts.sets[ks[j]]))] = int(best[j])
     return found
 
 
@@ -722,48 +729,30 @@ def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
     """
     space = cover.space
     sets = [s for _, s in cover.all_sets()]
-    index = {s.label: i for i, s in enumerate(sets)}
-    edges = {i: set() for i in range(len(sets))}
-
-    per_comp = {}
-    for i, s in enumerate(sets):
-        for ci, ids in s.parts:
-            per_comp.setdefault(ci, []).append((s.label, ids))
-    members = {}
-    for ci, groups in per_comp.items():
-        comp = space.components[ci]
-        point_sets = {}
-        for label, ids in groups:
-            for v in ids:
-                point_sets.setdefault(v, []).append(label)
-        for label, ids in groups:
-            near = _dilate(comp, _ids_array(ids), R - 1) if R >= 1 else _ids_array(ids)
-            i = index[label]
-            for v in near:
-                for other in point_sets.get(int(v), ()):
-                    if other != label:
-                        edges[i].add(index[other])
-                        edges[index[other]].add(i)
+    edges = [set() for _ in sets]
+    layout = _flatten(sets, len(space.components))
     diams = space.diameters
-    comp_list = sorted(per_comp)
-    for x in range(len(comp_list)):
-        for y in range(x + 1, len(comp_list)):
-            i, j = comp_list[x], comp_list[y]
-            if diams[i] + diams[j] < R:
-                for la, _ in per_comp[i]:
-                    for lb, _ in per_comp[j]:
-                        if la != lb:
-                            edges[index[la]].add(index[lb])
-                            edges[index[lb]].add(index[la])
+    present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
+    for x, ci in enumerate(present):
+        parts = layout[ci]
+        holders = {}
+        for v, i in zip(parts.ids.tolist(), parts.owner.tolist()):
+            holders.setdefault(v, []).append(i)
+        for k, i in enumerate(parts.sets.tolist()):
+            # d(A, B) < R is symmetric, so A's own dilation names every
+            # such B; first_fit_colors reads only the smaller index
+            near = _dilate(space.components[ci], parts.part(k), max(R - 1, 0))
+            edges[i].update(j for v in near.tolist() for j in holders.get(v, ()))
+        for cj in present[x + 1:]:
+            if diams[ci] + diams[cj] < R:
+                here, there = parts.sets.tolist(), layout[cj].sets.tolist()
+                for a in here:
+                    edges[a].update(there)
+                for b in there:
+                    edges[b].update(here)
 
-    colors = {}
-    for i in range(len(sets)):
-        used = {colors[j] for j in edges[i] if j in colors}
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
-    n_fam = max(colors.values()) + 1 if colors else 1
+    colors = first_fit_colors(edges)
+    n_fam = max(colors, default=0) + 1
     families = tuple(tuple(s for i, s in enumerate(sets) if colors[i] == j)
                      for j in range(n_fam))
     out = Cover(space=space, families=families)
@@ -925,13 +914,14 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
 
     inputs: (radius, coloring dict element -> family) pairs with strictly
     increasing radii, each coloring covering B(e, radius).  Elements of
-    B(e, r0) are processed in (word length, coordinates) order; each gets
-    the family most of the still-live input radii assign it (ties to the
-    smallest family index), and radii that disagree are discarded.  Radii
-    surviving to the end agreed with every choice, so on honest inputs the
-    output restricts one of them; the (R, S) validity of the output is
-    nevertheless re-verified and failure raises rather than returning an
-    unverified coloring.
+    B(e, r0), its ball_levels rows, are processed in (word length,
+    coordinates) order; each gets the family most of the still-live input
+    radii assign it (ties to the smallest family index), and radii that
+    disagree are discarded.  Radii surviving to the end agreed with every
+    choice, so on honest inputs the output restricts one of them; its
+    (R, S) validity is nevertheless re-checked by verify_cover over
+    B(e, r0) with G's word metric (word_distances), and failure raises.
+    A B(e, r0) of more than GRAPH_POINT_CAP points is refused up front.
     """
     if not inputs:
         raise InsufficientInputError("insufficient input radii: none provided")
@@ -948,33 +938,34 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
             if bad:
                 raise ConfigError(f"radius {r}: family index {bad[0]} outside 0..{n}")
 
-    lengths = enumerate_ball(spec, 2 * r0, state_cap)
-    ball = [v for v, L in lengths.items() if L <= r0]
-    ball.sort(key=lambda v: (lengths[v], flatten(spec, v)))
+    levels = list(_ball(spec, 2 * r0, state_cap))
+    size = sum(rows.shape[0] for rows in levels[:r0 + 1])
+    if size > GRAPH_POINT_CAP:
+        raise ResourceCapError(f"{size} points exceeds the cap {GRAPH_POINT_CAP}")
+    ball = [unflatten(spec, row) for row in np.concatenate(levels[:r0 + 1]).tolist()]
 
     live = list(range(len(inputs)))
     coloring = {}
     for elt in ball:
-        votes = {}
         voters = {}
         for idx in live:
             val = inputs[idx][1].get(elt)
-            if val is None:
-                continue
-            votes[val] = votes.get(val, 0) + 1
-            voters.setdefault(val, []).append(idx)
-        if not votes:
+            if val is not None:
+                voters.setdefault(val, []).append(idx)
+        if not voters:
             raise InsufficientInputError(
                 f"insufficient input radii: no live cover contains {elt!r}")
-        top = max(votes.values())
-        choice = min(v for v, c in votes.items() if c == top)
+        top = max(map(len, voters.values()))
+        choice = min(v for v, idxs in voters.items() if len(idxs) == top)
         coloring[elt] = choice
         live = voters[choice]
 
-    def dist(u, v):
-        return lengths[multiply(spec, invert(spec, u), v)]
-
-    if not _coloring_partition_valid(ball, dist, coloring, R, S):
+    palette = {c: i for i, c in enumerate(dict.fromkeys(coloring.values()))}
+    cover = _coloring_to_cover(FiniteMetricSpace(word_distances(spec, levels, r0)),
+                               [palette[c] for c in coloring.values()], R)
+    # no pair is closer than R <= 0, and a set has diameter > S for S < 0
+    # exactly when it does for S = 0: when it has two points
+    if not verify_cover(cover, max(R, 0), max(S, 0)).ok:
         raise InsufficientInputError(
             "insufficient input radii: stitched coloring fails the "
             f"(R={R}, S={S}) check")
@@ -1023,12 +1014,16 @@ def near_pairs(comp, R: int):
 
     On a Cayley graph the pairs at u are u·B(e, R-1): the identity ball
     translated onto blocks of at most ROW_BLOCK pairs.  Other components
-    read them from their distance matrix.
+    read them from row blocks of their distance matrix, at most ROW_BLOCK
+    entries each.
     """
     if R < 1:
         return
     if not isinstance(comp, CayleyGraph):
-        yield np.nonzero(comp.dist_matrix < R)
+        step = max(1, ROW_BLOCK // comp.n_vertices)
+        for lo in range(0, comp.n_vertices, step):
+            u, v = np.nonzero(comp.dist_matrix[lo:lo + step] < R)
+            yield u + lo, v
         return
     ball = comp.coords[comp.identity_ball_ids(R - 1)][None, :, :]
     step = max(1, ROW_BLOCK // ball.shape[1])
@@ -1038,19 +1033,36 @@ def near_pairs(comp, R: int):
         yield np.repeat(u, ball.shape[1]), v.ravel()
 
 
-def _coloring_partition_valid(points, dist, coloring, R: int, S: int) -> bool:
-    """Every same-color <R-connected cluster must have diameter <= S."""
-    by_color = {}
-    for p in points:
-        by_color.setdefault(coloring[p], []).append(p)
-    for pts in by_color.values():
-        close = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))
-                 if dist(pts[a], pts[b]) < R]
-        pairs = np.array(close, dtype=np.int64).reshape(-1, 2).T
-        for members in close_clusters(len(pts), [pairs]):
-            members = members.tolist()
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    if dist(pts[members[a]], pts[members[b]]) > S:
-                        return False
-    return True
+def _coloring_to_cover(space, coloring, R: int) -> Cover:
+    """One family per color; its sets are the color's <R-connected
+    clusters, ordered by smallest member, from the same-color pairs of
+    near_pairs."""
+    colors = np.asarray(coloring, dtype=np.int64)
+
+    def same_color_pairs():
+        for u, v in near_pairs(space, R):
+            keep = colors[u] == colors[v]
+            yield u[keep], v[keep]
+
+    families = {}
+    for cluster in close_clusters(len(colors), same_color_pairs()):
+        c = int(colors[cluster[0]])
+        sets = families.setdefault(c, [])
+        sets.append(CoverSet(label=f"f{c}.s{len(sets)}",
+                             parts=((0, tuple(cluster.tolist())),)))
+    return Cover(space=CoarseUnion((space,)),
+                 families=tuple(tuple(families[c]) for c in sorted(families)))
+
+
+def first_fit_colors(neighbours) -> list:
+    """Greedy coloring in index order: index i takes the smallest color
+    no neighbour j < i has.  neighbours yields the neighbour indices of
+    0, 1, 2, ... in turn; larger indices among them are ignored."""
+    colors = []
+    for i, adj in enumerate(neighbours):
+        used = {colors[j] for j in adj if j < i}
+        c = 0
+        while c in used:
+            c += 1
+        colors.append(c)
+    return colors

@@ -24,7 +24,6 @@ from .boxspace import (
     GRAPH_POINT_CAP,
     MATRIX_POINT_CAP,
     BoxSpace,
-    CoarseUnion,
     FiniteMetricSpace,
     thread_map,
 )
@@ -32,10 +31,11 @@ from .cayley import GrowthBound
 from .covers import (
     Cover,
     CoverSet,
+    _coloring_to_cover,
     _dilate,
     close_clusters,
     cover_prop41,
-    near_pairs,
+    first_fit_colors,
     verify_cover,
 )
 from .errors import ConfigError, ResourceCapError, VerificationError
@@ -77,27 +77,6 @@ def _clusters_of_color(D: np.ndarray, pts, R: int):
     """<R-connected clusters among pts (indices)."""
     near = np.nonzero(D[np.ix_(pts, pts)] < R)
     return [[pts[i] for i in c] for c in close_clusters(len(pts), [near])]
-
-
-def _coloring_to_cover(space, coloring, R: int) -> Cover:
-    """One family per color; its sets are the color's <R-connected
-    clusters, ordered by smallest member, from the same-color pairs of
-    near_pairs."""
-    colors = np.asarray(coloring, dtype=np.int64)
-
-    def same_color_pairs():
-        for u, v in near_pairs(space, R):
-            keep = colors[u] == colors[v]
-            yield u[keep], v[keep]
-
-    families = {}
-    for cluster in close_clusters(len(colors), same_color_pairs()):
-        c = int(colors[cluster[0]])
-        sets = families.setdefault(c, [])
-        sets.append(CoverSet(label=f"f{c}.s{len(sets)}",
-                             parts=((0, tuple(cluster.tolist())),)))
-    return Cover(space=CoarseUnion((space,)),
-                 families=tuple(tuple(families[c]) for c in sorted(families)))
 
 
 def _verified_result(space, coloring, R, S, method) -> RSDimResult:
@@ -263,21 +242,10 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
         clusters.append(cluster)
         nearest = np.minimum(nearest, d)
 
-    k = len(clusters)
-    adj = [set() for _ in range(k)]
-    for i, cluster in enumerate(clusters):
-        near = _dilate(space, cluster, R - 1)
-        for j in set(int(x) for x in assigned[near]):
-            if j != i:
-                adj[i].add(j)
-                adj[j].add(i)
-    cluster_color = []
-    for i in range(k):
-        used = {cluster_color[j] for j in adj[i] if j < i}
-        c = 0
-        while c in used:
-            c += 1
-        cluster_color.append(c)
+    # d(Ci, Cj) < R is symmetric, so each cluster's own R-1 dilation
+    # names all its neighbours
+    cluster_color = first_fit_colors(
+        set(assigned[_dilate(space, cluster, R - 1)].tolist()) for cluster in clusters)
     coloring = [0] * n_pts
     for i, cluster in enumerate(clusters):
         for v in cluster:
@@ -330,6 +298,10 @@ def grid_families(m: int, R: int, S: int):
     edge reach T1 = ceil(R/2), which is what keeps horizontal and vertical
     edge zones R-separated from each other.  None if no block size L | m
     satisfies the separation and diameter constraints.
+
+    The point (u, v) is listed as v * m + u, the vertex id that
+    CayleyGraph.encode gives its coordinates.  Points are visited in id
+    order, so every set lists its ids in increasing order.
     """
     t1 = -(-R // 2)
     t2 = 2 * t1
@@ -345,13 +317,13 @@ def grid_families(m: int, R: int, S: int):
         return None
 
     corner, edge, core = {}, {}, {}
-    for u in range(m):
-        pu = u % L
-        du = min(pu, L - pu)
-        for v in range(m):
-            pv = v % L
-            dv = min(pv, L - pv)
-            vid = u * m + v
+    for v in range(m):
+        pv = v % L
+        dv = min(pv, L - pv)
+        for u in range(m):
+            pu = u % L
+            du = min(pu, L - pu)
+            vid = v * m + u
             if du < t2 and dv < t2:
                 cu = (u - pu) % m if pu < t2 else (u + L - pu) % m
                 cv = (v - pv) % m if pv < t2 else (v + L - pv) % m
@@ -364,9 +336,9 @@ def grid_families(m: int, R: int, S: int):
                                  else (u + L - pu) % m, v // L), []).append(vid)
             else:
                 core.setdefault((u // L, v // L), []).append(vid)
-    return [[sorted(ids) for _, ids in sorted(corner.items())],
-            [sorted(ids) for _, ids in sorted(edge.items())],
-            [sorted(ids) for _, ids in sorted(core.items())]]
+    return [[ids for _, ids in sorted(corner.items())],
+            [ids for _, ids in sorted(edge.items())],
+            [ids for _, ids in sorted(core.items())]]
 
 
 def structured_component_families(comp, R: int, S: int):
@@ -376,20 +348,7 @@ def structured_component_families(comp, R: int, S: int):
     if spec.kind == FREE_ABELIAN and spec.rank == 1:
         return interval_families(comp.modulus, R, S)
     if spec.kind == FREE_ABELIAN and spec.rank == 2:
-        fams = grid_families(comp.modulus, R, S)
-        if fams is None:
-            return None
-        # grid_families labels vertices u * m + v; convert to vertex ids
-        m = comp.modulus
-        out = []
-        for fam in fams:
-            conv = []
-            for ids in fam:
-                uv = np.asarray(ids, dtype=np.int64)
-                coords = np.stack([uv // m, uv % m], axis=1)
-                conv.append(sorted(int(x) for x in comp.encode(coords)))
-            out.append(conv)
-        return out
+        return grid_families(comp.modulus, R, S)
     return None
 
 

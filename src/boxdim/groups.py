@@ -315,8 +315,3 @@ class QuotientFamily:
     def quotients(self):
         return [CongruenceQuotient(self.spec, m) for m in self.moduli]
 
-
-def canonical_label(spec: GroupSpec) -> str:
-    """Stable text form of (group, generators) used for digests and cache keys."""
-    gens = ";".join(",".join(str(c) for c in flatten(spec, g)) for g in spec.generators)
-    return f"{spec.describe()}|gens={gens}"

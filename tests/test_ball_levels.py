@@ -5,11 +5,19 @@ isometry radii, ball-isometry checks and induced balls used before they
 were rebuilt on cayley.ball_levels; every result must agree exactly,
 including cap errors and budget cuts.
 """
+from itertools import islice
+
 import numpy as np
 import pytest
 
+from boxdim import boxspace as boxspace_module
 from boxdim import cayley as cayley_module
-from boxdim.boxspace import _induced_ball, isometry_radius, verify_ball_isometry
+from boxdim.boxspace import (
+    _induced_ball,
+    coarse_union_of_balls,
+    isometry_radius,
+    verify_ball_isometry,
+)
 from boxdim.cayley import ball_levels, breadth_first_distances, enumerate_ball, growth_profile
 from boxdim.errors import ConfigError, ResourceCapError
 from boxdim.groups import (
@@ -277,3 +285,40 @@ def test_neighbour_table_marks_steps_out_of_the_rows():
         for j, g in enumerate(steps):
             w = multiply(spec, v, g)
             assert table[i, j] == (elements.index(w) if w in elements else -1)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_word_distances_match_scalar_products(name):
+    # int64 products and keys, object keys, and object arithmetic
+    spec, r_max = SPECS[name]
+    r = min(3, r_max // 2)
+    lengths = old_enumerate_ball(spec, 2 * r)
+    ball = sorted((v for v in lengths if lengths[v] <= r),
+                  key=lambda v: (lengths[v], flatten(spec, v)))
+    want = [[lengths[multiply(spec, invert(spec, u), v)] for v in ball] for u in ball]
+    levels = list(islice(ball_levels(spec), 2 * r + 1))
+    assert cayley_module.word_distances(spec, levels, r).tolist() == want
+
+
+def test_word_distances_in_row_blocks(monkeypatch):
+    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 7)
+    spec = unitriangular(3)
+    levels = list(islice(ball_levels(spec), 5))
+    lengths = old_enumerate_ball(spec, 4)
+    ball = sorted((v for v in lengths if lengths[v] <= 2),
+                  key=lambda v: (lengths[v], flatten(spec, v)))
+    want = [[lengths[multiply(spec, invert(spec, u), v)] for v in ball] for u in ball]
+    assert len(ball) > 7
+    assert cayley_module.word_distances(spec, levels, 2).tolist() == want
+
+
+def test_induced_ball_refuses_past_the_point_cap(monkeypatch):
+    # B(e, 10) of UT(3) has 4,309 points, past GRAPH_POINT_CAP = 4096
+    with pytest.raises(ResourceCapError, match=r"^4309 points exceeds the cap 4096$"):
+        coarse_union_of_balls(unitriangular(3), [10])
+    # the cap is inclusive: B(e, 2) of UT(3) has 17 points
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 17)
+    assert _induced_ball(unitriangular(3), 2, 10 ** 6).n_vertices == 17
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 16)
+    with pytest.raises(ResourceCapError, match=r"^17 points exceeds the cap 16$"):
+        _induced_ball(unitriangular(3), 2, 10 ** 6)

@@ -211,6 +211,38 @@ vertex_cap = 1000
     assert "resource cap" in proc.stderr
 
 
+PLANE_INI = """\
+[group]
+kind = free_abelian
+rank = 2
+
+[filtration]
+moduli = 4 16
+
+[task]
+name = profile
+r_list = 1
+s_cap = 8
+mode = structured
+
+[output]
+dir = out
+"""
+
+
+def test_verify_witness_honours_the_vertex_cap(tmp_path):
+    wit = tmp_path / "wit.json"
+    proc = run_cli(tmp_path, PLANE_INI, "--export-witness", str(wit))
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(tmp_path, PLANE_INI, "--verify-witness", str(wit)).returncode == 0
+    # Z^2 / 16 has 256 vertices; the task and the witness check both refuse it
+    capped = PLANE_INI + "\n[limits]\nvertex_cap = 100\n"
+    for flags in ((), ("--verify-witness", str(wit))):
+        proc = run_cli(tmp_path, capped, *flags)
+        assert proc.returncode == 3, (flags, proc.stderr)
+        assert "quotient order 256 exceeds the vertex cap 100" in proc.stderr
+
+
 COVER_INI = """\
 [group]
 kind = free_abelian

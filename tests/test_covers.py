@@ -22,6 +22,7 @@ from boxdim.covers import (
     doubling_radius,
     families_from_multiplicity_cover,
     family_violations,
+    first_fit_colors,
     maximal_packing,
     packing_count_max,
     r_multiplicity,
@@ -689,6 +690,86 @@ def test_regroup_overlapping_sets_get_distinct_families():
     out = families_from_multiplicity_cover(Cover(space=box, families=((a, b),)), R=1)
     fams = {s.label: j for j, fam in enumerate(out.families) for s in fam}
     assert fams["a"] != fams["b"]
+
+
+def test_first_fit_colors_takes_the_smallest_free_color():
+    # neighbours with a larger index (and the index itself) are ignored
+    assert first_fit_colors([[1], [0, 2], [0, 1, 2], [1, 4], [0, 1, 2, 3]]) == [0, 1, 2, 0, 3]
+    assert first_fit_colors(iter([set(), {0}, {0}])) == [0, 1, 1]
+    assert first_fit_colors([]) == []
+
+
+def old_regroup(cover, R):
+    """families_from_multiplicity_cover as it was: a label-keyed proximity
+    graph, both directions of every edge, and its own first-fit loop."""
+    space = cover.space
+    sets = [s for _, s in cover.all_sets()]
+    index = {s.label: i for i, s in enumerate(sets)}
+    edges = {i: set() for i in range(len(sets))}
+    per_comp = {}
+    for s in sets:
+        for ci, ids in s.parts:
+            per_comp.setdefault(ci, []).append((s.label, ids))
+    for ci, groups in per_comp.items():
+        comp = space.components[ci]
+        point_sets = {}
+        for label, ids in groups:
+            for v in ids:
+                point_sets.setdefault(v, []).append(label)
+        for label, ids in groups:
+            ids = np.asarray(ids, dtype=np.int64)
+            near = covers_module._dilate(comp, ids, R - 1) if R >= 1 else ids
+            i = index[label]
+            for v in near:
+                for other in point_sets.get(int(v), ()):
+                    if other != label:
+                        edges[i].add(index[other])
+                        edges[index[other]].add(i)
+    diams = space.diameters
+    comp_list = sorted(per_comp)
+    for x in range(len(comp_list)):
+        for y in range(x + 1, len(comp_list)):
+            i, j = comp_list[x], comp_list[y]
+            if diams[i] + diams[j] < R:
+                for la, _ in per_comp[i]:
+                    for lb, _ in per_comp[j]:
+                        if la != lb:
+                            edges[index[la]].add(index[lb])
+                            edges[index[lb]].add(index[la])
+    colors = {}
+    for i in range(len(sets)):
+        used = {colors[j] for j in edges[i] if j in colors}
+        c = 0
+        while c in used:
+            c += 1
+        colors[i] = c
+    n_fam = max(colors.values()) + 1 if colors else 1
+    return tuple(tuple(s for i, s in enumerate(sets) if colors[i] == j)
+                 for j in range(n_fam))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_regroup_matches_the_label_keyed_graph(name):
+    # overlapping, repeated-id, whole-component and two-component sets, on
+    # Cayley and matrix components, R = 0..7: on the Z and Z^2 boxes R = 7
+    # passes the sum of two diameters, so sets on different components
+    # are neighbours
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    twin = matrix_twin(box)
+    rng = random.Random(f"regroup-{name}")
+    covers = [cover_prop41(box, R=1, growth=GrowthBound(C=Fraction(100), d=3,
+                                                        validated_range=(1, 64)))[0]]
+    covers += [random_cover(rng, box, rng.randrange(3, 12)) for _ in range(6)]
+    for cover in covers:
+        for space in (box, twin):
+            on_space = Cover(space=space, families=cover.families)
+            for R in range(8):
+                try:
+                    got = families_from_multiplicity_cover(on_space, R).families
+                except VerificationError as e:
+                    got = str(e)
+                assert got == old_regroup(on_space, R), (name, R)
 
 
 # --- per-scale assembly -----------------------------------------------------------

@@ -385,6 +385,75 @@ def test_grid_families_infeasible_when_no_block_fits():
     assert grid_families(8, 8, 100) is None
 
 
+def old_grid_families(m, R, S):
+    """grid_families as it was: points labelled u * m + v."""
+    t1 = -(-R // 2)
+    t2 = 2 * t1
+    L = None
+    cand = 1
+    while cand <= m:
+        if (m % cand == 0 and cand >= R + 2 * t2 - 2 and cand >= 2 * t2
+                and 2 * (cand - 2 * t1) <= S):
+            L = cand
+            break
+        cand *= 2
+    if L is None:
+        return None
+    corner, edge, core = {}, {}, {}
+    for u in range(m):
+        pu = u % L
+        du = min(pu, L - pu)
+        for v in range(m):
+            pv = v % L
+            dv = min(pv, L - pv)
+            vid = u * m + v
+            if du < t2 and dv < t2:
+                cu = (u - pu) % m if pu < t2 else (u + L - pu) % m
+                cv = (v - pv) % m if pv < t2 else (v + L - pv) % m
+                corner.setdefault((cu, cv), []).append(vid)
+            elif dv < t1:
+                edge.setdefault(("h", u // L, (v - pv) % m if pv < t1
+                                 else (v + L - pv) % m), []).append(vid)
+            elif du < t1:
+                edge.setdefault(("v", (u - pu) % m if pu < t1
+                                 else (u + L - pu) % m, v // L), []).append(vid)
+            else:
+                core.setdefault((u // L, v // L), []).append(vid)
+    return [[sorted(ids) for _, ids in sorted(corner.items())],
+            [sorted(ids) for _, ids in sorted(edge.items())],
+            [sorted(ids) for _, ids in sorted(core.items())]]
+
+
+def old_structured_grid_families(comp, R, S):
+    """The old rank-2 branch: grid labels converted to vertex ids set by set."""
+    fams = old_grid_families(comp.modulus, R, S)
+    if fams is None:
+        return None
+    m = comp.modulus
+    out = []
+    for fam in fams:
+        conv = []
+        for ids in fam:
+            uv = np.asarray(ids, dtype=np.int64)
+            coords = np.stack([uv // m, uv % m], axis=1)
+            conv.append(sorted(int(x) for x in comp.encode(coords)))
+        out.append(conv)
+    return out
+
+
+def test_grid_families_emit_the_old_converted_ids():
+    # every modulus and every (R, S) rung of a plane profile up to S = 64
+    built = 0
+    for m in (4, 8, 16, 32, 64, 128, 256):
+        comp = build_quotient_cayley(CongruenceQuotient(free_abelian(2), m))
+        for R in (1, 2, 4, 8):
+            for S in s_ladder(R, 64):
+                want = old_structured_grid_families(comp, R, S)
+                assert structured_component_families(comp, R, S) == want, (m, R, S)
+                built += want is not None
+    assert built > 40
+
+
 def test_structured_unavailable_elsewhere():
     q = CongruenceQuotient(unitriangular(3), 4)
     g = build_quotient_cayley(q)
