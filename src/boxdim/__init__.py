@@ -82,67 +82,6 @@ from .groups import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssemblyReport",
-    "BoxSpace",
-    "BoxdimError",
-    "CayleyGraph",
-    "CoarseUnion",
-    "ConfigError",
-    "CongruenceQuotient",
-    "Cover",
-    "CoverParams",
-    "CoverReport",
-    "CoverSet",
-    "FamilyAssembly",
-    "Filtration",
-    "FiniteMetricSpace",
-    "GraphCache",
-    "GroupSpec",
-    "GrowthBound",
-    "GrowthBoundError",
-    "GrowthProfile",
-    "InsufficientInputError",
-    "IsometryProfile",
-    "IsometryRadius",
-    "ProfileRow",
-    "ProfileTable",
-    "QuotientFamily",
-    "RSDimResult",
-    "ResourceCapError",
-    "ShapeMismatchError",
-    "TransferResult",
-    "VerificationError",
-    "asdim_profile",
-    "assemble_box_families",
-    "box_distance",
-    "box_witness_cover",
-    "build_box_space",
-    "build_quotient_cayley",
-    "coarse_union_of_balls",
-    "cover_prop41",
-    "diagonal_transfer",
-    "doubling_radius",
-    "enumerate_ball",
-    "families_from_multiplicity_cover",
-    "family_violations",
-    "fit_growth",
-    "free_abelian",
-    "direct_product",
-    "growth_profile",
-    "hirsch_length",
-    "isometry_profile",
-    "isometry_radius",
-    "loglog_slope",
-    "maximal_packing",
-    "packing_count_max",
-    "r_multiplicity",
-    "random_metric_space",
-    "rs_dim",
-    "rs_dim_exact",
-    "rs_dim_exhaustive",
-    "rs_dim_greedy",
-    "unitriangular",
-    "verify_ball_isometry",
-    "verify_cover",
-]
+# every class and function imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith("boxdim."))

@@ -20,7 +20,6 @@ from .cache import GraphCache
 from .cayley import GrowthBound, build_quotient_cayley, fit_growth, growth_profile
 from .covers import (
     Cover,
-    CoverSet,
     cover_prop41,
     diagonal_transfer,
     families_from_multiplicity_cover,
@@ -43,10 +42,6 @@ from .groups import (
     hirsch_length,
     unitriangular,
 )
-
-TASKS = ("growth", "quotient", "boxspace", "isoradius", "cover", "families",
-         "rsdim", "profile", "transfer", "cache_gc")
-
 
 def _ints(text):
     return [int(t) for t in re.split(r"[,\s]+", text.strip()) if t]
@@ -149,6 +144,13 @@ def filtration_from_config(cfg, spec):
     return QuotientFamily(spec, moduli)
 
 
+def _box(args, cfg):
+    """The configured group and the box space of its filtration."""
+    spec = group_from_config(cfg)
+    return spec, build_box_space(filtration_from_config(cfg, spec), threads=args.threads,
+                                 cache=args.cache, vertex_cap=args.vertex_cap)
+
+
 def growth_from_config(sec, spec, state_cap):
     """Explicit growth_c/growth_d if configured, else a fitted bound."""
     c = _get(sec, "growth_c", Fraction, None)
@@ -161,28 +163,66 @@ def growth_from_config(sec, spec, state_cap):
 
 # --- witness serialization ----------------------------------------------------
 
-def _families_json(cover):
-    return [
-        [{"label": s.label,
-          "center": list(s.center) if s.center is not None else None,
-          "radius": s.radius,
-          "parts": [[ci, [int(v) for v in ids]] for ci, ids in s.parts]}
-         for s in family]
-        for family in cover.families
-    ]
+def _witness(kind, spec, moduli, nested, **fields):
+    """A witness document; its covers stay Covers until write_json renders them."""
+    return {"kind": kind, "group": spec.describe(), "moduli": list(moduli),
+            "nested": nested, **fields}
 
 
-def cover_to_json(cover, R, S, check_disjoint, group, moduli, nested):
-    return {
-        "kind": "cover-witness",
-        "group": group,
-        "moduli": list(moduli),
-        "nested": nested,
-        "R": R,
-        "S": S,
-        "check_disjoint": check_disjoint,
-        "families": _families_json(cover),
-    }
+def write_json(fh, value, depth=0):
+    """json.dump(value, fh, indent=2, sort_keys=True) for a value at the
+    given nesting depth, except that a Cover is written as its families,
+    rendered from its arrays a few thousand sets at a time, so the whole
+    document is never built in memory."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, Cover):
+        fh.writelines(_families_text(value, depth))
+    elif isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "{") + pad + "  " + json.dumps(key) + ": ")
+            write_json(fh, value[key], depth + 1)
+        fh.write(pad + "}")
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            fh.write(("," if i else "[") + pad + "  ")
+            write_json(fh, item, depth + 1)
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(value, indent=2).replace("\n", pad))
+
+
+def _families_text(cover, depth):
+    """Pieces of the json.dump(indent=2, sort_keys=True) text, at the given
+    depth, of a cover's families: lists of {center, label, parts, radius} sets."""
+    p = ["\n" + "  " * (depth + k) for k in range(7)]
+    first, off = cover.set_parts().tolist(), cover.offsets.tolist()
+    comps = cover.part_comp.tolist()
+
+    def block(texts, k):
+        """The JSON list, at depth k, of the given item texts."""
+        return f"[{p[k + 1]}{(',' + p[k + 1]).join(texts)}{p[k]}]" if texts else "[]"
+
+    def scalar(value):
+        return "null" if value is None else json.dumps(value, indent=2).replace("\n", p[3])
+
+    def sets(lo, hi):
+        """The texts of the sets lo, ..., hi - 1."""
+        at = off[first[lo]]
+        ids = list(map(str, cover.ids[at:off[first[hi]]].tolist()))
+        parts = [f"[{p[5]}{comps[k]},{p[5]}{block(ids[off[k] - at:off[k + 1] - at], 5)}{p[4]}]"
+                 for k in range(first[lo], first[hi])]
+        return [f"{{{p[3]}\"center\": {scalar(cover.centers.get(i))},"
+                f"{p[3]}\"label\": {json.encoder.encode_basestring_ascii(cover.labels[i])},"
+                f"{p[3]}\"parts\": {block(parts[first[i] - first[lo]:first[i + 1] - first[lo]], 3)},"
+                f"{p[3]}\"radius\": {scalar(cover.radii.get(i))}{p[2]}}}" for i in range(lo, hi)]
+
+    fams = cover.set_family.searchsorted(range(cover.n_families + 1)).tolist()
+    for j, (lo, hi) in enumerate(zip(fams, fams[1:])):
+        yield ("," if j else "[") + p[1] + ("[" + p[2] if hi > lo else "[]")
+        for a in range(lo, hi, 4096):
+            yield ("," + p[2] if a > lo else "") + ("," + p[2]).join(sets(a, min(a + 4096, hi)))
+        yield p[1] + "]" if hi > lo else ""
+    yield p[0] + "]" if cover.n_families else "[]"
 
 
 def _is_nested(box):
@@ -199,39 +239,37 @@ def _int_list(value):
     return type(value) is list and set(map(type, value)) <= {int}
 
 
-def _set_from_json(s):
-    """One witness set as a CoverSet, or None if it breaks the schema."""
-    if type(s) is not dict:
-        return None
-    label, parts = s.get("label"), s.get("parts")
-    center, radius = s.get("center"), s.get("radius")
-    if (type(label) is not str or type(parts) is not list
-            or not all(type(p) is list and len(p) == 2 and type(p[0]) is int
-                       and _int_list(p[1]) for p in parts)
-            or not (center is None or _int_list(center))
-            or not (radius is None or type(radius) is int)):
-        return None
-    return CoverSet(label=label, parts=tuple((ci, tuple(ids)) for ci, ids in parts),
-                    center=None if center is None else tuple(center), radius=radius)
+def _set_ok(s):
+    """Whether one witness set keeps to the schema."""
+    return (type(s) is dict and type(s.get("label")) is str and type(s.get("parts")) is list
+            and all(type(p) is list and len(p) == 2 and type(p[0]) is int
+                    and _int_list(p[1]) for p in s["parts"])
+            and (s.get("center") is None or _int_list(s["center"]))
+            and (s.get("radius") is None or type(s["radius"]) is int))
 
 
 def cover_from_json(box, data):
-    """The cover a witness row describes; schema errors are ConfigError."""
+    """The cover a witness row describes, read straight into a Cover's
+    arrays; schema errors, and integers past 64 bits, are ConfigError."""
     families = data.get("families")
     _check_witness(type(families) is list and all(type(f) is list for f in families),
                    "'families' must be a list of lists of sets")
-    out = []
-    for family in families:
-        sets = []
-        for s in family:
-            cover_set = _set_from_json(s)
-            _check_witness(cover_set is not None,
-                           "each set needs a string 'label', 'parts' as "
-                           "[component, [vertex ids]] of integers, and an "
-                           "integer list 'center' and integer 'radius' or null")
-            sets.append(cover_set)
-        out.append(tuple(sets))
-    return Cover(space=box, families=tuple(out))
+    sets = [s for family in families for s in family]
+    _check_witness(all(map(_set_ok, sets)),
+                   "each set needs a string 'label', 'parts' as "
+                   "[component, [vertex ids]] of integers, and an "
+                   "integer list 'center' and integer 'radius' or null")
+    parts = [p for s in sets for p in s["parts"]]
+    try:
+        return Cover.from_arrays(
+            box, len(families), [j for j, family in enumerate(families) for _ in family],
+            [s["label"] for s in sets], [i for i, s in enumerate(sets) for _ in s["parts"]],
+            [p[0] for p in parts], [len(p[1]) for p in parts], [v for p in parts for v in p[1]],
+            {i: tuple(s["center"]) for i, s in enumerate(sets) if s.get("center") is not None},
+            {i: s["radius"] for i, s in enumerate(sets) if s.get("radius") is not None})
+    except OverflowError:
+        raise ConfigError("malformed witness: a component index or vertex id "
+                          "does not fit in 64 bits") from None
 
 
 def verify_witness(args, cfg):
@@ -306,51 +344,29 @@ def _component_rows(box):
     return rows
 
 
-def task_quotient(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
-    summary = {
-        "task": "quotient", "group": spec.describe(),
-        "moduli": list(box.moduli),
-        "orders": [g.n_vertices for g in box.components],
-        "diameters": list(box.diameters),
-    }
-    return _component_rows(box), summary, None
-
-
 def task_boxspace(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
-    summary = {
-        "task": "boxspace", "group": spec.describe(),
-        "moduli": list(box.moduli),
-        "component_count": box.component_count,
-        "n_points": box.n_points,
-        "hirsch_length": hirsch_length(spec),
-        "diameters": list(box.diameters),
-    }
+    """The quotient and boxspace tasks: the same box and rows; the summary
+    keys differ by task name."""
+    spec, box = _box(args, cfg)
+    summary = {"task": sec["name"], "group": spec.describe(),
+               "moduli": list(box.moduli), "diameters": list(box.diameters)}
+    if sec["name"] == "quotient":
+        summary["orders"] = [g.n_vertices for g in box.components]
+    else:
+        summary.update(component_count=box.component_count, n_points=box.n_points,
+                       hirsch_length=hirsch_length(spec))
     return _component_rows(box), summary, None
 
 
 def task_isoradius(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
+    spec, box = _box(args, cfg)
     profile = isometry_profile(box, budget=args.state_cap)
     effective = profile.effective_radii
     rows = [["component", "modulus", "isometry_radius", "exact", "effective_radius"]]
     for i, r in enumerate(profile.radii):
         rows.append([str(i), str(box.moduli[i]), str(r.radius),
                      str(r.exact).lower(), str(effective[i])])
-    thresholds = {}
-    for k in _get(sec, "k_list", _ints, []):
-        t = profile.threshold(k)
-        thresholds[str(k)] = t
+    thresholds = {str(k): profile.threshold(k) for k in _get(sec, "k_list", _ints, [])}
     summary = {
         "task": "isoradius", "group": spec.describe(),
         "moduli": list(box.moduli),
@@ -365,19 +381,17 @@ def task_isoradius(args, cfg, sec):
 def _cover_rows(cover):
     rows = [["family", "label", "center_component", "center_vertex",
              "radius", "n_points"]]
-    for fi, s in cover.all_sets():
-        ci, cv = s.center if s.center is not None else ("", "")
-        rows.append([str(fi), s.label, str(ci), str(cv),
-                     "" if s.radius is None else str(s.radius),
-                     str(s.n_points())])
+    sizes = cover.set_sizes().tolist()
+    for i, (fi, label) in enumerate(zip(cover.set_family.tolist(), cover.labels)):
+        ci, cv = cover.centers.get(i, ("", ""))
+        radius = cover.radii.get(i)
+        rows.append([str(fi), label, str(ci), str(cv),
+                     "" if radius is None else str(radius), str(sizes[i])])
     return rows
 
 
 def task_cover(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
+    spec, box = _box(args, cfg)
     R = _get(sec, "r")
     growth = growth_from_config(sec, spec, args.state_cap)
     cover, report = cover_prop41(box, R, growth, threads=args.threads)
@@ -392,17 +406,13 @@ def task_cover(args, cfg, sec):
         "packing_counts": list(report.packing_counts),
         "ok": report.ok,
     }
-    witness = cover_to_json(cover, report.R, report.S, check_disjoint=False,
-                            group=spec.describe(), moduli=box.moduli,
-                            nested=_is_nested(box))
+    witness = _witness("cover-witness", spec, box.moduli, _is_nested(box), R=report.R,
+                       S=report.S, check_disjoint=False, families=cover)
     return _cover_rows(cover), summary, witness
 
 
 def task_families(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
+    spec, box = _box(args, cfg)
     R = _get(sec, "r")
     growth = growth_from_config(sec, spec, args.state_cap)
     base, base_report = cover_prop41(box, R, growth, threads=args.threads)
@@ -411,15 +421,14 @@ def task_families(args, cfg, sec):
     summary = {
         "task": "families", "group": spec.describe(), "moduli": list(box.moduli),
         "R": R, "S": base_report.S,
-        "n_families": len(cover.families),
+        "n_families": cover.n_families,
         "multiplicity_bound": base_report.r_multiplicity,
         "sets_per_family": [len(f) for f in cover.families],
         "family_min_distances": list(report.family_min_distances),
         "ok": report.ok,
     }
-    witness = cover_to_json(cover, R, base_report.S, check_disjoint=True,
-                            group=spec.describe(), moduli=box.moduli,
-                            nested=_is_nested(box))
+    witness = _witness("cover-witness", spec, box.moduli, _is_nested(box), R=R,
+                       S=base_report.S, check_disjoint=True, families=cover)
     return _cover_rows(cover), summary, witness
 
 
@@ -466,17 +475,13 @@ def task_rsdim(args, cfg, sec):
     }
     if result.cover is not None and source == "component":
         # one modulus is always a filtration
-        witness = cover_to_json(result.cover, R, S, check_disjoint=True,
-                                group=spec.describe(), moduli=[graph.modulus],
-                                nested=True)
+        witness = _witness("cover-witness", spec, [graph.modulus], True, R=R, S=S,
+                           check_disjoint=True, families=result.cover)
     return rows, summary, witness
 
 
 def task_profile(args, cfg, sec):
-    spec = group_from_config(cfg)
-    filtration = filtration_from_config(cfg, spec)
-    box = build_box_space(filtration, threads=args.threads, cache=args.cache,
-                          vertex_cap=args.vertex_cap)
+    spec, box = _box(args, cfg)
     r_list = _get(sec, "r_list", _ints)
     S_cap = _get(sec, "s_cap")
     mode = sec.get("mode", fallback="structured")
@@ -495,19 +500,10 @@ def task_profile(args, cfg, sec):
         "rows": [{"R": r.R, "s_achieved": r.s_achieved, "n_achieved": r.n_achieved,
                   "note": r.note} for r in table.rows],
     }
-    witness_rows = []
-    for r in table.rows:
-        if r.cover is None:
-            continue
-        witness_rows.append({"R": r.R, "S": r.s_achieved,
-                             "check_disjoint": r.mode != "prop41",
-                             "families": _families_json(r.cover)})
-    witness = None
-    if witness_rows:
-        witness = {"kind": "profile-witness",
-                   "group": spec.describe(), "moduli": list(box.moduli),
-                   "nested": _is_nested(box),
-                   "rows": witness_rows}
+    witness_rows = [{"R": r.R, "S": r.s_achieved, "check_disjoint": r.mode != "prop41",
+                     "families": r.cover} for r in table.rows if r.cover is not None]
+    witness = (_witness("profile-witness", spec, box.moduli, _is_nested(box),
+                        rows=witness_rows) if witness_rows else None)
     return rows, summary, witness
 
 
@@ -557,7 +553,7 @@ def task_cache_gc(args, cfg, sec):
 
 TASK_FUNCS = {
     "growth": task_growth,
-    "quotient": task_quotient,
+    "quotient": task_boxspace,
     "boxspace": task_boxspace,
     "isoradius": task_isoradius,
     "cover": task_cover,
@@ -611,7 +607,7 @@ def run(args):
         sec = cfg["task"]
         name = _get(sec, "name", str)
         if name not in TASK_FUNCS:
-            raise ConfigError(f"unknown task {name!r}; expected one of {TASKS}")
+            raise ConfigError(f"unknown task {name!r}; expected one of {tuple(TASK_FUNCS)}")
         csv_rows, summary, witness = TASK_FUNCS[name](args, cfg, sec)
 
     out = cfg["output"] if "output" in cfg else {}
@@ -631,7 +627,7 @@ def run(args):
     written.append(str(summary_path))
     if witness is not None and args.export_witness:
         with open(args.export_witness, "w") as fh:
-            json.dump(witness, fh, indent=2, sort_keys=True)
+            write_json(fh, witness)
             fh.write("\n")
         written.append(args.export_witness)
     print("wrote " + ", ".join(written))

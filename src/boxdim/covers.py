@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -146,10 +146,10 @@ def packing_count_max(graph, centers: np.ndarray, radius: int) -> int:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """One set of a cover: vertex ids grouped by component.
-
-    center/radius are bookkeeping for ball sets; label is unique within a
-    cover and is what witnesses refer to.
+    """One set of a cover as the API shows it: vertex ids grouped by
+    component.  center/radius are bookkeeping for ball sets; label is unique
+    within a cover and is what witnesses refer to.  A Cover stores its sets
+    as flat arrays and builds CoverSets only when asked for them.
     """
 
     label: str
@@ -169,27 +169,111 @@ class CoverSet:
         return tuple(ci for ci, _ in self.parts)
 
 
-@dataclass(frozen=True)
-class Cover:
-    space: object
-    families: tuple              # tuple of tuples of CoverSet
+def _ranges(lo, hi) -> np.ndarray:
+    """np.arange(lo[k], hi[k]) for every k, concatenated."""
+    n = np.asarray(hi, dtype=np.int64) - lo
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum(), dtype=np.int64)
 
-    def all_sets(self):
-        for j, fam in enumerate(self.families):
-            for s in fam:
-                yield j, s
+
+class Cover:
+    """Families of sets covering space, stored flat in all_sets() order.
+
+    Per set: set_family (non-decreasing) and labels.  Per part: part_set
+    (non-decreasing) and part_comp; part k lists ids[offsets[k]:offsets[k +
+    1]].  centers and radii map the indices of the sets that have one.
+    Cover(space, families) converts tuples of CoverSets once;
+    Cover.from_arrays takes the arrays, with part lengths for offsets.
+    families and all_sets() build CoverSet views with plain ints on demand.
+    """
+
+    def __init__(self, space, families):
+        sets = [(j, s) for j, fam in enumerate(families) for s in fam]
+        parts = [(i, ci, ids) for i, (_, s) in enumerate(sets) for ci, ids in s.parts]
+        self._assign(space, len(families), [j for j, _ in sets], [s.label for _, s in sets],
+                     [i for i, _, _ in parts], [ci for _, ci, _ in parts],
+                     [len(ids) for *_, ids in parts],
+                     np.fromiter(chain.from_iterable(ids for *_, ids in parts), np.int64),
+                     {i: s.center for i, (_, s) in enumerate(sets) if s.center is not None},
+                     {i: s.radius for i, (_, s) in enumerate(sets) if s.radius is not None})
+
+    @classmethod
+    def from_arrays(cls, space, n_families, set_family, labels, part_set, part_comp,
+                    lengths, ids, centers=None, radii=None) -> "Cover":
+        cover = cls.__new__(cls)
+        cover._assign(space, n_families, set_family, labels, part_set, part_comp,
+                      lengths, ids, centers or {}, radii or {})
+        return cover
+
+    def _assign(self, space, n_families, set_family, labels, part_set, part_comp,
+                lengths, ids, centers, radii):
+        self.space, self.n_families = space, n_families
+        self.set_family = np.asarray(set_family, dtype=np.int64)
+        self.labels = list(labels)
+        self.part_set = np.asarray(part_set, dtype=np.int64)
+        self.part_comp = np.asarray(part_comp, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.centers, self.radii = centers, radii
 
     def n_sets(self) -> int:
-        return sum(len(f) for f in self.families)
+        return len(self.labels)
+
+    def set_parts(self) -> np.ndarray:
+        """Set i has the parts set_parts()[i]:set_parts()[i + 1]."""
+        return np.searchsorted(self.part_set, np.arange(self.n_sets() + 1))
+
+    def set_sizes(self) -> np.ndarray:
+        """Ids listed per set, repeats included."""
+        return np.bincount(self.part_set, np.diff(self.offsets),
+                           minlength=self.n_sets()).astype(np.int64)
+
+    def all_sets(self):
+        ids, off = self.ids.tolist(), self.offsets.tolist()
+        comps, bounds = self.part_comp.tolist(), self.set_parts().tolist()
+        for i, j in enumerate(self.set_family.tolist()):
+            parts = tuple((comps[k], tuple(ids[off[k]:off[k + 1]]))
+                          for k in range(bounds[i], bounds[i + 1]))
+            yield j, CoverSet(self.labels[i], parts, self.centers.get(i), self.radii.get(i))
+
+    @property
+    def families(self) -> tuple:
+        sets = list(self.all_sets())
+        return tuple(tuple(s for i, s in sets if i == j) for j in range(self.n_families))
+
+    def take(self, sets, set_family, n_families: int) -> "Cover":
+        """The cover made of the given sets, in that order, in the given
+        (non-decreasing) families."""
+        sets = np.asarray(sets, dtype=np.int64)
+        bounds = self.set_parts()
+        parts = _ranges(bounds[sets], bounds[sets + 1])
+        pos = dict(zip(sets.tolist(), range(len(sets))))
+        return Cover.from_arrays(
+            self.space, n_families, set_family, [self.labels[i] for i in sets.tolist()],
+            np.repeat(np.arange(len(sets)), bounds[sets + 1] - bounds[sets]),
+            self.part_comp[parts], np.diff(self.offsets)[parts],
+            self.ids[_ranges(self.offsets[parts], self.offsets[parts + 1])],
+            {pos[i]: c for i, c in self.centers.items() if i in pos},
+            {pos[i]: r for i, r in self.radii.items() if i in pos})
+
+    def family(self, j: int) -> "Cover":
+        """Family j alone, as a one-family cover."""
+        lo, hi = np.searchsorted(self.set_family, [j, j + 1])
+        return self.take(np.arange(lo, hi), np.zeros(hi - lo), 1)
 
     @property
     def layout(self) -> list:
-        """The flat per-component layout of every set, in all_sets() order.
-
-        Built on each access and not kept, so a cover held for output
-        holds no layout; callers keep the result while they use it.
-        """
-        return _flatten([s for _, s in self.all_sets()], len(self.space.components))
+        """One _Parts per component of the space, split from the arrays on
+        each access; parts on other component indices are dropped."""
+        lengths = np.diff(self.offsets)
+        row_comp = np.repeat(self.part_comp, lengths)
+        row_set = np.repeat(self.part_set, lengths)
+        out = []
+        for ci in range(len(self.space.components)):
+            on = self.part_comp == ci
+            rows = row_comp == ci
+            out.append(_Parts(ids=self.ids[rows], owner=row_set[rows], sets=self.part_set[on],
+                              offsets=np.concatenate(([0], np.cumsum(lengths[on])))))
+        return out
 
 
 @dataclass(frozen=True)
@@ -211,53 +295,31 @@ class _Parts:
         return self.ids[self.offsets[k]:self.offsets[k + 1]]
 
 
-def _flatten(sets, n_components: int) -> list:
-    """One _Parts per component; parts on other component indices are dropped."""
-    comp_of, set_of, seqs = [], [], []
-    for i, s in enumerate(sets):
-        for ci, ids in s.parts:
-            comp_of.append(ci)
-            set_of.append(i)
-            seqs.append(ids)
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    ids = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
-                      count=int(lengths.sum()))
-    comp_of = np.asarray(comp_of, dtype=np.int64)
-    set_of = np.asarray(set_of, dtype=np.int64)
-    row_comp = np.repeat(comp_of, lengths)
-    row_set = np.repeat(set_of, lengths)
-    out = []
-    for ci in range(n_components):
-        on = comp_of == ci
-        rows = row_comp == ci
-        out.append(_Parts(ids=ids[rows], owner=row_set[rows], sets=set_of[on],
-                          offsets=np.concatenate(([0], np.cumsum(lengths[on])))))
-    return out
-
-
 def validate_cover(cover: Cover, layout: list) -> None:
-    """Reject malformed covers; layout is cover.layout."""
-    space = cover.space
-    seen = set()
-    for _, s in cover.all_sets():
-        if s.label in seen:
-            raise ConfigError(f"duplicate set label {s.label!r}")
-        seen.add(s.label)
-        if s.n_points() == 0:
-            raise ConfigError(f"empty set {s.label!r}")
-        comps = s.component_indices()
-        for ci in comps:
-            if not (0 <= ci < len(space.components)):
-                raise ConfigError(f"set {s.label!r} references component {ci}")
-        if len(set(comps)) != len(comps):
-            raise ConfigError(f"set {s.label!r} lists a component twice")
+    """Reject malformed covers; layout is cover.layout.  The checks run in
+    turn over all sets: unique labels, no empty set, component indices in
+    range and not repeated within a set, then vertex ids in range."""
+    labels, ps, pc = cover.labels, cover.part_set, cover.part_comp
+    if len(set(labels)) != len(labels):
+        seen = set()
+        raise ConfigError("duplicate set label "
+                          f"{next(x for x in labels if x in seen or seen.add(x))!r}")
+    empty = np.flatnonzero(cover.set_sizes() == 0)
+    if empty.size:
+        raise ConfigError(f"empty set {labels[empty[0]]!r}")
+    bad = np.flatnonzero((pc < 0) | (pc >= len(cover.space.components)))
+    if bad.size:
+        raise ConfigError(f"set {labels[ps[bad[0]]]!r} references component {pc[bad[0]]}")
+    o = np.lexsort((pc, ps))
+    twice = np.flatnonzero((np.diff(ps[o]) == 0) & (np.diff(pc[o]) == 0))
+    if twice.size:
+        raise ConfigError(f"set {labels[ps[o[twice[0]]]]!r} lists a component twice")
     for ci, parts in enumerate(layout):
-        n = space.components[ci].n_vertices
+        n = cover.space.components[ci].n_vertices
         if parts.ids.size and (parts.ids.min() < 0 or parts.ids.max() >= n):
             k = int(np.flatnonzero((parts.ids < 0) | (parts.ids >= n))[0])
-            label = next(islice(cover.all_sets(), int(parts.owner[k]), None))[1].label
-            raise ConfigError(f"set {label!r} references vertex {parts.ids[k]} "
-                              f"of component {ci}")
+            raise ConfigError(f"set {labels[parts.owner[k]]!r} references vertex "
+                              f"{parts.ids[k]} of component {ci}")
 
 
 @dataclass(frozen=True)
@@ -471,9 +533,11 @@ def _close_pairs(comp, parts: _Parts, R: int) -> dict:
 def family_violations(space, family, R: int):
     """(label_a, label_b, distance) for every pair of sets of one family
     closer than R, with the exact distance; an empty list certifies
-    R-disjointness."""
-    labels = [s.label for s in family]
-    layout = _flatten(family, len(space.components))
+    R-disjointness.  family is a one-family Cover or a sequence of
+    CoverSets."""
+    if not isinstance(family, Cover):
+        family = Cover(space, (tuple(family),))
+    labels, layout = family.labels, family.layout
     out = {}
 
     def note(a, b, d):
@@ -629,15 +693,13 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
     if S is not None:
         over = np.flatnonzero(diameters > S)
         if over.size:
-            i = int(over[0])
-            oversized = (next(islice(cover.all_sets(), i, None))[1].label,
-                         int(diameters[i]))
+            oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
     fam_mins = []
     close = []
     if check_disjoint:
-        for j, fam in enumerate(cover.families):
-            viol = family_violations(space, fam, R)
+        for j in range(cover.n_families):
+            viol = family_violations(space, cover.family(j), R)
             if viol:
                 fam_mins.append(min(d for _, _, d in viol))
                 close.extend((j, a, b, d) for a, b, d in viol)
@@ -682,27 +744,28 @@ def cover_prop41(box: BoxSpace, R: int, growth: GrowthBound,
 
     results = thread_map(work, large, threads)
 
-    sets = []
-    if small:
-        parts = tuple((ci, tuple(range(box.components[ci].n_vertices)))
-                      for ci in small)
-        sets.append(CoverSet(label="F_R", parts=parts, radius=R))
-    doubling = {}
-    packing_counts = {}
-    for ci, (rn, centers, pc) in zip(large, results):
+    # F_R's parts come first, then one part per ball
+    labels, part_comp = ["F_R"] if small else [], list(small)
+    balls = [np.arange(box.components[ci].n_vertices) for ci in small]
+    centers, radii = {}, {0: R} if small else {}
+    doubling, packing_counts = {}, {}
+    for ci, (rn, ball_centers, pc) in zip(large, results):
         doubling[ci] = rn
         packing_counts[ci] = pc
         if pc > params.K:
             raise VerificationError(
                 f"packing count {pc} exceeds K={params.K} on component {ci}")
         comp = box.components[ci]
-        for c in centers:
-            ids = tuple(int(v) for v in comp.ball_ids(int(c), 2 * rn))
-            sets.append(CoverSet(label=f"c{ci}.b{int(c)}",
-                                 parts=((ci, ids),),
-                                 center=(ci, int(c)), radius=2 * rn))
+        for c in ball_centers.tolist():
+            centers[len(labels)], radii[len(labels)] = (ci, c), 2 * rn
+            labels.append(f"c{ci}.b{c}")
+            part_comp.append(ci)
+            balls.append(comp.ball_ids(c, 2 * rn))
 
-    cover = Cover(space=box, families=(tuple(sets),))
+    part_set = [0] * len(small) + list(range(bool(small), len(labels)))
+    cover = Cover.from_arrays(box, 1, np.zeros(len(labels)), labels, part_set, part_comp,
+                              [len(b) for b in balls], np.concatenate(balls or [[]]),
+                              centers, radii)
     report = verify_cover(cover, R, check_disjoint=False)
     s_bound = max(params.S_0, R)
     report = replace(report, S=s_bound,
@@ -728,21 +791,21 @@ def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
     result is re-verified to be R-disjoint family by family.
     """
     space = cover.space
-    sets = [s for _, s in cover.all_sets()]
-    edges = [set() for _ in sets]
-    layout = _flatten(sets, len(space.components))
+    edges = [set() for _ in range(cover.n_sets())]
+    layout = cover.layout
     diams = space.diameters
     present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
     for x, ci in enumerate(present):
         parts = layout[ci]
-        holders = {}
-        for v, i in zip(parts.ids.tolist(), parts.owner.tolist()):
-            holders.setdefault(v, []).append(i)
+        # the sets holding each vertex, as runs of the ids sorted by vertex
+        order = np.argsort(parts.ids, kind="stable")
+        held, holders = parts.ids[order], parts.owner[order]
         for k, i in enumerate(parts.sets.tolist()):
             # d(A, B) < R is symmetric, so A's own dilation names every
             # such B; first_fit_colors reads only the smaller index
             near = _dilate(space.components[ci], parts.part(k), max(R - 1, 0))
-            edges[i].update(j for v in near.tolist() for j in holders.get(v, ()))
+            edges[i].update(holders[_ranges(np.searchsorted(held, near),
+                                            np.searchsorted(held, near, "right"))].tolist())
         for cj in present[x + 1:]:
             if diams[ci] + diams[cj] < R:
                 here, there = parts.sets.tolist(), layout[cj].sets.tolist()
@@ -751,13 +814,11 @@ def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
                 for b in there:
                     edges[b].update(here)
 
-    colors = first_fit_colors(edges)
-    n_fam = max(colors, default=0) + 1
-    families = tuple(tuple(s for i, s in enumerate(sets) if colors[i] == j)
-                     for j in range(n_fam))
-    out = Cover(space=space, families=families)
-    for j, fam in enumerate(families):
-        viol = family_violations(space, fam, R)
+    colors = np.asarray(first_fit_colors(edges), dtype=np.int64)
+    order = np.argsort(colors, kind="stable")
+    out = cover.take(order, colors[order], int(colors.max(initial=0)) + 1)
+    for j in range(out.n_families):
+        viol = family_violations(space, out.family(j), R)
         if viol:
             raise VerificationError(
                 f"regrouped family {j} is not {R}-disjoint: {viol[0]}")
@@ -787,12 +848,6 @@ class FamilyAssembly:
     report: AssemblyReport
 
 
-def _set_points_frozen(s: CoverSet, keep_components=None) -> frozenset:
-    return frozenset((ci, v) for ci, ids in s.parts
-                     for v in ids
-                     if keep_components is None or ci in keep_components)
-
-
 def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
                           profile, thresholds: dict | None = None) -> FamilyAssembly:
     """Per-scale family assembly over a truncated box space.
@@ -811,7 +866,7 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     scales = sorted(int(k) for k in covers_by_scale)
     if not scales or scales[0] < 1:
         raise ConfigError("scales must be integers >= 1")
-    n_fam = max(len(covers_by_scale[k].families) for k in scales)
+    n_fam = max(covers_by_scale[k].n_families for k in scales)
 
     oracle_diam = {}
     for k in scales:
@@ -821,8 +876,8 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
         diameters = _DiameterOracle(box).set_diameters(cover.layout, cover.n_sets())
         # straddling sets never enter the admissible window, so the scale
         # diameter is taken over the single-component sets only
-        oracle_diam[k] = max((int(d) for d, (_, s) in zip(diameters, cover.all_sets())
-                              if len(s.parts) == 1), default=0)
+        one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
+        oracle_diam[k] = int(diameters[one_part].max(initial=0))
 
     i_k = {}
     for k in scales:
@@ -838,21 +893,21 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     upper = {k: (i_k[scales[idx + 1]] if idx + 1 < len(scales) else box.component_count)
              for idx, k in enumerate(scales)}
 
-    buckets = {k: [[] for _ in range(n_fam)] for k in scales}
+    buckets = {}
     for k in scales:
-        lo, hi = i_k[k], upper[k]
-        for j, fam in enumerate(covers_by_scale[k].families):
-            for s in fam:
-                comps = set(s.component_indices())
-                if len(comps) > 1:
-                    if max(comps) >= lo:
-                        raise VerificationError(
-                            f"scale {k}: set {s.label!r} straddles components "
-                            f"{sorted(comps)} inside the admissible window")
-                    continue
-                ci = next(iter(comps))
-                if lo <= ci < hi:
-                    buckets[k][j].append(s)
+        cover = covers_by_scale[k]
+        low = np.full(cover.n_sets(), box.component_count)
+        high = np.full(cover.n_sets(), -1)
+        np.minimum.at(low, cover.part_set, cover.part_comp)
+        np.maximum.at(high, cover.part_set, cover.part_comp)
+        straddlers = np.flatnonzero((low < high) & (high >= i_k[k]))
+        if straddlers.size:
+            i = straddlers[0]
+            comps = sorted(set(cover.part_comp[cover.part_set == i].tolist()))
+            raise VerificationError(f"scale {k}: set {cover.labels[i]!r} straddles "
+                                    f"components {comps} inside the admissible window")
+        keep = np.flatnonzero((low == high) & (i_k[k] <= low) & (low < upper[k]))
+        buckets[k] = cover.take(keep, cover.set_family[keep], n_fam).families
 
     families = {}
     finite_parts = {}
@@ -877,19 +932,18 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
             else:
                 disjointness.append((k, j, None))
 
-    subtraction_ok = True
-    base = scales[0]
-    for k in scales:
-        drop = set(finite_parts[k])
-        for j in range(n_fam):
-            lhs = {pts for s in families[base][j]
-                   for pts in (_set_points_frozen(s, keep_components=None
-                               if not drop else set(range(box.component_count)) - drop),)
-                   if pts}
-            rhs = {_set_points_frozen(s) for s in families[k][j]}
-            if lhs != rhs:
-                subtraction_ok = False
+    def point_sets(fam, lo=None):
+        """The sets of fam (one component each) as (component, distinct
+        ids); given lo, only the non-empty ones on components >= lo."""
+        c = Cover(box, (fam,))
+        first = c.set_parts()
+        comp, bounds = c.part_comp[first[:-1]].tolist(), c.offsets[first].tolist()
+        return {(comp[i], np.unique(c.ids[a:b]).tobytes())
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                if lo is None or (comp[i] >= lo and b > a)}
 
+    subtraction_ok = all(point_sets(families[scales[0]][j], i_k[k]) == point_sets(families[k][j])
+                         for k in scales for j in range(n_fam))
     report = AssemblyReport(disjointness=tuple(disjointness),
                             violations=tuple(violations),
                             subtraction_ok=subtraction_ok)
@@ -1044,14 +1098,17 @@ def _coloring_to_cover(space, coloring, R: int) -> Cover:
             keep = colors[u] == colors[v]
             yield u[keep], v[keep]
 
-    families = {}
-    for cluster in close_clusters(len(colors), same_color_pairs()):
-        c = int(colors[cluster[0]])
-        sets = families.setdefault(c, [])
-        sets.append(CoverSet(label=f"f{c}.s{len(sets)}",
-                             parts=((0, tuple(cluster.tolist())),)))
-    return Cover(space=CoarseUnion((space,)),
-                 families=tuple(tuple(families[c]) for c in sorted(families)))
+    clusters = close_clusters(len(colors), same_color_pairs())
+    values, family = np.unique(colors[[c[0] for c in clusters]], return_inverse=True)
+    order = np.argsort(family, kind="stable")
+    family = family[order]
+    rank = np.arange(len(order)) - np.searchsorted(family, family)
+    values = values.tolist()
+    sets = [clusters[i] for i in order]
+    return Cover.from_arrays(CoarseUnion((space,)), len(values), family,
+                             [f"f{values[j]}.s{r}" for j, r in zip(family.tolist(), rank.tolist())],
+                             np.arange(len(sets)), np.zeros(len(sets)),
+                             [len(s) for s in sets], np.concatenate(sets or [[]]))
 
 
 def first_fit_colors(neighbours) -> list:

@@ -30,9 +30,9 @@ from .boxspace import (
 from .cayley import GrowthBound
 from .covers import (
     Cover,
-    CoverSet,
     _coloring_to_cover,
     _dilate,
+    _ranges,
     close_clusters,
     cover_prop41,
     first_fit_colors,
@@ -86,7 +86,7 @@ def _verified_result(space, coloring, R, S, method) -> RSDimResult:
         raise VerificationError(
             f"{method} produced an invalid witness at R={R}, S={S}: "
             f"{report.oversized_witness or report.close_pair_witnesses}")
-    n = len(cover.families) - 1
+    n = cover.n_families - 1
     return RSDimResult(n=n, R=R, S=S, method=method,
                        coloring=tuple(coloring), cover=cover)
 
@@ -267,9 +267,14 @@ def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResul
 
 def interval_families(m: int, R: int, S: int):
     """Alternating arcs on the m-cycle: an even number of arcs with sizes in
-    [R, S+1], neighbors in different families.  None if infeasible."""
+    [R, S+1], neighbors in different families.  None if infeasible.
+
+    Families come flat, as (set_family, offsets, ids): set k belongs to
+    family set_family[k] (non-decreasing, every family non-empty) and lists
+    ids[offsets[k]:offsets[k + 1]].
+    """
     if m - 1 <= S:
-        return [[list(range(m))]]
+        return np.zeros(1, np.int64), np.array([0, m]), np.arange(m)
     count = max(2, -(-m // (S + 1)))
     if count % 2:
         count += 1
@@ -277,16 +282,18 @@ def interval_families(m: int, R: int, S: int):
         base, rem = divmod(m, count)
         hi = base + (1 if rem else 0)
         if base >= R and hi <= S + 1:
-            sizes = [base + 1] * rem + [base] * (count - rem)
-            arcs = []
-            at = 0
-            for s in sizes:
-                arcs.append(list(range(at, at + s)))
-                at += s
-            return [[arcs[i] for i in range(count) if i % 2 == 0],
-                    [arcs[i] for i in range(count) if i % 2 == 1]]
+            ends = np.cumsum([base + 1] * rem + [base] * (count - rem))
+            arcs = np.r_[0:count:2, 1:count:2]
+            sizes = np.diff(ends, prepend=0)[arcs]
+            return (arcs % 2, np.concatenate(([0], np.cumsum(sizes))),
+                    _ranges(ends[arcs] - sizes, ends[arcs]))
         count += 2
     return None
+
+
+# grid zone by how close v (row) and u (column) are to a block line:
+# below t1, below t2, or neither; 0 corner, 1 and 2 edges, 3 core
+_GRID_ZONES = np.array([[0, 0, 1], [0, 0, 3], [2, 3, 3]])
 
 
 def grid_families(m: int, R: int, S: int):
@@ -300,8 +307,12 @@ def grid_families(m: int, R: int, S: int):
     satisfies the separation and diameter constraints.
 
     The point (u, v) is listed as v * m + u, the vertex id that
-    CayleyGraph.encode gives its coordinates.  Points are visited in id
-    order, so every set lists its ids in increasing order.
+    CayleyGraph.encode gives its coordinates.  All points are classified
+    at once: the zone from u % L and v % L, then an integer set key ordered
+    as the tuples corner (cu, cv) < edge ("h", u // L, cv) < edge ("v", cu,
+    v // L) < core (u // L, v // L).  One stable sort by key lists the sets
+    in that order, each with its ids increasing.  Families come flat, as in
+    interval_families.
     """
     t1 = -(-R // 2)
     t2 = 2 * t1
@@ -316,34 +327,32 @@ def grid_families(m: int, R: int, S: int):
     if L is None:
         return None
 
-    corner, edge, core = {}, {}, {}
-    for v in range(m):
-        pv = v % L
-        dv = min(pv, L - pv)
-        for u in range(m):
-            pu = u % L
-            du = min(pu, L - pu)
-            vid = v * m + u
-            if du < t2 and dv < t2:
-                cu = (u - pu) % m if pu < t2 else (u + L - pu) % m
-                cv = (v - pv) % m if pv < t2 else (v + L - pv) % m
-                corner.setdefault((cu, cv), []).append(vid)
-            elif dv < t1:
-                edge.setdefault(("h", u // L, (v - pv) % m if pv < t1
-                                 else (v + L - pv) % m), []).append(vid)
-            elif du < t1:
-                edge.setdefault(("v", (u - pu) % m if pu < t1
-                                 else (u + L - pu) % m, v // L), []).append(vid)
-            else:
-                core.setdefault((u // L, v // L), []).append(vid)
-    return [[ids for _, ids in sorted(corner.items())],
-            [ids for _, ids in sorted(edge.items())],
-            [ids for _, ids in sorted(core.items())]]
+    n = m * m
+    line = np.arange(m, dtype=np.int64)
+    p = line % L
+    block = line // L
+
+    def anchor(t):
+        """Per coordinate, the block line it is within t of (if it is)."""
+        return np.where(p < t, line - p, line + L - p) % m
+
+    # per zone, the key terms of u and of v
+    ku = np.stack([anchor(t2) * m, n + block * m, 2 * n + anchor(t1) * m, 3 * n + block * m])
+    kv = np.stack([anchor(t2), anchor(t1), block, block])
+    d = np.minimum(p, L - p)
+    near = (d >= t1).astype(np.int64) + (d >= t2)
+    zone = _GRID_ZONES[near[:, None], near[None, :]]
+    key = (ku[zone, line] + kv[zone, line[:, None]]).ravel()
+    ids = np.argsort(key, kind="stable")
+    key = key[ids]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return np.searchsorted([n, 3 * n], key[starts], side="right"), np.append(starts, n), ids
 
 
 def structured_component_families(comp, R: int, S: int):
     """Dispatch the pattern constructions by group shape; None if there is
-    no structured pattern for this component or these parameters."""
+    no structured pattern for this component or these parameters.  The
+    families come flat, as (set_family, offsets, ids)."""
     spec = comp.spec
     if spec.kind == FREE_ABELIAN and spec.rank == 1:
         return interval_families(comp.modulus, R, S)
@@ -407,7 +416,8 @@ def s_ladder(R: int, S_cap: int):
 
 
 def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
-                      threads: int = 1, n_cap: int = 8, point_cap: int = 60):
+                      threads: int = 1, n_cap: int = 8, point_cap: int = 60,
+                      n_best: int | None = None):
     """One uniform-scale witness cover of a box space, or None.
 
     Components of diameter <= S // 2 merge into a single set (pairwise sums
@@ -416,7 +426,9 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     solved per mode.  Any two sets from different components of diameter
     > S // 2 sit at distance > S >= R, so per-component family indices can
     be shared across components.  The assembled cover is re-verified and
-    None is returned unless every check passes.
+    None is returned unless every check passes.  Given n_best, a cover of
+    n_best + 1 or more non-empty families could not improve on it, and None
+    is returned before it is built.
     """
     small = [ci for ci, d in enumerate(box.diameters) if d <= S // 2]
     medium = [ci for ci, d in enumerate(box.diameters) if S // 2 < d <= S]
@@ -434,32 +446,30 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
                 return None
         else:
             raise ConfigError(f"unknown witness mode {mode!r}")
-        fams = []
-        for fam in res.cover.families:
-            fams.append([list(s.parts[0][1]) for s in fam])
-        return fams
+        return res.cover.set_family, res.cover.offsets, res.cover.ids
 
     solved = thread_map(solve, large, threads)
     if any(f is None for f in solved):
         return None
-
-    n_fam = max([len(f) for f in solved], default=0)
-    n_fam = max(n_fam, 1 if (small or medium) else 0)
-    families = [[] for _ in range(n_fam)]
-    if small:
-        parts = tuple((ci, tuple(range(box.components[ci].n_vertices)))
-                      for ci in small)
-        families[0].append(CoverSet(label="F", parts=parts))
-    for ci in medium:
-        families[0].append(CoverSet(
-            label=f"w{ci}",
-            parts=((ci, tuple(range(box.components[ci].n_vertices))),)))
-    for ci, fams in zip(large, solved):
-        for j, fam in enumerate(fams):
-            for si, ids in enumerate(fam):
-                families[j].append(CoverSet(label=f"c{ci}.f{j}.s{si}",
-                                            parts=((ci, tuple(ids)),)))
-    cover = Cover(space=box, families=tuple(tuple(f) for f in families))
+    # every set in component order (F, the w sets, then each large
+    # component's sets); a stable sort by family gives the all_sets() order
+    whole = small + medium
+    labels = (["F"] if small else []) + [f"w{ci}" for ci in medium]
+    family = np.concatenate([np.zeros(len(labels), np.int64)] + [f[0] for f in solved])
+    if n_best is not None and np.unique(family).size - 1 >= n_best:
+        return None
+    for ci, (fam, _, _) in zip(large, solved):
+        rank = np.arange(len(fam)) - np.searchsorted(fam, fam)
+        labels += [f"c{ci}.f{j}.s{si}" for j, si in zip(fam.tolist(), rank.tolist())]
+    sizes = np.array([box.components[ci].n_vertices for ci in whole], dtype=np.int64)
+    cover = Cover.from_arrays(
+        box, int(family.max(initial=-1)) + 1, family, labels,
+        np.r_[np.zeros(len(small), np.int64), bool(small):len(labels)],
+        np.repeat(whole + large, [1] * len(whole) + [len(f[0]) for f in solved]),
+        np.concatenate([sizes] + [np.diff(f[1]) for f in solved]),
+        np.concatenate([np.arange(n) for n in sizes] + [f[2] for f in solved] + [sizes[:0]]))
+    order = np.argsort(family, kind="stable")
+    cover = cover.take(order, family[order], cover.n_families)
     report = verify_cover(cover, R, S)
     if not report.ok:
         return None
@@ -494,13 +504,11 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
         best = None
         for S in s_ladder(R, S_cap):
             got = box_witness_cover(box, R, S, mode, threads=threads,
-                                    n_cap=n_cap, point_cap=point_cap)
-            if got is None:
-                continue
-            cover, report = got
-            n = len([f for f in cover.families if f]) - 1
-            if best is None or n < best[0]:
-                best = (n, report.max_set_diameter, cover)
+                                    n_cap=n_cap, point_cap=point_cap,
+                                    n_best=None if best is None else best[0])
+            if got is not None:
+                cover, report = got
+                best = (np.unique(cover.set_family).size - 1, report.max_set_diameter, cover)
         ms = (time.perf_counter() - t0) * 1000.0
         if best is None:
             rows.append(ProfileRow(R=R, s_achieved=None, n_achieved=None,

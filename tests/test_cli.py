@@ -130,12 +130,24 @@ def test_malformed_witness_exit_codes(tmp_path):
             return d
         return edit
 
+    def set_component(value):
+        def edit(d):
+            first_set(d)["parts"][0][0] = value
+            return d
+        return edit
+
     cases = [  # (case, edit, exit code)
         ("missing moduli", drop(lambda d: d, "moduli"), 2),
         ("missing families", drop(lambda d: d["rows"][0], "families"), 2),
         ("missing parts", drop(first_set, "parts"), 2),
         ("string vertex id", set_vertex("x"), 2),
         ("fractional vertex id", set_vertex(0.5), 2),
+        # integers past 64 bits are out of range like any other
+        ("vertex id 2**70", set_vertex(2 ** 70), 2),
+        ("vertex id -2**70", set_vertex(-2 ** 70), 2),
+        ("component 2**70", set_component(2 ** 70), 2),
+        ("component -2**70", set_component(-2 ** 70), 2),
+        ("vertex id 2**63 - 1", set_vertex(2 ** 63 - 1), 2),
         ("top-level list", lambda d: [d], 2),
         ("dropped set", drop(lambda d: d["rows"][0]["families"][0], 0), 4),
     ]

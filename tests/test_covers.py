@@ -545,6 +545,41 @@ def test_verify_cover_rejects_malformed():
         verify_cover(Cover(space=box, families=((arc_set("y", 0, (3, -1)),),)), 1, 1)
 
 
+def test_cover_arrays_and_views():
+    # CoverSets in, flat arrays stored, CoverSet views with plain ints out
+    box = z_box(4, 8)
+    fams = ((arc_set("a", 0, np.array([0, 1])),
+             CoverSet("b", ((0, (2, 3)), (1, (0,))), center=(0, 2), radius=1)),
+            (),
+            (arc_set("c", 1, range(1, 8)),))
+    cover = Cover(space=box, families=fams)
+    plain = tuple(tuple(CoverSet(s.label, tuple((ci, tuple(int(v) for v in ids))
+                                                 for ci, ids in s.parts), s.center, s.radius)
+                        for s in fam) for fam in fams)
+    assert cover.families == plain
+    assert all(type(v) is int for _, s in cover.all_sets() for _, ids in s.parts for v in ids)
+    assert (cover.n_sets(), cover.n_families) == (3, 3)
+    assert cover.labels == ["a", "b", "c"]
+    assert cover.set_family.tolist() == [0, 0, 2]
+    assert cover.part_set.tolist() == [0, 1, 1, 2]
+    assert cover.part_comp.tolist() == [0, 0, 1, 1]
+    assert cover.offsets.tolist() == [0, 2, 4, 5, 12]
+    assert cover.set_sizes().tolist() == [2, 3, 7]
+    assert cover.set_parts().tolist() == [0, 1, 3, 4]
+    assert (cover.centers, cover.radii) == ({1: (0, 2)}, {1: 1})
+    # a family alone, and sets taken out in another order and grouping
+    assert cover.family(0).families == (plain[0],)
+    assert cover.family(1).families == ((),)
+    taken = cover.take([1, 2], [0, 2], 3)
+    assert taken.families == ((plain[0][1],), (), (plain[2][0],))
+    assert (taken.centers, taken.radii) == ({0: (0, 2)}, {0: 1})
+    layout = cover.layout
+    assert [p.sets.tolist() for p in layout] == [[0, 1], [1, 2]]
+    assert [p.ids.tolist() for p in layout] == [[0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6, 7]]
+    assert [p.owner.tolist() for p in layout] == [[0, 0, 1, 1], [1] + [2] * 7]
+    assert verify_cover(cover, R=1, S=20).is_cover
+
+
 def test_verify_cover_diameters_match_brute_force():
     rng = random.Random(777)
     box = z_box(4, 8, 16)
@@ -854,6 +889,19 @@ def test_assembly_rejects_straddler_in_window():
     fam0 = covers[4].families[0] + (straddler,)
     covers = {1: covers[1], 4: Cover(space=box, families=(fam0, covers[4].families[1]))}
     with pytest.raises(VerificationError):
+        assemble_box_families(box, covers, profile)
+
+
+def test_assembly_rejects_straddler_reaching_the_window_start():
+    # the scale-4 window starts at component 3; a set on components 1 and 3
+    # reaches into it
+    box = eight_component_box()
+    profile = isometry_profile(box)
+    covers = scale_covers(box)
+    straddler = CoverSet(label="edge", parts=((1, (0, 1)), (3, (0, 1))))
+    fam0 = covers[4].families[0] + (straddler,)
+    covers = {1: covers[1], 4: Cover(space=box, families=(fam0, covers[4].families[1]))}
+    with pytest.raises(VerificationError, match=r"'edge' straddles components \[1, 3\]"):
         assemble_box_families(box, covers, profile)
 
 

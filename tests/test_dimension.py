@@ -10,9 +10,17 @@ import numpy as np
 import pytest
 
 from boxdim import covers as covers_module
+from boxdim import dimension as dimension_module
 from boxdim.boxspace import build_box_space
 from boxdim.cayley import GrowthBound, build_quotient_cayley
-from boxdim.covers import Cover, CoverSet, close_clusters, near_pairs, verify_cover
+from boxdim.covers import (
+    Cover,
+    CoverSet,
+    close_clusters,
+    cover_prop41,
+    near_pairs,
+    verify_cover,
+)
 from boxdim.dimension import (
     FiniteMetricSpace,
     ProfileRow,
@@ -347,13 +355,28 @@ def test_from_graph_matches_graph_distances():
 
 # --- structured patterns -----------------------------------------------------------
 
+def nested(flat):
+    """Flat (set_family, offsets, ids) families as lists of id lists, after
+    checking the flat form: families non-decreasing from 0 with none
+    empty, offsets running from 0 to the end of ids."""
+    if flat is None:
+        return None
+    family, offsets, ids = (a.tolist() for a in flat)
+    assert sorted(set(family)) == list(range(max(family) + 1)) and family == sorted(family)
+    assert offsets[0] == 0 and offsets[-1] == len(ids) and len(offsets) == len(family) + 1
+    out = [[] for _ in range(max(family) + 1)]
+    for k, j in enumerate(family):
+        out[j].append(ids[offsets[k]:offsets[k + 1]])
+    return out
+
+
 def test_interval_families_single_set_when_diameter_fits():
-    assert interval_families(9, 2, 8) == [[list(range(9))]]
+    assert nested(interval_families(9, 2, 8)) == [[list(range(9))]]
 
 
 def test_interval_families_alternate_and_verify():
     box = build_box_space(Filtration(free_abelian(1), (256,)))
-    fams = interval_families(256, 8, 64)
+    fams = nested(interval_families(256, 8, 64))
     assert len(fams) == 2
     cover = Cover(space=box, families=tuple(
         tuple(CoverSet(label=f"f{j}.s{i}", parts=((0, tuple(ids)),))
@@ -363,6 +386,40 @@ def test_interval_families_alternate_and_verify():
     assert report.ok
 
 
+def old_interval_families(m, R, S):
+    """interval_families as it was: arcs built as Python lists."""
+    if m - 1 <= S:
+        return [[list(range(m))]]
+    count = max(2, -(-m // (S + 1)))
+    if count % 2:
+        count += 1
+    while count * R <= m:
+        base, rem = divmod(m, count)
+        hi = base + (1 if rem else 0)
+        if base >= R and hi <= S + 1:
+            sizes = [base + 1] * rem + [base] * (count - rem)
+            arcs = []
+            at = 0
+            for s in sizes:
+                arcs.append(list(range(at, at + s)))
+                at += s
+            return [[arcs[i] for i in range(count) if i % 2 == 0],
+                    [arcs[i] for i in range(count) if i % 2 == 1]]
+        count += 2
+    return None
+
+
+def test_interval_families_match_the_old_arcs():
+    built = 0
+    for m in range(1, 70):
+        for R in (1, 2, 3, 5, 8):
+            for S in range(0, 24):
+                want = old_interval_families(m, R, S)
+                assert nested(interval_families(m, R, S)) == want, (m, R, S)
+                built += want is not None
+    assert built > 1000
+
+
 def test_interval_families_infeasible():
     assert interval_families(7, 3, 2) is None
 
@@ -370,7 +427,7 @@ def test_interval_families_infeasible():
 def test_grid_families_verify_on_torus():
     box = build_box_space(Filtration(free_abelian(2), (16,)))
     comp = box.components[0]
-    fams = structured_component_families(comp, R=2, S=4)
+    fams = nested(structured_component_families(comp, R=2, S=4))
     assert len(fams) == 3
     cover = Cover(space=box, families=tuple(
         tuple(CoverSet(label=f"f{j}.s{i}", parts=((0, tuple(ids)),))
@@ -449,7 +506,7 @@ def test_grid_families_emit_the_old_converted_ids():
         for R in (1, 2, 4, 8):
             for S in s_ladder(R, 64):
                 want = old_structured_grid_families(comp, R, S)
-                assert structured_component_families(comp, R, S) == want, (m, R, S)
+                assert nested(structured_component_families(comp, R, S)) == want, (m, R, S)
                 built += want is not None
     assert built > 40
 
@@ -488,6 +545,57 @@ def test_box_witness_cover_merges_small_components():
     labels0 = {s.label for s in cover.families[0]}
     assert "F" in labels0
     assert len(cover.families) == 2
+
+
+def old_box_witness_families(box, R, S, mode):
+    """box_witness_cover's families as it assembled them from CoverSets."""
+    small = [ci for ci, d in enumerate(box.diameters) if d <= S // 2]
+    medium = [ci for ci, d in enumerate(box.diameters) if S // 2 < d <= S]
+    large = [ci for ci, d in enumerate(box.diameters) if d > S]
+    solved = []
+    for ci in large:
+        comp = box.components[ci]
+        if mode == "structured":
+            solved.append(nested(structured_component_families(comp, R, S)))
+        else:
+            res = rs_dim_greedy(comp, R, S)
+            solved.append([[list(s.parts[0][1]) for s in fam] for fam in res.cover.families])
+    if any(f is None for f in solved):
+        return None
+    n_fam = max([len(f) for f in solved], default=0)
+    n_fam = max(n_fam, 1 if (small or medium) else 0)
+    families = [[] for _ in range(n_fam)]
+    if small:
+        parts = tuple((ci, tuple(range(box.components[ci].n_vertices))) for ci in small)
+        families[0].append(CoverSet(label="F", parts=parts))
+    for ci in medium:
+        families[0].append(CoverSet(
+            label=f"w{ci}", parts=((ci, tuple(range(box.components[ci].n_vertices))),)))
+    for ci, fams in zip(large, solved):
+        for j, fam in enumerate(fams):
+            for si, ids in enumerate(fam):
+                families[j].append(CoverSet(label=f"c{ci}.f{j}.s{si}",
+                                            parts=((ci, tuple(ids)),)))
+    return tuple(tuple(f) for f in families)
+
+
+@pytest.mark.parametrize("spec, moduli, mode", [
+    (free_abelian(1), (2, 4, 16, 64), "structured"),
+    (free_abelian(2), (4, 16, 64), "structured"),
+    (unitriangular(3), (2, 4, 8), "greedy"),
+])
+def test_box_witness_cover_matches_the_coverset_assembly(spec, moduli, mode):
+    # labels, set order and ids of the array-built cover, rung by rung
+    box = build_box_space(Filtration(spec, moduli))
+    built = 0
+    for R in (1, 2, 4):
+        for S in s_ladder(R, 32):
+            want = old_box_witness_families(box, R, S, mode)
+            got = box_witness_cover(box, R, S, mode)
+            if got is not None:
+                assert got[0].families == want, (R, S)
+                built += 1
+    assert built >= 3
 
 
 def test_profile_structured_line_box():
@@ -569,6 +677,69 @@ def test_profile_csv_rows():
     assert rows[0] == ProfileRow.CSV_FIELDS
     assert len(rows) == 2
     assert rows[1][0] == "2"
+
+
+def old_profile_rows(box, R_list, S_cap, mode, growth=None):
+    """asdim_profile's rows as its loop gave them when every rung that
+    built a cover was verified: (R, s_achieved, n_achieved, families)."""
+    out = []
+    for R in sorted(set(R_list)):
+        if mode == "prop41":
+            cover, report = cover_prop41(box, R, growth)
+            out.append((R, report.max_set_diameter, report.r_multiplicity - 1,
+                        cover.families))
+            continue
+        best = None
+        for S in s_ladder(R, S_cap):
+            got = box_witness_cover(box, R, S, mode)
+            if got is None:
+                continue
+            cover, report = got
+            n = len([f for f in cover.families if f]) - 1
+            if best is None or n < best[0]:
+                best = (n, report.max_set_diameter, cover.families)
+        out.append((R, None, None, None) if best is None else (R, best[1], best[0], best[2]))
+    return out
+
+
+PROFILE_CASES = {
+    "structured Z": (free_abelian(1), tuple(2 ** t for t in range(1, 9)), (1, 2, 4, 8), 64,
+                     "structured"),
+    "structured Z2": (free_abelian(2), (4, 16, 64), (1, 2, 4, 8), 64, "structured"),
+    "greedy UT3": (unitriangular(3), (2, 4, 8), (1, 2, 4), 16, "greedy"),
+    "prop41 Z": (free_abelian(1), (4, 8, 16, 32), (1, 2, 4), 64, "prop41"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_CASES))
+def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
+    # a rung that cannot beat the best family count is no longer verified;
+    # the rows, their covers and the rungs tried stay the same
+    spec, moduli, R_list, S_cap, mode = PROFILE_CASES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    growth = GrowthBound(C=Fraction(3), d=1, validated_range=(1, 10 ** 7))
+    calls = {"rungs": 0, "verify": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dimension_module, "verify_cover",
+                        counted("verify", dimension_module.verify_cover))
+    want = old_profile_rows(box, R_list, S_cap, mode, growth)
+    old_verify, calls["verify"] = calls["verify"], 0
+    monkeypatch.setattr(dimension_module, "box_witness_cover",
+                        counted("rungs", dimension_module.box_witness_cover))
+    table = asdim_profile(box, R_list, S_cap=S_cap, mode=mode, growth=growth)
+    got = [(r.R, r.s_achieved, r.n_achieved, None if r.cover is None else r.cover.families)
+           for r in table.rows]
+    assert got == want
+    if mode != "prop41":
+        assert calls["rungs"] == sum(len(s_ladder(R, S_cap)) for R in R_list)
+        assert calls["verify"] < old_verify
+    assert any(row[1] is not None for row in want)
 
 
 def test_profile_rejects_unknown_mode():
