@@ -280,6 +280,42 @@ class CayleyGraph:
                 break
         return best
 
+    def is_ball(self, ids, center: int, r: int) -> bool:
+        """Whether the distinct ids are exactly B(center, r), r >= 0.  Its
+        diameter is then min(2r, diam): the generators are symmetric, so
+        B(e, r)^-1 B(e, r) = B(e, 2r), and the identity's BFS levels run
+        without gaps up to the diameter."""
+        return np.array_equal(sorted_distinct(ids), self.ball_ids(center, min(r, self.diameter)))
+
+    def class_keys(self, rows: np.ndarray):
+        """The translation classes of equal-length subsets, one per row:
+        the distinct rows of sorted ids of x_0^-1 x, and each row's class.
+        Left translation is an isometry, so a class fixes the diameter."""
+        inv_first = coords_invert(self.spec, self.coords[rows[:, 0]], self.modulus)
+        moved = product_ids(self.spec, inv_first[:, None, :], self.coords[rows], self.modulus)
+        moved.sort(axis=1)
+        # return_index makes np.unique sort the rows with a stable mergesort;
+        # its default sort took about 2.5x as long on the plane profile's keys
+        keys, _, inverse = np.unique(moved, axis=0, return_index=True, return_inverse=True)
+        return keys, inverse.reshape(-1)
+
+    def row_diameters(self, rows: np.ndarray, block: int) -> np.ndarray:
+        """The exact diameter of each row of ids, max |x^-1 y| over its
+        pairs, in blocks of at most block pairs: whole rows at a time, or
+        one row's sources in slices when a row is longer."""
+        n, L = rows.shape
+        per = max(1, block // L)                 # sources per block
+        step = max(1, per // L)                  # rows per block
+        out = np.zeros(n, dtype=np.int64)
+        for lo in range(0, n, step):
+            ys = self.coords[rows[lo:lo + step]]
+            for a in range(0, L, per):
+                inv = coords_invert(self.spec, ys[:, a:a + per], self.modulus)
+                d = self.dist[product_ids(self.spec, inv[:, :, None, :], ys[:, None, :, :],
+                                          self.modulus)]
+                out[lo:lo + step] = np.maximum(out[lo:lo + step], d.max(axis=(1, 2)))
+        return out
+
     def ball_size(self, r: int) -> int:
         """|B(v, r)|, independent of v by vertex transitivity."""
         if r < 0:

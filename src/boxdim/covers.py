@@ -13,6 +13,7 @@ from the data rather than trusted from the construction.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -25,7 +26,6 @@ from .cayley import (
     CayleyGraph,
     GrowthBound,
     _ball,
-    coords_invert,
     product_ids,
     sorted_distinct,
     word_distances,
@@ -355,14 +355,19 @@ def _ids_array(ids) -> np.ndarray:
 
 
 class _DiameterOracle:
-    """Exact set diameters with translation-class memoization.
+    """Exact set diameters from the sets' structure, then their pairs.
 
-    Left translation is an isometry of a Cayley graph, so a set's diameter
-    depends only on its translation class; the class key is the set
-    translated to put its first vertex at the identity.  Keys are computed
-    in blocks of equal-length parts, and only classes not seen before are
-    measured pairwise.  Components other than Cayley graphs measure every
-    part pairwise.
+    On a Cayley graph a part that is exactly the ball B(c, r) its set's
+    center and radius name has diameter min(2r, diam) (CayleyGraph.is_ball).
+    The hint is only a candidate: any other part is measured as if it had
+    none.
+
+    Left translation is an isometry, so every other part's diameter depends
+    only on its translation class; the class key is the part translated to
+    put its first vertex at the identity.  Keys are computed in blocks of
+    equal-length parts, and the classes of one length not seen before are
+    measured pairwise in one batched pass.  Components other than Cayley
+    graphs measure every part pairwise.
     """
 
     def __init__(self, space):
@@ -370,24 +375,30 @@ class _DiameterOracle:
         self._memo = {}
         self.exact = True
 
-    def set_diameters(self, layout, n_sets: int) -> np.ndarray:
-        """Diameter of every set the layout was built from, by set index.
+    def set_diameters(self, layout, n_sets: int, centers=None, radii=None) -> np.ndarray:
+        """Diameter of every set the layout was built from, by set index;
+        centers and radii are the cover's ball hints, by set index.
 
         A set with parts on several components has diameter at least the
         cross distance of any two of them, the sum of their diameters; the
         largest such sum is that of its two largest component diameters.
         """
         diams = self.space.diameters
+        centers, radii = centers or {}, radii or {}
+        hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
         out = np.zeros(n_sets, dtype=np.int64)
         top = np.full((2, n_sets), -1, dtype=np.int64)
         for ci, parts in enumerate(layout):
             s = parts.sets
-            out[s] = np.maximum(out[s], self._part_diameters(ci, parts))
+            balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints} if hints else {}
+            out[s] = np.maximum(out[s], self._part_diameters(ci, parts, balls))
             top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
             top[0, s] = np.maximum(top[0, s], diams[ci])
         return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0))
 
-    def _part_diameters(self, ci: int, parts: _Parts) -> np.ndarray:
+    def _part_diameters(self, ci: int, parts: _Parts, balls: dict) -> np.ndarray:
+        """Diameters of the parts on component ci; balls maps part indices
+        to their sets' (center, radius) hints."""
         comp = self.space.components[ci]
         lengths = parts.lengths
         out = np.zeros(len(lengths), dtype=np.int64)
@@ -402,6 +413,11 @@ class _DiameterOracle:
             for k in np.flatnonzero(todo):
                 out[k] = comp.subset_diameter(parts.part(k))
             return out
+        for k, (center, radius) in balls.items():
+            if todo[k]:
+                d = _ball_diameter(ci, comp, parts.part(k), center, radius)
+                if d is not None:
+                    out[k], todo[k] = d, False
         big = todo & (lengths ** 2 > PAIR_CAP)
         for k in np.flatnonzero(big):
             # certified upper bound via the triangle inequality through any
@@ -410,30 +426,36 @@ class _DiameterOracle:
             ids = parts.part(k)
             out[k] = int(comp.distances_from(int(ids[0]))[ids].max()) * 2
         todo &= ~big
-        for L in sorted_distinct(lengths[todo]):
+        for L in sorted_distinct(lengths[todo]).tolist():
             ks = np.flatnonzero(todo & (lengths == L))
-            step = max(1, ROW_BLOCK // int(L))
+            step = max(1, ROW_BLOCK // L)
+            blocks, new = [], {}
             for lo in range(0, len(ks), step):
                 block = ks[lo:lo + step]
-                rows = parts.ids[parts.offsets[block][:, None] + np.arange(L)]
-                out[block] = self._class_diameters(ci, comp, rows)
+                keys, inverse = comp.class_keys(parts.ids[parts.offsets[block][:, None]
+                                                          + np.arange(L)])
+                names = [(ci, key.tobytes()) for key in keys]
+                new.update((n, key) for n, key in zip(names, keys) if n not in self._memo)
+                blocks.append((block, names, inverse))
+            if new:
+                rows = np.array(list(new.values()))
+                self._memo.update(zip(new, comp.row_diameters(rows, ROW_BLOCK)))
+            for block, names, inverse in blocks:
+                out[block] = np.array([self._memo[n] for n in names], dtype=np.int64)[inverse]
         return out
 
-    def _class_diameters(self, ci: int, comp, rows: np.ndarray) -> np.ndarray:
-        """Diameters of equal-length parts of one component, one per row."""
-        spec, m = comp.spec, comp.modulus
-        inv_first = coords_invert(spec, comp.coords[rows[:, 0]], m)
-        moved = product_ids(spec, inv_first[:, None, :], comp.coords[rows], m)
-        moved.sort(axis=1)
-        keys, first, inverse = np.unique(moved, axis=0, return_index=True,
-                                         return_inverse=True)
-        diam = np.empty(len(keys), dtype=np.int64)
-        for c, key in enumerate(keys):
-            memo_key = (ci, key.tobytes())
-            if memo_key not in self._memo:
-                self._memo[memo_key] = comp.subset_diameter(rows[first[c]])
-            diam[c] = self._memo[memo_key]
-        return diam[inverse.reshape(-1)]
+
+def _ball_diameter(ci: int, comp: CayleyGraph, ids, center, radius):
+    """min(2r, diam) when the distinct ids are B(c, r) for center = (ci, c)
+    and radius = r >= 0, else None; a malformed hint is None too."""
+    try:
+        cc, c = center
+        cc, c, r = operator.index(cc), operator.index(c), operator.index(radius)
+    except (TypeError, ValueError):
+        return None
+    if cc != ci or not 0 <= c < comp.n_vertices or r < 0 or not comp.is_ball(ids, c, r):
+        return None
+    return min(2 * r, comp.diameter)
 
 
 def _closest_pairs(comp: CayleyGraph, parts: _Parts, cap: int):
@@ -687,7 +709,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
             break
 
     oracle = _DiameterOracle(space)
-    diameters = oracle.set_diameters(layout, cover.n_sets())
+    diameters = oracle.set_diameters(layout, cover.n_sets(), cover.centers, cover.radii)
     max_diam = int(diameters.max(initial=0))
     oversized = None
     if S is not None:
@@ -873,7 +895,8 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
         cover = covers_by_scale[k]
         if cover.space is not box:
             raise ConfigError(f"cover at scale {k} is not over the given box space")
-        diameters = _DiameterOracle(box).set_diameters(cover.layout, cover.n_sets())
+        diameters = _DiameterOracle(box).set_diameters(cover.layout, cover.n_sets(),
+                                                       cover.centers, cover.radii)
         # straddling sets never enter the admissible window, so the scale
         # diameter is taken over the single-component sets only
         one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1

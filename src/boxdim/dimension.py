@@ -27,15 +27,15 @@ from .boxspace import (
     FiniteMetricSpace,
     thread_map,
 )
-from .cayley import GrowthBound
+from .cayley import GrowthBound, sorted_distinct
 from .covers import (
     Cover,
     _coloring_to_cover,
-    _dilate,
     _ranges,
     close_clusters,
     cover_prop41,
     first_fit_colors,
+    near_pairs,
     verify_cover,
 )
 from .errors import ConfigError, ResourceCapError, VerificationError
@@ -242,10 +242,16 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
         clusters.append(cluster)
         nearest = np.minimum(nearest, d)
 
-    # d(Ci, Cj) < R is symmetric, so each cluster's own R-1 dilation
-    # names all its neighbours
-    cluster_color = first_fit_colors(
-        set(assigned[_dilate(space, cluster, R - 1)].tolist()) for cluster in clusters)
+    # clusters a and b are neighbours when some pair of their points is
+    # closer than R; first_fit_colors reads only the neighbours b < a
+    n_cl = len(clusters)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for u, v in near_pairs(space, R):
+        a, b = assigned[u], assigned[v]
+        keys.append(sorted_distinct((a * n_cl + b)[b < a]))
+    a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
+    bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
+    cluster_color = first_fit_colors(b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
     coloring = [0] * n_pts
     for i, cluster in enumerate(clusters):
         for v in cluster:

@@ -292,6 +292,62 @@ def test_malformed_ini_values_exit_2(tmp_path, old, new, key):
     assert key in proc.stderr
 
 
+def test_tampered_ball_hints_change_no_report(tmp_path):
+    # the cover task's balls carry their center and radius; a hint the
+    # verifier cannot confirm must leave it exactly where no hint leaves it
+    wit = tmp_path / "wit.json"
+    assert run_cli(tmp_path, COVER_INI, "--export-witness", str(wit)).returncode == 0
+    good = json.loads(wit.read_text())
+    assert all(s["center"] is not None for s in good["families"][0])
+
+    def each_ball(edit):
+        def apply(d):
+            for s in d["families"][0]:
+                edit(s)
+            return d
+        return apply
+
+    def tight_s(d):
+        d["S"] = 7     # below the diameter 8 of the balls on Z/16
+        return d
+
+    def vertex_past_the_end(d):
+        d["families"][0][-1]["parts"][0][1][0] = 16
+        return d
+
+    bases = [("honest", lambda d: d, 0), ("tight S", tight_s, 4),
+             ("vertex past the end", vertex_past_the_end, 2)]
+    tampers = [
+        ("center of three", each_ball(lambda s: s.update(center=s["center"] + [0]))),
+        ("center on the other component",
+         each_ball(lambda s: s.update(center=[1 - s["center"][0], s["center"][1]]))),
+        ("center past the vertices", each_ball(lambda s: s.update(center=[s["center"][0], 16]))),
+        ("negative radius", each_ball(lambda s: s.update(radius=-1))),
+        ("radius 2**70", each_ball(lambda s: s.update(radius=2 ** 70))),
+        ("lying radius", each_ball(lambda s: s.update(radius=s["radius"] + 1))),
+    ]
+    bad = tmp_path / "bad.json"
+
+    def verify(d):
+        bad.write_text(json.dumps(d))
+        proc = run_cli(tmp_path, COVER_INI, "--verify-witness", str(bad))
+        summary = tmp_path / "out" / "summary.json"
+        report = summary.read_text() if proc.returncode == 0 else None
+        if summary.exists():
+            summary.unlink()
+        return proc.returncode, proc.stderr, report
+
+    for base, prepare, code in bases:
+        bare = prepare(copy.deepcopy(good))
+        each_ball(lambda s: s.update(center=None, radius=None))(bare)
+        want = verify(bare)
+        assert want[0] == code, (base, want[1])
+        for case, tamper in tampers:
+            got = verify(tamper(prepare(copy.deepcopy(good))))
+            assert "Traceback" not in got[1], (base, case)
+            assert got == want, (base, case)
+
+
 def test_random_rsdim_point_cap_exit_3(tmp_path):
     ini = """\
 [task]

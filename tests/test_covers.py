@@ -11,7 +11,13 @@ import pytest
 
 from boxdim import covers as covers_module
 from boxdim.boxspace import CoarseUnion, FiniteMetricSpace, build_box_space, isometry_profile
-from boxdim.cayley import GrowthBound, build_quotient_cayley, coords_multiply
+from boxdim.cayley import (
+    GrowthBound,
+    build_quotient_cayley,
+    coords_multiply,
+    fit_growth,
+    growth_profile,
+)
 from boxdim.covers import (
     Cover,
     CoverParams,
@@ -690,6 +696,34 @@ def test_prop41_torus_box():
     cover, report = cover_prop41(big, R=2, growth=growth)
     assert report.ok
     assert report.r_multiplicity <= 17
+
+
+@pytest.mark.parametrize("spec, moduli", [(free_abelian(2), (4, 8, 16)),
+                                          (unitriangular(3), (2, 4, 8))])
+def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, moduli):
+    box = build_box_space(Filtration(spec, moduli))
+    growth = fit_growth(growth_profile(spec, 8))
+    # any window will do: only the measured scale diameter is compared
+    window = {2: box.component_count - 1}
+    base = cover_prop41(box, R=2, growth=growth)[0]
+    want, exact = per_set_diameters(box, base)
+    assert exact
+    scale_diameters = assemble_box_families(
+        box, {2: families_from_multiplicity_cover(base, 2)}, None, window).scale_diameters
+    # every ball has 8 or more points: past a 50-comparison cap only its
+    # ball certificate keeps the diameter exact
+    monkeypatch.setattr(covers_module, "PAIR_CAP", 50)
+    cover, report = cover_prop41(box, R=2, growth=growth)
+    sizes = cover.set_sizes()[[i for i in range(cover.n_sets()) if i in cover.centers]]
+    assert sizes.size and sizes.min() ** 2 > 50
+    assert report.diameters_exact
+    assert report.max_set_diameter == max(want)
+    assert covers_module._DiameterOracle(box).set_diameters(
+        cover.layout, cover.n_sets(), cover.centers, cover.radii).tolist() == want
+    # the regrouped sets keep their hints, so the assembly measures the same
+    assert assemble_box_families(
+        box, {2: families_from_multiplicity_cover(cover, 2)}, None,
+        window).scale_diameters == scale_diameters
 
 
 # --- regrouping into disjoint families -------------------------------------------

@@ -1,12 +1,15 @@
 """Property tests: the vectorised arithmetic equals the scalar tuple
-arithmetic of boxdim.groups on random elements."""
+arithmetic of boxdim.groups on random elements, and the exact (R, S)
+solver equals the exhaustive one on random metric spaces."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from boxdim.boxspace import FiniteMetricSpace  # noqa: E402
 from boxdim.cayley import coords_invert, coords_multiply  # noqa: E402
+from boxdim.dimension import rs_dim_exact, rs_dim_exhaustive  # noqa: E402
 from boxdim.groups import (  # noqa: E402
     CongruenceQuotient,
     direct_product,
@@ -63,3 +66,24 @@ def test_vectorised_arithmetic_equals_scalar(case):
         want = scalar(spec, m, multiply(spec, a_elts[i], b_elts[i]))
         assert tuple(int(c) for c in prod[i]) == want
         assert tuple(int(c) for c in inv[i]) == scalar(spec, m, invert(spec, a_elts[i]))
+
+
+@st.composite
+def metric_spaces(draw):
+    """Integer metrics on 1..9 points: symmetric draws in 1..6 closed under
+    shortest paths."""
+    n = draw(st.integers(1, 9))
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 6), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    m += m.T
+    for k in range(n):
+        m = np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :])
+    return FiniteMetricSpace(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric_spaces(), st.integers(1, 4), st.integers(0, 6))
+def test_exact_solver_equals_exhaustive(space, R, S):
+    # 9 points have Bell(9) = 21,147 colorings, so the oracle stays fast
+    assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
