@@ -130,6 +130,9 @@ def moduli_from_config(cfg):
         if base < 2 or count < 1:
             raise ConfigError(f"powers rule needs base >= 2 and count >= 1, "
                               f"got base={base} count={count}")
+        if count > 63 or base ** count >= 2 ** 63:
+            raise ConfigError(f"[filtration] count = {count} with base = {base} puts "
+                              "the largest modulus at or past 2 ** 63")
         moduli = [base ** i for i in range(1, count + 1)]
     else:
         raise ConfigError("[filtration] needs either moduli or rule = powers")

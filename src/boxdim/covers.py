@@ -13,6 +13,7 @@ from the data rather than trusted from the construction.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,8 +51,8 @@ class CoverParams:
     """Exact parameter ladder for the packing cover at scale R.
 
     K = 4^d + 1; m is the smallest integer with (K/4^d)^m >= C R^d; the
-    diameter budget is S_0 = 4^(m+1) R.  All comparisons are exact
-    rationals, so the ladder is reproducible bit for bit.
+    diameter budget is S_0 = 4^(m+1) R.  m is confirmed by exact integer
+    comparisons, so the ladder is reproducible bit for bit.
     """
 
     R: int
@@ -69,16 +70,24 @@ class CoverParams:
         d = int(growth.d)
         if C <= 0 or d < 0:
             raise ConfigError(f"invalid growth bound C={C}, d={d}")
+        # m = log(C R^d) / log(1 + 4^-d) in floats, then confirmed exactly
+        # as the least m with K^m C.den >= C.num R^d 2^(2dm)
+        step = math.log1p(0.25 ** d)
+        log_target = math.log(C.numerator) - math.log(C.denominator) + d * math.log(R)
+        if log_target > 0 and not log_target <= step * (10 ** 6 + 1):
+            raise ConfigError("parameter ladder did not converge")
         K = 4 ** d + 1
-        ratio = Fraction(K, 4 ** d)
-        target = C * Fraction(R) ** d
-        m = 0
-        acc = Fraction(1)
-        while acc < target:
-            acc *= ratio
+
+        def holds(m):
+            return K ** m * C.denominator >= C.numerator * R ** d << (2 * d * m)
+
+        m = math.ceil(log_target / step) if log_target > 0 else 0
+        while m > 0 and holds(m - 1):
+            m -= 1
+        while not holds(m):
             m += 1
-            if m > 10 ** 6:
-                raise ConfigError("parameter ladder did not converge")
+        if m > 10 ** 6:
+            raise ConfigError("parameter ladder did not converge")
         return cls(R=R, C=C, d=d, K=K, m=m, S_0=4 ** (m + 1) * R)
 
 
@@ -350,10 +359,6 @@ class CoverReport:
 
 # --- exact geometry helpers --------------------------------------------------
 
-def _ids_array(ids) -> np.ndarray:
-    return np.asarray(ids, dtype=np.int64)
-
-
 class _DiameterOracle:
     """Exact set diameters from the sets' structure, then their pairs.
 
@@ -458,98 +463,146 @@ def _ball_diameter(ci: int, comp: CayleyGraph, ids, center, radius):
     return min(2 * r, comp.diameter)
 
 
-def _closest_pairs(comp: CayleyGraph, parts: _Parts, cap: int):
-    """Candidate close pairs among the distinct sets of one Cayley graph.
+def _dilation(comp, parts: _Parts, r: int):
+    """Blocks (part, vertex, distance) of int64 arrays: one row for each
+    part k of parts and vertex v with d(part k, v) <= r, the distance exact.
 
-    Returns {(set_a, set_b): bound}, a < b set indices, with bound >= the
-    true distance.  Each vertex is owned by the first set containing it,
-    and a later set containing it is a clash at distance 0.  One
-    multi-source BFS with owner propagation, then d(u) + 1 + d(v) over
-    edges whose endpoints have different owners.  The midpoint argument
-    makes the minimum over all returned pairs the exact minimum over all
-    set pairs whenever that minimum is < cap (a closer pair would own the
-    crossing edge), so the empty dict certifies pairwise distance >= cap;
-    individual non-minimal entries may overestimate and callers recompute
-    them exactly.
+    On a Cayley graph B(v, r) = v B(e, r), so a part P reaches v through its
+    own ids (distance 0) and the identity ball translated onto its edge
+    points, the points of P with a neighbour outside P; each ball point
+    carries its distance from e.  This is exact: a geodesic from P to v
+    last leaves P at an edge point a, and then d(a, v) = d(P, v).  Parts
+    are expanded in blocks of at most ROW_BLOCK rows, and one sort of
+    (part, vertex, d) packed into one integer keeps the smallest distance
+    per (part, vertex).  A part whose expansion alone passes a block, and
+    every part on another kind of component, is read from its distance
+    field.
     """
-    found = {}
-    if cap <= 0:
-        return found
-
-    def note(a, b, d):
-        if a == b:
-            return
-        key = (a, b) if a <= b else (b, a)
-        if key not in found or found[key] > d:
-            found[key] = d
-
-    n = comp.n_vertices
-    owner = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int32)
-    verts, first = np.unique(parts.ids, return_index=True)
-    owner[verts] = parts.owner[first]
-    dist[verts] = 0
-    clash = parts.owner != owner[parts.ids]
-    for a, b in set(zip(owner[parts.ids[clash]].tolist(),
-                        parts.owner[clash].tolist())):
-        note(a, b, 0)
-    depth = (cap + 1) // 2
-    frontier = np.flatnonzero(dist == 0)
-    deg = comp.adjacency.shape[1]
-    for level in range(1, depth + 1):
-        nbrs = comp.adjacency[frontier].ravel()
-        src = np.repeat(owner[frontier], deg)
-        mask = dist[nbrs] < 0
-        nbrs, src = nbrs[mask], src[mask]
-        if nbrs.size == 0:
-            break
-        uniq, first = np.unique(nbrs, return_index=True)
-        dist[uniq] = level
-        owner[uniq] = src[first]
-        frontier = uniq
-    u = np.repeat(np.arange(n, dtype=np.int64), deg)
-    v = comp.adjacency.ravel().astype(np.int64)
-    ok = (owner[u] >= 0) & (owner[v] >= 0) & (owner[u] != owner[v])
-    if ok.any():
-        du, dv = dist[u[ok]], dist[v[ok]]
-        tot = du.astype(np.int64) + dv + 1
-        close = tot < cap
-        for a, b, d in zip(owner[u[ok]][close], owner[v[ok]][close], tot[close]):
-            note(int(a), int(b), int(d))
-    return found
-
-
-def _close_pairs(comp, parts: _Parts, R: int) -> dict:
-    """{(set_a, set_b): distance} for every pair of sets on one component
-    closer than R, a < b set indices, each distance exact.
-
-    On a Cayley graph owner propagation (_closest_pairs) runs first, and
-    its usual empty answer certifies the component R-disjoint.  Otherwise
-    only the sets it names are measured: walking a geodesic of length < R
-    out of a set A, the first vertex owned by another set (or a vertex A
-    shares) gives a named pair with A in it.  Other components measure
-    every set.
-    """
-    found = {}
-    if R <= 0:
-        return found
-    ks = np.arange(len(parts.sets))
+    n, lengths = comp.n_vertices, parts.lengths
+    r = min(r, comp.diameter)
+    big = np.ones(len(lengths), dtype=bool)
     if isinstance(comp, CayleyGraph):
-        named = {a for pair in _closest_pairs(comp, parts, R) for a in pair}
-        ks = np.searchsorted(parts.sets, sorted(named))
-    # the ids of the measured parts, each with its part's position in ks
-    rank = np.full(len(parts.sets), -1)
-    rank[ks] = np.arange(len(ks))
-    rank = np.repeat(rank, parts.lengths)
-    ids, rank = parts.ids[rank >= 0], rank[rank >= 0]
-    for i, x in enumerate(ks):
-        d = comp.distances_to(parts.part(x), cap=R - 1)[ids]
-        hit = (rank > i) & (d >= 0)
-        best = np.full(len(ks), R, dtype=np.int64)
-        np.minimum.at(best, rank[hit], d[hit])
-        for j in np.flatnonzero(best < R):
-            found[(int(parts.sets[x]), int(parts.sets[ks[j]]))] = int(best[j])
-    return found
+        ball = comp.identity_ball_ids(r)
+        # the owner table names one set per vertex; where sets overlap, edge
+        # may hold extra points, which only adds rows
+        vowner = np.full(n, -1, dtype=np.int64)
+        vowner[parts.ids] = parts.owner
+        edge = np.zeros(len(parts.ids), dtype=bool)
+        for column in comp.adjacency.T:
+            edge |= vowner[column[parts.ids]] != parts.owner
+        n_edge = np.diff(np.concatenate(([0], np.cumsum(edge)))[parts.offsets])
+        rows = lengths + n_edge * ball.size
+        big = rows > ROW_BLOCK
+    for k in np.flatnonzero(big):
+        d = comp.distances_to(parts.part(k), cap=r)
+        v = np.flatnonzero(d >= 0)
+        yield np.full(v.size, k), v, d[v].astype(np.int64)
+    if big.all():
+        return
+
+    at = np.repeat(~big, lengths)
+    ids, part, edge = parts.ids[at], np.repeat(np.arange(len(lengths)), lengths)[at], edge[at]
+    bounds = np.concatenate(([0], np.cumsum(lengths[~big])))
+    ends = np.cumsum(rows[~big])
+    ball_coords, ball_d = comp.coords[ball][None, :, :], comp.dist[ball].astype(np.int64)
+    # a part here has |B(e, r)| <= ROW_BLOCK, or no edge point and V <= ROW_BLOCK:
+    # its index and r stay below 2^16, so the packed key fits while V < 2^31
+    vb, db = (n - 1).bit_length(), r.bit_length()
+    lo = 0
+    while lo < len(ends):
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + ROW_BLOCK,
+                                 side="right"))
+        v, p, e = (a[bounds[lo]:bounds[hi]] for a in (ids, part, edge))
+        p0 = p[0]
+        p = p - p0
+        keys = product_ids(comp.spec, comp.coords[v[e]][:, None, :],
+                           ball_coords, comp.modulus).astype(np.int64)
+        keys |= p[e][:, None] << vb
+        keys <<= db
+        keys |= ball_d
+        keys = np.concatenate((keys.ravel(), (p << vb | v) << db))
+        keys = _least(keys, db)
+        pv = keys >> db
+        yield (pv >> vb) + p0, pv & ((1 << vb) - 1), keys & ((1 << db) - 1)
+        lo = hi
+
+
+def _least(keys: np.ndarray, shift: int) -> np.ndarray:
+    """The smallest of the keys equal after >> shift, sorted: for keys
+    packed as (item << shift | value), each item once with its least value.
+    Sorts keys in place."""
+    keys.sort()
+    item = keys >> shift
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(item[1:], item[:-1], out=first[1:])
+    return keys[first]
+
+
+def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
+    """(R-multiplicity, close pairs) of a cover from one _dilation pass per
+    component at radius R; layout is cover.layout.
+
+    The multiplicity is the max over points of the number of sets meeting
+    B(point, R).  A set reaches the whole of component cj through another
+    of its components ci whenever diam(ci) + diam(cj) <= R; otherwise it
+    reaches the R-dilation of its part on cj, if it has one.
+
+    The close pairs, when disjoint, are arrays (a, b, d): every pair a < b
+    of sets of one family closer than R, with the exact distance.  The
+    dilation rows with d < R are joined against the sets holding their
+    vertex, looked up by vertex (a binary search per row measured slower);
+    a pair on several components keeps its smallest distance, and sets on
+    two components sit at the sum of their diameters.
+    """
+    if R < 0:
+        raise ConfigError(f"R must be >= 0, got {R}")
+    space, fam, N = cover.space, cover.set_family, cover.n_sets()
+    diams = np.asarray(space.diameters, dtype=np.int64)
+    member = np.zeros((len(layout), N), dtype=bool)
+    for ci, parts in enumerate(layout):
+        member[ci, parts.sets] = True
+    # a close pair (a, b) at distance d is packed as (a * N + b) << db | d
+    db = int(min(R, 2 * diams.max(initial=0) + 1)).bit_length()
+    best, found = 0, []
+    for cj, parts in enumerate(layout):
+        n = space.components[cj].n_vertices
+        via = diams + diams[cj] <= R
+        via[cj] = False
+        cross = member[via].any(axis=0)
+        keep = ~cross[parts.sets]
+        # the sets holding vertex v are holders[first[v]:first[v + 1]]
+        holders = parts.owner[np.argsort(parts.ids, kind="stable")]
+        first = np.concatenate(([0], np.cumsum(np.bincount(parts.ids, minlength=n))))
+        counts = np.zeros(n, dtype=np.int64)
+        for k, v, d in _dilation(space.components[cj], parts, R):
+            counts += np.bincount(v[keep[k]], minlength=n)
+            if disjoint:
+                near = d < R
+                a, v, d = parts.sets[k[near]], v[near], d[near]
+                lo, hi = first[v], first[v + 1]
+                a, d, b = np.repeat(a, hi - lo), np.repeat(d, hi - lo), holders[_ranges(lo, hi)]
+                pair = (a < b) & (fam[a] == fam[b])
+                found.append(_least((a * N + b)[pair] << db | d[pair], db))
+        best = max(best, int(counts.max()) + int(np.count_nonzero(cross)))
+    if not disjoint:
+        return best, None
+    for ci in range(len(layout)):
+        for cj in range(ci + 1, len(layout)):
+            if diams[ci] + diams[cj] < R:
+                a, b = np.meshgrid(layout[ci].sets, layout[cj].sets, indexing="ij")
+                a, b = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+                pair = (fam[a] == fam[b]) & (a != b)
+                found.append((a * N + b)[pair] << db | (diams[ci] + diams[cj]))
+    found = _least(np.concatenate(found + [np.zeros(0, dtype=np.int64)]), db)
+    return best, (*np.divmod(found >> db, N), found & ((1 << db) - 1))
+
+
+def _witnesses(cover: Cover, pairs) -> list:
+    """(family, label_a, label_b, distance) for the close pairs of
+    _near_sets, label_a < label_b, sorted."""
+    fam, labels = cover.set_family.tolist(), cover.labels
+    return sorted((fam[a], *sorted((labels[a], labels[b])), d)
+                  for a, b, d in zip(*(x.tolist() for x in pairs)))
 
 
 def family_violations(space, family, R: int):
@@ -559,131 +612,13 @@ def family_violations(space, family, R: int):
     CoverSets."""
     if not isinstance(family, Cover):
         family = Cover(space, (tuple(family),))
-    labels, layout = family.labels, family.layout
-    out = {}
-
-    def note(a, b, d):
-        key = tuple(sorted((labels[a], labels[b])))
-        if key not in out or out[key] > d:
-            out[key] = d
-
-    present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
-    for ci in present:
-        if layout[ci].sets.size > 1:
-            for (a, b), d in _close_pairs(space.components[ci], layout[ci], R).items():
-                note(a, b, d)
-    # cross-component pairs sit at exactly the sum of the diameters
-    diams = space.diameters
-    for x, i in enumerate(present):
-        for j in present[x + 1:]:
-            d = diams[i] + diams[j]
-            if d >= R:
-                continue
-            for a in layout[i].sets.tolist():
-                for b in layout[j].sets.tolist():
-                    if a != b:
-                        note(a, b, d)
-    return [(a, b, d) for (a, b), d in sorted(out.items())]
-
-
-def _dilate(comp, ids: np.ndarray, r: int) -> np.ndarray:
-    """Vertex ids within distance <= r of the given set, in one component."""
-    if r == 0:
-        return sorted_distinct(_ids_array(ids))
-    return np.flatnonzero(comp.distances_to(_ids_array(ids), cap=r) >= 0)
-
-
-def _dilation_counts(comp, parts: _Parts, R: int, keep: np.ndarray) -> np.ndarray:
-    """Per vertex, how many of the kept parts have it within distance R.
-
-    On a Cayley graph B(v, R) = v B(e, R), so a part's R-dilation is the
-    identity ball translated onto its vertices.  Only its edge points need
-    the ball: B(P, R) = P | B(edge, R), where edge holds every point of P
-    with a neighbour outside P (a geodesic leaving P last touches P at such
-    a point).  Parts are expanded in blocks of at most ROW_BLOCK rows,
-    deduplicated per set with one sort on set * V + vertex, and counted
-    with bincount.  A part that covers the component (or a ball that does)
-    adds 1 everywhere; a part whose expansion alone exceeds a block is
-    dilated by multi-source BFS instead.  Components other than Cayley
-    graphs dilate every part through their distance field.
-    """
-    n = comp.n_vertices
-    counts = np.zeros(n, dtype=np.int64)
-    if not isinstance(comp, CayleyGraph):
-        for k in np.flatnonzero(keep):
-            counts[_dilate(comp, parts.part(k), R)] += 1
-        return counts
-    ball = comp.identity_ball_ids(R)
-    lengths = parts.lengths
-    if ball.size == n:
-        whole = keep
-    else:
-        whole = keep & (lengths >= n)
-        for k in np.flatnonzero(whole):
-            whole[k] = sorted_distinct(parts.part(k)).size == n
-    counts += int(np.count_nonzero(whole))
-
-    todo = np.flatnonzero(keep & ~whole)
-    at = np.repeat(keep & ~whole, lengths)
-    ids, owner = parts.ids[at], parts.owner[at]
-    # the owner table names one set per vertex; where sets overlap, edge
-    # may hold extra points, which only adds rows
-    vowner = np.full(n, -1, dtype=np.int64)
-    vowner[ids] = owner
-    edge = np.zeros(len(ids), dtype=bool)
-    for column in comp.adjacency.T:
-        edge |= vowner[column[ids]] != owner
-    bounds = np.concatenate(([0], np.cumsum(lengths[todo])))
-    n_edge = np.diff(np.concatenate(([0], np.cumsum(edge)))[bounds])
-    rows = lengths[todo] + n_edge * ball.size
-    big = rows > ROW_BLOCK
-    for k in todo[big]:
-        counts[_dilate(comp, parts.part(k), R)] += 1
-
-    at = np.repeat(~big, lengths[todo])
-    ids, owner, edge = ids[at], owner[at], edge[at]
-    bounds = np.concatenate(([0], np.cumsum(lengths[todo[~big]])))
-    ends = np.cumsum(rows[~big])
-    ball_coords = comp.coords[ball][None, :, :]
-    lo = 0
-    while lo < len(ends):
-        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + ROW_BLOCK,
-                                 side="right"))
-        v, o, e = (a[bounds[lo]:bounds[hi]] for a in (ids, owner, edge))
-        o = o - o[0]
-        reached = product_ids(comp.spec, comp.coords[v[e]][:, None, :],
-                              ball_coords, comp.modulus)
-        keys = sorted_distinct(np.concatenate(((o[e][:, None] * n + reached).ravel(),
-                                               o * n + v)))
-        counts += np.bincount(keys % n, minlength=n)
-        lo = hi
-    return counts
+    _, pairs = _near_sets(family, family.layout, max(R, 0))
+    return [w[1:] for w in _witnesses(family, pairs)]
 
 
 def r_multiplicity(cover: Cover, R: int) -> int:
-    """max over points of the number of cover sets meeting B(point, R).
-
-    A set reaches the whole of component cj through another of its
-    components ci whenever diam(ci) + diam(cj) <= R; otherwise it reaches
-    the R-dilation of its part on cj, if it has one.
-    """
-    if R < 0:
-        raise ConfigError(f"R must be >= 0, got {R}")
-    space = cover.space
-    diams = np.asarray(space.diameters, dtype=np.int64)
-    layout = cover.layout
-    member = np.zeros((len(layout), cover.n_sets()), dtype=bool)
-    for ci, parts in enumerate(layout):
-        member[ci, parts.sets] = True
-    best = 0
-    for cj, parts in enumerate(layout):
-        via = diams + diams[cj] <= R
-        via[cj] = False
-        cross = member[via].any(axis=0)
-        counts = _dilation_counts(space.components[cj], parts, R,
-                                  keep=~cross[parts.sets])
-        best = max(best, int(counts.max()) + int(np.count_nonzero(cross)))
-    return best
+    """max over points of the number of cover sets meeting B(point, R)."""
+    return _near_sets(cover, cover.layout, R, disjoint=False)[0]
 
 
 def verify_cover(cover: Cover, R: int, S: int | None = None,
@@ -691,10 +626,11 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
     """Exact verification: coverage, set diameters, per-family R-disjointness,
     and R-multiplicity.  Failures are report content with witnesses.
 
-    All four checks run on the cover's flat per-component layout.
-    check_disjoint=False skips the family disjointness pass; covers bounded
-    by multiplicity instead of disjointness (one family of overlapping
-    balls) are verified that way.
+    All four checks run on the cover's flat per-component layout, and one
+    dilation pass (_near_sets) gives both the multiplicity and the close
+    pairs of every family.  check_disjoint=False skips the close pairs;
+    covers bounded by multiplicity instead of disjointness (one family of
+    overlapping balls) are verified that way.
     """
     space = cover.space
     layout = cover.layout
@@ -717,16 +653,12 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
         if over.size:
             oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
-    fam_mins = []
-    close = []
+    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint)
+    fam_mins, close = [], []
     if check_disjoint:
-        for j in range(cover.n_families):
-            viol = family_violations(space, cover.family(j), R)
-            if viol:
-                fam_mins.append(min(d for _, _, d in viol))
-                close.extend((j, a, b, d) for a, b, d in viol)
-            else:
-                fam_mins.append(None)
+        close = _witnesses(cover, pairs)
+        fam_mins = [min((d for f, _, _, d in close if f == j), default=None)
+                    for j in range(cover.n_families)]
 
     return CoverReport(R=R, S=S,
                        is_cover=uncovered is None,
@@ -736,7 +668,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
                        oversized_witness=oversized,
                        family_min_distances=tuple(fam_mins),
                        close_pair_witnesses=tuple(close),
-                       r_multiplicity=r_multiplicity(cover, R),
+                       r_multiplicity=multiplicity,
                        disjointness_checked=check_disjoint)
 
 
@@ -812,38 +744,21 @@ def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
     families.  The family count is whatever the proximity graph forces; the
     result is re-verified to be R-disjoint family by family.
     """
-    space = cover.space
-    edges = [set() for _ in range(cover.n_sets())]
-    layout = cover.layout
-    diams = space.diameters
-    present = [ci for ci, parts in enumerate(layout) if parts.sets.size]
-    for x, ci in enumerate(present):
-        parts = layout[ci]
-        # the sets holding each vertex, as runs of the ids sorted by vertex
-        order = np.argsort(parts.ids, kind="stable")
-        held, holders = parts.ids[order], parts.owner[order]
-        for k, i in enumerate(parts.sets.tolist()):
-            # d(A, B) < R is symmetric, so A's own dilation names every
-            # such B; first_fit_colors reads only the smaller index
-            near = _dilate(space.components[ci], parts.part(k), max(R - 1, 0))
-            edges[i].update(holders[_ranges(np.searchsorted(held, near),
-                                            np.searchsorted(held, near, "right"))].tolist())
-        for cj in present[x + 1:]:
-            if diams[ci] + diams[cj] < R:
-                here, there = parts.sets.tolist(), layout[cj].sets.tolist()
-                for a in here:
-                    edges[a].update(there)
-                for b in there:
-                    edges[b].update(here)
-
-    colors = np.asarray(first_fit_colors(edges), dtype=np.int64)
+    # one family holds every set; R < 1 still separates overlapping sets
+    n = cover.n_sets()
+    one = cover.take(np.arange(n), np.zeros(n), 1)
+    a, b, _ = _near_sets(one, one.layout, max(R, 1))[1]
+    order = np.argsort(b, kind="stable")
+    a, bounds = a[order].tolist(), np.searchsorted(b[order], np.arange(n + 1)).tolist()
+    colors = np.asarray(first_fit_colors(a[bounds[i]:bounds[i + 1]] for i in range(n)),
+                        dtype=np.int64)
     order = np.argsort(colors, kind="stable")
     out = cover.take(order, colors[order], int(colors.max(initial=0)) + 1)
-    for j in range(out.n_families):
-        viol = family_violations(space, out.family(j), R)
-        if viol:
-            raise VerificationError(
-                f"regrouped family {j} is not {R}-disjoint: {viol[0]}")
+    close = _witnesses(out, _near_sets(out, out.layout, max(R, 0))[1])
+    if close:
+        j, *viol = close[0]
+        raise VerificationError(
+            f"regrouped family {j} is not {R}-disjoint: {tuple(viol)}")
     return out
 
 
@@ -1068,7 +983,7 @@ def close_clusters(n: int, pairs) -> list:
         return []
     lab = np.arange(n, dtype=np.int64)
     for i, j in pairs:
-        i, j = _ids_array(i), _ids_array(j)
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
         while True:
             li, lj = lab[i], lab[j]
             differ = li != lj

@@ -218,13 +218,11 @@ def hirsch_length(spec: GroupSpec) -> int:
     """Length of any subnormal series with infinite cyclic quotients.
 
     Equals the rank for free abelian groups, n(n-1)/2 for unitriangular
-    n x n, and is additive over direct products.
+    n x n, and is additive over direct products.  For these groups each
+    coordinate spans one infinite cyclic factor of such a series (the
+    coordinates are Mal'cev coordinates), so it is num_coordinates(spec).
     """
-    if spec.kind == FREE_ABELIAN:
-        return spec.rank
-    if spec.kind == UNITRIANGULAR:
-        return spec.size * (spec.size - 1) // 2
-    return sum(hirsch_length(f) for f in spec.factors)
+    return num_coordinates(spec)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,30 @@ def test_malformed_ini_values_exit_2(tmp_path, old, new, key):
     assert key in proc.stderr
 
 
+def _cap_address_space():
+    """Run in the child only: 1 GiB of address space."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("moduli = 8 16", "rule = powers\nbase = 2\ncount = 100000000", "[filtration] count"),
+    ("growth_d = 1", "growth_d = 1000000000", "parameter ladder did not converge"),
+])
+def test_huge_values_exit_2_under_a_memory_cap(tmp_path, old, new, key):
+    # each used to build a number or list past the cap and exit 1 with a
+    # MemoryError after 9 to 25 s
+    assert old in COVER_INI
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(COVER_INI.replace(old, new))
+    proc = subprocess.run([sys.executable, "-m", "boxdim", "--config", str(cfg)],
+                          capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
+
+
 def test_tampered_ball_hints_change_no_report(tmp_path):
     # the cover task's balls carry their center and radius; a hint the
     # verifier cannot confirm must leave it exactly where no hint leaves it

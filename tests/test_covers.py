@@ -41,7 +41,13 @@ from boxdim.errors import (
     InsufficientInputError,
     VerificationError,
 )
-from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
+from boxdim.groups import (
+    CongruenceQuotient,
+    Filtration,
+    direct_product,
+    free_abelian,
+    unitriangular,
+)
 
 
 # --- reference implementations ------------------------------------------------
@@ -122,6 +128,37 @@ def test_params_rejects_bad_input():
         CoverParams.from_growth(0, g)
     with pytest.raises(ConfigError):
         CoverParams.from_growth(2, GrowthBound(C=Fraction(-1), d=1, validated_range=(1, 4)))
+
+
+def ladders_by_steps(C, d, radii):
+    """m for each of the increasing radii as the old from_growth loop found
+    it: multiply (K/4^d) in until the product reaches C R^d.  Both sides
+    are cross-multiplied into integers, and one pass serves every R."""
+    K = 4 ** d + 1
+    num, den, m, out = 1, 1, 0, []
+    for R in radii:
+        target = C * R ** d
+        while num * target.denominator < target.numerator * den:
+            num, den, m = num * K, den << 2 * d, m + 1
+        out.append(m)
+    return out
+
+
+def test_params_ladder_equals_the_stepwise_search():
+    radii = range(1, 17)
+    for d in range(6):
+        for C in (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 2), Fraction(100)):
+            got = [CoverParams.from_growth(R, GrowthBound(C=C, d=d, validated_range=(1, 4))).m
+                   for R in radii]
+            assert got == ladders_by_steps(C, d, radii), (d, C)
+
+
+def test_params_refuse_a_ladder_past_a_million_rungs():
+    # d = 9 needs more than 10^6 rungs; d = 10^9 used to run out of memory
+    # computing 4^d before the loop started
+    for d in (9, 10 ** 9):
+        with pytest.raises(ConfigError, match="did not converge"):
+            CoverParams.from_growth(2, GrowthBound(C=Fraction(3), d=d, validated_range=(1, 4)))
 
 
 # --- doubling radius -----------------------------------------------------------
@@ -357,13 +394,47 @@ def test_batched_multiplicity_matches_brute_force(monkeypatch, name, row_block):
             # the per-vertex dilation counts behind the maximum
             for ci, parts in enumerate(cover.layout):
                 comp = box.components[ci]
-                got = covers_module._dilation_counts(
-                    comp, parts, R, keep=np.ones(len(parts.sets), dtype=bool))
+                got = np.zeros(comp.n_vertices, dtype=np.int64)
+                for _, v, _ in covers_module._dilation(comp, parts, R):
+                    got += np.bincount(v, minlength=comp.n_vertices)
                 want = [sum(1 for i in parts.sets
                             if any(comp.distance(v, u) <= R
                                    for u in dict(sets[i].parts)[ci]))
                         for v in range(comp.n_vertices)]
                 assert got.tolist() == want, (name, R, ci)
+
+
+DILATION_BOXES = dict(KERNEL_BOXES,
+                      ZxUT3=(direct_product(free_abelian(1), unitriangular(3)), (2, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(DILATION_BOXES))
+@pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
+def test_dilation_matches_distance_fields(monkeypatch, name, row_block):
+    # every (part, vertex) pair within r, once, at its exact distance, on
+    # the Cayley components and on their matrix twins; a 40-row block
+    # splits covers and sends larger parts to the distance-field branch
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+    spec, moduli = DILATION_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"dilation-{name}")
+    for space in (box, matrix_twin(box)):
+        for _ in range(3):
+            cover = Cover(space, random_cover(rng, box, rng.randrange(3, 9)).families)
+            for ci, parts in enumerate(cover.layout):
+                comp = space.components[ci]
+                for r in range(7):
+                    got = np.concatenate([np.stack(block)
+                                          for block in covers_module._dilation(comp, parts, r)]
+                                         + [np.zeros((3, 0), dtype=np.int64)], axis=1)
+                    want = []
+                    for k in range(len(parts.sets)):
+                        d = comp.distances_to(parts.part(k), cap=r)
+                        v = np.flatnonzero(d >= 0)
+                        want.append(np.stack((np.full(v.size, k), v, d[v])))
+                    want = np.concatenate(want + [np.zeros((3, 0), dtype=np.int64)], axis=1)
+                    assert (got[:, np.lexsort(got[::-1])].tolist()
+                            == want[:, np.lexsort(want[::-1])].tolist()), (name, ci, r)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
@@ -787,7 +858,7 @@ def old_regroup(cover, R):
                 point_sets.setdefault(v, []).append(label)
         for label, ids in groups:
             ids = np.asarray(ids, dtype=np.int64)
-            near = covers_module._dilate(comp, ids, R - 1) if R >= 1 else ids
+            near = np.flatnonzero(comp.distances_to(ids, cap=R - 1) >= 0) if R >= 1 else ids
             i = index[label]
             for v in near:
                 for other in point_sets.get(int(v), ()):

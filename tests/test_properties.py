@@ -1,17 +1,20 @@
 """Property tests: the vectorised arithmetic equals the scalar tuple
-arithmetic of boxdim.groups on random elements, and the exact (R, S)
-solver equals the exhaustive one on random metric spaces."""
+arithmetic of boxdim.groups on random elements, the exact (R, S) solver
+equals the exhaustive one on random metric spaces, and the verifier's
+multiplicity and close pairs equal brute force on random covers."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from boxdim.boxspace import FiniteMetricSpace  # noqa: E402
+from boxdim.boxspace import FiniteMetricSpace, build_box_space  # noqa: E402
 from boxdim.cayley import coords_invert, coords_multiply  # noqa: E402
+from boxdim.covers import Cover, CoverSet, r_multiplicity, verify_cover  # noqa: E402
 from boxdim.dimension import rs_dim_exact, rs_dim_exhaustive  # noqa: E402
 from boxdim.groups import (  # noqa: E402
     CongruenceQuotient,
+    Filtration,
     direct_product,
     flatten,
     free_abelian,
@@ -22,6 +25,7 @@ from boxdim.groups import (  # noqa: E402
     unflatten,
     unitriangular,
 )
+from test_covers import brute_multiplicity  # noqa: E402
 
 SPECS = [
     free_abelian(1),
@@ -87,3 +91,56 @@ def metric_spaces(draw):
 def test_exact_solver_equals_exhaustive(space, R, S):
     # 9 points have Bell(9) = 21,147 colorings, so the oracle stays fast
     assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+
+
+BOXES = [build_box_space(Filtration(spec, moduli)) for spec, moduli in (
+    (free_abelian(1), (2, 4, 8)),
+    (free_abelian(2), (2, 4)),
+    (unitriangular(3), (2,)),
+    (direct_product(free_abelian(1), unitriangular(3)), (2,)),
+)]
+
+
+@st.composite
+def covers(draw):
+    """Overlapping sets of one to three families on a small box: one or two
+    components each, ids drawn with repeats."""
+    box = draw(st.sampled_from(BOXES))
+    n_families = draw(st.integers(1, 3))
+    families = [[] for _ in range(n_families)]
+    for k in range(draw(st.integers(1, 6))):
+        comps = draw(st.lists(st.integers(0, box.component_count - 1),
+                              min_size=1, max_size=2, unique=True))
+        parts = tuple((ci, tuple(draw(st.lists(
+            st.integers(0, box.components[ci].n_vertices - 1), min_size=1, max_size=10))))
+            for ci in sorted(comps))
+        families[draw(st.integers(0, n_families - 1))].append(CoverSet(f"s{k}", parts))
+    return Cover(box, tuple(map(tuple, families)))
+
+
+def brute_close_pairs(cover, R):
+    """(family, label_a, label_b, distance) for every pair of sets of one
+    family closer than R, from every pair of their points."""
+    space, out = cover.space, []
+    for j, fam in enumerate(cover.families):
+        for x, a in enumerate(fam):
+            for b in fam[x + 1:]:
+                d = min(space.distance(p, q) for p in a.points() for q in b.points())
+                if d < R:
+                    out.append((j, *sorted((a.label, b.label)), d))
+    return sorted(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(covers())
+def test_multiplicity_and_close_pairs_equal_brute_force(cover):
+    # R up to 8 passes the sum of two component diameters on the boxes
+    # with several components
+    for R in range(9):
+        close = brute_close_pairs(cover, R)
+        report = verify_cover(cover, R)
+        assert r_multiplicity(cover, R) == report.r_multiplicity == brute_multiplicity(cover, R)
+        assert list(report.close_pair_witnesses) == close
+        assert report.family_min_distances == tuple(
+            min((d for f, _, _, d in close if f == j), default=None)
+            for j in range(cover.n_families))
