@@ -15,13 +15,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConfigError, ResourceCapError, ShapeMismatchError
 from .cayley import (
     CayleyGraph,
+    _ball,
     ball_levels,
     breadth_first_distances,
     build_quotient_cayley,
@@ -151,7 +151,10 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
-        m = np.asarray(matrix, dtype=np.int64)
+        m = np.asarray(matrix)
+        if m.size and abs(m).max() > np.iinfo(np.int32).max:    # stored as int32
+            raise ConfigError("distance matrix has an entry past ±(2**31 - 1)")
+        m = m.astype(np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"distance matrix must be square, got {m.shape}")
         n = m.shape[0]
@@ -243,11 +246,9 @@ def verify_ball_isometry(quotient, k: int, state_cap: int = 10 ** 7) -> bool:
     reduced coordinates of the ball's elements, read as base-m keys, are
     distinct.
     """
-    if k < 0:
-        raise ConfigError(f"radius must be >= 0, got {k}")
     m = quotient.modulus
     keys = np.concatenate([row_keys(rows % m, 0, m) for rows in
-                           islice(ball_levels(quotient.spec, state_cap), k + 1)])
+                           _ball(quotient.spec, k, state_cap)])
     return sorted_distinct(keys).size == keys.size
 
 
@@ -297,7 +298,7 @@ def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricS
     ball's keys; a step that leaves the ball becomes a self-loop, which
     BFS then never follows.
     """
-    ball = np.concatenate(list(islice(ball_levels(spec, state_cap), radius + 1)))
+    ball = np.concatenate(list(_ball(spec, radius, state_cap)))
     if ball.shape[0] > GRAPH_POINT_CAP:
         raise ResourceCapError(f"{ball.shape[0]} points exceeds the cap {GRAPH_POINT_CAP}")
     table = neighbour_table(spec, ball)

@@ -207,14 +207,10 @@ class CayleyGraph:
         # dist is never mutated after construction, so the value is cached.
         return int(self.dist.max())
 
-    def _powers(self) -> np.ndarray:
-        m = self.modulus
-        k = self.coords.shape[1]
-        return np.array([m ** i for i in range(k)], dtype=np.int64)
-
     def encode(self, coords: np.ndarray) -> np.ndarray:
         """Mixed-radix vertex ids of a (V, k) or (k,) coordinate array."""
-        return np.asarray(coords, dtype=np.int64) @ self._powers()
+        powers = self.modulus ** np.arange(self.coords.shape[1], dtype=np.int64)
+        return np.asarray(coords, dtype=np.int64) @ powers
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n_vertices):
@@ -367,14 +363,11 @@ def breadth_first_distances(adjacency: np.ndarray, sources, cap: int | None = No
 
 
 def quotient_coords(quotient: CongruenceQuotient) -> np.ndarray:
-    """(V, k) coordinates of the vertex ids 0..V-1, decoded mixed-radix."""
-    m = quotient.modulus
-    acc = np.arange(quotient.order, dtype=np.int64)
-    coords = np.empty((quotient.order, num_coordinates(quotient.spec)), dtype=np.int64)
-    for i in range(coords.shape[1]):
-        coords[:, i] = acc % m
-        acc = acc // m
-    return coords
+    """(V, k) coordinates of the vertex ids 0..V-1, decoded mixed-radix:
+    the first coordinate is the least significant digit."""
+    rows = _key_rows(np.arange(quotient.order, dtype=np.int64), 0, quotient.modulus,
+                     num_coordinates(quotient.spec))
+    return np.ascontiguousarray(rows[:, ::-1])
 
 
 def build_quotient_cayley(quotient: CongruenceQuotient,
@@ -534,10 +527,12 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
 
 
 def _ball(spec: GroupSpec, r_max: int, state_cap: int):
-    """The spheres of ball_levels out to word length r_max."""
+    """The spheres of ball_levels out to word length r_max.  A ball of radius
+    L >= 1 with no empty sphere has over L elements, so ball_levels ends or
+    raises by length max(state_cap, 1); no larger r_max changes anything."""
     if r_max < 0:
         raise ConfigError(f"r_max must be >= 0, got {r_max}")
-    return islice(ball_levels(spec, state_cap), r_max + 1)
+    return islice(ball_levels(spec, state_cap), min(r_max, max(state_cap, 1)) + 1)
 
 
 def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
@@ -670,5 +665,7 @@ def fit_growth(profile: GrowthProfile, d_candidates=None, d: int | None = None) 
         d = chosen
     elif d < 0:
         raise GrowthBoundError(f"degree must be >= 0, got {d}")
-    C = max(Fraction(profile.sizes[r], r ** d) for r in range(1, profile.r_max + 1))
+    # once 2^d passes every size, sizes[r] / r^d < 1 <= sizes[1] for r >= 2
+    top = 1 if d >= max(profile.sizes).bit_length() else profile.r_max
+    C = max(Fraction(profile.sizes[r], r ** d) for r in range(1, top + 1))
     return GrowthBound(C=C, d=d, validated_range=(1, profile.r_max), slope=slope)

@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .boxspace import build_box_space, isometry_profile
 from .cache import GraphCache
 from .cayley import GrowthBound, build_quotient_cayley, fit_growth, growth_profile
@@ -25,7 +27,7 @@ from .covers import (
     families_from_multiplicity_cover,
     verify_cover,
 )
-from .dimension import FiniteMetricSpace, asdim_profile, random_metric_space, rs_dim
+from .dimension import asdim_profile, random_metric_space, rs_dim
 from .errors import (
     BoxdimError,
     ConfigError,
@@ -154,14 +156,23 @@ def _box(args, cfg):
                                  cache=args.cache, vertex_cap=args.vertex_cap)
 
 
+def _ball_radius(sec, key, state_cap):
+    """[task] key (default 8), a ball radius r; the group is infinite, so
+    r >= max(state_cap, 1) means more than state_cap elements, refused early."""
+    r = _get(sec, key, int, 8)
+    if r >= max(state_cap, 1):
+        raise ResourceCapError(f"[task] {key} = {r} names a ball past state_cap = {state_cap}")
+    return r
+
+
 def growth_from_config(sec, spec, state_cap):
     """Explicit growth_c/growth_d if configured, else a fitted bound."""
     c = _get(sec, "growth_c", Fraction, None)
     d = _get(sec, "growth_d", int, None)
     if c is not None and d is not None:
         return GrowthBound(C=c, d=d, validated_range=(1, 0))
-    r_max = _get(sec, "growth_r_max", int, 8)
-    return fit_growth(growth_profile(spec, r_max, state_cap))
+    return fit_growth(growth_profile(spec, _ball_radius(sec, "growth_r_max", state_cap),
+                                     state_cap))
 
 
 # --- witness serialization ----------------------------------------------------
@@ -322,7 +333,7 @@ def verify_witness(args, cfg):
 
 def task_growth(args, cfg, sec):
     spec = group_from_config(cfg)
-    r_max = _get(sec, "r_max", int, 8)
+    r_max = _ball_radius(sec, "r_max", args.state_cap)
     profile = growth_profile(spec, r_max, args.state_cap)
     d = _get(sec, "growth_d", int, None)
     bound = fit_growth(profile, d=d)
@@ -426,7 +437,7 @@ def task_families(args, cfg, sec):
         "R": R, "S": base_report.S,
         "n_families": cover.n_families,
         "multiplicity_bound": base_report.r_multiplicity,
-        "sets_per_family": [len(f) for f in cover.families],
+        "sets_per_family": np.bincount(cover.set_family, minlength=cover.n_families).tolist(),
         "family_min_distances": list(report.family_min_distances),
         "ok": report.ok,
     }
@@ -454,10 +465,9 @@ def task_rsdim(args, cfg, sec):
         quotients = filtration.quotients()
         if not (0 <= index < len(quotients)):
             raise ConfigError(f"component index {index} out of range")
-        graph = build_quotient_cayley(quotients[index], vertex_cap=args.vertex_cap,
+        space = build_quotient_cayley(quotients[index], vertex_cap=args.vertex_cap,
                                       cache=args.cache)
-        space = FiniteMetricSpace.from_graph(graph)
-        label = f"{spec.describe()} mod {graph.modulus}"
+        label = f"{spec.describe()} mod {space.modulus}"
     else:
         raise ConfigError(f"unknown rsdim source {source!r}")
     kwargs = {}
@@ -478,7 +488,7 @@ def task_rsdim(args, cfg, sec):
     }
     if result.cover is not None and source == "component":
         # one modulus is always a filtration
-        witness = _witness("cover-witness", spec, [graph.modulus], True, R=R, S=S,
+        witness = _witness("cover-witness", spec, [space.modulus], True, R=R, S=S,
                            check_disjoint=True, families=result.cover)
     return rows, summary, witness
 
@@ -510,10 +520,6 @@ def task_profile(args, cfg, sec):
     return rows, summary, witness
 
 
-def _striped_coloring(radius, stripe):
-    return {(x,): (x // stripe) % 2 for x in range(-radius, radius + 1)}
-
-
 def task_transfer(args, cfg, sec):
     spec = group_from_config(cfg)
     if spec.describe() != free_abelian(1).describe():
@@ -526,7 +532,9 @@ def task_transfer(args, cfg, sec):
     stripe = S + 1
     if stripe < R:
         raise ConfigError(f"striped inputs need S + 1 >= R, got S={S} R={R}")
-    inputs = [(r, _striped_coloring(r, stripe)) for r in radii]
+    if any(2 * r + 1 > args.state_cap for r in radii):
+        raise ResourceCapError(f"[task] radii: a striped input passes state_cap = {args.state_cap}")
+    inputs = [(r, {(x,): (x // stripe) % 2 for x in range(-r, r + 1)}) for r in radii]
     result = diagonal_transfer(spec, inputs, R=R, S=S, r0=r0, n=1,
                                state_cap=args.state_cap)
     items = sorted(result.coloring.items())

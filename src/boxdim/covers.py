@@ -144,10 +144,10 @@ def maximal_packing(graph, radius: int) -> np.ndarray:
 
 
 def packing_count_max(graph, centers: np.ndarray, radius: int) -> int:
-    """max_z |B(z, 3*radius) ∩ centers|, computed exactly by dilation."""
-    counts = np.zeros(graph.n_vertices, dtype=np.int32)
-    for c in centers:
-        counts[graph.ball_ids(int(c), 3 * radius)] += 1
+    """max_z |B(z, 3*radius) ∩ centers|, counted on one dilation of the centers."""
+    counts = np.zeros(graph.n_vertices, dtype=np.int64)
+    for _, v, _ in _dilation(graph, _parts(centers), 3 * radius):
+        counts += np.bincount(v, minlength=graph.n_vertices)
     return int(counts.max())
 
 
@@ -302,6 +302,16 @@ class _Parts:
 
     def part(self, k: int) -> np.ndarray:
         return self.ids[self.offsets[k]:self.offsets[k + 1]]
+
+
+def _parts(ids, lengths=None) -> _Parts:
+    """The _Parts of sets 0, 1, ... on one component, set k listing the
+    next lengths[k] of ids; one id per set when lengths is None."""
+    ids = np.asarray(ids, dtype=np.int64)
+    lengths = np.ones(ids.size, dtype=np.int64) if lengths is None else np.asarray(lengths)
+    sets = np.arange(len(lengths))
+    return _Parts(ids=ids, owner=np.repeat(sets, lengths), sets=sets,
+                  offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))))
 
 
 def validate_cover(cover: Cover, layout: list) -> None:
@@ -515,15 +525,23 @@ def _dilation(comp, parts: _Parts, r: int):
         v, p, e = (a[bounds[lo]:bounds[hi]] for a in (ids, part, edge))
         p0 = p[0]
         p = p - p0
-        keys = product_ids(comp.spec, comp.coords[v[e]][:, None, :],
-                           ball_coords, comp.modulus).astype(np.int64)
-        keys |= p[e][:, None] << vb
-        keys <<= db
-        keys |= ball_d
-        keys = np.concatenate((keys.ravel(), (p << vb | v) << db))
+        # one key array per block, decoded in place: few block-sized temporaries
+        n_moved = int(np.count_nonzero(e)) * ball.size
+        keys = np.empty(n_moved + v.size, dtype=np.int64)
+        moved = keys[:n_moved].reshape(-1, ball.size)
+        np.add(product_ids(comp.spec, comp.coords[v[e]][:, None, :], ball_coords, comp.modulus),
+               p[e][:, None] << vb, out=moved, casting="unsafe")
+        moved <<= db
+        moved |= ball_d
+        del moved                   # so the array dies when _least replaces it
+        keys[n_moved:] = (p << vb | v) << db
         keys = _least(keys, db)
-        pv = keys >> db
-        yield (pv >> vb) + p0, pv & ((1 << vb) - 1), keys & ((1 << db) - 1)
+        d = keys & ((1 << db) - 1)
+        keys >>= db
+        v = keys & ((1 << vb) - 1)
+        keys >>= vb
+        keys += p0
+        yield keys, v, d
         lo = hi
 
 
@@ -1000,39 +1018,14 @@ def close_clusters(n: int, pairs) -> list:
     return np.split(order, np.flatnonzero(np.diff(lab[order])) + 1)
 
 
-def near_pairs(comp, R: int):
-    """Blocks (u, v) of index arrays listing every ordered pair of
-    vertices at distance < R, self-pairs included.
-
-    On a Cayley graph the pairs at u are u·B(e, R-1): the identity ball
-    translated onto blocks of at most ROW_BLOCK pairs.  Other components
-    read them from row blocks of their distance matrix, at most ROW_BLOCK
-    entries each.
-    """
-    if R < 1:
-        return
-    if not isinstance(comp, CayleyGraph):
-        step = max(1, ROW_BLOCK // comp.n_vertices)
-        for lo in range(0, comp.n_vertices, step):
-            u, v = np.nonzero(comp.dist_matrix[lo:lo + step] < R)
-            yield u + lo, v
-        return
-    ball = comp.coords[comp.identity_ball_ids(R - 1)][None, :, :]
-    step = max(1, ROW_BLOCK // ball.shape[1])
-    for lo in range(0, comp.n_vertices, step):
-        u = np.arange(lo, min(lo + step, comp.n_vertices))
-        v = product_ids(comp.spec, comp.coords[u][:, None, :], ball, comp.modulus)
-        yield np.repeat(u, ball.shape[1]), v.ravel()
-
-
 def _coloring_to_cover(space, coloring, R: int) -> Cover:
     """One family per color; its sets are the color's <R-connected
-    clusters, ordered by smallest member, from the same-color pairs of
-    near_pairs."""
+    clusters, ordered by smallest member, from the same-color pairs of one
+    dilation of every point at R - 1 (none when R < 1)."""
     colors = np.asarray(coloring, dtype=np.int64)
 
     def same_color_pairs():
-        for u, v in near_pairs(space, R):
+        for u, v, _ in _dilation(space, _parts(np.arange(len(colors))), R - 1) if R > 0 else ():
             keep = colors[u] == colors[v]
             yield u[keep], v[keep]
 

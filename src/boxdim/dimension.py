@@ -31,11 +31,12 @@ from .cayley import GrowthBound, sorted_distinct
 from .covers import (
     Cover,
     _coloring_to_cover,
+    _dilation,
+    _parts,
     _ranges,
     close_clusters,
     cover_prop41,
     first_fit_colors,
-    near_pairs,
     verify_cover,
 )
 from .errors import ConfigError, ResourceCapError, VerificationError
@@ -45,8 +46,8 @@ from .groups import FREE_ABELIAN, hirsch_length
 def random_metric_space(rng: random.Random, n_points: int,
                         max_distance: int = 6) -> FiniteMetricSpace:
     """Random integer metric: symmetric draws closed under shortest paths."""
-    if n_points < 1 or max_distance < 1:
-        raise ConfigError("need n_points >= 1 and max_distance >= 1")
+    if n_points < 1 or not 1 <= max_distance <= np.iinfo(np.int32).max:
+        raise ConfigError("need n_points >= 1 and 1 <= max_distance <= 2**31 - 1 (int32)")
     if n_points > MATRIX_POINT_CAP:
         raise ResourceCapError(f"{n_points} points exceeds the cap {MATRIX_POINT_CAP}")
     m = np.zeros((n_points, n_points), dtype=np.int64)
@@ -225,10 +226,10 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     """Heuristic witness: farthest-point ball carving at radius S//2, then
     greedy coloring of the cluster proximity graph.  Upper bound only."""
     n_pts = space.n_vertices
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
     if n_pts > GRAPH_POINT_CAP:
         raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
+    if R < 1 or S < 0:
+        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
     carve = S // 2
     assigned = np.full(n_pts, -1, dtype=np.int64)
     nearest = np.full(n_pts, np.iinfo(np.int32).max, dtype=np.int64)
@@ -243,20 +244,18 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
         nearest = np.minimum(nearest, d)
 
     # clusters a and b are neighbours when some pair of their points is
-    # closer than R; first_fit_colors reads only the neighbours b < a
+    # closer than R: a row (a, v) of the clusters' dilation at R - 1 joins
+    # a and b = assigned[v]; first_fit_colors reads only the neighbours b < a
     n_cl = len(clusters)
     keys = [np.zeros(0, dtype=np.int64)]
-    for u, v in near_pairs(space, R):
-        a, b = assigned[u], assigned[v]
+    for a, v, _ in _dilation(space, _parts(np.concatenate(clusters), list(map(len, clusters))),
+                             R - 1):
+        b = assigned[v]
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
     bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
     cluster_color = first_fit_colors(b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
-    coloring = [0] * n_pts
-    for i, cluster in enumerate(clusters):
-        for v in cluster:
-            coloring[int(v)] = cluster_color[i]
-    return _verified_result(space, coloring, R, S, "greedy")
+    return _verified_result(space, np.array(cluster_color)[assigned].tolist(), R, S, "greedy")
 
 
 def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResult:

@@ -176,6 +176,29 @@ def test_state_cap_raises_at_the_same_radius(name, r, caps):
         assert str(prof.value) == str(old.value)
 
 
+@pytest.mark.parametrize("name", ["Z3", "UT3", "Z_gen_2^61"])
+def test_radii_past_the_state_cap_raise_the_same_error(name):
+    # the ball of radius max(state_cap, 1) already passes the cap, so any
+    # larger radius, even past sys.maxsize, fails at the same sphere with
+    # the same message
+    spec, _ = SPECS[name]
+    q = CongruenceQuotient(spec, 7)
+    for cap in (-1, 0, 1, 5, 40):
+        calls = (lambda r: enumerate_ball(spec, r, state_cap=cap),
+                 lambda r: growth_profile(spec, r, state_cap=cap),
+                 lambda r: verify_ball_isometry(q, r, state_cap=cap),
+                 lambda r: _induced_ball(spec, r, cap))
+        for call in calls:
+            with pytest.raises(ResourceCapError) as want:
+                call(max(cap, 1))
+            for r in (max(cap, 1) + 1, 10 ** 20):
+                with pytest.raises(ResourceCapError) as got:
+                    call(r)
+                assert str(got.value) == str(want.value), (cap, r)
+    finite = free_abelian(1, [(0,)])
+    assert enumerate_ball(finite, 10 ** 20, state_cap=0) == {(0,): 0}
+
+
 def test_state_cap_not_reached():
     spec = free_abelian(2)
     assert enumerate_ball(spec, 3, state_cap=25) == old_enumerate_ball(spec, 3, 25)

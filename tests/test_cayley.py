@@ -25,6 +25,7 @@ from boxdim.cayley import (
     growth_profile,
     loglog_slope,
     product_ids,
+    quotient_coords,
     _work_dtype,
 )
 from boxdim.errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
@@ -238,6 +239,28 @@ def test_quotient_ball_sizes_match_infinite_group_at_small_radii():
     assert g2.ball_size(2) == UT3_BALL_SIZES[2]
 
 
+def old_quotient_coords(quotient):
+    """The per-column mixed-radix decode quotient_coords replaced."""
+    m = quotient.modulus
+    acc = np.arange(quotient.order, dtype=np.int64)
+    coords = np.empty((quotient.order, len(flatten(quotient.spec, identity(quotient.spec)))),
+                      dtype=np.int64)
+    for i in range(coords.shape[1]):
+        coords[:, i] = acc % m
+        acc = acc // m
+    return coords
+
+
+def test_quotient_coords_equal_the_column_decode():
+    for spec, m in ((free_abelian(2), 256), (unitriangular(3), 32),
+                    (direct_product(free_abelian(1), unitriangular(3)), 12),
+                    (unitriangular(4), 3)):
+        q = CongruenceQuotient(spec, m)
+        got = quotient_coords(q)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, old_quotient_coords(q)), (spec, m)
+
+
 def test_enumerate_ball_cap():
     with pytest.raises(ResourceCapError):
         enumerate_ball(free_abelian(3), 20, state_cap=100)
@@ -277,6 +300,18 @@ def test_fit_growth_explicit_degree():
     assert bound.C == Fraction(3)  # still peaks at r=1
     assert bound.check(4, 48)
     assert not bound.check(4, 49)
+
+
+def test_fit_growth_past_the_size_bits_is_the_unit_ball():
+    # once 2^d passes every ball size, sizes[r] / r^d < 1 for r >= 2, and
+    # C is |B(e, 1)| without computing r^d
+    for spec, r_max in ((free_abelian(1), 8), (free_abelian(2), 10), (unitriangular(3), 9)):
+        prof = growth_profile(spec, r_max)
+        top = max(prof.sizes).bit_length()
+        for d in range(max(0, top - 3), top + 3):
+            want = max(Fraction(prof.sizes[r], r ** d) for r in range(1, r_max + 1))
+            assert fit_growth(prof, d=d).C == want, (spec, d)
+        assert fit_growth(prof, d=10 ** 20).C == prof.sizes[1]
 
 
 def test_fit_growth_errors():

@@ -316,6 +316,43 @@ def test_huge_values_exit_2_under_a_memory_cap(tmp_path, old, new, key):
     assert key in proc.stderr
 
 
+UT3_HEAD = "[group]\nkind = unitriangular\nsize = 3\n\n"
+Z_HEAD = "[group]\nkind = free_abelian\nrank = 1\n\n"
+
+
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize("ini, code, key", [
+    pytest.param("[task]\nname = rsdim\nsource = random\nr = 1\ns = 2\nmax_distance = " + HUGE,
+                 2, "max_distance", id="rsdim max_distance"),
+    pytest.param(UT3_HEAD + "[task]\nname = growth\nr_max = " + HUGE,
+                 3, "[task] r_max", id="growth r_max"),
+    pytest.param(UT3_HEAD + "[filtration]\nmoduli = 2 4\n\n[task]\nname = families\nr = 2\n"
+                 "growth_r_max = " + HUGE, 3, "[task] growth_r_max", id="families growth_r_max"),
+    pytest.param(UT3_HEAD + "[task]\nname = growth\nr_max = 8\ngrowth_d = " + HUGE,
+                 0, None, id="growth growth_d"),
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = 2\nradii = " + HUGE,
+                 3, "[task] radii", id="transfer radii"),
+])
+def test_huge_radii_and_distances_exit_cleanly_under_a_memory_cap(tmp_path, ini, code, key):
+    # each used to exit 1: an int32 overflow, islice past sys.maxsize, or a
+    # MemoryError building r ** d or a striped input after seconds
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini + "\n\n[output]\ndir = out\n")
+    proc = subprocess.run([sys.executable, "-m", "boxdim", "--config", str(cfg)],
+                          capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if key is None:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # |B(e, 1)| = 5 in UT(3)
+        assert summary["bound"] == {"C": "5", "d": 10 ** 20, "validated_range": [1, 8]}
+    else:
+        assert key in proc.stderr
+
+
 def test_tampered_ball_hints_change_no_report(tmp_path):
     # the cover task's balls carry their center and radius; a hint the
     # verifier cannot confirm must leave it exactly where no hint leaves it

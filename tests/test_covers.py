@@ -243,7 +243,7 @@ def test_packing_invariants_random():
         assert blocked.all()
 
 
-def test_packing_count_matches_brute_force():
+def test_packing_count_matches_brute_force(monkeypatch):
     rng = random.Random(515)
     for _ in range(10):
         m = rng.randrange(10, 40)
@@ -254,6 +254,17 @@ def test_packing_count_matches_brute_force():
         want = max(sum(1 for c in centers if g.distance(z, int(c)) <= 3 * rn)
                    for z in range(m))
         assert got == want
+    # non-abelian and planar graphs; a 40-row block splits the centers'
+    # dilation and sends every center whose ball passes it to the BFS branch
+    for spec, m in ((unitriangular(3), 8), (free_abelian(2), 16)):
+        g = build_quotient_cayley(CongruenceQuotient(spec, m))
+        for row_block in (covers_module.ROW_BLOCK, 40):
+            monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+            for rn in (1, 2, 3):
+                centers = maximal_packing(g, rn)
+                D = np.stack([g.distances_to([int(c)]) for c in centers])
+                want = int((D <= 3 * rn).sum(axis=0).max())
+                assert packing_count_max(g, centers, rn) == want, (spec, rn, row_block)
 
 
 # --- multiplicity --------------------------------------------------------------

@@ -18,7 +18,6 @@ from boxdim.covers import (
     CoverSet,
     close_clusters,
     cover_prop41,
-    near_pairs,
     verify_cover,
 )
 from boxdim.dimension import (
@@ -287,6 +286,19 @@ def test_greedy_matches_dense_path(name, space):
             assert res.cover.families == families, (name, R, S)
 
 
+@pytest.mark.parametrize("name, space", list(greedy_spaces())[:3])
+def test_greedy_matches_dense_path_in_small_blocks(monkeypatch, name, space):
+    # 40-row blocks split the dilations of the clusters and of the points,
+    # and send larger clusters to the distance-field branch
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", 40)
+    for R in (1, 3):
+        for S in (2, 8):
+            coloring, families = dense_greedy(space, R, S)
+            res = rs_dim_greedy(space, R, S)
+            assert list(res.coloring) == coloring, (name, R, S)
+            assert res.cover.families == families, (name, R, S)
+
+
 def test_greedy_refuses_more_than_4096_points():
     g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), 5000))
     with pytest.raises(ResourceCapError, match="^5000 points exceeds the cap 4096$"):
@@ -311,16 +323,21 @@ def test_close_clusters_match_union_find():
 
 
 @pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
-def test_near_pairs_are_the_pairs_closer_than_r(monkeypatch, row_block):
+def test_point_dilation_lists_the_pairs_within_r(monkeypatch, row_block):
+    # _coloring_to_cover reads its pairs from this dilation of one-point
+    # parts: every ordered pair within r, once, at its exact distance
     monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
     g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4))
     twin = FiniteMetricSpace.from_graph(g)
     D = np.stack([g.distances_to([v]) for v in range(g.n_vertices)])
-    for R in range(0, g.diameter + 2):
-        want = set(zip(*np.nonzero(D < R)))
+    points = covers_module._parts(np.arange(g.n_vertices))
+    for r in range(0, g.diameter + 2):
+        u, v = np.nonzero(D <= r)
+        want = sorted(zip(u.tolist(), v.tolist(), D[u, v].tolist()))
         for space in (g, twin):
-            got = [p for u, v in near_pairs(space, R) for p in zip(u.tolist(), v.tolist())]
-            assert len(got) == len(want) and set(got) == want, (R, space)
+            got = sorted(row for block in covers_module._dilation(space, points, r)
+                         for row in zip(*(x.tolist() for x in block)))
+            assert got == want, (r, space)
 
 
 # --- metric space plumbing --------------------------------------------------------
@@ -336,6 +353,20 @@ def test_from_matrix_validation():
         FiniteMetricSpace.from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     with pytest.raises(ConfigError):
         FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1]])
+
+
+def test_distances_past_int32_are_refused():
+    # distances are stored as int32; these used to wrap, or to raise
+    # OverflowError, instead of a ConfigError
+    for matrix in ([[0, 3 * 10 ** 9], [3 * 10 ** 9, 0]], [[0, 10 ** 20], [10 ** 20, 0]],
+                   [[0, -10 ** 20], [1, 0]]):
+        with pytest.raises(ConfigError, match=r"2\*\*31 - 1"):
+            FiniteMetricSpace.from_matrix(matrix)
+    with pytest.raises(ConfigError, match=r"max_distance <= 2\*\*31 - 1"):
+        random_metric_space(random.Random(0), 4, 3 * 10 ** 9)
+    top = 2 ** 31 - 1
+    assert FiniteMetricSpace.from_matrix([[0, top], [top, 0]]).diameter == top
+    assert random_metric_space(random.Random(0), 4, top).diameter > 0
 
 
 def test_random_metric_space_is_metric():

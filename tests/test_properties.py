@@ -1,7 +1,8 @@
 """Property tests: the vectorised arithmetic equals the scalar tuple
-arithmetic of boxdim.groups on random elements, the exact (R, S) solver
-equals the exhaustive one on random metric spaces, and the verifier's
-multiplicity and close pairs equal brute force on random covers."""
+arithmetic of boxdim.groups on random elements, the sphere sizes of
+ball_levels equal a scalar BFS for random generating sets, the exact (R, S)
+solver equals the exhaustive one on random metric spaces, and the
+verifier's multiplicity and close pairs equal brute force on random covers."""
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from boxdim.boxspace import FiniteMetricSpace, build_box_space  # noqa: E402
-from boxdim.cayley import coords_invert, coords_multiply  # noqa: E402
+from boxdim.cayley import ball_levels, coords_invert, coords_multiply  # noqa: E402
 from boxdim.covers import Cover, CoverSet, r_multiplicity, verify_cover  # noqa: E402
 from boxdim.dimension import rs_dim_exact, rs_dim_exhaustive  # noqa: E402
 from boxdim.groups import (  # noqa: E402
@@ -18,6 +19,7 @@ from boxdim.groups import (  # noqa: E402
     direct_product,
     flatten,
     free_abelian,
+    identity,
     invert,
     multiply,
     num_coordinates,
@@ -70,6 +72,33 @@ def test_vectorised_arithmetic_equals_scalar(case):
         want = scalar(spec, m, multiply(spec, a_elts[i], b_elts[i]))
         assert tuple(int(c) for c in prod[i]) == want
         assert tuple(int(c) for c in inv[i]) == scalar(spec, m, invert(spec, a_elts[i]))
+
+
+@st.composite
+def generated_groups(draw):
+    """Z^1..Z^3 or UT(3) with one to three generators of small entries
+    (the identity and repeats allowed), and a radius keeping balls small."""
+    make = draw(st.sampled_from([lambda g: free_abelian(1, g), lambda g: free_abelian(2, g),
+                                 lambda g: free_abelian(3, g), lambda g: unitriangular(3, g)]))
+    k = num_coordinates(make(None))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=3))
+    return make(gens), draw(st.integers(0, 4 if len(gens) < 3 else 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_groups())
+def test_ball_levels_sphere_sizes_equal_scalar_bfs(case):
+    spec, r = case
+    steps = list(spec.generators) + [invert(spec, g) for g in spec.generators]
+    seen, sphere, sizes = {identity(spec)}, [identity(spec)], []
+    for _ in range(r + 1):
+        sizes.append(len(sphere))
+        nxt = {multiply(spec, v, g) for v in sphere for g in steps} - seen
+        seen |= nxt
+        sphere = list(nxt)
+    got = [rows.shape[0] for _, rows in zip(range(r + 1), ball_levels(spec))]
+    # a finite group runs out of spheres after its first empty one
+    assert got == sizes[:len(got)] and not any(sizes[len(got):])
 
 
 @st.composite
