@@ -17,7 +17,6 @@ from .boxspace import (
     isometry_radius,
     verify_ball_isometry,
 )
-from .cache import GraphCache
 from .cayley import (
     CayleyGraph,
     GrowthBound,

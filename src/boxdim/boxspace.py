@@ -186,8 +186,7 @@ class FiniteMetricSpace:
 
 
 def build_box_space(filtration, component_count: int | None = None,
-                    vertex_cap: int = 10 ** 6, threads: int = 1,
-                    cache=None) -> BoxSpace:
+                    vertex_cap: int = 10 ** 6, threads: int = 1) -> BoxSpace:
     quotients = filtration.quotients()
     if component_count is not None:
         if not (1 <= component_count <= len(quotients)):
@@ -196,7 +195,7 @@ def build_box_space(filtration, component_count: int | None = None,
         quotients = quotients[:component_count]
 
     def build(q):
-        return build_quotient_cayley(q, vertex_cap=vertex_cap, cache=cache)
+        return build_quotient_cayley(q, vertex_cap=vertex_cap)
 
     return BoxSpace(filtration=filtration,
                     components=tuple(thread_map(build, quotients, threads)))

@@ -372,24 +372,17 @@ def quotient_coords(quotient: CongruenceQuotient) -> np.ndarray:
 
 def build_quotient_cayley(quotient: CongruenceQuotient,
                           generators=None,
-                          vertex_cap: int = 10 ** 6,
-                          cache=None) -> CayleyGraph:
+                          vertex_cap: int = 10 ** 6) -> CayleyGraph:
     """Enumerate all m^k coordinate tuples and wire the generator edges.
 
     The vertex order is the mixed-radix order of coordinate tuples, which
-    makes every downstream greedy algorithm deterministic.  When a cache is
-    supplied, adjacency and distance tables are loaded from it on a key hit
-    and stored after a fresh build.
+    makes every downstream greedy algorithm deterministic.
     """
     spec = quotient.spec
     m = quotient.modulus
     if generators is None:
         generators = spec.generators
     generators = tuple(generators)
-    if cache is not None:
-        cached = cache.load(quotient, generators)
-        if cached is not None:
-            return cached
     if not generators:
         raise ConfigError("empty generating set")
     e = identity(spec)
@@ -413,11 +406,8 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
     if (dist < 0).any():
         raise ConfigError("generating set does not generate the quotient "
                           f"({int((dist < 0).sum())} unreachable vertices)")
-    graph = CayleyGraph(quotient=quotient, generators=generators,
-                        coords=coords, adjacency=adjacency, dist=dist)
-    if cache is not None:
-        cache.store(graph)
-    return graph
+    return CayleyGraph(quotient=quotient, generators=generators,
+                       coords=coords, adjacency=adjacency, dist=dist)
 
 
 # --- growth of the infinite group ------------------------------------------

@@ -9,7 +9,6 @@ output directory.  Exit codes: 0 success, 2 configuration problems
 import argparse
 import configparser
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -18,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .boxspace import build_box_space, isometry_profile
-from .cache import GraphCache
 from .cayley import GrowthBound, build_quotient_cayley, fit_growth, growth_profile
 from .covers import (
     Cover,
@@ -153,14 +151,16 @@ def _box(args, cfg):
     """The configured group and the box space of its filtration."""
     spec = group_from_config(cfg)
     return spec, build_box_space(filtration_from_config(cfg, spec), threads=args.threads,
-                                 cache=args.cache, vertex_cap=args.vertex_cap)
+                                 vertex_cap=args.vertex_cap)
 
 
 def _ball_radius(sec, key, state_cap):
-    """[task] key (default 8), a ball radius r; the group is infinite, so
-    r >= max(state_cap, 1) means more than state_cap elements, refused early."""
+    """[task] key (default 8), a ball radius r.  Every supported group is
+    torsion-free, so for a generator g the powers g^k, |k| <= r, are 2r + 1
+    distinct elements of B(e, r): r >= 1 with 2r + 1 > state_cap is refused
+    before any sphere is built."""
     r = _get(sec, key, int, 8)
-    if r >= max(state_cap, 1):
+    if r >= 1 and 2 * r + 1 > state_cap:
         raise ResourceCapError(f"[task] {key} = {r} names a ball past state_cap = {state_cap}")
     return r
 
@@ -303,8 +303,7 @@ def verify_witness(args, cfg):
     _check_witness(isinstance(nested, bool), "'nested' must be true or false")
     filtration = (Filtration(spec, tuple(moduli)) if nested
                   else QuotientFamily(spec, tuple(moduli)))
-    box = build_box_space(filtration, vertex_cap=args.vertex_cap, threads=args.threads,
-                          cache=args.cache)
+    box = build_box_space(filtration, vertex_cap=args.vertex_cap, threads=args.threads)
     rows = data.get("rows") if data.get("kind") == "profile-witness" else [data]
     _check_witness(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
                    "'rows' must be a list of objects")
@@ -465,8 +464,7 @@ def task_rsdim(args, cfg, sec):
         quotients = filtration.quotients()
         if not (0 <= index < len(quotients)):
             raise ConfigError(f"component index {index} out of range")
-        space = build_quotient_cayley(quotients[index], vertex_cap=args.vertex_cap,
-                                      cache=args.cache)
+        space = build_quotient_cayley(quotients[index], vertex_cap=args.vertex_cap)
         label = f"{spec.describe()} mod {space.modulus}"
     else:
         raise ConfigError(f"unknown rsdim source {source!r}")
@@ -551,17 +549,6 @@ def task_transfer(args, cfg, sec):
     return rows, summary, None
 
 
-def task_cache_gc(args, cfg, sec):
-    if args.cache is None:
-        raise ConfigError("cache_gc needs --cache-dir or BOXDIM_CACHE_DIR")
-    budget = _get(sec, "budget")
-    kept, deleted, freed = args.cache.gc(budget)
-    summary = {"task": "cache_gc", "directory": str(args.cache.directory),
-               "budget_bytes": budget,
-               "kept": kept, "deleted": deleted, "freed_bytes": freed}
-    return None, summary, None
-
-
 TASK_FUNCS = {
     "growth": task_growth,
     "quotient": task_boxspace,
@@ -572,7 +559,6 @@ TASK_FUNCS = {
     "rsdim": task_rsdim,
     "profile": task_profile,
     "transfer": task_transfer,
-    "cache_gc": task_cache_gc,
 }
 
 
@@ -586,8 +572,6 @@ def build_parser():
     parser.add_argument("--config", required=True, help="INI run description")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for component builds and solves")
-    parser.add_argument("--cache-dir", default=None,
-                        help="graph cache directory (default: $BOXDIM_CACHE_DIR)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spaces")
     parser.add_argument("--export-witness", default=None, metavar="PATH",
@@ -601,8 +585,6 @@ def run(args):
     cfg = load_config(args.config)
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    cache_dir = args.cache_dir or os.environ.get("BOXDIM_CACHE_DIR")
-    args.cache = GraphCache(cache_dir) if cache_dir else None
     args.state_cap = 10 ** 7
     args.vertex_cap = 10 ** 6
     if "limits" in cfg:

@@ -58,9 +58,13 @@ class CoverParams:
     R: int
     C: Fraction
     d: int
-    K: int
     m: int
     S_0: int
+
+    @property
+    def K(self) -> int:
+        """4^d + 1, built only where it is compared or reported."""
+        return 4 ** self.d + 1
 
     @classmethod
     def from_growth(cls, R: int, growth: GrowthBound) -> "CoverParams":
@@ -76,10 +80,11 @@ class CoverParams:
         log_target = math.log(C.numerator) - math.log(C.denominator) + d * math.log(R)
         if log_target > 0 and not log_target <= step * (10 ** 6 + 1):
             raise ConfigError("parameter ladder did not converge")
-        K = 4 ** d + 1
 
         def holds(m):
-            return K ** m * C.denominator >= C.numerator * R ** d << (2 * d * m)
+            # K^m, never built at m = 0: there a huge d reaches the growth check
+            K_m = (4 ** d + 1) ** m if m else 1
+            return K_m * C.denominator >= C.numerator * R ** d << (2 * d * m)
 
         m = math.ceil(log_target / step) if log_target > 0 else 0
         while m > 0 and holds(m - 1):
@@ -88,7 +93,7 @@ class CoverParams:
             m += 1
         if m > 10 ** 6:
             raise ConfigError("parameter ladder did not converge")
-        return cls(R=R, C=C, d=d, K=K, m=m, S_0=4 ** (m + 1) * R)
+        return cls(R=R, C=C, d=d, m=m, S_0=4 ** (m + 1) * R)
 
 
 def check_growth_bound(graph, growth: GrowthBound, up_to: int | None = None) -> None:

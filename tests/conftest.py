@@ -5,7 +5,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def cli_env(extra=None):
+def cli_env():
     """Environment for a `python -m boxdim` child process.
 
     The absolute src path leads PYTHONPATH, so the child imports this
@@ -14,6 +14,4 @@ def cli_env(extra=None):
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    if extra:
-        env.update(extra)
     return env

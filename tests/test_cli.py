@@ -8,12 +8,12 @@ import pytest
 from conftest import cli_env
 
 
-def run_cli(tmp_path, ini_text, *flags, env_extra=None):
+def run_cli(tmp_path, ini_text, *flags):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini_text)
     return subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(cfg), *flags],
-        capture_output=True, text=True, cwd=tmp_path, env=cli_env(env_extra))
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
 
 
 PROFILE_INI = """\
@@ -64,25 +64,6 @@ def test_threads_do_not_change_results(tmp_path):
     csv_b = (tmp_path / "out" / "profile.csv").read_text()
     assert a.returncode == 0 and b.returncode == 0
     assert strip_wall_time(csv_a) == strip_wall_time(csv_b)
-
-
-def test_warm_cache_is_idempotent(tmp_path):
-    flags = ("--cache-dir", str(tmp_path / "cache"))
-    cold = run_cli(tmp_path, PROFILE_INI, *flags)
-    csv_cold = (tmp_path / "out" / "profile.csv").read_text()
-    assert cold.returncode == 0, cold.stderr
-    assert list((tmp_path / "cache").glob("*.bxdm"))
-    warm = run_cli(tmp_path, PROFILE_INI, *flags)
-    csv_warm = (tmp_path / "out" / "profile.csv").read_text()
-    assert warm.returncode == 0, warm.stderr
-    assert strip_wall_time(csv_cold) == strip_wall_time(csv_warm)
-
-
-def test_cache_dir_env_variable(tmp_path):
-    proc = run_cli(tmp_path, PROFILE_INI,
-                   env_extra={"BOXDIM_CACHE_DIR": str(tmp_path / "envcache")})
-    assert proc.returncode == 0
-    assert list((tmp_path / "envcache").glob("*.bxdm"))
 
 
 def test_witness_roundtrip_and_tampering(tmp_path):
@@ -301,6 +282,10 @@ def _cap_address_space():
 @pytest.mark.parametrize("old, new, key", [
     ("moduli = 8 16", "rule = powers\nbase = 2\ncount = 100000000", "[filtration] count"),
     ("growth_d = 1", "growth_d = 1000000000", "parameter ladder did not converge"),
+    # C R^d <= 1 leaves the ladder at m = 0, and C <= 1 fails the growth check
+    # at r = 1, so K = 4^d + 1 is never needed
+    ("r = 2\ngrowth_c = 3\ngrowth_d = 1", "r = 1\ngrowth_c = 1/2\ngrowth_d = 1000000000",
+     "growth bound"),
 ])
 def test_huge_values_exit_2_under_a_memory_cap(tmp_path, old, new, key):
     # each used to build a number or list past the cap and exit 1 with a
@@ -434,6 +419,13 @@ def test_missing_config_and_unknown_task(tmp_path):
     proc = run_cli(tmp_path, PROFILE_INI.replace("name = profile", "name = box"))
     assert proc.returncode == 2
     assert "unknown task" in proc.stderr
+    # the on-disk graph cache, its flag and its task are gone
+    proc = run_cli(tmp_path, PROFILE_INI, "--cache-dir", str(tmp_path / "cache"))
+    assert proc.returncode == 2
+    assert "--cache-dir" in proc.stderr
+    proc = run_cli(tmp_path, "[task]\nname = cache_gc\nbudget = 0\n")
+    assert proc.returncode == 2
+    assert "unknown task" in proc.stderr
 
 
 def test_growth_task_fits_line(tmp_path):
@@ -456,6 +448,33 @@ dir = g
     assert summary["sizes"] == [1 + 2 * r for r in range(9)]
     rows = (tmp_path / "g" / "growth.csv").read_text().splitlines()
     assert rows[0] == "r,ball_size" and rows[1] == "0,1"
+
+
+def test_growth_radius_refused_by_the_ball_size_lower_bound(tmp_path):
+    # B(e, r) of a torsion-free group holds g^k for |k| <= r: on Z that is
+    # exactly 2r + 1 elements, so r_max = 50 is past state_cap = 100
+    ini = """\
+[group]
+kind = free_abelian
+rank = 1
+
+[task]
+name = growth
+r_max = {r_max}
+
+[limits]
+state_cap = 100
+
+[output]
+dir = g
+"""
+    proc = run_cli(tmp_path, ini.format(r_max=49))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "g" / "summary.json").read_text())
+    assert summary["sizes"][-1] == 99
+    proc = run_cli(tmp_path, ini.format(r_max=50))
+    assert proc.returncode == 3, proc.stderr
+    assert "[task] r_max" in proc.stderr
 
 
 def test_cover_and_families_tasks(tmp_path):
@@ -573,36 +592,3 @@ dir = t
     assert summary["n_points"] == 9
     short = run_cli(tmp_path, ini.replace("radii = 10 15 20 25 30", "radii = 8"))
     assert short.returncode == 2
-
-
-def test_cache_gc_task(tmp_path):
-    cache = tmp_path / "cache"
-    run_cli(tmp_path, PROFILE_INI, "--cache-dir", str(cache))
-    n_files = len(list(cache.glob("*.bxdm")))
-    assert n_files == 8
-    gc_ini = """\
-[task]
-name = cache_gc
-budget = {budget}
-
-[output]
-dir = gc
-"""
-    proc = run_cli(tmp_path, gc_ini.format(budget=10 ** 9), "--cache-dir", str(cache))
-    assert proc.returncode == 0
-    summary = json.loads((tmp_path / "gc" / "summary.json").read_text())
-    assert summary["deleted"] == 0 and summary["kept"] == n_files
-
-    sizes = sorted(p.stat().st_size for p in cache.glob("*.bxdm"))
-    total = sum(sizes)
-    proc = run_cli(tmp_path, gc_ini.format(budget=total - 1), "--cache-dir", str(cache))
-    summary = json.loads((tmp_path / "gc" / "summary.json").read_text())
-    assert summary["deleted"] >= 1 and summary["kept"] <= n_files - 1
-
-    proc = run_cli(tmp_path, gc_ini.format(budget=0), "--cache-dir", str(cache))
-    summary = json.loads((tmp_path / "gc" / "summary.json").read_text())
-    assert summary["kept"] == 0
-    assert not list(cache.glob("*.bxdm"))
-
-    missing = run_cli(tmp_path, gc_ini.format(budget=0))
-    assert missing.returncode == 2

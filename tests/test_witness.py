@@ -54,7 +54,7 @@ def task_output(tmp_path, group, filtration, task):
     path = tmp_path / "run.ini"
     path.write_text(f"[group]\n{group}\n\n[filtration]\n{filtration}\n\n[task]\n{task}\n")
     args = cli.build_parser().parse_args(["--config", str(path)])
-    args.cache, args.state_cap, args.vertex_cap = None, 10 ** 7, 10 ** 6
+    args.state_cap, args.vertex_cap = 10 ** 7, 10 ** 6
     cfg = cli.load_config(path)
     return cli.TASK_FUNCS[cfg["task"]["name"]](args, cfg, cfg["task"])
 
