@@ -415,6 +415,7 @@ def task_cover(args, cfg, sec):
         "K": report.params.K, "m": report.params.m, "S_0": report.params.S_0,
         "n_sets": cover.n_sets(),
         "max_set_diameter": report.max_set_diameter,
+        "diameters_exact": report.diameters_exact,
         "doubling_radii": list(report.doubling_radii),
         "packing_counts": list(report.packing_counts),
         "ok": report.ok,

@@ -490,12 +490,13 @@ def _dilation(comp, parts: _Parts, r: int):
     are expanded in blocks of at most ROW_BLOCK rows, and one sort of
     (part, vertex, d) packed into one integer keeps the smallest distance
     per (part, vertex).  A part whose expansion alone passes a block, and
-    every part on another kind of component, is read from its distance
-    field.
+    every part of several points on another kind of component, is read from
+    its distance field; there one-point parts read whole matrix rows, about
+    ROW_BLOCK distances a block.
     """
     n, lengths = comp.n_vertices, parts.lengths
     r = min(r, comp.diameter)
-    big = np.ones(len(lengths), dtype=bool)
+    big = lengths != 1
     if isinstance(comp, CayleyGraph):
         ball = comp.identity_ball_ids(r)
         # the owner table names one set per vertex; where sets overlap, edge
@@ -512,6 +513,14 @@ def _dilation(comp, parts: _Parts, r: int):
         d = comp.distances_to(parts.part(k), cap=r)
         v = np.flatnonzero(d >= 0)
         yield np.full(v.size, k), v, d[v].astype(np.int64)
+    if not isinstance(comp, CayleyGraph):
+        one = np.flatnonzero(~big)
+        step = max(1, ROW_BLOCK // n)
+        for lo in range(0, one.size, step):
+            d = comp.dist_matrix[parts.ids[parts.offsets[one[lo:lo + step]]]]
+            k, v = np.nonzero(d <= r)
+            yield one[lo + k], v, d[k, v].astype(np.int64)
+        return
     if big.all():
         return
 

@@ -74,12 +74,6 @@ class RSDimResult:
         return None if self.n is None else self.n + 1
 
 
-def _clusters_of_color(D: np.ndarray, pts, R: int):
-    """<R-connected clusters among pts (indices)."""
-    near = np.nonzero(D[np.ix_(pts, pts)] < R)
-    return [[pts[i] for i in c] for c in close_clusters(len(pts), [near])]
-
-
 def _verified_result(space, coloring, R, S, method) -> RSDimResult:
     cover = _coloring_to_cover(space, coloring, R)
     report = verify_cover(cover, R, S)
@@ -99,76 +93,81 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     Points are processed in breadth-first order from point 0; colors obey
     the restricted-growth convention (a new color only when all smaller
     ones appear earlier), which removes color permutations from the search.
-    Clusters of equal-colored points merged below distance R are maintained
-    incrementally, and a branch dies as soon as one exceeds diameter S.
+    The state is Python-int bitmasks: per color its points; per colored
+    point its cluster (equal-colored points merged below distance R) and
+    the OR of its members' far masks (points farther than S).  A point
+    joins a color by merging the clusters it is near, and fits when no
+    member is far from another.  Once every color is in use, a branch dies
+    when an uncolored point near the new cluster fits no color.  Only those
+    points' fit changed, and fit only shrinks as points are colored, so no
+    solution is cut and the first coloring found is unchanged.
     """
     n_pts = space.n_vertices
     if n_pts > point_cap:
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
-    D = FiniteMetricSpace.from_graph(space).dist_matrix.tolist()
-    order = sorted(range(n_pts), key=lambda v: (D[0][v], v))
+    D = FiniteMetricSpace.from_graph(space).dist_matrix
+    order = np.argsort(D[0], kind="stable").tolist() if n_pts else []
+    # per point, as bitmasks: the other points closer than R, the points farther than S
+    near, far = ([sum(1 << q for q in np.flatnonzero(row).tolist()) for row in table]
+                 for table in ((D < R) & ~np.eye(n_pts, dtype=bool), D > S))
+    later = [sum(1 << q for q in order[i + 1:]) for i in range(n_pts)]   # after order[i]
 
-    def fits(row, merged) -> bool:
-        """Whether p joined with the merged clusters (p's distance row
-        given) keeps diameter <= S.  Each cluster already does, so only
-        p's distances to their members and the distances across each pair
-        of clusters can pass S."""
-        for i, members in enumerate(merged):
-            if max(row[q] for q in members) > S:
-                return False
-            for other in merged[:i]:
-                if max(D[a][b] for a in members for b in other) > S:
-                    return False
-        return True
+    for kmax in range(1, min(n_pts, n_cap + 1) + 1):
+        color, of_color = [0] * n_pts, [0] * kmax
+        cluster, cluster_far = [0] * n_pts, [0] * n_pts
 
-    def solve(kmax: int):
-        color = [0] * n_pts
-        by_color = [[] for _ in range(kmax)]    # colored points, per color
-        clusters = {}           # cid -> members tuple
-        point_cid = {}
-        counter = [0]
+        def join(p: int, points: int):
+            """(members, far) of p's cluster in the color of points; None past S."""
+            members, acc = 1 << p, far[p]
+            touch = near[p] & points
+            while touch:
+                q = (touch & -touch).bit_length() - 1
+                members |= cluster[q]
+                acc |= cluster_far[q]
+                touch &= ~cluster[q]
+            return None if members & acc else (members, acc)
+
+        def fits_some_color(u: int) -> bool:
+            for points in of_color:
+                if join(u, points):
+                    return True
+            return False
 
         def assign(idx: int, used: int) -> bool:
             if idx == n_pts:
                 return True
             p = order[idx]
-            row = D[p]
             for c in range(min(used + 1, kmax)):
-                near = {point_cid[q] for q in by_color[c] if row[q] < R}
-                merged = [clusters[cid] for cid in near]
-                if merged and not fits(row, merged):
+                got = join(p, of_color[c])
+                if got is None:
                     continue
-                members = [p]
-                for cluster in merged:
-                    members.extend(cluster)
-                cid_new = counter[0]
-                counter[0] += 1
-                stash = [(cid, clusters.pop(cid)) for cid in near]
-                moved = [(q, point_cid[q]) for q in members if q != p]
-                clusters[cid_new] = tuple(members)
-                for q in members:
-                    point_cid[q] = cid_new
+                saved, reach, rest = [], 0, got[0]
+                while rest:
+                    q = (rest & -rest).bit_length() - 1
+                    saved.append((q, cluster[q], cluster_far[q]))
+                    cluster[q], cluster_far[q] = got
+                    reach |= near[q]
+                    rest &= rest - 1
+                of_color[c] |= 1 << p
                 color[p] = c
-                by_color[c].append(p)
-                if assign(idx + 1, max(used, c + 1)):
+                top = max(used, c + 1)
+                threatened = reach & later[idx] if top == kmax else 0
+                while threatened:
+                    u = (threatened & -threatened).bit_length() - 1
+                    if not fits_some_color(u):
+                        break
+                    threatened &= threatened - 1
+                if not threatened and assign(idx + 1, top):
                     return True
-                by_color[c].pop()
-                del point_cid[p]
-                del clusters[cid_new]
-                for cid, data in stash:
-                    clusters[cid] = data
-                for q, cid in moved:
-                    point_cid[q] = cid
+                of_color[c] ^= 1 << p
+                for q, m, a in saved:
+                    cluster[q], cluster_far[q] = m, a
             return False
 
-        return color if assign(0, 0) else None
-
-    for k in range(1, min(n_pts, n_cap + 1) + 1):
-        coloring = solve(k)
-        if coloring is not None:
-            return _verified_result(space, coloring, R, S, "exact")
+        if assign(0, 0):
+            return _verified_result(space, color, R, S, "exact")
     return RSDimResult(n=None, R=R, S=S, method="exact", coloring=None,
                        cover=None, exceeded_cap=True)
 
@@ -207,12 +206,11 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> RSDimResult
         by_color = {}
         for v, c in enumerate(coloring):
             by_color.setdefault(c, []).append(v)
-        for pts in by_color.values():
-            for cluster in _clusters_of_color(D, pts, R):
-                if len(cluster) > 1:
-                    sub = D[np.ix_(cluster, cluster)]
-                    if int(sub.max()) > S:
-                        return False
+        for pts in map(np.array, by_color.values()):
+            # every <R-connected cluster of the color within diameter S
+            for c in close_clusters(len(pts), [np.nonzero(D[np.ix_(pts, pts)] < R)]):
+                if D[np.ix_(pts[c], pts[c])].max() > S:
+                    return False
         return True
 
     for k in range(1, n_pts + 1):

@@ -6,6 +6,10 @@ import sys
 
 import pytest
 from conftest import cli_env
+from test_exact_solver import old_rs_dim_exact
+
+from boxdim.cayley import build_quotient_cayley
+from boxdim.groups import CongruenceQuotient, unitriangular
 
 
 def run_cli(tmp_path, ini_text, *flags):
@@ -501,6 +505,7 @@ dir = c
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["ok"] and summary["r_multiplicity"] <= summary["K"] == 5
+    assert summary["diameters_exact"] is True
     header = (tmp_path / "c" / "cover.csv").read_text().splitlines()[0]
     assert header == "family,label,center_component,center_vertex,radius,n_points"
 
@@ -567,6 +572,40 @@ summary = rand.json
     csv_b = (tmp_path / "r" / "rand.csv").read_text()
     assert a.returncode == 0 and b.returncode == 0
     assert csv_a == csv_b
+
+
+# the rsdim step of the word_search benchmark workload (word_rsdim.ini)
+WORD_RSDIM_INI = """\
+[group]
+kind = unitriangular
+size = 3
+
+[filtration]
+moduli = 3
+
+[task]
+name = rsdim
+source = component
+component = 0
+r = 2
+s = 2
+method = exact
+
+[output]
+dir = word_rsdim
+"""
+
+
+def test_word_rsdim_step_writes_the_old_first_coloring(tmp_path):
+    # a reordered search changes these rows before it changes a bench digest
+    proc = run_cli(tmp_path, WORD_RSDIM_INI)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "word_rsdim" / "rsdim.csv").read_text().splitlines()
+    g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 3))
+    n, coloring, _ = old_rs_dim_exact(g, 2, 2)
+    assert rows == ["point,family"] + [f"{v},{c}" for v, c in enumerate(coloring)]
+    summary = json.loads((tmp_path / "word_rsdim" / "summary.json").read_text())
+    assert summary["n"] == n == 2 and not summary["exceeded_cap"]
 
 
 def test_transfer_task(tmp_path):

@@ -340,6 +340,30 @@ def test_point_dilation_lists_the_pairs_within_r(monkeypatch, row_block):
             assert got == want, (r, space)
 
 
+@pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
+@pytest.mark.parametrize("spec, m", [(free_abelian(1), 12), (unitriangular(3), 2),
+                                     (unitriangular(3), 4)])
+def test_matrix_dilation_of_mixed_parts_equals_the_graph(monkeypatch, row_block, spec, m):
+    # one-point parts on a matrix are read in row blocks (ROW_BLOCK // n of
+    # them a block at 40), the others from their distance field; both must
+    # give the graph branch's rows
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+    g = build_quotient_cayley(CongruenceQuotient(spec, m))
+    twin = FiniteMetricSpace.from_graph(g)
+    rng = random.Random(f"{spec.describe()}/{m}")
+    for _ in range(3):
+        ids = rng.sample(range(g.n_vertices), g.n_vertices)
+        lengths = []
+        while sum(lengths) < len(ids):
+            lengths.append(min(rng.choice((1, 1, 1, 2, 3)), len(ids) - sum(lengths)))
+        parts = covers_module._parts(ids, lengths)
+        for r in range(0, g.diameter + 2):
+            want, got = (sorted(row for block in covers_module._dilation(space, parts, r)
+                                for row in zip(*(x.tolist() for x in block)))
+                         for space in (g, twin))
+            assert got == want, (r, lengths)
+
+
 # --- metric space plumbing --------------------------------------------------------
 
 def test_from_matrix_validation():

@@ -1,8 +1,9 @@
 """Property tests: the vectorised arithmetic equals the scalar tuple
 arithmetic of boxdim.groups on random elements, the sphere sizes of
 ball_levels equal a scalar BFS for random generating sets, the exact (R, S)
-solver equals the exhaustive one on random metric spaces, and the
-verifier's multiplicity and close pairs equal brute force on random covers."""
+solver equals the exhaustive one on random metric spaces and finds the
+frozen search's first coloring, and the verifier's multiplicity and close
+pairs equal brute force on random covers."""
 import numpy as np
 import pytest
 
@@ -28,6 +29,7 @@ from boxdim.groups import (  # noqa: E402
     unitriangular,
 )
 from test_covers import brute_multiplicity  # noqa: E402
+from test_exact_solver import old_rs_dim_exact  # noqa: E402
 
 SPECS = [
     free_abelian(1),
@@ -120,6 +122,15 @@ def metric_spaces(draw):
 def test_exact_solver_equals_exhaustive(space, R, S):
     # 9 points have Bell(9) = 21,147 colorings, so the oracle stays fast
     assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric_spaces(), st.integers(1, 4), st.integers(0, 6), st.integers(0, 8))
+def test_exact_solver_finds_the_old_first_coloring(space, R, S, n_cap):
+    # the forward check may only cut subtrees without a solution, so the
+    # first coloring found, not just n, is the frozen search's
+    res = rs_dim_exact(space, R, S, n_cap=n_cap)
+    assert (res.n, res.coloring, res.exceeded_cap) == old_rs_dim_exact(space, R, S, n_cap)
 
 
 BOXES = [build_box_space(Filtration(spec, moduli)) for spec, moduli in (
