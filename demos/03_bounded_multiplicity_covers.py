@@ -38,7 +38,7 @@ print()
 f_sets = [s for _, s in cover.all_sets() if len(s.parts) > 1]
 for s in f_sets:
     print(f"small components merged into {s.label!r}: "
-          f"components {s.component_indices()}")
+          f"components {tuple(ci for ci, _ in s.parts)}")
 print()
 
 # The same cover regrouped into R-disjoint families: sets that come within

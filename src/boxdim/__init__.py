@@ -10,7 +10,6 @@ from .boxspace import (
     CoarseUnion,
     IsometryProfile,
     IsometryRadius,
-    box_distance,
     build_box_space,
     coarse_union_of_balls,
     isometry_profile,
@@ -72,7 +71,6 @@ from .groups import (
     CongruenceQuotient,
     Filtration,
     GroupSpec,
-    QuotientFamily,
     direct_product,
     free_abelian,
     hirsch_length,

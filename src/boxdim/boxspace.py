@@ -29,7 +29,7 @@ from .cayley import (
     row_keys,
     sorted_distinct,
 )
-from .groups import Filtration, GroupSpec, QuotientFamily, unflatten
+from .groups import Filtration, GroupSpec, unflatten
 
 
 def thread_map(fn, items, threads: int) -> list:
@@ -89,7 +89,7 @@ class CoarseUnion:
 class BoxSpace(CoarseUnion):
     """The quotient Cayley graphs of a filtration, in filtration order."""
 
-    filtration: Filtration | QuotientFamily
+    filtration: Filtration
     components: tuple
 
     @property
@@ -99,11 +99,6 @@ class BoxSpace(CoarseUnion):
     @property
     def moduli(self) -> tuple:
         return tuple(g.modulus for g in self.components)
-
-
-def box_distance(space, p, q) -> int:
-    """Coarse disjoint-union metric; works for box spaces and ball unions."""
-    return space.distance(p, q)
 
 
 MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
@@ -173,32 +168,26 @@ class FiniteMetricSpace:
         return cls(m)
 
     @classmethod
-    def from_graph(cls, graph, point_cap: int = GRAPH_POINT_CAP) -> "FiniteMetricSpace":
-        """The full distance matrix of any component; a Cayley graph's is
-        built in row blocks by CayleyGraph.distance_blocks."""
+    def from_graph(cls, graph) -> "FiniteMetricSpace":
+        """The full distance matrix of any component of at most
+        GRAPH_POINT_CAP points; a Cayley graph's is built in row blocks by
+        CayleyGraph.distance_blocks."""
         n = graph.n_vertices
-        if n > point_cap:
-            raise ResourceCapError(f"{n} points exceeds the cap {point_cap}")
+        if n > GRAPH_POINT_CAP:
+            raise ResourceCapError(f"{n} points exceeds the cap {GRAPH_POINT_CAP}")
         if not isinstance(graph, CayleyGraph):
             return cls(graph.dist_matrix)
         ids = np.arange(n)
         return cls(np.concatenate(list(graph.distance_blocks(ids, ids))))
 
 
-def build_box_space(filtration, component_count: int | None = None,
-                    vertex_cap: int = 10 ** 6, threads: int = 1) -> BoxSpace:
-    quotients = filtration.quotients()
-    if component_count is not None:
-        if not (1 <= component_count <= len(quotients)):
-            raise ConfigError(
-                f"component_count must be in [1, {len(quotients)}], got {component_count}")
-        quotients = quotients[:component_count]
-
+def build_box_space(filtration: Filtration, vertex_cap: int = 10 ** 6,
+                    threads: int = 1) -> BoxSpace:
     def build(q):
         return build_quotient_cayley(q, vertex_cap=vertex_cap)
 
     return BoxSpace(filtration=filtration,
-                    components=tuple(thread_map(build, quotients, threads)))
+                    components=tuple(thread_map(build, filtration.quotients(), threads)))
 
 
 # --- ball-isometry radii ----------------------------------------------------

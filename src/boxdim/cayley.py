@@ -33,12 +33,12 @@ from .groups import (
     identity,
     num_coordinates,
     unflatten,
-    validate_element,
 )
 
 _INT64_SAFE = 2 ** 62
 PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
 PAIR_ROWS = 256             # rows per block of pairwise distances
+SLICE = 2 ** 18             # coordinates per slice of a sphere's candidate products
 
 
 def _overflow_bound(spec: GroupSpec, m: int) -> int:
@@ -172,13 +172,12 @@ def _steps(spec: GroupSpec, generators) -> np.ndarray:
 class CayleyGraph:
     """Cayley graph of a congruence quotient with a fixed generator order.
 
-    adjacency column j < g is "multiply by generators[j] on the right";
+    adjacency column j < g is "multiply by spec.generators[j] on the right";
     column g + j is the inverse.  Parallel edges are kept (a generator can
     coincide with an inverse in small quotients), so degree is always 2g.
     """
 
     quotient: CongruenceQuotient
-    generators: tuple
     coords: np.ndarray          # (V, k) int64, row v = coordinates of vertex v
     adjacency: np.ndarray       # (V, 2g) int32
     dist: np.ndarray            # (V,) int32, distance from the identity
@@ -206,11 +205,6 @@ class CayleyGraph:
         # eccentricity of the identity; equals the diameter by transitivity.
         # dist is never mutated after construction, so the value is cached.
         return int(self.dist.max())
-
-    def encode(self, coords: np.ndarray) -> np.ndarray:
-        """Mixed-radix vertex ids of a (V, k) or (k,) coordinate array."""
-        powers = self.modulus ** np.arange(self.coords.shape[1], dtype=np.int64)
-        return np.asarray(coords, dtype=np.int64) @ powers
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n_vertices):
@@ -371,34 +365,29 @@ def quotient_coords(quotient: CongruenceQuotient) -> np.ndarray:
 
 
 def build_quotient_cayley(quotient: CongruenceQuotient,
-                          generators=None,
                           vertex_cap: int = 10 ** 6) -> CayleyGraph:
-    """Enumerate all m^k coordinate tuples and wire the generator edges.
+    """Enumerate all m^k coordinate tuples and wire the edges of the
+    spec's generators, which its constructor has validated.
 
     The vertex order is the mixed-radix order of coordinate tuples, which
     makes every downstream greedy algorithm deterministic.
     """
     spec = quotient.spec
     m = quotient.modulus
-    if generators is None:
-        generators = spec.generators
-    generators = tuple(generators)
-    if not generators:
+    if not spec.generators:
         raise ConfigError("empty generating set")
-    e = identity(spec)
-    for g in generators:
-        validate_element(spec, g)
-        if g == e:
-            raise ConfigError("identity is not allowed as a generator")
+    if identity(spec) in spec.generators:
+        raise ConfigError("identity is not allowed as a generator")
     n = quotient.order
     if n > vertex_cap:
-        raise ResourceCapError(
-            f"quotient order {n} exceeds the vertex cap {vertex_cap}")
+        # m^k can pass the 4,300 digits str() prints
+        raise ResourceCapError(f"quotient order {n if n < 2 ** 64 else 'past 2**64'} "
+                               f"exceeds the vertex cap {vertex_cap}")
 
     coords = quotient_coords(quotient)
     # generator coordinates are reduced first, so the product's operands
     # lie in [0, m) as the overflow bound assumes
-    steps = (_steps(spec, generators) % m).astype(np.int64)
+    steps = (_steps(spec, spec.generators) % m).astype(np.int64)
     adjacency = np.stack([product_ids(spec, coords, g, m) for g in steps],
                          axis=1).astype(np.int32, copy=False)
 
@@ -406,8 +395,7 @@ def build_quotient_cayley(quotient: CongruenceQuotient,
     if (dist < 0).any():
         raise ConfigError("generating set does not generate the quotient "
                           f"({int((dist < 0).sum())} unreachable vertices)")
-    return CayleyGraph(quotient=quotient, generators=generators,
-                       coords=coords, adjacency=adjacency, dist=dist)
+    return CayleyGraph(quotient=quotient, coords=coords, adjacency=adjacency, dist=dist)
 
 
 # --- growth of the infinite group ------------------------------------------
@@ -490,9 +478,20 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
     at the sphere's largest coordinate proves it, object integers
     elsewhere.  Raises ResourceCapError once a sphere takes the ball past
     state_cap elements.
+
+    The candidates are built in slices of at most SLICE coordinates (at
+    least one element's products), and only each slice's new keys are
+    kept.  A sphere of several slices takes one more pass for the largest
+    |coordinate| its keys need.
     """
     k = num_coordinates(spec)
     steps = _steps(spec, spec.generators)
+    per = max(1, SLICE // steps.size)           # sphere rows per slice
+
+    def slices(rows):
+        for lo in range(0, rows.shape[0], per):
+            yield _products(spec, rows[lo:lo + per], steps).reshape(-1, k)
+
     prev = np.zeros((0, k), dtype=np.int64)
     level = np.zeros((1, k), dtype=np.int64)
     total = 1
@@ -502,13 +501,16 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
         if not level.shape[0]:
             return
         radius += 1
-        cand = _products(spec, level, steps).reshape(-1, k)
-        span = max(_abs_max(cand), _abs_max(level), _abs_max(prev))
+        cands = list(slices(level)) if level.shape[0] <= per else None
+        span = max(_abs_max(level), _abs_max(prev), *map(_abs_max, cands or slices(level)))
         base = 2 * span + 1
-        keys = sorted_distinct(row_keys(cand, -span, base))
         known = np.sort(np.concatenate([row_keys(level, -span, base),
                                         row_keys(prev, -span, base)]))
-        keys = keys[~_find_sorted(known, keys)[1]]
+        new = []
+        for cand in cands or slices(level):
+            keys = sorted_distinct(row_keys(cand, -span, base))
+            new.append(keys[~_find_sorted(known, keys)[1]])
+        keys = new[0] if len(new) == 1 else sorted_distinct(np.concatenate(new))
         prev, level = level, _key_rows(keys, -span, base, k)
         total += keys.size
         if keys.size and state_cap is not None and total > state_cap:
@@ -599,11 +601,6 @@ class GrowthBound:
     def check(self, r: int, size: int) -> bool:
         return size <= self.C * Fraction(r) ** self.d
 
-    def violations(self, sizes) -> list:
-        """(r, size) pairs with sizes[r] > C r^d, r >= 1."""
-        return [(r, s) for r, s in enumerate(sizes)
-                if r >= 1 and not self.check(r, s)]
-
 
 def loglog_slope(profile: GrowthProfile) -> float:
     """Least-squares slope of log |B(r)| against log r over the top half
@@ -623,13 +620,14 @@ def loglog_slope(profile: GrowthProfile) -> float:
 
 
 SLOPE_MARGIN = 0.25
+MAX_DEGREE = 12
 
 
-def fit_growth(profile: GrowthProfile, d_candidates=None, d: int | None = None) -> GrowthBound:
+def fit_growth(profile: GrowthProfile, d: int | None = None) -> GrowthBound:
     """Pick the degree and the exact optimal constant for it.
 
     With an explicit d, only C is computed.  Otherwise d is the smallest
-    candidate whose value is within SLOPE_MARGIN above the measured log-log
+    degree in 0..MAX_DEGREE within SLOPE_MARGIN above the measured log-log
     slope; the returned constant C = max_r sizes[r]/r^d makes the bound
     tight and valid on the whole profiled range by construction.
     """
@@ -637,22 +635,10 @@ def fit_growth(profile: GrowthProfile, d_candidates=None, d: int | None = None) 
         raise GrowthBoundError("need a profile out to radius >= 4 to fit")
     slope = loglog_slope(profile)
     if d is None:
-        if d_candidates is None:
-            d_candidates = range(0, 13)
-        d_candidates = sorted(set(int(x) for x in d_candidates))
-        if not d_candidates:
-            raise GrowthBoundError("empty candidate list")
-        chosen = None
-        for cand in d_candidates:
-            if cand < 0:
-                raise GrowthBoundError(f"degree candidates must be >= 0, got {cand}")
-            if slope <= cand + SLOPE_MARGIN:
-                chosen = cand
-                break
-        if chosen is None:
+        d = next((c for c in range(MAX_DEGREE + 1) if slope <= c + SLOPE_MARGIN), None)
+        if d is None:
             raise GrowthBoundError(
                 f"no candidate degree fits the measured slope {slope:.3f}")
-        d = chosen
     elif d < 0:
         raise GrowthBoundError(f"degree must be >= 0, got {d}")
     # once 2^d passes every size, sizes[r] / r^d < 1 <= sizes[1] for r >= 2

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .boxspace import build_box_space, isometry_profile
-from .cayley import GrowthBound, build_quotient_cayley, fit_growth, growth_profile
+from .cayley import SLICE, GrowthBound, build_quotient_cayley, fit_growth, growth_profile
 from .covers import (
     Cover,
+    CoverParams,
     cover_prop41,
     diagonal_transfer,
     families_from_multiplicity_cover,
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .groups import (
     Filtration,
-    QuotientFamily,
     direct_product,
     free_abelian,
     hirsch_length,
@@ -55,17 +55,20 @@ def _bool(text):
     return value
 
 
-FACTOR_KINDS = {"free_abelian": free_abelian, "unitriangular": unitriangular}
+# kind -> (constructor, (generators, coordinates) at rank or size n >= 1)
+FACTOR_KINDS = {"free_abelian": (free_abelian, lambda n: (n, n)),
+                "unitriangular": (unitriangular, lambda n: (n - 1, n * (n - 1) // 2))}
 
 
 def _factors(text):
+    """The (kind, rank or size) pairs of direct_product factors."""
     factors = []
     for item in re.split(r"[,\s]+", text.strip()):
         if item:
             name, _, arg = item.partition(":")
             if name not in FACTOR_KINDS:
                 raise ConfigError(f"unknown factor kind {name!r}")
-            factors.append(FACTOR_KINDS[name](int(arg)))
+            factors.append((name, int(arg)))
     return factors
 
 
@@ -102,23 +105,33 @@ def load_config(path):
 
 
 def group_from_config(cfg):
+    """The configured group.  One element's products with every generator
+    and inverse, 2g x k coordinates, are the least slice cayley.ball_levels
+    builds, so a group where they pass SLICE is refused from its rank or
+    size alone, before its generators are built."""
     if "group" not in cfg:
         raise ConfigError("config needs a [group] section")
     sec = cfg["group"]
     kind = _get(sec, "kind", str)
-    if kind == "free_abelian":
-        return free_abelian(_get(sec, "rank"))
-    if kind == "unitriangular":
-        return unitriangular(_get(sec, "size"))
-    if kind == "direct_product":
-        factors = _get(sec, "factors", _factors)
+    if kind in FACTOR_KINDS:
+        key = "rank" if kind == "free_abelian" else "size"
+        factors = [(kind, _get(sec, key))]
+    elif kind == "direct_product":
+        key = "factors"
+        factors = _get(sec, key, _factors)
         if not factors:
             raise ConfigError("direct_product needs at least one factor")
-        return direct_product(*factors)
-    raise ConfigError(f"unknown group kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown group kind {kind!r}")
+    g, k = map(sum, zip(*(FACTOR_KINDS[name][1](max(n, 1)) for name, n in factors)))
+    if 2 * g * k > SLICE:
+        raise ResourceCapError(f"[group] {key}: one element times every generator and "
+                               f"inverse passes the {SLICE} coordinates of a slice")
+    specs = [FACTOR_KINDS[name][0](n) for name, n in factors]
+    return direct_product(*specs) if kind == "direct_product" else specs[0]
 
 
-def moduli_from_config(cfg):
+def filtration_from_config(cfg, spec):
     if "filtration" not in cfg:
         raise ConfigError("config needs a [filtration] section")
     sec = cfg["filtration"]
@@ -136,15 +149,7 @@ def moduli_from_config(cfg):
         moduli = [base ** i for i in range(1, count + 1)]
     else:
         raise ConfigError("[filtration] needs either moduli or rule = powers")
-    nested = _get(sec, "nested", _bool, True)
-    return tuple(moduli), nested
-
-
-def filtration_from_config(cfg, spec):
-    moduli, nested = moduli_from_config(cfg)
-    if nested:
-        return Filtration(spec, moduli)
-    return QuotientFamily(spec, moduli)
+    return Filtration(spec, tuple(moduli), _get(sec, "nested", _bool, True))
 
 
 def _box(args, cfg):
@@ -239,11 +244,6 @@ def _families_text(cover, depth):
     yield p[0] + "]" if cover.n_families else "[]"
 
 
-def _is_nested(box):
-    """The filtration kind a witness must record to rebuild the same box."""
-    return isinstance(box.filtration, Filtration)
-
-
 def _check_witness(ok, what):
     if not ok:
         raise ConfigError(f"malformed witness: {what}")
@@ -290,7 +290,7 @@ def verify_witness(args, cfg):
     try:
         with open(args.verify_witness) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:      # ValueError: bad JSON, or past 4,300 digits
         raise ConfigError(f"cannot read witness {args.verify_witness}: {e}") from None
     _check_witness(isinstance(data, dict), "the top level must be an object")
     spec = group_from_config(cfg)
@@ -301,9 +301,8 @@ def verify_witness(args, cfg):
     nested = data.get("nested", True)
     _check_witness(_int_list(moduli), "'moduli' must be a list of integers")
     _check_witness(isinstance(nested, bool), "'nested' must be true or false")
-    filtration = (Filtration(spec, tuple(moduli)) if nested
-                  else QuotientFamily(spec, tuple(moduli)))
-    box = build_box_space(filtration, vertex_cap=args.vertex_cap, threads=args.threads)
+    box = build_box_space(Filtration(spec, tuple(moduli), nested),
+                          vertex_cap=args.vertex_cap, threads=args.threads)
     rows = data.get("rows") if data.get("kind") == "profile-witness" else [data]
     _check_witness(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
                    "'rows' must be a list of objects")
@@ -403,11 +402,21 @@ def _cover_rows(cover):
     return rows
 
 
-def task_cover(args, cfg, sec):
-    spec, box = _box(args, cfg)
+def _packing_cover(args, sec, spec, box):
+    """[task] r and cover_prop41 at it.  Its summary and witness report the
+    diameter budget S_0 = 4^(m+1) r, and str() prints at most 4,300 digits,
+    so an S_0 past 10^4300 is refused before any cover is built."""
     R = _get(sec, "r")
     growth = growth_from_config(sec, spec, args.state_cap)
-    cover, report = cover_prop41(box, R, growth, threads=args.threads)
+    if CoverParams.from_growth(R, growth).S_0 >= 10 ** 4300:
+        raise ConfigError("[task] r and the growth bound give a diameter budget "
+                          "S_0 = 4^(m+1) r of more than 4,300 digits")
+    return R, cover_prop41(box, R, growth, threads=args.threads)
+
+
+def task_cover(args, cfg, sec):
+    spec, box = _box(args, cfg)
+    _, (cover, report) = _packing_cover(args, sec, spec, box)
     summary = {
         "task": "cover", "group": spec.describe(), "moduli": list(box.moduli),
         "R": report.R, "S": report.S,
@@ -420,16 +429,14 @@ def task_cover(args, cfg, sec):
         "packing_counts": list(report.packing_counts),
         "ok": report.ok,
     }
-    witness = _witness("cover-witness", spec, box.moduli, _is_nested(box), R=report.R,
+    witness = _witness("cover-witness", spec, box.moduli, box.filtration.nested, R=report.R,
                        S=report.S, check_disjoint=False, families=cover)
     return _cover_rows(cover), summary, witness
 
 
 def task_families(args, cfg, sec):
     spec, box = _box(args, cfg)
-    R = _get(sec, "r")
-    growth = growth_from_config(sec, spec, args.state_cap)
-    base, base_report = cover_prop41(box, R, growth, threads=args.threads)
+    R, (base, base_report) = _packing_cover(args, sec, spec, box)
     cover = families_from_multiplicity_cover(base, R)
     report = verify_cover(cover, R, base_report.S)
     summary = {
@@ -441,7 +448,7 @@ def task_families(args, cfg, sec):
         "family_min_distances": list(report.family_min_distances),
         "ok": report.ok,
     }
-    witness = _witness("cover-witness", spec, box.moduli, _is_nested(box), R=R,
+    witness = _witness("cover-witness", spec, box.moduli, box.filtration.nested, R=R,
                        S=base_report.S, check_disjoint=True, families=cover)
     return _cover_rows(cover), summary, witness
 
@@ -514,7 +521,7 @@ def task_profile(args, cfg, sec):
     }
     witness_rows = [{"R": r.R, "S": r.s_achieved, "check_disjoint": r.mode != "prop41",
                      "families": r.cover} for r in table.rows if r.cover is not None]
-    witness = (_witness("profile-witness", spec, box.moduli, _is_nested(box),
+    witness = (_witness("profile-witness", spec, box.moduli, box.filtration.nested,
                         rows=witness_rows) if witness_rows else None)
     return rows, summary, witness
 

@@ -73,7 +73,7 @@ class CoverParams:
         C = Fraction(growth.C)
         d = int(growth.d)
         if C <= 0 or d < 0:
-            raise ConfigError(f"invalid growth bound C={C}, d={d}")
+            raise ConfigError("invalid growth bound: need C > 0 and d >= 0")
         # m = log(C R^d) / log(1 + 4^-d) in floats, then confirmed exactly
         # as the least m with K^m C.den >= C.num R^d 2^(2dm)
         step = math.log1p(0.25 ** d)
@@ -107,7 +107,7 @@ def check_growth_bound(graph, growth: GrowthBound, up_to: int | None = None) -> 
     for r in range(1, limit + 1):
         if not growth.check(r, int(sizes[r])):
             raise GrowthBoundError(
-                f"growth bound C={growth.C}, d={growth.d} fails on modulus "
+                f"growth bound |B(e, r)| <= C r^d fails on modulus "
                 f"{graph.modulus} at r={r}: |B(e,{r})| = {int(sizes[r])} > C r^d")
 
 
@@ -178,9 +178,6 @@ class CoverSet:
         for ci, ids in self.parts:
             for v in ids:
                 yield (ci, v)
-
-    def component_indices(self) -> tuple:
-        return tuple(ci for ci, _ in self.parts)
 
 
 def _ranges(lo, hi) -> np.ndarray:
@@ -268,11 +265,6 @@ class Cover:
             self.ids[_ranges(self.offsets[parts], self.offsets[parts + 1])],
             {pos[i]: c for i, c in self.centers.items() if i in pos},
             {pos[i]: r for i, r in self.radii.items() if i in pos})
-
-    def family(self, j: int) -> "Cover":
-        """Family j alone, as a one-family cover."""
-        lo, hi = np.searchsorted(self.set_family, [j, j + 1])
-        return self.take(np.arange(lo, hi), np.zeros(hi - lo), 1)
 
     @property
     def layout(self) -> list:

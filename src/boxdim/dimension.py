@@ -309,8 +309,8 @@ def grid_families(m: int, R: int, S: int):
     edge zones R-separated from each other.  None if no block size L | m
     satisfies the separation and diameter constraints.
 
-    The point (u, v) is listed as v * m + u, the vertex id that
-    CayleyGraph.encode gives its coordinates.  All points are classified
+    The point (u, v) is listed as v * m + u, its vertex id in the
+    mixed-radix order of quotient_coords.  All points are classified
     at once: the zone from u % L and v % L, then an integer set key ordered
     as the tuples corner (cu, cv) < edge ("h", u // L, cv) < edge ("v", cu,
     v // L) < core (u // L, v // L).  One stable sort by key lists the sets

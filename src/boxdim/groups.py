@@ -64,19 +64,22 @@ def _ut_index(n: int):
     return {pos: t for t, pos in enumerate(_ut_entries(n))}
 
 
+def _generated(spec: GroupSpec, generators, default: tuple) -> GroupSpec:
+    """spec with the given generators, each validated, else the default ones."""
+    if generators is not None:
+        default = tuple(tuple(g) for g in generators)
+        for g in default:
+            validate_element(spec, g)
+    object.__setattr__(spec, "generators", default)
+    return spec
+
+
 def free_abelian(rank: int, generators: Sequence[tuple] | None = None) -> GroupSpec:
     """Z^rank with word metric from +/- the standard basis by default."""
     if rank < 1:
         raise ConfigError(f"free_abelian rank must be >= 1, got {rank}")
-    spec = GroupSpec(kind=FREE_ABELIAN, rank=rank)
-    if generators is None:
-        gens = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    else:
-        gens = tuple(tuple(g) for g in generators)
-        for g in gens:
-            validate_element(spec, g)
-    object.__setattr__(spec, "generators", gens)
-    return spec
+    return _generated(GroupSpec(kind=FREE_ABELIAN, rank=rank), generators, tuple(
+        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
 
 
 def unitriangular(size: int, generators: Sequence[tuple] | None = None) -> GroupSpec:
@@ -87,22 +90,9 @@ def unitriangular(size: int, generators: Sequence[tuple] | None = None) -> Group
     """
     if size < 2:
         raise ConfigError(f"unitriangular size must be >= 2, got {size}")
-    spec = GroupSpec(kind=UNITRIANGULAR, size=size)
-    k = size * (size - 1) // 2
-    if generators is None:
-        idx = _ut_index(size)
-        gens = []
-        for i in range(size - 1):
-            coords = [0] * k
-            coords[idx[(i, i + 1)]] = 1
-            gens.append(tuple(coords))
-        gens = tuple(gens)
-    else:
-        gens = tuple(tuple(g) for g in generators)
-        for g in gens:
-            validate_element(spec, g)
-    object.__setattr__(spec, "generators", gens)
-    return spec
+    idx = _ut_index(size)
+    return _generated(GroupSpec(kind=UNITRIANGULAR, size=size), generators, tuple(
+        tuple(int(t == idx[(i, i + 1)]) for t in range(len(idx))) for i in range(size - 1)))
 
 
 def direct_product(*factors: GroupSpec) -> GroupSpec:
@@ -265,51 +255,35 @@ def is_kernel_element(quotient: CongruenceQuotient, elt) -> bool:
 
 @dataclass(frozen=True)
 class Filtration:
-    """A divisibility chain of moduli m_1 | m_2 | ... defining nested
-    congruence kernels, hence a box space."""
+    """The moduli of a box space's components.
+
+    Nested (the default): a divisibility chain m_1 | m_2 | ... defining
+    nested congruence kernels, hence a box space.  nested=False: distinct
+    moduli in any order, for free abelian specs only (where every finite
+    quotient of the family embeds into a common congruence quotient); it
+    emulates a full congruence family rather than a box space.
+    """
 
     spec: GroupSpec
     moduli: tuple
+    nested: bool = True
 
     def __post_init__(self):
         ms = self.moduli
         if len(ms) == 0:
             raise ConfigError("filtration needs at least one modulus")
-        for m in ms:
-            if m < 2:
-                raise ConfigError(f"modulus must be >= 2, got {m}")
+        if not self.nested:
+            if self.spec.kind != FREE_ABELIAN:
+                raise ConfigError("non-nested modulus families are supported for "
+                                  "free abelian groups only")
+            if len(set(ms)) != len(ms):
+                raise ConfigError("moduli must be distinct")
+        self.quotients()        # each refuses a modulus below 2
         for a, b in zip(ms, ms[1:]):
-            if b <= a or b % a != 0:
+            if self.nested and (b <= a or b % a != 0):
                 raise ConfigError(
                     f"moduli must be strictly increasing and nested by divisibility, "
                     f"got {a} before {b}")
 
     def quotients(self):
         return [CongruenceQuotient(self.spec, m) for m in self.moduli]
-
-
-@dataclass(frozen=True)
-class QuotientFamily:
-    """An arbitrary finite list of distinct moduli, no nesting required.
-
-    Only meaningful for free abelian specs (where every finite quotient of
-    the family embeds into a common congruence quotient); used to emulate
-    full congruence families rather than box spaces.
-    """
-
-    spec: GroupSpec
-    moduli: tuple
-
-    def __post_init__(self):
-        if self.spec.kind != FREE_ABELIAN:
-            raise ConfigError("non-nested modulus families are supported for "
-                              "free abelian groups only")
-        if len(set(self.moduli)) != len(self.moduli):
-            raise ConfigError("moduli must be distinct")
-        for m in self.moduli:
-            if m < 2:
-                raise ConfigError(f"modulus must be >= 2, got {m}")
-
-    def quotients(self):
-        return [CongruenceQuotient(self.spec, m) for m in self.moduli]
-

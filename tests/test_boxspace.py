@@ -6,7 +6,6 @@ import pytest
 
 from boxdim.boxspace import (
     IsometryProfile,
-    box_distance,
     build_box_space,
     coarse_union_of_balls,
     isometry_profile,
@@ -36,15 +35,6 @@ def test_build_ut3_orders():
     assert [g.n_vertices for g in box.components] == [8, 64, 512]
 
 
-def test_component_count_selection():
-    f = Filtration(free_abelian(1), (2, 4, 8, 16))
-    assert build_box_space(f, component_count=2).component_count == 2
-    with pytest.raises(ConfigError):
-        build_box_space(f, component_count=0)
-    with pytest.raises(ConfigError):
-        build_box_space(f, component_count=5)
-
-
 def test_threaded_build_is_identical():
     f = Filtration(unitriangular(3), (2, 4, 8))
     a = build_box_space(f, threads=1)
@@ -56,20 +46,20 @@ def test_threaded_build_is_identical():
 
 def test_box_distance_examples():
     box = build_box_space(Filtration(free_abelian(1), (2, 4)))
-    assert box_distance(box, (0, 0), (1, 1)) == 3   # 1 + 2 across components
-    assert box_distance(box, (1, 0), (1, 2)) == 2   # antipodal in C_4
-    assert box_distance(box, (1, 3), (1, 3)) == 0
+    assert box.distance((0, 0), (1, 1)) == 3   # 1 + 2 across components
+    assert box.distance((1, 0), (1, 2)) == 2   # antipodal in C_4
+    assert box.distance((1, 3), (1, 3)) == 0
     with pytest.raises(ShapeMismatchError):
-        box_distance(box, (0, 0), (2, 0))
+        box.distance((0, 0), (2, 0))
     with pytest.raises(ShapeMismatchError):
-        box_distance(box, (0, 5), (1, 0))
+        box.distance((0, 5), (1, 0))
 
 
 def test_box_distance_is_a_metric():
     box = build_box_space(Filtration(free_abelian(1), (2, 4, 8)))
     pts = list(box.points())
     assert len(pts) == 14
-    d = {(p, q): box_distance(box, p, q) for p in pts for q in pts}
+    d = {(p, q): box.distance(p, q) for p in pts for q in pts}
     for p in pts:
         assert d[(p, p)] == 0
     for p, q in itertools.combinations(pts, 2):

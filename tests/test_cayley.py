@@ -47,10 +47,10 @@ from boxdim.groups import (
 UT3_BALL_SIZES = (1, 5, 17, 53, 135, 299, 593, 1069, 1793, 2845, 4309, 6281, 8871)
 
 
-def nx_cayley(spec, m, generators=None):
+def nx_cayley(spec, m):
     """Independent graph: BFS over coordinate tuples with tuple arithmetic."""
     q = CongruenceQuotient(spec, m)
-    gens = list(generators or spec.generators)
+    gens = list(spec.generators)
     gens = gens + [invert(spec, g) for g in gens]
     start = identity(spec)
     graph = nx.Graph()
@@ -98,8 +98,8 @@ def test_ut3_mod2():
 
 
 def test_complete_graph_on_5():
-    q = CongruenceQuotient(free_abelian(1), 5)
-    g = build_quotient_cayley(q, generators=[(1,), (2,)])
+    q = CongruenceQuotient(free_abelian(1, [(1,), (2,)]), 5)
+    g = build_quotient_cayley(q)
     assert g.degree == 4
     for u in range(5):
         for v in range(5):
@@ -171,8 +171,9 @@ def test_sphere_sizes_are_vertex_independent():
 
 
 def test_encode_roundtrip():
+    # vertex v has the coordinates whose mixed-radix id is v
     g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4))
-    assert np.array_equal(g.encode(g.coords), np.arange(g.n_vertices))
+    assert encoded(g.coords, 4).tolist() == list(range(g.n_vertices))
 
 
 def test_multi_source_bfs_cap():
@@ -271,7 +272,7 @@ def test_fit_growth_z():
     bound = fit_growth(prof)
     assert bound.d == 1
     assert bound.C == Fraction(3)
-    assert bound.violations(prof.sizes) == []
+    assert violations(bound, prof.sizes) == []
 
 
 def test_fit_growth_z2():
@@ -280,7 +281,7 @@ def test_fit_growth_z2():
     assert bound.d == 2
     assert bound.C == Fraction(5)  # (2r^2+2r+1)/r^2 peaks at r=1
     assert 1.5 <= bound.slope <= 2.25
-    assert bound.violations(prof.sizes) == []
+    assert violations(bound, prof.sizes) == []
 
 
 def test_fit_growth_ut3():
@@ -290,7 +291,7 @@ def test_fit_growth_ut3():
     assert bound.d == 4
     assert 3.5 <= bound.slope <= 4.5
     assert bound.C == Fraction(5)
-    assert bound.violations(prof.sizes) == []
+    assert violations(bound, prof.sizes) == []
 
 
 def test_fit_growth_explicit_degree():
@@ -319,14 +320,18 @@ def test_fit_growth_errors():
     with pytest.raises(GrowthBoundError):
         fit_growth(prof)
     good = growth_profile(free_abelian(1), 8)
-    with pytest.raises(GrowthBoundError):
-        fit_growth(good, d_candidates=[])
+    # log-log slope about 20: past every degree 0..MAX_DEGREE
     exponential = GrowthProfile(spec=free_abelian(1),
-                                sizes=tuple(3 ** r for r in range(13)))
-    with pytest.raises(GrowthBoundError):
-        fit_growth(exponential, d_candidates=range(5))
+                                sizes=tuple(10 ** r for r in range(13)))
+    with pytest.raises(GrowthBoundError, match="no candidate degree"):
+        fit_growth(exponential)
     with pytest.raises(GrowthBoundError):
         fit_growth(good, d=-1)
+
+
+def violations(bound, sizes):
+    """(r, size) pairs with sizes[r] > C r^d, r >= 1."""
+    return [(r, s) for r, s in enumerate(sizes) if r >= 1 and not bound.check(r, s)]
 
 
 def test_growth_bound_violations_reported():
@@ -334,19 +339,23 @@ def test_growth_bound_violations_reported():
     bound = fit_growth(prof)
     doctored = list(prof.sizes)
     doctored[4] = 100
-    assert bound.violations(doctored) == [(4, 100)]
+    assert violations(bound, doctored) == [(4, 100)]
 
 
 # --- build validation ------------------------------------------------------
 
 def test_build_errors():
-    q = CongruenceQuotient(free_abelian(1), 4)
-    with pytest.raises(ConfigError):
-        build_quotient_cayley(q, generators=[(2,)])  # generates only evens
-    with pytest.raises(ConfigError):
-        build_quotient_cayley(q, generators=[(0,)])
+    def quotient(generators):
+        return CongruenceQuotient(free_abelian(1, generators), 4)
+
+    with pytest.raises(ConfigError, match="does not generate"):
+        build_quotient_cayley(quotient([(2,)]))  # generates only evens
+    with pytest.raises(ConfigError, match="identity"):
+        build_quotient_cayley(quotient([(0,)]))
+    with pytest.raises(ConfigError, match="empty"):
+        build_quotient_cayley(quotient([]))
     with pytest.raises(ShapeMismatchError):
-        build_quotient_cayley(q, generators=[(1, 0)])
+        free_abelian(1, [(1, 0)])
     with pytest.raises(ResourceCapError):
         build_quotient_cayley(CongruenceQuotient(free_abelian(2), 40), vertex_cap=100)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through subprocess, matching documented exit codes."""
 import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -12,12 +13,23 @@ from boxdim.cayley import build_quotient_cayley
 from boxdim.groups import CongruenceQuotient, unitriangular
 
 
-def run_cli(tmp_path, ini_text, *flags):
+def run_cli(tmp_path, ini_text, *flags, **limits):
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini_text)
     return subprocess.run(
         [sys.executable, "-m", "boxdim", "--config", str(cfg), *flags],
-        capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(), **limits)
+
+
+def _cap_address_space():
+    """Run in the child only: 1 GiB of address space."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def run_capped(tmp_path, ini_text, *flags):
+    """run_cli with 1 GiB of address space in the child and a 60 s timeout."""
+    return run_cli(tmp_path, ini_text, *flags, preexec_fn=_cap_address_space, timeout=60)
 
 
 PROFILE_INI = """\
@@ -135,11 +147,22 @@ def test_malformed_witness_exit_codes(tmp_path):
         ("vertex id 2**63 - 1", set_vertex(2 ** 63 - 1), 2),
         ("top-level list", lambda d: [d], 2),
         ("dropped set", drop(lambda d: d["rows"][0]["families"][0], 0), 4),
+        # a non-nested family refuses an empty list, as a filtration does
+        ("empty non-nested moduli", lambda d: {**d, "moduli": [], "nested": False}, 2),
+        # json.load refuses integer literals past 4,300 digits
+        ("vertex id of 5,001 digits", lambda d: json.dumps(d).replace(
+            '"parts": [[0, [', '"parts": [[0, [' + "7" * 5001 + ", ", 1), 2),
+        # Z^2 mod m has m^2 vertices, 6,001 digits: refused without printing them
+        ("Z^2 modulus of 3,001 digits",
+         lambda d: (PLANE_INI, {**d, "group": "free_abelian(2)", "moduli": [10 ** 3000]}), 3),
     ]
     bad = tmp_path / "bad.json"
     for case, edit, code in cases:
-        bad.write_text(json.dumps(edit(copy.deepcopy(good))))
-        proc = run_cli(tmp_path, PROFILE_INI, "--verify-witness", str(bad))
+        ini, doc = PROFILE_INI, edit(copy.deepcopy(good))
+        if type(doc) is tuple:
+            ini, doc = doc
+        bad.write_text(doc if type(doc) is str else json.dumps(doc))
+        proc = run_capped(tmp_path, ini, "--verify-witness", str(bad))
         assert proc.returncode == code, (case, proc.stderr)
         assert "Traceback" not in proc.stderr, case
 
@@ -277,12 +300,6 @@ def test_malformed_ini_values_exit_2(tmp_path, old, new, key):
     assert key in proc.stderr
 
 
-def _cap_address_space():
-    """Run in the child only: 1 GiB of address space."""
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
 @pytest.mark.parametrize("old, new, key", [
     ("moduli = 8 16", "rule = powers\nbase = 2\ncount = 100000000", "[filtration] count"),
     ("growth_d = 1", "growth_d = 1000000000", "parameter ladder did not converge"),
@@ -295,11 +312,7 @@ def test_huge_values_exit_2_under_a_memory_cap(tmp_path, old, new, key):
     # each used to build a number or list past the cap and exit 1 with a
     # MemoryError after 9 to 25 s
     assert old in COVER_INI
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(COVER_INI.replace(old, new))
-    proc = subprocess.run([sys.executable, "-m", "boxdim", "--config", str(cfg)],
-                          capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
-                          preexec_fn=_cap_address_space, timeout=60)
+    proc = run_capped(tmp_path, COVER_INI.replace(old, new))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert key in proc.stderr
@@ -307,11 +320,26 @@ def test_huge_values_exit_2_under_a_memory_cap(tmp_path, old, new, key):
 
 UT3_HEAD = "[group]\nkind = unitriangular\nsize = 3\n\n"
 Z_HEAD = "[group]\nkind = free_abelian\nrank = 1\n\n"
+Z_BOX = Z_HEAD + "[filtration]\nmoduli = 2 4\n\n"
+RANDOM_RSDIM = "[task]\nname = rsdim\nsource = random\nr = 1\ns = 2\n"
+
+
+def group_head(kind, n):
+    key = "rank" if kind == "free_abelian" else "size"
+    return f"[group]\nkind = {kind}\n{key} = {n}\n\n"
+
+
+def lattice_ball_sizes(n, r_max):
+    """|B(e, r)| in Z^n for r = 0..r_max: the points with i nonzero
+    coordinates and |x|_1 <= r number 2^i C(n, i) C(r, i)."""
+    return [sum(2 ** i * math.comb(n, i) * math.comb(r, i) for i in range(n + 1))
+            for r in range(r_max + 1)]
 
 
 HUGE = str(10 ** 20)
 
 
+# key: text the error message holds, or items the summary holds (exit 0)
 @pytest.mark.parametrize("ini, code, key", [
     pytest.param("[task]\nname = rsdim\nsource = random\nr = 1\ns = 2\nmax_distance = " + HUGE,
                  2, "max_distance", id="rsdim max_distance"),
@@ -319,25 +347,69 @@ HUGE = str(10 ** 20)
                  3, "[task] r_max", id="growth r_max"),
     pytest.param(UT3_HEAD + "[filtration]\nmoduli = 2 4\n\n[task]\nname = families\nr = 2\n"
                  "growth_r_max = " + HUGE, 3, "[task] growth_r_max", id="families growth_r_max"),
+    # |B(e, 1)| = 5 in UT(3)
     pytest.param(UT3_HEAD + "[task]\nname = growth\nr_max = 8\ngrowth_d = " + HUGE,
-                 0, None, id="growth growth_d"),
+                 0, {"bound": {"C": "5", "d": 10 ** 20, "validated_range": [1, 8]}},
+                 id="growth growth_d"),
     pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = 2\nradii = " + HUGE,
                  3, "[task] radii", id="transfer radii"),
+    # integers past the 4,300 digits str() prints
+    pytest.param(group_head("free_abelian", 2) + "[filtration]\nmoduli = 1" + "0" * 3000
+                 + "\n\n[task]\nname = boxspace", 3, "quotient order past 2**64",
+                 id="boxspace modulus of 3,001 digits"),
+    pytest.param(Z_HEAD + "[filtration]\nmoduli = 8 16\n\n[task]\nname = cover\nr = 1"
+                 + "0" * 4000 + "\ngrowth_c = 3\ngrowth_d = 1", 2, "[task] r",
+                 id="cover r of 4,001 digits"),
+    # groups past a slice of ball enumeration, refused before their generators
+    pytest.param(group_head("free_abelian", 30) + "[task]\nname = growth\nr_max = 4",
+                 0, {"sizes": lattice_ball_sizes(30, 4)}, id="growth free_abelian 30"),
+    pytest.param(group_head("free_abelian", 3000) + "[task]\nname = growth\nr_max = 4",
+                 3, "[group] rank", id="growth free_abelian 3000"),
+    pytest.param(group_head("unitriangular", 80) + "[task]\nname = growth\nr_max = 4",
+                 3, "[group] size", id="growth unitriangular 80"),
+    pytest.param(group_head("unitriangular", 300) + "[task]\nname = growth\nr_max = 4",
+                 3, "[group] size", id="growth unitriangular 300"),
+    pytest.param(group_head("unitriangular", 300) + "[filtration]\nmoduli = 2\n\n"
+                 "[task]\nname = boxspace", 3, "[group] size", id="boxspace unitriangular 300"),
+    pytest.param(group_head("free_abelian", 20000) + "[filtration]\nmoduli = 2\n\n"
+                 "[task]\nname = boxspace", 3, "[group] rank", id="boxspace free_abelian 20000"),
+    pytest.param("[group]\nkind = direct_product\nfactors = free_abelian:200 unitriangular:40"
+                 "\n\n[task]\nname = growth\nr_max = 2", 3, "[group] factors",
+                 id="growth direct_product"),
+    # the README keys
+    pytest.param(group_head("unitriangular", HUGE) + "[task]\nname = growth\nr_max = 2",
+                 3, "[group] size", id="group size"),
+    pytest.param(RANDOM_RSDIM.replace("s = 2", "s = " + HUGE), 0, {"S": 10 ** 20, "n": 0},
+                 id="rsdim s"),
+    pytest.param(Z_BOX + "[task]\nname = profile\nr_list = 1\ns_cap = " + HUGE,
+                 0, {"S_cap": 10 ** 20}, id="profile s_cap"),
+    pytest.param(Z_BOX + "[task]\nname = profile\nr_list = 1\ns_cap = 4\nmode = " + HUGE,
+                 2, "mode must be one of", id="profile mode"),
+    pytest.param(RANDOM_RSDIM + "method = " + HUGE, 2, "unknown method", id="rsdim method"),
+    pytest.param(Z_BOX + "[task]\nname = rsdim\nr = 1\ns = 2\ncomponent = " + HUGE,
+                 2, "component index", id="rsdim component"),
+    pytest.param(UT3_HEAD + "[filtration]\nmoduli = 2 4\n\n[task]\nname = isoradius\n"
+                 "k_list = " + HUGE, 0, {"thresholds": {HUGE: None}}, id="isoradius k_list"),
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = " + HUGE + "\nradii = 4 6",
+                 2, "need r0", id="transfer r0"),
+    pytest.param(RANDOM_RSDIM.replace("random", HUGE), 2, "unknown rsdim source",
+                 id="rsdim source"),
+    pytest.param(RANDOM_RSDIM + "points = " + HUGE, 3, "exceeds the cap 1024",
+                 id="rsdim points"),
+    pytest.param(UT3_HEAD + "[task]\nname = growth\nr_max = 8\n\n[limits]\nstate_cap = " + HUGE,
+                 0, {"sizes": [1, 5, 17, 53, 135, 299, 593, 1069, 1793]}, id="limits state_cap"),
 ])
 def test_huge_radii_and_distances_exit_cleanly_under_a_memory_cap(tmp_path, ini, code, key):
-    # each used to exit 1: an int32 overflow, islice past sys.maxsize, or a
-    # MemoryError building r ** d or a striped input after seconds
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(ini + "\n\n[output]\ndir = out\n")
-    proc = subprocess.run([sys.executable, "-m", "boxdim", "--config", str(cfg)],
-                          capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
-                          preexec_fn=_cap_address_space, timeout=60)
+    # each used to exit 1 (an int32 overflow, islice past sys.maxsize, a
+    # MemoryError building r ** d, a striped input or a sphere's products,
+    # or str() of an integer past 4,300 digits), or pins the exit code of a
+    # documented key
+    proc = run_capped(tmp_path, ini + "\n\n[output]\ndir = out\n")
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    if key is None:
+    if isinstance(key, dict):
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        # |B(e, 1)| = 5 in UT(3)
-        assert summary["bound"] == {"C": "5", "d": 10 ** 20, "validated_range": [1, 8]}
+        assert {k: summary[k] for k in key} == key
     else:
         assert key in proc.stderr
 

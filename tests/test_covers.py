@@ -219,8 +219,8 @@ def test_packing_cycle_saturated():
 
 
 def test_packing_dense_generators():
-    q = CongruenceQuotient(free_abelian(1), 5)
-    g = build_quotient_cayley(q, generators=((1,), (2,)))
+    q = CongruenceQuotient(free_abelian(1, ((1,), (2,))), 5)
+    g = build_quotient_cayley(q)
     # all distances are 1, so one ball blocks everything
     assert maximal_packing(g, 1).tolist() == [0]
 
@@ -327,7 +327,7 @@ def translate(comp, ids, h, side):
     a, b = comp.coords[list(ids)], comp.coords[h]
     moved = coords_multiply(comp.spec, *((b, a) if side == "left" else (a, b)),
                             comp.modulus)
-    return tuple(comp.encode(moved).tolist())
+    return tuple((moved @ comp.modulus ** np.arange(moved.shape[1])).tolist())
 
 
 def random_cover(rng, box, n_sets):
@@ -380,7 +380,7 @@ def per_set_diameters(box, cover):
             else:
                 d = comp.subset_diameter(ids)
             best = max(best, d)
-        comps = s.component_indices()
+        comps = [ci for ci, _ in s.parts]
         for a in range(len(comps)):
             for b in range(a + 1, len(comps)):
                 best = max(best, box.diameters[comps[a]] + box.diameters[comps[b]])
@@ -656,8 +656,7 @@ def test_cover_arrays_and_views():
     assert cover.set_parts().tolist() == [0, 1, 3, 4]
     assert (cover.centers, cover.radii) == ({1: (0, 2)}, {1: 1})
     # a family alone, and sets taken out in another order and grouping
-    assert cover.family(0).families == (plain[0],)
-    assert cover.family(1).families == ((),)
+    assert cover.take([0, 1], [0, 0], 1).families == (plain[0],)
     taken = cover.take([1, 2], [0, 2], 3)
     assert taken.families == ((plain[0][1],), (), (plain[2][0],))
     assert (taken.centers, taken.radii) == ({0: (0, 2)}, {0: 1})
@@ -723,7 +722,7 @@ def test_prop41_cover_line_box():
     labels = [s.label for _, s in cover.all_sets()]
     assert labels.count("F_R") == 1
     f_r = next(s for _, s in cover.all_sets() if s.label == "F_R")
-    assert f_r.component_indices() == tuple(
+    assert tuple(ci for ci, _ in f_r.parts) == tuple(
         ci for ci, d in enumerate(box.diameters) if d <= 8)
     for ci, rn in enumerate(report.doubling_radii):
         if box.diameters[ci] > 8:

@@ -548,7 +548,7 @@ def old_structured_grid_families(comp, R, S):
         for ids in fam:
             uv = np.asarray(ids, dtype=np.int64)
             coords = np.stack([uv // m, uv % m], axis=1)
-            conv.append(sorted(int(x) for x in comp.encode(coords)))
+            conv.append(sorted(int(x) for x in coords @ m ** np.arange(2)))
         out.append(conv)
     return out
 

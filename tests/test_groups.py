@@ -14,7 +14,6 @@ from boxdim.errors import ConfigError, ShapeMismatchError
 from boxdim.groups import (
     CongruenceQuotient,
     Filtration,
-    QuotientFamily,
     direct_product,
     flatten,
     free_abelian,
@@ -242,12 +241,13 @@ def test_filtration_validation():
 
 def test_quotient_family_non_nested():
     z2 = free_abelian(2)
-    fam = QuotientFamily(z2, (2, 3, 5))
-    assert [q.order for q in fam.quotients()] == [4, 9, 25]
-    with pytest.raises(ConfigError):
-        QuotientFamily(unitriangular(3), (2, 3))
-    with pytest.raises(ConfigError):
-        QuotientFamily(z2, (2, 2))
+    fam = Filtration(z2, (5, 2, 3), nested=False)
+    assert [q.order for q in fam.quotients()] == [25, 4, 9]
+    with pytest.raises(ConfigError, match="free abelian"):
+        Filtration(unitriangular(3), (2, 3), nested=False)
+    for bad in ((2, 2), (), (1, 3)):
+        with pytest.raises(ConfigError):
+            Filtration(z2, bad, nested=False)
 
 
 def test_validate_shapes():
