@@ -13,9 +13,7 @@ from boxdim import (
     build_box_space,
     build_quotient_cayley,
     free_abelian,
-    rs_dim_exact,
-    rs_dim_exhaustive,
-    rs_dim_greedy,
+    rs_dim,
     unitriangular,
 )
 
@@ -23,12 +21,12 @@ from boxdim import (
 # one family is not enough and two suffice (alternating short arcs).
 cyc = FiniteMetricSpace.from_graph(
     build_quotient_cayley(CongruenceQuotient(free_abelian(1), 12)))
-exact = rs_dim_exact(cyc, R=2, S=3)
+exact = rs_dim(cyc, 2, 3, "exact")
 print(f"12-cycle, R=2, S=3: n = {exact.n} "
       f"({exact.n_families} families, method {exact.method})")
 print(f"  brute-force enumeration agrees: "
-      f"n = {rs_dim_exhaustive(cyc, R=2, S=3).n}")
-greedy = rs_dim_greedy(cyc, R=2, S=3)
+      f"n = {rs_dim(cyc, 2, 3, 'exhaustive').n}")
+greedy = rs_dim(cyc, 2, 3, "greedy")
 print(f"  greedy witness uses {greedy.n_families} families (upper bound)")
 print()
 

@@ -476,13 +476,7 @@ def task_rsdim(args, cfg, sec):
         label = f"{spec.describe()} mod {space.modulus}"
     else:
         raise ConfigError(f"unknown rsdim source {source!r}")
-    kwargs = {}
-    if method == "exact":
-        kwargs = {"n_cap": _get(sec, "n_cap", int, 8),
-                  "point_cap": _get(sec, "point_cap", int, 60)}
-    elif method == "exhaustive":
-        kwargs = {"point_cap": _get(sec, "point_cap", int, 12)}
-    result = rs_dim(space, R, S, method=method, **kwargs)
+    result = rs_dim(space, R, S, method)
     rows = [["point", "family"]]
     if result.coloring is not None:
         for v in range(space.n_vertices):
@@ -508,9 +502,7 @@ def task_profile(args, cfg, sec):
     if mode == "prop41":
         growth = growth_from_config(sec, spec, args.state_cap)
     table = asdim_profile(box, r_list, S_cap=S_cap, mode=mode, growth=growth,
-                          threads=args.threads,
-                          n_cap=_get(sec, "n_cap", int, 8),
-                          point_cap=_get(sec, "point_cap", int, 60))
+                          threads=args.threads)
     rows = [list(r) for r in table.as_csv_rows()]
     summary = {
         "task": "profile", "group": spec.describe(), "moduli": list(box.moduli),
@@ -598,6 +590,8 @@ def run(args):
     if "limits" in cfg:
         args.state_cap = _get(cfg["limits"], "state_cap", int, args.state_cap)
         args.vertex_cap = _get(cfg["limits"], "vertex_cap", int, args.vertex_cap)
+    if args.vertex_cap > np.iinfo(np.int32).max:
+        raise ConfigError("[limits] vertex_cap passes 2**31 - 1: vertex ids are int32")
 
     if args.verify_witness:
         csv_rows, summary, witness = verify_witness(args, cfg)
@@ -642,8 +636,8 @@ def main(argv=None) -> int:
     except (ConfigError, GrowthBoundError, InsufficientInputError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except ResourceCapError as e:
-        print(f"resource cap exceeded: {e}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as e:
+        print(f"resource cap exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)

@@ -65,8 +65,8 @@ class RSDimResult:
     R: int
     S: int
     method: str
-    coloring: tuple | None       # per point, in the space's own indexing
-    cover: Cover | None          # expanded witness over CoarseUnion((space,))
+    coloring: tuple | None = None   # per point, in the space's own indexing
+    cover: Cover | None = None      # expanded witness over CoarseUnion((space,))
     exceeded_cap: bool = False
 
     @property
@@ -74,21 +74,19 @@ class RSDimResult:
         return None if self.n is None else self.n + 1
 
 
-def _verified_result(space, coloring, R, S, method) -> RSDimResult:
-    cover = _coloring_to_cover(space, coloring, R)
+def _check(cover: Cover, R: int, S: int, method: str) -> None:
+    """verify_cover at (R, S); a failure is the solver's fault."""
     report = verify_cover(cover, R, S)
     if not report.ok:
         raise VerificationError(
             f"{method} produced an invalid witness at R={R}, S={S}: "
             f"{report.oversized_witness or report.close_pair_witnesses}")
-    n = cover.n_families - 1
-    return RSDimResult(n=n, R=R, S=S, method=method,
-                       coloring=tuple(coloring), cover=cover)
 
 
 def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
-                 point_cap: int = 60) -> RSDimResult:
-    """Smallest n admitting an (R, S)-witness, by branch and bound.
+                 point_cap: int = 60) -> list | None:
+    """A coloring with the fewest colors that is an (R, S)-witness, by
+    branch and bound; None when more than n_cap + 1 colors are needed.
 
     Points are processed in breadth-first order from point 0; colors obey
     the restricted-growth convention (a new color only when all smaller
@@ -167,9 +165,8 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
             return False
 
         if assign(0, 0):
-            return _verified_result(space, color, R, S, "exact")
-    return RSDimResult(n=None, R=R, S=S, method="exact", coloring=None,
-                       cover=None, exceeded_cap=True)
+            return color
+    return None
 
 
 def _restricted_growth_strings(n: int, kmax: int):
@@ -188,7 +185,7 @@ def _restricted_growth_strings(n: int, kmax: int):
     yield from rec(0, 0)
 
 
-def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> RSDimResult:
+def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> list:
     """Reference solver: tries every coloring, smallest color count first.
 
     Deliberately shares nothing with the branch-and-bound beyond the
@@ -216,11 +213,11 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> RSDimResult
     for k in range(1, n_pts + 1):
         for seq in _restricted_growth_strings(n_pts, k):
             if max(seq) == k - 1 and valid(seq):
-                return _verified_result(space, list(seq), R, S, "exhaustive")
+                return list(seq)
     raise VerificationError("no valid coloring found; unreachable for k = n")
 
 
-def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
+def rs_dim_greedy(space, R: int, S: int) -> list:
     """Heuristic witness: farthest-point ball carving at radius S//2, then
     greedy coloring of the cluster proximity graph.  Upper bound only."""
     n_pts = space.n_vertices
@@ -253,17 +250,22 @@ def rs_dim_greedy(space, R: int, S: int) -> RSDimResult:
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
     bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
     cluster_color = first_fit_colors(b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
-    return _verified_result(space, np.array(cluster_color)[assigned].tolist(), R, S, "greedy")
+    return np.array(cluster_color)[assigned].tolist()
 
 
 def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResult:
-    if method == "exact":
-        return rs_dim_exact(space, R, S, **kwargs)
-    if method == "exhaustive":
-        return rs_dim_exhaustive(space, R, S, **kwargs)
-    if method == "greedy":
-        return rs_dim_greedy(space, R, S)
-    raise ConfigError(f"unknown method {method!r}")
+    """The method's coloring (kwargs: n_cap, point_cap) as a verified cover."""
+    solver = {"exact": rs_dim_exact, "exhaustive": rs_dim_exhaustive,
+              "greedy": rs_dim_greedy}.get(method)
+    if solver is None:
+        raise ConfigError(f"unknown method {method!r}")
+    coloring = solver(space, R, S, **kwargs)
+    if coloring is None:
+        return RSDimResult(None, R, S, method, exceeded_cap=True)
+    cover = _coloring_to_cover(space, coloring, R)
+    _check(cover, R, S, method)
+    return RSDimResult(n=cover.n_families - 1, R=R, S=S, method=method,
+                       coloring=tuple(coloring), cover=cover)
 
 
 # --- structured witnesses for cycles and square tori -------------------------
@@ -419,8 +421,7 @@ def s_ladder(R: int, S_cap: int):
 
 
 def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
-                      threads: int = 1, n_cap: int = 8, point_cap: int = 60,
-                      n_best: int | None = None):
+                      threads: int = 1, n_best: int | None = None):
     """One uniform-scale witness cover of a box space, or None.
 
     Components of diameter <= S // 2 merge into a single set (pairwise sums
@@ -428,10 +429,11 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     (S // 2, S] become whole-component sets; every larger component is
     solved per mode.  Any two sets from different components of diameter
     > S // 2 sit at distance > S >= R, so per-component family indices can
-    be shared across components.  The assembled cover is re-verified and
-    None is returned unless every check passes.  Given n_best, a cover of
-    n_best + 1 or more non-empty families could not improve on it, and None
-    is returned before it is built.
+    be shared across components.  The assembled cover is verified once; if
+    it fails, a solver cover that fails on its own component raises as in
+    rs_dim, else None is returned.  Given n_best, a cover of n_best + 1 or
+    more non-empty families could not improve on it, and None is returned
+    before it is built.
     """
     small = [ci for ci, d in enumerate(box.diameters) if d <= S // 2]
     medium = [ci for ci, d in enumerate(box.diameters) if S // 2 < d <= S]
@@ -442,14 +444,15 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
         if mode == "structured":
             return structured_component_families(comp, R, S)
         if mode == "greedy":
-            res = rs_dim_greedy(comp, R, S)
+            coloring = rs_dim_greedy(comp, R, S)
         elif mode == "exact":
-            res = rs_dim_exact(comp, R, S, n_cap=n_cap, point_cap=point_cap)
-            if res.exceeded_cap:
+            coloring = rs_dim_exact(comp, R, S)
+            if coloring is None:
                 return None
         else:
             raise ConfigError(f"unknown witness mode {mode!r}")
-        return res.cover.set_family, res.cover.offsets, res.cover.ids
+        cover = _coloring_to_cover(comp, coloring, R)
+        return cover.set_family, cover.offsets, cover.ids, cover
 
     solved = thread_map(solve, large, threads)
     if any(f is None for f in solved):
@@ -461,7 +464,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     family = np.concatenate([np.zeros(len(labels), np.int64)] + [f[0] for f in solved])
     if n_best is not None and np.unique(family).size - 1 >= n_best:
         return None
-    for ci, (fam, _, _) in zip(large, solved):
+    for ci, (fam, *_) in zip(large, solved):
         rank = np.arange(len(fam)) - np.searchsorted(fam, fam)
         labels += [f"c{ci}.f{j}.s{si}" for j, si in zip(fam.tolist(), rank.tolist())]
     sizes = np.array([box.components[ci].n_vertices for ci in whole], dtype=np.int64)
@@ -475,13 +478,15 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     cover = cover.take(order, family[order], cover.n_families)
     report = verify_cover(cover, R, S)
     if not report.ok:
+        if mode != "structured":
+            for f in solved:
+                _check(f[3], R, S, mode)
         return None
     return cover, report
 
 
 def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
-                  growth: GrowthBound | None = None, threads: int = 1,
-                  n_cap: int = 8, point_cap: int = 60) -> ProfileTable:
+                  growth: GrowthBound | None = None, threads: int = 1) -> ProfileTable:
     """Scale sweep: for each R, the smallest witness family count found
     with set diameters within S_cap, next to the group's Hirsch length."""
     if mode not in PROFILE_MODES:
@@ -507,7 +512,6 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
         best = None
         for S in s_ladder(R, S_cap):
             got = box_witness_cover(box, R, S, mode, threads=threads,
-                                    n_cap=n_cap, point_cap=point_cap,
                                     n_best=None if best is None else best[0])
             if got is not None:
                 cover, report = got

@@ -27,8 +27,7 @@ from boxdim.dimension import (
     FiniteMetricSpace,
     asdim_profile,
     random_metric_space,
-    rs_dim_exact,
-    rs_dim_exhaustive,
+    rs_dim,
 )
 from boxdim.errors import InsufficientInputError, VerificationError
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
@@ -103,7 +102,7 @@ def test_criterion_3_dimension_profiles(capsys):
 
         small = FiniteMetricSpace.from_graph(
             build_quotient_cayley(CongruenceQuotient(unitriangular(3), 2)))
-        assert rs_dim_exact(small, 2, 2).n == rs_dim_exhaustive(small, 2, 2).n
+        assert rs_dim(small, 2, 2, "exact").n == rs_dim(small, 2, 2, "exhaustive").n
 
 
 def test_criterion_4_exact_solver_agreement(capsys):
@@ -113,28 +112,28 @@ def test_criterion_4_exact_solver_agreement(capsys):
             space = random_metric_space(rng, rng.randint(4, 10), max_distance=6)
             R = rng.randint(1, 3)
             S = rng.randint(2, 6)
-            got = rs_dim_exact(space, R, S, n_cap=10)
-            want = rs_dim_exhaustive(space, R, S)
+            got = rs_dim(space, R, S, "exact", n_cap=10)
+            want = rs_dim(space, R, S, "exhaustive")
             assert got.n == want.n, (trial, R, S, space.dist_matrix.tolist())
 
         for m in range(4, 13):
             g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), m))
             space = FiniteMetricSpace.from_graph(g)
             for R, S in itertools.product((2, 3), (2, 4)):
-                assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+                assert rs_dim(space, R, S, "exact").n == rs_dim(space, R, S, "exhaustive").n
         for n in range(2, 13):
             idx = np.arange(n)
             space = FiniteMetricSpace.from_matrix(np.abs(idx[:, None] - idx[None, :]))
             for R, S in itertools.product((2, 3), (2, 4)):
-                assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+                assert rs_dim(space, R, S, "exact").n == rs_dim(space, R, S, "exhaustive").n
 
         cyc12 = FiniteMetricSpace.from_graph(
             build_quotient_cayley(CongruenceQuotient(free_abelian(1), 12)))
-        assert rs_dim_exact(cyc12, 2, 3).n == 1
-        assert rs_dim_exact(cyc12, 3, cyc12.diameter).n == 0
+        assert rs_dim(cyc12, 2, 3, "exact").n == 1
+        assert rs_dim(cyc12, 3, cyc12.diameter, "exact").n == 0
         clique = FiniteMetricSpace.from_matrix(
             np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
-        assert rs_dim_exact(clique, 2, 0).n == 4
+        assert rs_dim(clique, 2, 0, "exact").n == 4
 
 
 def test_criterion_5_isometry_radii(capsys):

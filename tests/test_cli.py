@@ -398,6 +398,22 @@ HUGE = str(10 ** 20)
                  id="rsdim points"),
     pytest.param(UT3_HEAD + "[task]\nname = growth\nr_max = 8\n\n[limits]\nstate_cap = " + HUGE,
                  0, {"sizes": [1, 5, 17, 53, 135, 299, 593, 1069, 1793]}, id="limits state_cap"),
+    # adjacency ids are int32: a larger vertex_cap is refused before any
+    # build, and a quotient past memory is a resource cap, not a traceback
+    pytest.param(Z_HEAD + "[filtration]\nmoduli = 100000000\n\n[task]\nname = boxspace\n\n"
+                 "[limits]\nvertex_cap = 1000000000000", 2, "[limits] vertex_cap",
+                 id="limits vertex_cap 10**12"),
+    pytest.param(group_head("free_abelian", 2) + "[filtration]\nmoduli = 10000000000\n\n"
+                 "[task]\nname = boxspace\n\n[limits]\nvertex_cap = 1" + "0" * 30,
+                 2, "[limits] vertex_cap", id="limits vertex_cap 10**30"),
+    pytest.param(Z_HEAD + "[filtration]\nmoduli = 100000000\n\n[task]\nname = boxspace\n\n"
+                 "[limits]\nvertex_cap = 2147483647", 3, "resource cap exceeded",
+                 id="limits vertex_cap 2**31 - 1"),
+    # point_cap is not a key: exhaustive keeps its 12 points (27 here, about
+    # 2**26 colorings at k = 2 if the key were read)
+    pytest.param(UT3_HEAD + "[filtration]\nmoduli = 3\n\n[task]\nname = rsdim\nr = 2\n"
+                 "s = 2\nmethod = exhaustive\npoint_cap = 30", 3, "exceeds point_cap=12",
+                 id="rsdim exhaustive point_cap"),
 ])
 def test_huge_radii_and_distances_exit_cleanly_under_a_memory_cap(tmp_path, ini, code, key):
     # each used to exit 1 (an int32 overflow, islice past sys.maxsize, a

@@ -34,7 +34,7 @@ from boxdim.covers import (
     r_multiplicity,
     verify_cover,
 )
-from boxdim.dimension import rs_dim_greedy
+from boxdim.dimension import rs_dim
 from boxdim.errors import (
     ConfigError,
     GrowthBoundError,
@@ -532,7 +532,7 @@ def test_greedy_coloring_agrees_on_cayley_and_matrix_components(name):
     for g in build_box_space(Filtration(spec, moduli)).components:
         twin = FiniteMetricSpace.from_graph(g)
         for R, S in ((1, 2), (2, 3), (3, 6)):
-            want, got = rs_dim_greedy(g, R, S), rs_dim_greedy(twin, R, S)
+            want, got = rs_dim(g, R, S, "greedy"), rs_dim(twin, R, S, "greedy")
             assert got.coloring == want.coloring, (name, g.modulus, R, S)
             assert got.cover.families == want.cover.families
 

@@ -29,13 +29,10 @@ from boxdim.dimension import (
     interval_families,
     random_metric_space,
     rs_dim,
-    rs_dim_exact,
-    rs_dim_exhaustive,
-    rs_dim_greedy,
     s_ladder,
     structured_component_families,
 )
-from boxdim.errors import ConfigError, ResourceCapError
+from boxdim.errors import ConfigError, ResourceCapError, VerificationError
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
 from fractions import Fraction
 
@@ -88,53 +85,53 @@ def product_oracle(space, R, S):
 # --- solver anchors -------------------------------------------------------------
 
 def test_cycle_twelve_needs_two_families():
-    res = rs_dim_exact(cycle_space(12), R=2, S=3)
+    res = rs_dim(cycle_space(12), 2, 3, "exact")
     assert res.n == 1
-    assert rs_dim_exhaustive(cycle_space(12), R=2, S=3).n == 1
+    assert rs_dim(cycle_space(12), 2, 3, "exhaustive").n == 1
 
 
 def test_path_five():
-    res = rs_dim_exact(path_space(5), R=2, S=2)
+    res = rs_dim(path_space(5), 2, 2, "exact")
     assert res.n == 1
 
 
 def test_large_s_is_trivial():
     for space in (cycle_space(12), path_space(7)):
-        assert rs_dim_exact(space, R=3, S=space.diameter).n == 0
+        assert rs_dim(space, 3, space.diameter, "exact").n == 0
 
 
 def test_all_close_space_forces_singletons():
     m = np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)
     space = FiniteMetricSpace.from_matrix(m)
     # every pair is <2-connected, S = 0 forbids any pair: five singletons
-    assert rs_dim_exact(space, R=2, S=0).n == 4
-    assert rs_dim_exhaustive(space, R=2, S=0).n == 4
+    assert rs_dim(space, 2, 0, "exact").n == 4
+    assert rs_dim(space, 2, 0, "exhaustive").n == 4
 
 
 def test_n_cap_reports_exceeded():
-    res = rs_dim_exact(cycle_space(12), R=2, S=3, n_cap=0)
+    res = rs_dim(cycle_space(12), 2, 3, "exact", n_cap=0)
     assert res.exceeded_cap
     assert res.n is None and res.cover is None
 
 
 def test_point_caps():
     with pytest.raises(ResourceCapError):
-        rs_dim_exact(cycle_space(12), R=2, S=3, point_cap=10)
+        rs_dim(cycle_space(12), 2, 3, "exact", point_cap=10)
     with pytest.raises(ResourceCapError):
-        rs_dim_exhaustive(cycle_space(14), R=2, S=3)
+        rs_dim(cycle_space(14), 2, 3, "exhaustive")
 
 
 def test_parameter_validation():
     with pytest.raises(ConfigError):
-        rs_dim_exact(cycle_space(6), R=0, S=3)
+        rs_dim(cycle_space(6), 0, 3, "exact")
     with pytest.raises(ConfigError):
-        rs_dim_exhaustive(cycle_space(6), R=2, S=-1)
+        rs_dim(cycle_space(6), 2, -1, "exhaustive")
     with pytest.raises(ConfigError):
         rs_dim(cycle_space(6), 2, 3, method="nope")
 
 
 def test_witness_cover_structure():
-    res = rs_dim_exact(cycle_space(12), R=2, S=3)
+    res = rs_dim(cycle_space(12), 2, 3, "exact")
     assert res.n_families == 2 == len(res.cover.families)
     got = sorted(v for _, s in res.cover.all_sets() for _, ids in s.parts for v in ids)
     assert got == list(range(12))
@@ -143,8 +140,8 @@ def test_witness_cover_structure():
 
 
 def test_exact_is_deterministic():
-    a = rs_dim_exact(cycle_space(10), R=2, S=4)
-    b = rs_dim_exact(cycle_space(10), R=2, S=4)
+    a = rs_dim(cycle_space(10), 2, 4, "exact")
+    b = rs_dim(cycle_space(10), 2, 4, "exact")
     assert a.coloring == b.coloring and a.n == b.n
 
 
@@ -156,8 +153,8 @@ def test_exact_matches_exhaustive_random_spaces():
         space = random_metric_space(rng, rng.randint(4, 10), max_distance=6)
         R = rng.randint(1, 3)
         S = rng.randint(2, 6)
-        got = rs_dim_exact(space, R, S, n_cap=10)
-        want = rs_dim_exhaustive(space, R, S)
+        got = rs_dim(space, R, S, "exact", n_cap=10)
+        want = rs_dim(space, R, S, "exhaustive")
         assert got.n == want.n, (trial, R, S, space.dist_matrix.tolist())
 
 
@@ -167,7 +164,7 @@ def test_exact_matches_product_oracle_tiny():
         space = random_metric_space(rng, rng.randint(3, 6), max_distance=5)
         R = rng.randint(1, 3)
         S = rng.randint(1, 5)
-        got = rs_dim_exact(space, R, S, n_cap=6)
+        got = rs_dim(space, R, S, "exact", n_cap=6)
         assert got.n == product_oracle(space, R, S), (trial, R, S)
 
 
@@ -176,21 +173,21 @@ def test_exact_matches_exhaustive_cycles_and_paths():
         space = cycle_space(m)
         for R in (2, 3):
             for S in (2, 4):
-                assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+                assert rs_dim(space, R, S, "exact").n == rs_dim(space, R, S, "exhaustive").n
     for n in (6, 9):
         space = path_space(n)
         for R in (2, 3):
             for S in (2, 3):
-                assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+                assert rs_dim(space, R, S, "exact").n == rs_dim(space, R, S, "exhaustive").n
 
 
 def test_monotonicity_in_s_and_r():
     rng = random.Random(99)
     for _ in range(12):
         space = random_metric_space(rng, rng.randint(5, 9), max_distance=6)
-        ns = [rs_dim_exact(space, 2, S).n for S in (1, 2, 4, 6)]
+        ns = [rs_dim(space, 2, S, "exact").n for S in (1, 2, 4, 6)]
         assert all(a >= b for a, b in zip(ns, ns[1:])), ns
-        nr = [rs_dim_exact(space, R, 3).n for R in (1, 2, 3, 4)]
+        nr = [rs_dim(space, R, 3, "exact").n for R in (1, 2, 3, 4)]
         assert all(a <= b for a, b in zip(nr, nr[1:])), nr
 
 
@@ -200,14 +197,14 @@ def test_greedy_upper_bounds_exact():
         space = random_metric_space(rng, rng.randint(5, 10), max_distance=6)
         R = rng.randint(1, 3)
         S = rng.randint(2, 6)
-        greedy = rs_dim_greedy(space, R, S)
-        exact = rs_dim_exact(space, R, S, n_cap=10)
+        greedy = rs_dim(space, R, S, "greedy")
+        exact = rs_dim(space, R, S, "exact", n_cap=10)
         assert greedy.n >= exact.n
         assert verify_cover(greedy.cover, R, S).ok
 
 
 def test_greedy_cycle_frozen():
-    res = rs_dim_greedy(cycle_space(12), R=2, S=3)
+    res = rs_dim(cycle_space(12), 2, 3, "greedy")
     # carving radius 1 yields four three-point arcs in a cycle, 2-colorable
     assert res.n == 1
     assert verify_cover(res.cover, R=2, S=3).ok
@@ -281,7 +278,7 @@ def test_greedy_matches_dense_path(name, space):
     for R in (1, 2, 3, 4):
         for S in (0, 2, 4, 8):
             coloring, families = dense_greedy(space, R, S)
-            res = rs_dim_greedy(space, R, S)
+            res = rs_dim(space, R, S, "greedy")
             assert list(res.coloring) == coloring, (name, R, S)
             assert res.cover.families == families, (name, R, S)
 
@@ -294,7 +291,7 @@ def test_greedy_matches_dense_path_in_small_blocks(monkeypatch, name, space):
     for R in (1, 3):
         for S in (2, 8):
             coloring, families = dense_greedy(space, R, S)
-            res = rs_dim_greedy(space, R, S)
+            res = rs_dim(space, R, S, "greedy")
             assert list(res.coloring) == coloring, (name, R, S)
             assert res.cover.families == families, (name, R, S)
 
@@ -302,7 +299,7 @@ def test_greedy_matches_dense_path_in_small_blocks(monkeypatch, name, space):
 def test_greedy_refuses_more_than_4096_points():
     g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), 5000))
     with pytest.raises(ResourceCapError, match="^5000 points exceeds the cap 4096$"):
-        rs_dim_greedy(g, 1, 2)
+        rs_dim(g, 1, 2, "greedy")
 
 
 def test_close_clusters_match_union_find():
@@ -613,7 +610,7 @@ def old_box_witness_families(box, R, S, mode):
         if mode == "structured":
             solved.append(nested(structured_component_families(comp, R, S)))
         else:
-            res = rs_dim_greedy(comp, R, S)
+            res = rs_dim(comp, R, S, "greedy")
             solved.append([[list(s.parts[0][1]) for s in fam] for fam in res.cover.families])
     if any(f is None for f in solved):
         return None
@@ -797,6 +794,49 @@ def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
     assert any(row[1] is not None for row in want)
 
 
+def test_greedy_profile_verifies_each_built_rung_once(monkeypatch):
+    # the heisenberg_profile bench box: four rungs are built and verified,
+    # the solver covers are not verified again on their own
+    box = build_box_space(Filtration(unitriangular(3), (2, 4, 8, 16)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return verify_cover(*args, **kwargs)
+
+    monkeypatch.setattr(dimension_module, "verify_cover", counted)
+    table = asdim_profile(box, (2, 4), S_cap=16, mode="greedy")
+    assert len(calls) == 4
+    assert all(row.cover is not None for row in table.rows)
+
+
+@pytest.mark.parametrize("mode, spec, moduli", [
+    ("greedy", unitriangular(3), (2, 4, 8, 16)),
+    ("exact", free_abelian(1), (2, 4, 8, 16, 32)),
+])
+def test_bad_solver_coloring_raises_as_rs_dim_does(monkeypatch, mode, spec, moduli):
+    # one color for every point: each large component is one cluster past S
+    monkeypatch.setattr(dimension_module, f"rs_dim_{mode}",
+                        lambda space, R, S: [0] * space.n_vertices)
+    box = build_box_space(Filtration(spec, moduli))
+    with pytest.raises(VerificationError) as got:
+        asdim_profile(box, (2,), S_cap=4, mode=mode)
+    large = next(c for c, d in zip(box.components, box.diameters) if d > 4)
+    with pytest.raises(VerificationError) as want:
+        rs_dim(large, 2, 4, mode)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{mode} produced an invalid witness at R=2, S=4: ")
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exact"])
+def test_geometry_only_failure_returns_none(mode):
+    # F (moduli 2 and 4) and w2 (modulus 8) sit at 1 + 4 = 5 < R; the
+    # solver's cover of Z/16 is valid on its own
+    box = build_box_space(Filtration(free_abelian(1), (2, 4, 8, 16)))
+    assert box_witness_cover(box, 6, 4, mode) is None
+    assert rs_dim(box.components[3], 6, 4, mode).cover is not None
+
+
 def test_profile_rejects_unknown_mode():
     box = build_box_space(Filtration(free_abelian(1), (8,)))
     with pytest.raises(ConfigError):
@@ -876,5 +916,5 @@ def exact_search_spaces():
 @pytest.mark.parametrize("space,params", list(exact_search_spaces()))
 def test_exact_coloring_matches_ix_search(space, params):
     for R, S in params:
-        got = rs_dim_exact(space, R, S)
+        got = rs_dim(space, R, S, "exact")
         assert got.coloring == ix_search(space, R, S), (R, S)

@@ -14,7 +14,7 @@ import pytest
 
 from boxdim.boxspace import FiniteMetricSpace
 from boxdim.cayley import build_quotient_cayley
-from boxdim.dimension import random_metric_space, rs_dim_exact
+from boxdim.dimension import random_metric_space, rs_dim
 from boxdim.groups import CongruenceQuotient, free_abelian, unitriangular
 
 
@@ -83,7 +83,7 @@ def old_rs_dim_exact(space, R, S, n_cap=8):
 
 
 def assert_same_search(space, R, S, n_cap=8):
-    res = rs_dim_exact(space, R, S, n_cap=n_cap)
+    res = rs_dim(space, R, S, "exact", n_cap=n_cap)
     assert (res.n, res.coloring, res.exceeded_cap) == old_rs_dim_exact(space, R, S, n_cap), \
         (R, S, n_cap, FiniteMetricSpace.from_graph(space).dist_matrix.tolist())
 
@@ -123,8 +123,8 @@ def test_heisenberg_quotients_give_the_old_coloring(m):
 
 def test_cap_and_clique_give_the_old_result():
     assert_same_search(cycle(12), 2, 3, n_cap=0)
-    assert rs_dim_exact(cycle(12), 2, 3, n_cap=0).exceeded_cap
+    assert rs_dim(cycle(12), 2, 3, "exact", n_cap=0).exceeded_cap
     clique = FiniteMetricSpace.from_matrix(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
     for n_cap in (3, 4, 8):
         assert_same_search(clique, 2, 0, n_cap=n_cap)
-    assert rs_dim_exact(clique, 2, 0).coloring == (0, 1, 2, 3, 4)
+    assert rs_dim(clique, 2, 0, "exact").coloring == (0, 1, 2, 3, 4)

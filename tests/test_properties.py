@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from boxdim.boxspace import FiniteMetricSpace, build_box_space  # noqa: E402
 from boxdim.cayley import ball_levels, coords_invert, coords_multiply  # noqa: E402
 from boxdim.covers import Cover, CoverSet, r_multiplicity, verify_cover  # noqa: E402
-from boxdim.dimension import rs_dim_exact, rs_dim_exhaustive  # noqa: E402
+from boxdim.dimension import rs_dim  # noqa: E402
 from boxdim.groups import (  # noqa: E402
     CongruenceQuotient,
     Filtration,
@@ -121,7 +121,7 @@ def metric_spaces(draw):
 @given(metric_spaces(), st.integers(1, 4), st.integers(0, 6))
 def test_exact_solver_equals_exhaustive(space, R, S):
     # 9 points have Bell(9) = 21,147 colorings, so the oracle stays fast
-    assert rs_dim_exact(space, R, S).n == rs_dim_exhaustive(space, R, S).n
+    assert rs_dim(space, R, S, "exact").n == rs_dim(space, R, S, "exhaustive").n
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,7 +129,7 @@ def test_exact_solver_equals_exhaustive(space, R, S):
 def test_exact_solver_finds_the_old_first_coloring(space, R, S, n_cap):
     # the forward check may only cut subtrees without a solution, so the
     # first coloring found, not just n, is the frozen search's
-    res = rs_dim_exact(space, R, S, n_cap=n_cap)
+    res = rs_dim(space, R, S, "exact", n_cap=n_cap)
     assert (res.n, res.coloring, res.exceeded_cap) == old_rs_dim_exact(space, R, S, n_cap)
 
 

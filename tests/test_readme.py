@@ -3,8 +3,10 @@
 A backticked `module.attr` of a boxdim module, or `Class.member` of one of
 the classes the README describes, is resolved by import and getattr, so a
 renamed or deleted function cannot stay in the prose.  The CLI's flags and
-tasks are compared with the README's lists of them both ways.
+tasks are compared with the README's lists of them both ways, and every INI
+key the CLI reads must be named in the README's key list.
 """
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -51,3 +53,51 @@ def test_readme_flags_are_the_parser_options():
 def test_readme_tasks_are_the_cli_tasks():
     listed = readme_paragraph("Tasks:").split(".")[0]
     assert re.findall(r"`(\w+)`", listed) == list(cli.TASK_FUNCS)
+
+
+# the functions that read a witness document, not an INI section
+WITNESS_READERS = ("verify_witness", "cover_from_json", "_set_ok")
+
+
+def _key_names(node, assigned):
+    """The string keys node can be: a literal, either branch of a
+    conditional, or what a local name is assigned."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _key_names(node.body, assigned) | _key_names(node.orelse, assigned)
+    if isinstance(node, ast.Name):
+        return set().union(*(_key_names(v, {}) for v in assigned.get(node.id, [])))
+    return set()
+
+
+def cli_ini_keys():
+    """Every key cli.py reads from an INI section: the key argument of
+    _get and _ball_radius, and the literal key of a section's .get."""
+    keys = set()
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in WITNESS_READERS:
+            continue
+        assigned = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in ("_get", "_ball_radius"):
+                keys |= _key_names(node.args[1], assigned)
+            elif isinstance(f, ast.Attribute) and f.attr == "get":
+                keys |= _key_names(node.args[0], {})
+    return keys
+
+
+def test_readme_names_every_ini_key():
+    keys = cli_ini_keys()
+    assert {"kind", "rank", "size", "factors", "r_max", "growth_r_max", "dir"} <= keys
+    named = set(re.findall(r"`(\w+)`", readme_paragraph("Tasks:")))
+    assert sorted(keys - named) == []
