@@ -15,7 +15,6 @@ from boxdim import (
     cover_prop41,
     families_from_multiplicity_cover,
     free_abelian,
-    verify_cover,
 )
 
 # |B(e, r)| = 2r + 1 <= 3 r for the line, so C = 3, d = 1 and K = 5.
@@ -44,11 +43,11 @@ print()
 # The same cover regrouped into R-disjoint families: sets that come within
 # distance R of each other get different family indices, so the number of
 # families needed is at most the multiplicity.  This is the bridge from
-# multiplicity-style covers to family-style dimension witnesses.
-regrouped = families_from_multiplicity_cover(cover, R=4)
+# multiplicity-style covers to family-style dimension witnesses.  The
+# regrouped cover comes back with its one verification report.
+regrouped, check = families_from_multiplicity_cover(cover, R=4)
 print(f"regrouped into {len(regrouped.families)} families "
       f"of sizes {[len(f) for f in regrouped.families]}")
-check = verify_cover(regrouped, R=4, S=report.S)
 print(f"verified: cover = {check.is_cover}, families R-separated = "
       f"{not check.close_pair_witnesses}, min distances = "
       f"{check.family_min_distances}")

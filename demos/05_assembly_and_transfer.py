@@ -33,7 +33,7 @@ profile = isometry_profile(box)
 covers = {}
 for k in (1, 2, 3):
     base, _ = cover_prop41(box, k, growth)
-    covers[k] = families_from_multiplicity_cover(base, k)
+    covers[k], _ = families_from_multiplicity_cover(base, k)
 
 asm = assemble_box_families(box, covers, profile)
 print(f"scales: {asm.scales}")
@@ -42,7 +42,7 @@ print(f"per-scale max set diameter: {asm.scale_diameters}")
 print(f"k-disjointness verified: {asm.report.ok}, "
       f"subtraction identity: {asm.report.subtraction_ok}")
 for k in asm.scales:
-    sizes = [len(f) for f in asm.families[k]]
+    sizes = [len(f) for f in asm.families[k].families]
     print(f"  scale {k}: families of sizes {sizes}, "
           f"finite part = components {list(asm.finite_parts[k])}")
 print()

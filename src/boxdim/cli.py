@@ -72,6 +72,24 @@ def _factors(text):
     return factors
 
 
+# the keys each INI section may hold; _check_keys refuses any other
+INI_KEYS = {"group": {"kind", "rank", "size", "factors"},
+            "filtration": {"moduli", "rule", "base", "count", "nested"},
+            "task": {"name", "r", "s", "r_list", "s_cap", "mode", "method", "component",
+                     "r_max", "k_list", "growth_c", "growth_d", "growth_r_max", "radii",
+                     "r0", "source", "points", "max_distance"},
+            "limits": {"vertex_cap", "state_cap"}, "output": {"dir", "csv", "summary"}}
+
+
+def _check_keys(cfg):
+    """Refuse a section or key INI_KEYS does not list; [DEFAULT] holds none."""
+    bad = [f"[{name}]" for name in cfg.sections() if name not in INI_KEYS]
+    bad += [f"[{name}] {key}" for name in ["DEFAULT", *cfg.sections()]
+            for key in sorted(cfg[name]) if key not in INI_KEYS.get(name, ())]
+    if bad:
+        raise ConfigError(f"unknown INI section or key {bad[0]}")
+
+
 _MISSING = object()
 
 
@@ -437,8 +455,7 @@ def task_cover(args, cfg, sec):
 def task_families(args, cfg, sec):
     spec, box = _box(args, cfg)
     R, (base, base_report) = _packing_cover(args, sec, spec, box)
-    cover = families_from_multiplicity_cover(base, R)
-    report = verify_cover(cover, R, base_report.S)
+    cover, report = families_from_multiplicity_cover(base, R)
     summary = {
         "task": "families", "group": spec.describe(), "moduli": list(box.moduli),
         "R": R, "S": base_report.S,
@@ -594,16 +611,16 @@ def run(args):
         raise ConfigError("[limits] vertex_cap passes 2**31 - 1: vertex ids are int32")
 
     if args.verify_witness:
-        csv_rows, summary, witness = verify_witness(args, cfg)
         name = "verify"
     else:
         if "task" not in cfg:
             raise ConfigError("config needs a [task] section")
-        sec = cfg["task"]
-        name = _get(sec, "name", str)
+        name = _get(cfg["task"], "name", str)
         if name not in TASK_FUNCS:
             raise ConfigError(f"unknown task {name!r}; expected one of {tuple(TASK_FUNCS)}")
-        csv_rows, summary, witness = TASK_FUNCS[name](args, cfg, sec)
+    _check_keys(cfg)
+    csv_rows, summary, witness = (verify_witness(args, cfg) if args.verify_witness
+                                  else TASK_FUNCS[name](args, cfg, cfg["task"]))
 
     out = cfg["output"] if "output" in cfg else {}
     outdir = Path(out.get("dir", "."))

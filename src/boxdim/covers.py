@@ -621,12 +621,15 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
     return best, (*np.divmod(found >> db, N), found & ((1 << db) - 1))
 
 
-def _witnesses(cover: Cover, pairs) -> list:
-    """(family, label_a, label_b, distance) for the close pairs of
-    _near_sets, label_a < label_b, sorted."""
+def _witnesses(cover: Cover, pairs):
+    """(close, mins) for the close pairs of _near_sets: close lists them as
+    (family, label_a, label_b, distance), label_a < label_b, sorted, and
+    mins[j] is the least distance in family j, or None."""
     fam, labels = cover.set_family.tolist(), cover.labels
-    return sorted((fam[a], *sorted((labels[a], labels[b])), d)
-                  for a, b, d in zip(*(x.tolist() for x in pairs)))
+    close = sorted((fam[a], *sorted((labels[a], labels[b])), d)
+                   for a, b, d in zip(*(x.tolist() for x in pairs)))
+    return close, [min((d for f, _, _, d in close if f == j), default=None)
+                   for j in range(cover.n_families)]
 
 
 def family_violations(space, family, R: int):
@@ -637,7 +640,7 @@ def family_violations(space, family, R: int):
     if not isinstance(family, Cover):
         family = Cover(space, (tuple(family),))
     _, pairs = _near_sets(family, family.layout, max(R, 0))
-    return [w[1:] for w in _witnesses(family, pairs)]
+    return [w[1:] for w in _witnesses(family, pairs)[0]]
 
 
 def r_multiplicity(cover: Cover, R: int) -> int:
@@ -678,11 +681,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
             oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
     multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint)
-    fam_mins, close = [], []
-    if check_disjoint:
-        close = _witnesses(cover, pairs)
-        fam_mins = [min((d for f, _, _, d in close if f == j), default=None)
-                    for j in range(cover.n_families)]
+    close, fam_mins = _witnesses(cover, pairs) if check_disjoint else ([], [])
 
     return CoverReport(R=R, S=S,
                        is_cover=uncovered is None,
@@ -761,12 +760,13 @@ def cover_prop41(box: BoxSpace, R: int, growth: GrowthBound,
     return cover, report
 
 
-def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
+def families_from_multiplicity_cover(cover: Cover, R: int):
     """Regroup a cover's sets into R-disjoint families by greedy coloring.
 
     Two sets closer than R (in particular overlapping ones) get different
-    families.  The family count is whatever the proximity graph forces; the
-    result is re-verified to be R-disjoint family by family.
+    families.  The family count is whatever the proximity graph forces.
+    Returns (cover, report), report being the one verify_cover(cover,
+    max(R, 0)) of the result; a family that is not R-disjoint raises.
     """
     # one family holds every set; R < 1 still separates overlapping sets
     n = cover.n_sets()
@@ -778,12 +778,11 @@ def families_from_multiplicity_cover(cover: Cover, R: int) -> Cover:
                         dtype=np.int64)
     order = np.argsort(colors, kind="stable")
     out = cover.take(order, colors[order], int(colors.max(initial=0)) + 1)
-    close = _witnesses(out, _near_sets(out, out.layout, max(R, 0))[1])
-    if close:
-        j, *viol = close[0]
-        raise VerificationError(
-            f"regrouped family {j} is not {R}-disjoint: {tuple(viol)}")
-    return out
+    report = verify_cover(out, max(R, 0))
+    if report.close_pair_witnesses:
+        j, *viol = report.close_pair_witnesses[0]
+        raise VerificationError(f"regrouped family {j} is not {R}-disjoint: {tuple(viol)}")
+    return out, report
 
 
 # --- per-scale family assembly ----------------------------------------------
@@ -804,7 +803,7 @@ class FamilyAssembly:
     scales: tuple
     thresholds: dict             # scale k -> first admissible component i_k
     scale_diameters: dict        # scale k -> max set diameter of its cover
-    families: dict               # scale k -> tuple over j of tuple of CoverSet
+    families: dict               # scale k -> Cover of the n_fam assembled families
     finite_parts: dict           # scale k -> tuple of component indices below i_k
     report: AssemblyReport
 
@@ -819,7 +818,8 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     that sit inside a single component of the window [i_k, i_(k+1)) are
     kept.  The assembled family at scale k is the union over scales >= k;
     k-disjointness of every family and the subtraction identity against the
-    finite part F_k are verified exactly.
+    finite part F_k are verified exactly.  families[k] is one Cover: the
+    sets kept at scales >= k, stably ordered by family.
 
     thresholds overrides the computed i_k (used to demonstrate that a bad
     threshold is caught by the disjointness check).
@@ -827,91 +827,79 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     scales = sorted(int(k) for k in covers_by_scale)
     if not scales or scales[0] < 1:
         raise ConfigError("scales must be integers >= 1")
-    n_fam = max(covers_by_scale[k].n_families for k in scales)
-
-    oracle_diam = {}
-    for k in scales:
-        cover = covers_by_scale[k]
+    covers = [covers_by_scale[k] for k in scales]
+    for k, cover in zip(scales, covers):
         if cover.space is not box:
             raise ConfigError(f"cover at scale {k} is not over the given box space")
-        diameters = _DiameterOracle(box).set_diameters(cover.layout, cover.n_sets(),
-                                                       cover.centers, cover.radii)
+        validate_cover(cover, cover.layout)
+
+    # every scale's sets in one Cover, in scale order, each scale's set
+    # indices shifted past the sets before
+    n_sets = [c.n_sets() for c in covers]
+    first = np.cumsum([0] + n_sets).tolist()
+    centers, radii = {}, {}
+    for c, f in zip(covers, first):
+        centers.update((i + f, x) for i, x in c.centers.items())
+        radii.update((i + f, r) for i, r in c.radii.items())
+    joined = Cover.from_arrays(
+        box, 1, np.zeros(first[-1]), [x for c in covers for x in c.labels],
+        np.concatenate([c.part_set + f for c, f in zip(covers, first)]),
+        np.concatenate([c.part_comp for c in covers]),
+        np.concatenate([np.diff(c.offsets) for c in covers]),
+        np.concatenate([c.ids for c in covers]), centers, radii)
+    fam = np.concatenate([c.set_family for c in covers])
+    scale = np.repeat(scales, n_sets)
+    # validated, every set has parts, each on its own component
+    starts = joined.set_parts()[:-1]
+    low = np.minimum.reduceat(joined.part_comp, starts)
+    high = np.maximum.reduceat(joined.part_comp, starts)
+    diameters = _DiameterOracle(box).set_diameters(joined.layout, first[-1], centers, radii)
+
+    oracle_diam, i_k = {}, {}
+    for k in scales:
         # straddling sets never enter the admissible window, so the scale
         # diameter is taken over the single-component sets only
-        one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
-        oracle_diam[k] = int(diameters[one_part].max(initial=0))
+        oracle_diam[k] = int(diameters[(scale == k) & (low == high)].max(initial=0))
+        i_k[k] = (int(thresholds[k]) if k in (thresholds or {})
+                  else profile.threshold(max(k, oracle_diam[k])))
+        if i_k[k] is None:
+            raise ConfigError(f"truncation has no component usable at scale {k} "
+                              f"(needs ball-isometry radius >= {max(k, oracle_diam[k])})")
 
-    i_k = {}
+    # the window of set i's scale is [start[i], stop[i])
+    start = np.repeat([i_k[k] for k in scales], n_sets)
+    stop = np.repeat([i_k[k] for k in scales[1:]] + [box.component_count], n_sets)
+    straddlers = np.flatnonzero((low < high) & (high >= start))
+    if straddlers.size:
+        i = straddlers[0]
+        comps = sorted(joined.part_comp[joined.part_set == i].tolist())
+        raise VerificationError(f"scale {scale[i]}: set {joined.labels[i]!r} straddles "
+                                f"components {comps} inside the admissible window")
+    kept = (low == high) & (start <= low) & (low < stop)
+
+    n_fam = max(c.n_families for c in covers)
+    families, disjointness, violations = {}, [], []
     for k in scales:
-        if thresholds is not None and k in thresholds:
-            i_k[k] = int(thresholds[k])
-        else:
-            t = profile.threshold(max(k, oracle_diam[k]))
-            if t is None:
-                raise ConfigError(
-                    f"truncation has no component usable at scale {k} "
-                    f"(needs ball-isometry radius >= {max(k, oracle_diam[k])})")
-            i_k[k] = t
-    upper = {k: (i_k[scales[idx + 1]] if idx + 1 < len(scales) else box.component_count)
-             for idx, k in enumerate(scales)}
+        at = np.flatnonzero(kept & (scale >= k))
+        at = at[np.argsort(fam[at], kind="stable")]
+        cover = joined.take(at, fam[at], n_fam)
+        families[k] = cover
+        close, mins = _witnesses(cover, _near_sets(cover, cover.layout, k)[1])
+        disjointness += [(k, j, d) for j, d in enumerate(mins)]
+        violations += [(k, *w) for w in close]
 
-    buckets = {}
-    for k in scales:
-        cover = covers_by_scale[k]
-        low = np.full(cover.n_sets(), box.component_count)
-        high = np.full(cover.n_sets(), -1)
-        np.minimum.at(low, cover.part_set, cover.part_comp)
-        np.maximum.at(high, cover.part_set, cover.part_comp)
-        straddlers = np.flatnonzero((low < high) & (high >= i_k[k]))
-        if straddlers.size:
-            i = straddlers[0]
-            comps = sorted(set(cover.part_comp[cover.part_set == i].tolist()))
-            raise VerificationError(f"scale {k}: set {cover.labels[i]!r} straddles "
-                                    f"components {comps} inside the admissible window")
-        keep = np.flatnonzero((low == high) & (i_k[k] <= low) & (low < upper[k]))
-        buckets[k] = cover.take(keep, cover.set_family[keep], n_fam).families
-
-    families = {}
-    finite_parts = {}
-    for idx, k in enumerate(scales):
-        fams = []
-        for j in range(n_fam):
-            merged = []
-            for k2 in scales[idx:]:
-                merged.extend(buckets[k2][j])
-            fams.append(tuple(merged))
-        families[k] = tuple(fams)
-        finite_parts[k] = tuple(range(i_k[k]))
-
-    disjointness = []
-    violations = []
-    for k in scales:
-        for j, fam in enumerate(families[k]):
-            viol = family_violations(box, fam, k)
-            if viol:
-                disjointness.append((k, j, min(d for _, _, d in viol)))
-                violations.extend((k, j, a, b, d) for a, b, d in viol)
-            else:
-                disjointness.append((k, j, None))
-
-    def point_sets(fam, lo=None):
-        """The sets of fam (one component each) as (component, distinct
-        ids); given lo, only the non-empty ones on components >= lo."""
-        c = Cover(box, (fam,))
-        first = c.set_parts()
-        comp, bounds = c.part_comp[first[:-1]].tolist(), c.offsets[first].tolist()
-        return {(comp[i], np.unique(c.ids[a:b]).tobytes())
-                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-                if lo is None or (comp[i] >= lo and b > a)}
-
-    subtraction_ok = all(point_sets(families[scales[0]][j], i_k[k]) == point_sets(families[k][j])
-                         for k in scales for j in range(n_fam))
-    report = AssemblyReport(disjointness=tuple(disjointness),
-                            violations=tuple(violations),
-                            subtraction_ok=subtraction_ok)
-    return FamilyAssembly(scales=tuple(scales), thresholds=i_k,
-                          scale_diameters=oracle_diam, families=families,
-                          finite_parts=finite_parts, report=report)
+    # the subtraction identity: the scale-k families are the first scale's
+    # sets on components >= i_k, compared as (family, component, distinct ids)
+    at = np.flatnonzero(kept)
+    bounds, set_comp, set_scale = joined.offsets.tolist(), low[at].tolist(), scale[at].tolist()
+    keys = [(j, c, np.unique(joined.ids[bounds[p]:bounds[p + 1]]).tobytes())
+            for j, c, p in zip(fam[at].tolist(), set_comp, starts[at].tolist())]
+    subtraction_ok = all({x for x, c in zip(keys, set_comp) if c >= i_k[k]}
+                         == {x for x, s in zip(keys, set_scale) if s >= k} for k in scales)
+    report = AssemblyReport(tuple(disjointness), tuple(violations), subtraction_ok)
+    return FamilyAssembly(scales=tuple(scales), thresholds=i_k, scale_diameters=oracle_diam,
+                          families=families, report=report,
+                          finite_parts={k: tuple(range(i_k[k])) for k in scales})
 
 
 # --- diagonal transfer -------------------------------------------------------

@@ -179,7 +179,7 @@ def test_criterion_7_family_assembly(capsys):
         covers = {}
         for k in (1, 2, 3):
             base, _ = cover_prop41(box, k, GROWTH_Z)
-            covers[k] = families_from_multiplicity_cover(base, k)
+            covers[k], _ = families_from_multiplicity_cover(base, k)
         asm = assemble_box_families(box, covers, profile)
         assert asm.report.ok
         assert asm.report.subtraction_ok

@@ -1,14 +1,17 @@
 """End-to-end CLI tests through subprocess, matching documented exit codes."""
 import copy
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import cli_env
 from test_exact_solver import old_rs_dim_exact
 
+from boxdim import cli, covers
 from boxdim.cayley import build_quotient_cayley
 from boxdim.groups import CongruenceQuotient, unitriangular
 
@@ -409,11 +412,14 @@ HUGE = str(10 ** 20)
     pytest.param(Z_HEAD + "[filtration]\nmoduli = 100000000\n\n[task]\nname = boxspace\n\n"
                  "[limits]\nvertex_cap = 2147483647", 3, "resource cap exceeded",
                  id="limits vertex_cap 2**31 - 1"),
-    # point_cap is not a key: exhaustive keeps its 12 points (27 here, about
-    # 2**26 colorings at k = 2 if the key were read)
+    # point_cap is not a key, and an unknown key is refused before any
+    # solver runs (exhaustive keeps its 12 points either way)
     pytest.param(UT3_HEAD + "[filtration]\nmoduli = 3\n\n[task]\nname = rsdim\nr = 2\n"
-                 "s = 2\nmethod = exhaustive\npoint_cap = 30", 3, "exceeds point_cap=12",
+                 "s = 2\nmethod = exhaustive\npoint_cap = 30", 2, "[task] point_cap",
                  id="rsdim exhaustive point_cap"),
+    pytest.param(UT3_HEAD + "[filtration]\nmoduli = 3\n\n[task]\nname = rsdim\nr = 2\n"
+                 "s = 2\nmethod = exhaustive", 3, "exceeds point_cap=12",
+                 id="rsdim exhaustive past its 12 points"),
 ])
 def test_huge_radii_and_distances_exit_cleanly_under_a_memory_cap(tmp_path, ini, code, key):
     # each used to exit 1 (an int32 overflow, islice past sys.maxsize, a
@@ -605,6 +611,67 @@ dir = c
     assert summary["ok"] and summary["n_families"] <= summary["multiplicity_bound"]
     ok = run_cli(tmp_path, ini, "--verify-witness", str(wit))
     assert ok.returncode == 0, ok.stderr
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_families_task_verifies_the_regrouping_once(tmp_path, monkeypatch):
+    # cover_prop41's check, the regrouping's proximity graph and its one
+    # verify_cover: three dilation passes where there were four
+    calls = {"_near_sets": 0, "verify_cover": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in ((covers, "_near_sets"), (covers, "verify_cover"),
+                         (cli, "verify_cover")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", str(BENCH / "configs" / "heisenberg_families.ini")]) == 0
+    assert calls == {"_near_sets": 3, "verify_cover": 2}
+    # the outputs are the bytes the benchmark's reference digests name
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    want = json.loads(bench.REFERENCE.read_text())["heisenberg_cover"][0]
+    out = tmp_path / "heisenberg_families"
+    assert {f.name: bench._digest(f) for f in sorted(out.iterdir())} == want
+
+
+def test_families_task_exits_4_on_a_bad_regrouping(tmp_path, monkeypatch, capsys):
+    # every set in family 0: the overlapping packing balls are close pairs
+    monkeypatch.setattr(covers, "first_fit_colors", lambda adj: [0 for _ in adj])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(COVER_INI.replace("name = cover", "name = families"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", str(cfg)]) == 4
+    assert "regrouped family 0 is not 2-disjoint: (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini, key", [
+    pytest.param(RANDOM_RSDIM + "max_dist = 3", "[task] max_dist", id="task max_dist"),
+    pytest.param(COVER_INI.replace("rank = 1", "rank = 1\nrnak = 2"), "[group] rnak",
+                 id="group rnak"),
+    pytest.param(COVER_INI + "\n[limit]\nstate_cap = 100\n", "[limit]", id="limit section"),
+    pytest.param("[DEFAULT]\nr = 2\n\n" + COVER_INI, "[DEFAULT] r", id="DEFAULT section"),
+])
+def test_unknown_ini_keys_and_sections_exit_2(tmp_path, ini, key):
+    # each used to be ignored without a word
+    proc = run_cli(tmp_path, ini)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert key in proc.stderr
+
+
+def test_bench_configs_hold_only_known_keys():
+    configs = sorted((BENCH / "configs").glob("*.ini"))
+    assert len(configs) == 6
+    for path in configs:
+        cli._check_keys(cli.load_config(path))
 
 
 def test_rsdim_component_and_random(tmp_path):

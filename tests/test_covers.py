@@ -3,8 +3,11 @@
 The naive reference implementations live at the top and everything fast is
 checked against them on spaces small enough to brute-force.
 """
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -790,7 +793,7 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
     want, exact = per_set_diameters(box, base)
     assert exact
     scale_diameters = assemble_box_families(
-        box, {2: families_from_multiplicity_cover(base, 2)}, None, window).scale_diameters
+        box, {2: families_from_multiplicity_cover(base, 2)[0]}, None, window).scale_diameters
     # every ball has 8 or more points: past a 50-comparison cap only its
     # ball certificate keeps the diameter exact
     monkeypatch.setattr(covers_module, "PAIR_CAP", 50)
@@ -803,7 +806,7 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
         cover.layout, cover.n_sets(), cover.centers, cover.radii).tolist() == want
     # the regrouped sets keep their hints, so the assembly measures the same
     assert assemble_box_families(
-        box, {2: families_from_multiplicity_cover(cover, 2)}, None,
+        box, {2: families_from_multiplicity_cover(cover, 2)[0]}, None,
         window).scale_diameters == scale_diameters
 
 
@@ -814,7 +817,7 @@ def test_regroup_hand_checked_cycle():
     g = box.components[0]
     sets = tuple(arc_set(f"b{c}", 0, g.ball_ids(c, 2)) for c in (0, 3, 6, 9))
     cover = Cover(space=box, families=(sets,))
-    out = families_from_multiplicity_cover(cover, R=2)
+    out, _ = families_from_multiplicity_cover(cover, R=2)
     # the proximity graph is the 4-cycle b0-b3-b6-b9-b0: two families
     assert len(out.families) == 2
     assert {s.label for s in out.families[0]} == {"b0", "b6"}
@@ -826,7 +829,7 @@ def test_regroup_hand_checked_cycle():
 def test_regroup_preserves_sets_and_is_disjoint():
     box = z_box(*[2 ** t for t in range(1, 7)])
     cover, _ = cover_prop41(box, R=2, growth=GROWTH_Z)
-    out = families_from_multiplicity_cover(cover, R=2)
+    out, _ = families_from_multiplicity_cover(cover, R=2)
     assert sorted(s.label for _, s in out.all_sets()) == sorted(
         s.label for _, s in cover.all_sets())
     for fam in out.families:
@@ -837,7 +840,7 @@ def test_regroup_overlapping_sets_get_distinct_families():
     box = z_box(8)
     a = arc_set("a", 0, (0, 1, 2))
     b = arc_set("b", 0, (2, 3, 4))
-    out = families_from_multiplicity_cover(Cover(space=box, families=((a, b),)), R=1)
+    out, _ = families_from_multiplicity_cover(Cover(space=box, families=((a, b),)), R=1)
     fams = {s.label: j for j, fam in enumerate(out.families) for s in fam}
     assert fams["a"] != fams["b"]
 
@@ -916,7 +919,7 @@ def test_regroup_matches_the_label_keyed_graph(name):
             on_space = Cover(space=space, families=cover.families)
             for R in range(8):
                 try:
-                    got = families_from_multiplicity_cover(on_space, R).families
+                    got = families_from_multiplicity_cover(on_space, R)[0].families
                 except VerificationError as e:
                     got = str(e)
                 assert got == old_regroup(on_space, R), (name, R)
@@ -972,12 +975,12 @@ def test_assembly_pipeline():
     assert asm.thresholds == {1: 1, 4: 3}
     assert asm.finite_parts == {1: (0,), 4: (0, 1, 2)}
     # whole-component sets at scale 4 sit below the window and are dropped
-    labels4 = {s.label for fam in asm.families[4] for s in fam}
+    labels4 = {s.label for fam in asm.families[4].families for s in fam}
     assert "whole0" not in labels4 and "whole1" not in labels4
     # subtraction identity held exactly
     assert asm.report.subtraction_ok
     # scale-1 assembled family includes the kept scale-4 sets
-    labels1 = {s.label for fam in asm.families[1] for s in fam}
+    labels1 = {s.label for fam in asm.families[1].families for s in fam}
     assert any(lbl.startswith("k8.") for lbl in labels1)
 
 
@@ -1029,7 +1032,7 @@ def test_assembly_tolerates_straddler_below_window():
     covers = {1: covers[1], 4: Cover(space=box, families=(fam0, covers[4].families[1]))}
     asm = assemble_box_families(box, covers, profile)
     assert asm.report.ok
-    assert all(s.label != "low" for fam in asm.families[4] for s in fam)
+    assert all(s.label != "low" for fam in asm.families[4].families for s in fam)
 
 
 def test_assembly_needs_usable_truncation():
@@ -1038,6 +1041,153 @@ def test_assembly_needs_usable_truncation():
     cover = Cover(space=box, families=((arc_set("a", 1, tuple(range(4))),),))
     with pytest.raises(ConfigError):
         assemble_box_families(box, {5: cover}, profile)
+
+
+def view_assembly(box, covers_by_scale, profile, thresholds=None):
+    """assemble_box_families as it was, on honest inputs: the kept sets
+    merged as CoverSet views, family_violations per (scale, family), and
+    the subtraction identity on Covers rebuilt from the views."""
+    scales = sorted(covers_by_scale)
+    n_fam = max(covers_by_scale[k].n_families for k in scales)
+    oracle_diam = {}
+    for k in scales:
+        cover = covers_by_scale[k]
+        diameters = covers_module._DiameterOracle(box).set_diameters(
+            cover.layout, cover.n_sets(), cover.centers, cover.radii)
+        one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
+        oracle_diam[k] = int(diameters[one_part].max(initial=0))
+    i_k = {k: int(thresholds[k]) if thresholds and k in thresholds
+           else profile.threshold(max(k, oracle_diam[k])) for k in scales}
+    upper = {k: (i_k[scales[idx + 1]] if idx + 1 < len(scales) else box.component_count)
+             for idx, k in enumerate(scales)}
+    buckets = {}
+    for k in scales:
+        cover = covers_by_scale[k]
+        low = np.full(cover.n_sets(), box.component_count)
+        high = np.full(cover.n_sets(), -1)
+        np.minimum.at(low, cover.part_set, cover.part_comp)
+        np.maximum.at(high, cover.part_set, cover.part_comp)
+        keep = np.flatnonzero((low == high) & (i_k[k] <= low) & (low < upper[k]))
+        buckets[k] = cover.take(keep, cover.set_family[keep], n_fam).families
+    families = {}
+    for idx, k in enumerate(scales):
+        fams = []
+        for j in range(n_fam):
+            merged = []
+            for k2 in scales[idx:]:
+                merged.extend(buckets[k2][j])
+            fams.append(tuple(merged))
+        families[k] = tuple(fams)
+    disjointness, violations = [], []
+    for k in scales:
+        for j, fam in enumerate(families[k]):
+            viol = family_violations(box, fam, k)
+            if viol:
+                disjointness.append((k, j, min(d for _, _, d in viol)))
+                violations.extend((k, j, a, b, d) for a, b, d in viol)
+            else:
+                disjointness.append((k, j, None))
+
+    def point_sets(fam, lo=None):
+        c = Cover(box, (fam,))
+        first = c.set_parts()
+        comp, bounds = c.part_comp[first[:-1]].tolist(), c.offsets[first].tolist()
+        return {(comp[i], np.unique(c.ids[a:b]).tobytes())
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                if lo is None or (comp[i] >= lo and b > a)}
+
+    subtraction_ok = all(point_sets(families[scales[0]][j], i_k[k]) == point_sets(families[k][j])
+                         for k in scales for j in range(n_fam))
+    report = covers_module.AssemblyReport(tuple(disjointness), tuple(violations), subtraction_ok)
+    return covers_module.FamilyAssembly(tuple(scales), i_k, oracle_diam, families,
+                                        {k: tuple(range(i_k[k])) for k in scales}, report)
+
+
+def prop41_scale_covers(box):
+    """Criterion 7's inputs: the regrouped packing covers at k = 1, 2, 3."""
+    growth = GrowthBound(C=Fraction(3), d=1, validated_range=(1, 0))
+    return {k: families_from_multiplicity_cover(cover_prop41(box, k, growth)[0], k)[0]
+            for k in (1, 2, 3)}
+
+
+def with_low_straddler(box):
+    covers = scale_covers(box)
+    low = CoverSet(label="low", parts=((0, (0, 1)), (1, (0, 1))))
+    fam0 = covers[4].families[0] + (low,)
+    return {1: covers[1], 4: Cover(space=box, families=(fam0, covers[4].families[1]))}
+
+
+@pytest.mark.parametrize("moduli, make, thresholds", [
+    ((2, 4, 8, 16, 32, 64, 128, 256), scale_covers, None),
+    ((2, 4, 8, 16, 32, 64, 128, 256), scale_covers, {1: 1, 4: 0}),
+    ((2, 4, 8, 16, 32, 64, 128, 256), with_low_straddler, None),
+    (tuple(2 ** t for t in range(1, 11)), prop41_scale_covers, None),
+], ids=["honest", "bad threshold", "straddler below window", "criterion 7"])
+def test_assembly_matches_the_view_assembly(moduli, make, thresholds):
+    box = z_box(*moduli)
+    profile = isometry_profile(box)
+    covers = make(box)
+    got = assemble_box_families(box, covers, profile, thresholds)
+    want = view_assembly(box, covers, profile, thresholds)
+    assert {k: c.families for k, c in got.families.items()} == want.families
+    assert (got.scales, got.thresholds, got.scale_diameters, got.finite_parts, got.report) == (
+        want.scales, want.thresholds, want.scale_diameters, want.finite_parts, want.report)
+    assert all(c.space is box for c in got.families.values())
+
+
+@pytest.mark.parametrize("extra, message", [
+    (arc_set("empty", 5, ()), "empty set 'empty'"),
+    (arc_set("far", 5, (10 ** 6,)), "set 'far' references vertex 1000000 of component 5"),
+    (arc_set("off", 9, (0,)), "set 'off' references component 9"),
+    (arc_set("k8.c4.a0", 6, (0,)), "duplicate set label 'k8.c4.a0'"),
+], ids=["empty set", "vertex past the component", "component past the box", "repeated label"])
+def test_assembly_refuses_malformed_scale_covers(extra, message):
+    # each was trusted: a failed subtraction identity with no violation, a
+    # bare IndexError, a straddler "on components [9]", a second set measured
+    box = eight_component_box()
+    covers = scale_covers(box)
+    fam0 = covers[4].families[0] + (extra,)
+    covers[4] = Cover(space=box, families=(fam0, covers[4].families[1]))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        assemble_box_families(box, covers, isometry_profile(box))
+
+
+def test_src_builds_no_cover_views():
+    # CoverSet views are the API's; the library works on Cover arrays, and
+    # only family_violations converts a sequence of views on entry
+    src = Path(__file__).resolve().parent.parent / "src" / "boxdim"
+    allowed = {("covers.py", "Cover"), ("covers.py", "CoverSet"),
+               ("covers.py", "family_violations", "Cover(")}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", None))
+            if where in allowed:
+                continue
+            for node in ast.walk(top):
+                f = node.func if isinstance(node, ast.Call) else None
+                if isinstance(node, ast.Attribute) and node.attr == "families":
+                    use = ".families"
+                elif isinstance(f, ast.Attribute) and f.attr == "all_sets":
+                    use = ".all_sets()"
+                elif isinstance(f, ast.Name) and f.id in ("Cover", "CoverSet"):
+                    use = f.id + "("
+                else:
+                    continue
+                if (*where, use) not in allowed:
+                    offenders.append((*where, use, node.lineno))
+    assert offenders == []
+
+
+def test_bad_regrouping_still_raises(monkeypatch):
+    box = z_box(12)
+    g = box.components[0]
+    cover = Cover(space=box, families=(tuple(arc_set(f"b{c}", 0, g.ball_ids(c, 2))
+                                             for c in (0, 3, 6, 9)),))
+    monkeypatch.setattr(covers_module, "first_fit_colors", lambda adj: [0 for _ in adj])
+    with pytest.raises(VerificationError,
+                       match=re.escape("regrouped family 0 is not 2-disjoint: ('b0', 'b3', 0)")):
+        families_from_multiplicity_cover(cover, R=2)
 
 
 # --- diagonal transfer ------------------------------------------------------------

@@ -4,7 +4,8 @@ A backticked `module.attr` of a boxdim module, or `Class.member` of one of
 the classes the README describes, is resolved by import and getattr, so a
 renamed or deleted function cannot stay in the prose.  The CLI's flags and
 tasks are compared with the README's lists of them both ways, and every INI
-key the CLI reads must be named in the README's key list.
+key the CLI reads must be named in the README's key list and be, section
+by section, exactly the keys of the CLI's table, cli.INI_KEYS.
 """
 import ast
 import importlib
@@ -71,10 +72,26 @@ def _key_names(node, assigned):
     return set()
 
 
+def _section_names(node, assigned):
+    """The INI sections node can be: cfg["name"], either branch of a
+    conditional, what a local name is assigned, or, for a function's sec
+    parameter, the [task] section every task function is handed."""
+    if isinstance(node, ast.Subscript):
+        return _key_names(node.slice, {})
+    if isinstance(node, ast.IfExp):
+        return _section_names(node.body, assigned) | _section_names(node.orelse, assigned)
+    if isinstance(node, ast.Name) and node.id in assigned:
+        return set().union(*(_section_names(v, {}) for v in assigned[node.id]))
+    if isinstance(node, ast.Name) and node.id == "sec":
+        return {"task"}
+    return set()
+
+
 def cli_ini_keys():
-    """Every key cli.py reads from an INI section: the key argument of
-    _get and _ball_radius, and the literal key of a section's .get."""
-    keys = set()
+    """Every key cli.py reads from an INI section, by section: the key
+    argument of _get and _ball_radius, and the literal key of a section's
+    .get.  A key whose section cannot be told lands under None."""
+    keys = {}
     tree = ast.parse(Path(cli.__file__).read_text())
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef) or fn.name in WITNESS_READERS:
@@ -90,14 +107,24 @@ def cli_ini_keys():
                 continue
             f = node.func
             if isinstance(f, ast.Name) and f.id in ("_get", "_ball_radius"):
-                keys |= _key_names(node.args[1], assigned)
+                names, section = _key_names(node.args[1], assigned), node.args[0]
             elif isinstance(f, ast.Attribute) and f.attr == "get":
-                keys |= _key_names(node.args[0], {})
+                names, section = _key_names(node.args[0], {}), f.value
+            else:
+                continue
+            for name in _section_names(section, assigned) or ({None} if names else ()):
+                keys.setdefault(name, set()).update(names)
     return keys
 
 
+def test_ini_key_table_is_what_the_cli_reads():
+    # section by section: a key listed under the wrong section would refuse
+    # a valid config, or let through a key that section never reads
+    assert cli_ini_keys() == cli.INI_KEYS
+
+
 def test_readme_names_every_ini_key():
-    keys = cli_ini_keys()
+    keys = set().union(*cli_ini_keys().values())
     assert {"kind", "rank", "size", "factors", "r_max", "growth_r_max", "dir"} <= keys
     named = set(re.findall(r"`(\w+)`", readme_paragraph("Tasks:")))
     assert sorted(keys - named) == []
