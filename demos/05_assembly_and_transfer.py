@@ -10,6 +10,7 @@ stitched into a coloring of a fixed ball by majority vote; input radii
 that disagree with a committed choice are discarded.
 """
 from fractions import Fraction
+from types import SimpleNamespace
 
 from boxdim import (
     Filtration,
@@ -49,8 +50,12 @@ print()
 
 # A threshold pushed below its sound value is caught, not absorbed: the
 # merged small-component set would straddle components inside the window.
+# The assembly reads one threshold per scale k, at the radius max(k, S_k),
+# so a profile object forces the windows {1: 3, 2: 4, 3: 0}.
+radius = {k: max(k, d) for k, d in asm.scale_diameters.items()}
+bad = SimpleNamespace(threshold={radius[k]: i for k, i in {1: 3, 2: 4, 3: 0}.items()}.get)
 try:
-    assemble_box_families(box, covers, profile, thresholds={1: 3, 2: 4, 3: 0})
+    assemble_box_families(box, covers, bad)
 except VerificationError as e:
     print(f"bad threshold rejected: {e}")
 print()

@@ -316,19 +316,23 @@ class CayleyGraph:
         return np.bincount(self.dist, minlength=self.diameter + 1)
 
 
-def sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, flattened.
+def sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
+    """The sorted distinct values of an integer array, flattened; with a
+    shift, for keys packed as item << shift | value, each item once with
+    its least value.
 
-    Equal to np.unique(a), by one sort and a neighbour compare.  np.unique
-    takes a hash-based path for plain integer arrays in numpy 2.x; with
-    numpy 2.4 on a 2-core Xeon it measured about 25x slower than this on
-    50k int64 values.
+    At shift 0 this equals np.unique(a), by one sort and a neighbour
+    compare.  np.unique takes a hash-based path for plain integer arrays in
+    numpy 2.x; with numpy 2.4 on a 2-core Xeon it measured about 25x slower
+    than this on 50k int64 values.
     """
     s = np.sort(a, axis=None)
     if s.size > 1:
+        item = s >> shift if shift else s
         keep = np.empty(s.size, dtype=bool)
         keep[0] = True
-        np.not_equal(s[1:], s[:-1], out=keep[1:])
+        np.not_equal(item[1:], item[:-1], out=keep[1:])
+        del item                    # before the copy: three arrays at most
         s = s[keep]
     return s
 
@@ -429,13 +433,20 @@ def _key_rows(keys: np.ndarray, lo: int, base: int, k: int) -> np.ndarray:
     return rows
 
 
-def _find_sorted(sorted_b: np.ndarray, a: np.ndarray):
-    """(pos, found) for each entry of a: an index into the sorted array
-    sorted_b, and whether sorted_b holds the entry there."""
-    if not sorted_b.size:
-        return np.zeros(a.shape, dtype=np.int64), np.zeros(a.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_b, a), sorted_b.size - 1)
-    return pos, sorted_b[pos] == a
+def _row_index(rows: np.ndarray, span: int):
+    """find(q) for distinct (n, k) rows with entries in [-span, span]: the
+    index in rows of each row of the (m, k) rows q, else -1.  q's entries
+    must lie in [-span, span] too, and rows may be empty only if q is.
+    Rows are found by a searchsorted on their sorted mixed-radix keys."""
+    keys = row_keys(rows, -span, 2 * span + 1)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def find(q: np.ndarray) -> np.ndarray:
+        q = row_keys(q, -span, 2 * span + 1)
+        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        return np.where(keys[pos] == q, order[pos], -1)
+    return find
 
 
 def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -451,17 +462,10 @@ def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarra
 def neighbour_table(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
     """(n, 2g) int64: entry (i, j) is the index in rows of rows[i] times
     generator j (the inverses follow the generators), or -1 where that
-    product is not a row.  Rows must be distinct; found by searchsorted on
-    their mixed-radix keys."""
+    product is not a row.  Rows must be distinct."""
     steps = _products(spec, rows, _steps(spec, spec.generators))
-    span = max(_abs_max(rows), _abs_max(steps))
-    keys = row_keys(rows, -span, 2 * span + 1)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    step_keys = row_keys(steps.reshape(-1, rows.shape[1]), -span, 2 * span + 1)
-    pos, found = _find_sorted(sorted_keys, step_keys)
-    table = np.where(found, order[pos], -1)
-    return table.reshape(steps.shape[:2])
+    find = _row_index(rows, max(_abs_max(rows), _abs_max(steps)))
+    return find(steps.reshape(-1, rows.shape[1])).reshape(steps.shape[:2])
 
 
 def ball_levels(spec: GroupSpec, state_cap: int | None = None):
@@ -481,16 +485,15 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
 
     The candidates are built in slices of at most SLICE coordinates (at
     least one element's products), and only each slice's new keys are
-    kept.  A sphere of several slices takes one more pass for the largest
-    |coordinate| its keys need.
+    kept.  Their keys' span is bounded before any slice is built: a product
+    coordinate is a polynomial with coefficients +1 in the operands'
+    coordinates, so at the column maxima of |sphere| and |steps| it bounds
+    that coordinate of every candidate.
     """
     k = num_coordinates(spec)
     steps = _steps(spec, spec.generators)
+    step_max = np.abs(steps).max(axis=0)
     per = max(1, SLICE // steps.size)           # sphere rows per slice
-
-    def slices(rows):
-        for lo in range(0, rows.shape[0], per):
-            yield _products(spec, rows[lo:lo + per], steps).reshape(-1, k)
 
     prev = np.zeros((0, k), dtype=np.int64)
     level = np.zeros((1, k), dtype=np.int64)
@@ -501,15 +504,19 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
         if not level.shape[0]:
             return
         radius += 1
-        cands = list(slices(level)) if level.shape[0] <= per else None
-        span = max(_abs_max(level), _abs_max(prev), *map(_abs_max, cands or slices(level)))
+        level_max = np.abs(level).max(axis=0).astype(object)
+        span = max(_abs_max(prev), *map(int, _raw_multiply(spec, level_max, step_max)))
         base = 2 * span + 1
-        known = np.sort(np.concatenate([row_keys(level, -span, base),
-                                        row_keys(prev, -span, base)]))
-        new = []
-        for cand in cands or slices(level):
+        new, known = [], None
+        for lo in range(0, level.shape[0], per):
+            cand = _products(spec, level[lo:lo + per], steps).reshape(-1, k)
             keys = sorted_distinct(row_keys(cand, -span, base))
-            new.append(keys[~_find_sorted(known, keys)[1]])
+            del cand
+            if known is None:   # built once the first products, at twice their size, are gone
+                known = np.sort(np.concatenate([row_keys(level, -span, base),
+                                                row_keys(prev, -span, base)]))
+            pos = np.minimum(np.searchsorted(known, keys), known.size - 1)
+            new.append(keys[known[pos] != keys])
         keys = new[0] if len(new) == 1 else sorted_distinct(np.concatenate(new))
         prev, level = level, _key_rows(keys, -span, base, k)
         total += keys.size
@@ -532,25 +539,22 @@ def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
     elements of B(e, r), in ball_levels order.
 
     levels are the spheres of B(e, 2r), which holds every u^-1 v; its
-    length is the index of the sphere whose keys contain it.  Products go
+    length is the index of the sphere that holds it.  Products go
     in blocks of PAIR_ROWS rows, in int64 where _work_dtype proves it at
     the ball's largest |coordinate|, else in object integers.
     """
     rows = np.concatenate(levels)
     lengths = np.repeat(np.arange(len(levels)), [s.shape[0] for s in levels])
-    span = _abs_max(rows)
-    keys = row_keys(rows, -span, 2 * span + 1)
-    order = np.argsort(keys)
-    keys = keys[order]
+    find = _row_index(rows, _abs_max(rows))
     ball = rows[:sum(s.shape[0] for s in levels[:r + 1])]
     dtype = _work_dtype(spec, _abs_max(ball) + 1)
     n, k = ball.shape
     out = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, PAIR_ROWS):
         prod = _products(spec, _raw_invert(spec, ball[lo:lo + PAIR_ROWS], dtype), ball)
-        pos, found = _find_sorted(keys, row_keys(prod.reshape(-1, k), -span, 2 * span + 1))
-        assert found.all()
-        out[lo:lo + PAIR_ROWS] = lengths[order[pos]].reshape(-1, n)
+        at = find(prod.reshape(-1, k))
+        assert (at >= 0).all()
+        out[lo:lo + PAIR_ROWS] = lengths[at].reshape(-1, n)
     return out
 
 

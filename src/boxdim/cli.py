@@ -72,20 +72,29 @@ def _factors(text):
     return factors
 
 
-# the keys each INI section may hold; _check_keys refuses any other
+_GROWTH = ("growth_c", "growth_d", "growth_r_max")
+# the keys each INI section may hold, [task] by task name; _check_keys
+# refuses any other
 INI_KEYS = {"group": {"kind", "rank", "size", "factors"},
             "filtration": {"moduli", "rule", "base", "count", "nested"},
-            "task": {"name", "r", "s", "r_list", "s_cap", "mode", "method", "component",
-                     "r_max", "k_list", "growth_c", "growth_d", "growth_r_max", "radii",
-                     "r0", "source", "points", "max_distance"},
+            "task": {task: {"name", *keys} for task, keys in {
+                "growth": ("r_max", "growth_d"), "quotient": (), "boxspace": (),
+                "isoradius": ("k_list",), "cover": ("r", *_GROWTH), "families": ("r", *_GROWTH),
+                "rsdim": ("source", "r", "s", "method", "component", "points", "max_distance"),
+                "profile": ("r_list", "s_cap", "mode", *_GROWTH),
+                "transfer": ("r", "s", "r0", "radii")}.items()},
             "limits": {"vertex_cap", "state_cap"}, "output": {"dir", "csv", "summary"}}
 
 
 def _check_keys(cfg):
-    """Refuse a section or key INI_KEYS does not list; [DEFAULT] holds none."""
-    bad = [f"[{name}]" for name in cfg.sections() if name not in INI_KEYS]
+    """Refuse a section or key INI_KEYS does not list, [task] keys by the
+    row of its task name (only name itself when that is no task); [DEFAULT]
+    holds none."""
+    task = cfg["task"].get("name") if "task" in cfg else None
+    known = {**INI_KEYS, "task": INI_KEYS["task"].get(task, {"name"})}
+    bad = [f"[{name}]" for name in cfg.sections() if name not in known]
     bad += [f"[{name}] {key}" for name in ["DEFAULT", *cfg.sections()]
-            for key in sorted(cfg[name]) if key not in INI_KEYS.get(name, ())]
+            for key in sorted(cfg[name]) if key not in known.get(name, ())]
     if bad:
         raise ConfigError(f"unknown INI section or key {bad[0]}")
 
@@ -189,10 +198,14 @@ def _ball_radius(sec, key, state_cap):
 
 
 def growth_from_config(sec, spec, state_cap):
-    """Explicit growth_c/growth_d if configured, else a fitted bound."""
+    """Explicit growth_c and growth_d if configured, else a fitted bound;
+    one of the two alone is refused."""
     c = _get(sec, "growth_c", Fraction, None)
     d = _get(sec, "growth_d", int, None)
-    if c is not None and d is not None:
+    if (c is None) != (d is None):
+        raise ConfigError(f"[task] {'growth_d' if d is None else 'growth_c'} is missing: "
+                          "growth_c and growth_d give an explicit growth bound together")
+    if c is not None:
         return GrowthBound(C=c, d=d, validated_range=(1, 0))
     return fit_growth(growth_profile(spec, _ball_radius(sec, "growth_r_max", state_cap),
                                      state_cap))
@@ -623,25 +636,28 @@ def run(args):
                                   else TASK_FUNCS[name](args, cfg, cfg["task"]))
 
     out = cfg["output"] if "output" in cfg else {}
-    outdir = Path(out.get("dir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    if csv_rows is not None:
-        csv_path = outdir / out.get("csv", f"{name}.csv")
-        with open(csv_path, "w", newline="") as fh:
-            import csv as _csv
-            _csv.writer(fh, lineterminator="\n").writerows(csv_rows)
-        written.append(str(csv_path))
-    summary_path = outdir / out.get("summary", "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(str(summary_path))
-    if witness is not None and args.export_witness:
-        with open(args.export_witness, "w") as fh:
-            write_json(fh, witness)
+    try:
+        outdir = Path(out.get("dir", "."))
+        outdir.mkdir(parents=True, exist_ok=True)
+        if csv_rows is not None:
+            csv_path = outdir / out.get("csv", f"{name}.csv")
+            with open(csv_path, "w", newline="") as fh:
+                import csv as _csv
+                _csv.writer(fh, lineterminator="\n").writerows(csv_rows)
+            written.append(str(csv_path))
+        summary_path = outdir / out.get("summary", "summary.json")
+        with open(summary_path, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        written.append(args.export_witness)
+        written.append(str(summary_path))
+        if witness is not None and args.export_witness:
+            with open(args.export_witness, "w") as fh:
+                write_json(fh, witness)
+                fh.write("\n")
+            written.append(args.export_witness)
+    except OSError as e:        # say, an empty csv or summary name: the directory itself
+        raise ConfigError(f"cannot write the outputs: {e}") from None
     print("wrote " + ", ".join(written))
     return 0
 

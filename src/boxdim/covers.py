@@ -252,9 +252,11 @@ class Cover:
         return tuple(tuple(s for i, s in sets if i == j) for j in range(self.n_families))
 
     def take(self, sets, set_family, n_families: int) -> "Cover":
-        """The cover made of the given sets, in that order, in the given
-        (non-decreasing) families."""
-        sets = np.asarray(sets, dtype=np.int64)
+        """The cover made of the given sets in the given families, stably
+        ordered by family."""
+        order = np.argsort(set_family, kind="stable")
+        sets = np.asarray(sets, dtype=np.int64)[order]
+        set_family = np.asarray(set_family)[order]
         bounds = self.set_parts()
         parts = _ranges(bounds[sets], bounds[sets + 1])
         pos = dict(zip(sets.tolist(), range(len(sets))))
@@ -539,9 +541,9 @@ def _dilation(comp, parts: _Parts, r: int):
                p[e][:, None] << vb, out=moved, casting="unsafe")
         moved <<= db
         moved |= ball_d
-        del moved                   # so the array dies when _least replaces it
+        del moved                   # so the array dies when the dedup replaces it
         keys[n_moved:] = (p << vb | v) << db
-        keys = _least(keys, db)
+        keys = sorted_distinct(keys, db)
         d = keys & ((1 << db) - 1)
         keys >>= db
         v = keys & ((1 << vb) - 1)
@@ -549,17 +551,6 @@ def _dilation(comp, parts: _Parts, r: int):
         keys += p0
         yield keys, v, d
         lo = hi
-
-
-def _least(keys: np.ndarray, shift: int) -> np.ndarray:
-    """The smallest of the keys equal after >> shift, sorted: for keys
-    packed as (item << shift | value), each item once with its least value.
-    Sorts keys in place."""
-    keys.sort()
-    item = keys >> shift
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(item[1:], item[:-1], out=first[1:])
-    return keys[first]
 
 
 def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
@@ -606,7 +597,7 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
                 lo, hi = first[v], first[v + 1]
                 a, d, b = np.repeat(a, hi - lo), np.repeat(d, hi - lo), holders[_ranges(lo, hi)]
                 pair = (a < b) & (fam[a] == fam[b])
-                found.append(_least((a * N + b)[pair] << db | d[pair], db))
+                found.append(sorted_distinct((a * N + b)[pair] << db | d[pair], db))
         best = max(best, int(counts.max()) + int(np.count_nonzero(cross)))
     if not disjoint:
         return best, None
@@ -617,7 +608,7 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
                 a, b = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
                 pair = (fam[a] == fam[b]) & (a != b)
                 found.append((a * N + b)[pair] << db | (diams[ci] + diams[cj]))
-    found = _least(np.concatenate(found + [np.zeros(0, dtype=np.int64)]), db)
+    found = sorted_distinct(np.concatenate(found + [np.zeros(0, dtype=np.int64)]), db)
     return best, (*np.divmod(found >> db, N), found & ((1 << db) - 1))
 
 
@@ -776,8 +767,7 @@ def families_from_multiplicity_cover(cover: Cover, R: int):
     a, bounds = a[order].tolist(), np.searchsorted(b[order], np.arange(n + 1)).tolist()
     colors = np.asarray(first_fit_colors(a[bounds[i]:bounds[i + 1]] for i in range(n)),
                         dtype=np.int64)
-    order = np.argsort(colors, kind="stable")
-    out = cover.take(order, colors[order], int(colors.max(initial=0)) + 1)
+    out = cover.take(np.arange(n), colors, int(colors.max(initial=0)) + 1)
     report = verify_cover(out, max(R, 0))
     if report.close_pair_witnesses:
         j, *viol = report.close_pair_witnesses[0]
@@ -808,8 +798,7 @@ class FamilyAssembly:
     report: AssemblyReport
 
 
-def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
-                          profile, thresholds: dict | None = None) -> FamilyAssembly:
+def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> FamilyAssembly:
     """Per-scale family assembly over a truncated box space.
 
     For each scale k the admissible window starts at i_k, the first
@@ -819,10 +808,8 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     kept.  The assembled family at scale k is the union over scales >= k;
     k-disjointness of every family and the subtraction identity against the
     finite part F_k are verified exactly.  families[k] is one Cover: the
-    sets kept at scales >= k, stably ordered by family.
-
-    thresholds overrides the computed i_k (used to demonstrate that a bad
-    threshold is caught by the disjointness check).
+    sets kept at scales >= k, stably ordered by family.  i_k is
+    profile.threshold(max(k, S_k)), the only thing read of profile.
     """
     scales = sorted(int(k) for k in covers_by_scale)
     if not scales or scales[0] < 1:
@@ -860,8 +847,7 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
         # straddling sets never enter the admissible window, so the scale
         # diameter is taken over the single-component sets only
         oracle_diam[k] = int(diameters[(scale == k) & (low == high)].max(initial=0))
-        i_k[k] = (int(thresholds[k]) if k in (thresholds or {})
-                  else profile.threshold(max(k, oracle_diam[k])))
+        i_k[k] = profile.threshold(max(k, oracle_diam[k]))
         if i_k[k] is None:
             raise ConfigError(f"truncation has no component usable at scale {k} "
                               f"(needs ball-isometry radius >= {max(k, oracle_diam[k])})")
@@ -881,7 +867,6 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict,
     families, disjointness, violations = {}, [], []
     for k in scales:
         at = np.flatnonzero(kept & (scale >= k))
-        at = at[np.argsort(fam[at], kind="stable")]
         cover = joined.take(at, fam[at], n_fam)
         families[k] = cover
         close, mins = _witnesses(cover, _near_sets(cover, cover.layout, k)[1])

@@ -458,7 +458,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     if any(f is None for f in solved):
         return None
     # every set in component order (F, the w sets, then each large
-    # component's sets); a stable sort by family gives the all_sets() order
+    # component's sets); take orders them stably by family
     whole = small + medium
     labels = (["F"] if small else []) + [f"w{ci}" for ci in medium]
     family = np.concatenate([np.zeros(len(labels), np.int64)] + [f[0] for f in solved])
@@ -474,8 +474,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
         np.repeat(whole + large, [1] * len(whole) + [len(f[0]) for f in solved]),
         np.concatenate([sizes] + [np.diff(f[1]) for f in solved]),
         np.concatenate([np.arange(n) for n in sizes] + [f[2] for f in solved] + [sizes[:0]]))
-    order = np.argsort(family, kind="stable")
-    cover = cover.take(order, family[order], cover.n_families)
+    cover = cover.take(np.arange(len(labels)), family, cover.n_families)
     report = verify_cover(cover, R, S)
     if not report.ok:
         if mode != "structured":

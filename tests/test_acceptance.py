@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,9 +185,12 @@ def test_criterion_7_family_assembly(capsys):
         assert asm.report.ok
         assert asm.report.subtraction_ok
         assert all(d is None for _, _, d in asm.report.disjointness)
+        # windows forced to start at components 3, 4 and 0; the assembly
+        # asks for each at the radius max(k, S_k)
+        radius = {k: max(k, d) for k, d in asm.scale_diameters.items()}
+        bad = SimpleNamespace(threshold={radius[k]: i for k, i in {1: 3, 2: 4, 3: 0}.items()}.get)
         with pytest.raises(VerificationError):
-            assemble_box_families(box, covers, profile,
-                                  thresholds={1: 3, 2: 4, 3: 0})
+            assemble_box_families(box, covers, bad)
 
 
 def _striped(radius, stripe=4):

@@ -135,6 +135,28 @@ def test_levels_are_sorted_spheres(name):
         assert flat == sorted(flatten(spec, v) for v, d in old.items() if d == L)
 
 
+@pytest.mark.parametrize("name", ["Z2", "UT3", "ZxUT3", "UT3_gen_2^20"])
+def test_spheres_of_several_slices_build_each_slice_once(monkeypatch, name):
+    spec, r = SPECS[name]
+    steps = cayley_module._steps(spec, spec.generators)
+    monkeypatch.setattr(cayley_module, "SLICE", 2 * steps.size)   # two rows a slice
+    calls, products = [], cayley_module._products
+
+    def counted(spec, rows, steps):
+        calls.append(rows.shape[0])
+        return products(spec, rows, steps)
+
+    monkeypatch.setattr(cayley_module, "_products", counted)
+    old = old_enumerate_ball(spec, r)
+    spheres = [rows for _, rows in zip(range(r + 1), ball_levels(spec))]
+    for L, rows in enumerate(spheres):
+        flat = [tuple(row) for row in rows.tolist()]
+        assert flat == sorted(flatten(spec, v) for v, d in old.items() if d == L)
+    # spheres 0..r-1 were expanded, one _products call per slice of two rows
+    assert calls == [min(2, rows.shape[0] - lo) for rows in spheres[:-1]
+                     for lo in range(0, rows.shape[0], 2)]
+
+
 def test_object_path_is_taken_for_huge_generators():
     spec, _ = SPECS["Z_gen_2^61"]
     levels = list(zip(range(4), ball_levels(spec)))

@@ -26,6 +26,7 @@ from boxdim.cayley import (
     loglog_slope,
     product_ids,
     quotient_coords,
+    sorted_distinct,
     _work_dtype,
 )
 from boxdim.errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
@@ -492,3 +493,30 @@ def test_bfs_seeds_with_repeated_and_unsorted_sources():
                           breadth_first_distances(g.adjacency, [5], cap=1))
     for empty in ([], np.array([], dtype=np.int64)):
         assert (breadth_first_distances(g.adjacency, empty) == -1).all()
+
+
+def least_per_item(keys, shift):
+    """For keys packed as item << shift | value: each item once, with its
+    least value, in item order, from a dict."""
+    least = {}
+    for key in keys.tolist():
+        item, value = key >> shift, key & ((1 << shift) - 1)
+        least[item] = min(least.get(item, value), value)
+    return [item << shift | value for item, value in sorted(least.items())]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 2000])
+@pytest.mark.parametrize("shift", [0, 1, 5, 20])
+def test_sorted_distinct_keeps_the_least_value_per_item(n, shift):
+    rng = np.random.default_rng(n * 31 + shift)
+    items = rng.integers(0, max(1, n // 3), n)
+    keys = items << shift | rng.integers(0, 1 << shift, n)
+    keep = keys.copy()
+    got = sorted_distinct(keys, shift)
+    assert got.dtype == np.int64
+    assert got.tolist() == least_per_item(keys, shift)
+    assert np.array_equal(keys, keep)       # the input is left as it was
+    if shift == 0:
+        assert np.array_equal(got, np.unique(keys))
+        objects = (keys.astype(object) << 70) - 3
+        assert sorted_distinct(objects).tolist() == np.unique(objects).tolist()

@@ -652,12 +652,21 @@ def test_families_task_exits_4_on_a_bad_regrouping(tmp_path, monkeypatch, capsys
     assert "regrouped family 0 is not 2-disjoint: (" in capsys.readouterr().err
 
 
+# keys of the cover task, and k_list of isoradius, under tasks that do not
+# read all of them; the first unknown key in sorted order is named
+OTHER_TASKS_KEYS = "r = 2\ngrowth_c = 3\ngrowth_d = 1\nk_list = 1\n"
+
+
 @pytest.mark.parametrize("ini, key", [
     pytest.param(RANDOM_RSDIM + "max_dist = 3", "[task] max_dist", id="task max_dist"),
     pytest.param(COVER_INI.replace("rank = 1", "rank = 1\nrnak = 2"), "[group] rnak",
                  id="group rnak"),
     pytest.param(COVER_INI + "\n[limit]\nstate_cap = 100\n", "[limit]", id="limit section"),
     pytest.param("[DEFAULT]\nr = 2\n\n" + COVER_INI, "[DEFAULT] r", id="DEFAULT section"),
+    *(pytest.param(Z_BOX + f"[task]\nname = {task}\n" + OTHER_TASKS_KEYS, f"[task] {key}",
+                   id=f"{task} with other tasks' keys")
+      for task, key in (("boxspace", "growth_c"), ("quotient", "growth_c"),
+                        ("cover", "k_list"), ("isoradius", "growth_c"))),
 ])
 def test_unknown_ini_keys_and_sections_exit_2(tmp_path, ini, key):
     # each used to be ignored without a word
@@ -671,7 +680,80 @@ def test_bench_configs_hold_only_known_keys():
     configs = sorted((BENCH / "configs").glob("*.ini"))
     assert len(configs) == 6
     for path in configs:
-        cli._check_keys(cli.load_config(path))
+        cfg = cli.load_config(path)
+        assert set(cfg["task"]) <= cli.INI_KEYS["task"][cfg["task"]["name"]], path.name
+        cli._check_keys(cfg)
+
+
+@pytest.mark.parametrize("ini, missing", [
+    pytest.param(COVER_INI.replace("growth_c = 3\n", ""), "growth_c", id="cover growth_d alone"),
+    pytest.param(Z_BOX + "[task]\nname = profile\nr_list = 2\ns_cap = 8\nmode = prop41\n"
+                 "growth_c = 3\n", "growth_d", id="profile growth_c alone"),
+])
+def test_half_an_explicit_growth_bound_exits_2(tmp_path, ini, missing):
+    # each used to fit a bound of free degree instead, without a word
+    proc = run_cli(tmp_path, ini)
+    assert proc.returncode == 2, proc.stderr
+    assert f"[task] {missing} is missing" in proc.stderr
+
+
+# one small run per task; each README key of its sections is set to each
+# malformed value in turn
+MALFORMED_VALUES = ("", "-1", "0", "abc", "1.5")
+Z_SECTIONS = {"group": {"kind": "free_abelian", "rank": "1"}, "filtration": {"moduli": "2 4"}}
+UT3_SECTIONS = {"group": {"kind": "unitriangular", "size": "3"}, "filtration": {"moduli": "2"}}
+SMALL_RUNS = {
+    "growth": (UT3_SECTIONS, {"r_max": "4", "growth_d": "4"}),
+    "quotient": (Z_SECTIONS, {}),
+    "boxspace": (Z_SECTIONS, {}),
+    "isoradius": (UT3_SECTIONS, {"k_list": "1 2"}),
+    "cover": (Z_SECTIONS, {"r": "1", "growth_c": "3", "growth_d": "1", "growth_r_max": "4"}),
+    "families": (Z_SECTIONS, {"r": "1", "growth_c": "3", "growth_d": "1", "growth_r_max": "4"}),
+    "rsdim": (Z_SECTIONS, {"source": "component", "r": "1", "s": "2", "method": "exact",
+                           "component": "0", "points": "4", "max_distance": "3"}),
+    "rsdim random": (Z_SECTIONS, {"source": "random", "r": "1", "s": "2", "method": "exact",
+                                  "component": "0", "points": "4", "max_distance": "3"}),
+    "profile": (Z_SECTIONS, {"r_list": "1", "s_cap": "4", "mode": "prop41", "growth_c": "3",
+                             "growth_d": "1", "growth_r_max": "4"}),
+    "transfer": (Z_SECTIONS, {"r": "2", "s": "3", "r0": "1", "radii": "6 8"}),
+}
+
+
+def ini_text(sections):
+    """The INI text of {section: {key: value}}."""
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                     for name, items in sections.items())
+
+
+@pytest.mark.parametrize("run", SMALL_RUNS)
+def test_malformed_values_of_every_key_exit_cleanly(tmp_path, monkeypatch, capsys, run):
+    # none of these values builds anything large, so they run in-process
+    task = run.split()[0]
+    heads, task_keys = SMALL_RUNS[run]
+    base = {**heads, "task": {"name": task, **task_keys}, "limits": {}, "output": {"dir": "out"}}
+    assert set(task_keys) | {"name"} == cli.INI_KEYS["task"][task]
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.ini"
+    for section in base:
+        for key in sorted(cli.INI_KEYS[section] if section != "task"
+                          else cli.INI_KEYS["task"][task]):
+            for value in MALFORMED_VALUES:
+                sections = {**base, section: {**base[section], key: value}}
+                cfg.write_text(ini_text(sections))
+                code = cli.main(["--config", str(cfg)])
+                assert code in (0, 2, 3, 4), (section, key, value, capsys.readouterr().err)
+
+
+def test_truncated_witness_exits_2(tmp_path):
+    wit = tmp_path / "wit.json"
+    assert run_cli(tmp_path, COVER_INI, "--export-witness", str(wit)).returncode == 0
+    text = wit.read_bytes()
+    cut = tmp_path / "cut.json"
+    for end in (1, len(text) // 2, len(text) - 2):
+        cut.write_bytes(text[:end])
+        proc = run_cli(tmp_path, COVER_INI, "--verify-witness", str(cut))
+        assert proc.returncode == 2, (end, proc.stderr)
+        assert "cannot read witness" in proc.stderr, end
 
 
 def test_rsdim_component_and_random(tmp_path):

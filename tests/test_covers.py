@@ -8,6 +8,7 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -670,6 +671,27 @@ def test_cover_arrays_and_views():
     assert verify_cover(cover, R=1, S=20).is_cover
 
 
+def test_take_orders_sets_stably_by_family():
+    box = z_box(4, 8)
+    sets = (arc_set("a", 0, (0, 1)),
+            CoverSet("b", ((0, (2, 3)), (1, (0,))), center=(0, 2), radius=1),
+            arc_set("c", 1, range(1, 8)),
+            CoverSet("d", ((1, (4, 5, 6)),), center=(1, 5), radius=1),
+            arc_set("e", 1, (3,)))
+    cover = Cover(space=box, families=(sets,))
+    picked, family = np.array([4, 1, 3, 0, 2]), np.array([2, 0, 2, 1, 0])
+    order = np.argsort(family, kind="stable")
+    got = cover.take(picked, family, 3)
+    want = cover.take(picked[order], family[order], 3)
+    assert got.labels == want.labels == ["b", "c", "a", "e", "d"]
+    assert got.set_family.tolist() == want.set_family.tolist() == [0, 0, 1, 2, 2]
+    for name in ("part_set", "part_comp", "offsets", "ids"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert (got.centers, got.radii) == (want.centers, want.radii) == (
+        {0: (0, 2), 4: (1, 5)}, {0: 1, 4: 1})
+    assert got.families == ((sets[1], sets[2]), (sets[0],), (sets[4], sets[3]))
+
+
 def test_verify_cover_diameters_match_brute_force():
     rng = random.Random(777)
     box = z_box(4, 8, 16)
@@ -788,12 +810,12 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
     box = build_box_space(Filtration(spec, moduli))
     growth = fit_growth(growth_profile(spec, 8))
     # any window will do: only the measured scale diameter is compared
-    window = {2: box.component_count - 1}
+    window = SimpleNamespace(threshold=lambda radius: box.component_count - 1)
     base = cover_prop41(box, R=2, growth=growth)[0]
     want, exact = per_set_diameters(box, base)
     assert exact
     scale_diameters = assemble_box_families(
-        box, {2: families_from_multiplicity_cover(base, 2)[0]}, None, window).scale_diameters
+        box, {2: families_from_multiplicity_cover(base, 2)[0]}, window).scale_diameters
     # every ball has 8 or more points: past a 50-comparison cap only its
     # ball certificate keeps the diameter exact
     monkeypatch.setattr(covers_module, "PAIR_CAP", 50)
@@ -806,7 +828,7 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
         cover.layout, cover.n_sets(), cover.centers, cover.radii).tolist() == want
     # the regrouped sets keep their hints, so the assembly measures the same
     assert assemble_box_families(
-        box, {2: families_from_multiplicity_cover(cover, 2)[0]}, None,
+        box, {2: families_from_multiplicity_cover(cover, 2)[0]},
         window).scale_diameters == scale_diameters
 
 
@@ -984,6 +1006,11 @@ def test_assembly_pipeline():
     assert any(lbl.startswith("k8.") for lbl in labels1)
 
 
+# the windows {1: 1, 4: 0} of scale_covers, asked for at the radii
+# max(k, S_k) = 1 and 7 (S_1 = 1, S_4 = 7)
+BAD_THRESHOLDS = SimpleNamespace(threshold={1: 1, 7: 0}.get)
+
+
 def test_assembly_corrupted_threshold_is_witnessed():
     box = eight_component_box()
     profile = isometry_profile(box)
@@ -992,8 +1019,7 @@ def test_assembly_corrupted_threshold_is_witnessed():
     assert honest.report.ok
     # forcing the scale-4 window down to component 0 pulls the two
     # whole-component sets into one family at distance 1 + 2 = 3 < 4
-    bad = assemble_box_families(box, covers, profile,
-                                thresholds={1: 1, 4: 0})
+    bad = assemble_box_families(box, covers, BAD_THRESHOLDS)
     assert not bad.report.ok
     pairs = {(a, b): d for _, _, a, b, d in bad.report.violations}
     assert pairs.get(("whole0", "whole1")) == 3
@@ -1043,7 +1069,7 @@ def test_assembly_needs_usable_truncation():
         assemble_box_families(box, {5: cover}, profile)
 
 
-def view_assembly(box, covers_by_scale, profile, thresholds=None):
+def view_assembly(box, covers_by_scale, profile):
     """assemble_box_families as it was, on honest inputs: the kept sets
     merged as CoverSet views, family_violations per (scale, family), and
     the subtraction identity on Covers rebuilt from the views."""
@@ -1056,8 +1082,7 @@ def view_assembly(box, covers_by_scale, profile, thresholds=None):
             cover.layout, cover.n_sets(), cover.centers, cover.radii)
         one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
         oracle_diam[k] = int(diameters[one_part].max(initial=0))
-    i_k = {k: int(thresholds[k]) if thresholds and k in thresholds
-           else profile.threshold(max(k, oracle_diam[k])) for k in scales}
+    i_k = {k: profile.threshold(max(k, oracle_diam[k])) for k in scales}
     upper = {k: (i_k[scales[idx + 1]] if idx + 1 < len(scales) else box.component_count)
              for idx, k in enumerate(scales)}
     buckets = {}
@@ -1117,18 +1142,18 @@ def with_low_straddler(box):
     return {1: covers[1], 4: Cover(space=box, families=(fam0, covers[4].families[1]))}
 
 
-@pytest.mark.parametrize("moduli, make, thresholds", [
+@pytest.mark.parametrize("moduli, make, profile", [
     ((2, 4, 8, 16, 32, 64, 128, 256), scale_covers, None),
-    ((2, 4, 8, 16, 32, 64, 128, 256), scale_covers, {1: 1, 4: 0}),
+    ((2, 4, 8, 16, 32, 64, 128, 256), scale_covers, BAD_THRESHOLDS),
     ((2, 4, 8, 16, 32, 64, 128, 256), with_low_straddler, None),
     (tuple(2 ** t for t in range(1, 11)), prop41_scale_covers, None),
 ], ids=["honest", "bad threshold", "straddler below window", "criterion 7"])
-def test_assembly_matches_the_view_assembly(moduli, make, thresholds):
+def test_assembly_matches_the_view_assembly(moduli, make, profile):
     box = z_box(*moduli)
-    profile = isometry_profile(box)
+    profile = profile or isometry_profile(box)
     covers = make(box)
-    got = assemble_box_families(box, covers, profile, thresholds)
-    want = view_assembly(box, covers, profile, thresholds)
+    got = assemble_box_families(box, covers, profile)
+    want = view_assembly(box, covers, profile)
     assert {k: c.families for k, c in got.families.items()} == want.families
     assert (got.scales, got.thresholds, got.scale_diameters, got.finite_parts, got.report) == (
         want.scales, want.thresholds, want.scale_diameters, want.finite_parts, want.report)

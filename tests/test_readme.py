@@ -5,7 +5,8 @@ the classes the README describes, is resolved by import and getattr, so a
 renamed or deleted function cannot stay in the prose.  The CLI's flags and
 tasks are compared with the README's lists of them both ways, and every INI
 key the CLI reads must be named in the README's key list and be, section
-by section, exactly the keys of the CLI's table, cli.INI_KEYS.
+by section and for [task] task by task, exactly the keys of the CLI's
+table, cli.INI_KEYS.
 """
 import ast
 import importlib
@@ -88,10 +89,14 @@ def _section_names(node, assigned):
 
 
 def cli_ini_keys():
-    """Every key cli.py reads from an INI section, by section: the key
-    argument of _get and _ball_radius, and the literal key of a section's
-    .get.  A key whose section cannot be told lands under None."""
-    keys = {}
+    """Every key cli.py reads from an INI section, by section, with the
+    [task] keys by task: the key argument of _get and _ball_radius, and the
+    literal key of a section's .get.  A task reads the [task] keys of its
+    task function and of every cli function that one calls, in turn
+    (growth_from_config, _packing_cover, _ball_radius); a [task] key read
+    outside all of those, before the dispatch, is every task's.  A key whose
+    section cannot be told lands under None."""
+    keys, task_keys, calls = {}, {}, {}
     tree = ast.parse(Path(cli.__file__).read_text())
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef) or fn.name in WITNESS_READERS:
@@ -102,6 +107,8 @@ def cli_ini_keys():
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         assigned.setdefault(target.id, []).append(node.value)
+        calls[fn.name] = {node.func.id for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
@@ -113,18 +120,45 @@ def cli_ini_keys():
             else:
                 continue
             for name in _section_names(section, assigned) or ({None} if names else ()):
-                keys.setdefault(name, set()).update(names)
+                if name == "task":
+                    task_keys.setdefault(fn.name, set()).update(names)
+                else:
+                    keys.setdefault(name, set()).update(names)
+
+    def reached(fn):
+        """fn and every cli function it calls, in turn."""
+        seen, todo = set(), [fn]
+        while todo:
+            f = todo.pop()
+            if f in calls and f not in seen:
+                seen.add(f)
+                todo += calls[f]
+        return seen
+
+    per_task = {task: reached(fn.__name__) for task, fn in cli.TASK_FUNCS.items()}
+    shared = set().union(*(names for f, names in task_keys.items()
+                           if not any(f in fns for fns in per_task.values())))
+    keys["task"] = {task: shared.union(*(task_keys.get(f, ()) for f in fns))
+                    for task, fns in per_task.items()}
     return keys
 
 
 def test_ini_key_table_is_what_the_cli_reads():
-    # section by section: a key listed under the wrong section would refuse
-    # a valid config, or let through a key that section never reads
-    assert cli_ini_keys() == cli.INI_KEYS
+    # section by section, and [task] task by task: a key listed in the
+    # wrong row would refuse a valid config, or let through a key that
+    # section or task never reads
+    keys = cli_ini_keys()
+    assert keys == cli.INI_KEYS
+    # the helpers' keys reach their callers' rows
+    assert {"growth_c", "growth_d", "growth_r_max", "r"} <= keys["task"]["families"]
+    assert {"growth_c", "growth_d", "growth_r_max"} <= keys["task"]["profile"]
+    assert all("name" in row for row in keys["task"].values())
 
 
 def test_readme_names_every_ini_key():
-    keys = set().union(*cli_ini_keys().values())
+    by_section = cli_ini_keys()
+    keys = set().union(*(v for name, v in by_section.items() if name != "task"),
+                       *by_section["task"].values())
     assert {"kind", "rank", "size", "factors", "r_max", "growth_r_max", "dir"} <= keys
     named = set(re.findall(r"`(\w+)`", readme_paragraph("Tasks:")))
     assert sorted(keys - named) == []
