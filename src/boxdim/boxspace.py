@@ -46,9 +46,9 @@ class CoarseUnion:
     """Coarse disjoint union of finite metric spaces.
 
     Points are (component_index, vertex_id).  Each component offers
-    n_vertices, diameter, check_vertex, distance, distances_from and the
-    two verifier methods distances_to (a multi-source distance field) and
-    subset_diameter; CayleyGraph and FiniteMetricSpace both do.
+    n_vertices, diameter, check_vertex, distance, distances_from(v, ids)
+    and the two verifier methods distances_to (a multi-source distance
+    field) and subset_diameter; CayleyGraph and FiniteMetricSpace both do.
     """
 
     def __init__(self, components):
@@ -127,13 +127,13 @@ class FiniteMetricSpace:
             raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
 
     def distance(self, u: int, v: int) -> int:
-        self.check_vertex(u)
         self.check_vertex(v)
-        return int(self.dist_matrix[u, v])
+        return int(self.distances_from(u, v))
 
-    def distances_from(self, v: int) -> np.ndarray:
+    def distances_from(self, v: int, ids) -> np.ndarray:
+        """d(v, x) for each x in ids."""
         self.check_vertex(v)
-        return self.dist_matrix[v]
+        return self.dist_matrix[v, ids]
 
     def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
         """Distance from every point to the nearest of ids; -1 beyond cap."""

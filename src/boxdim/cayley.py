@@ -210,20 +210,15 @@ class CayleyGraph:
         if not (0 <= v < self.n_vertices):
             raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
 
-    def distances_from(self, v: int) -> np.ndarray:
-        """Distance table from v, via the translation d(v, x) = d(e, v^-1 x)."""
+    def distances_from(self, v: int, ids) -> np.ndarray:
+        """d(v, x) for each x in ids, via the translation d(v, x) = d(e, v^-1 x)."""
         self.check_vertex(v)
-        if v == self.identity_id:
-            return self.dist
         inv_v = coords_invert(self.spec, self.coords[v], self.modulus)
-        return self.dist[product_ids(self.spec, inv_v, self.coords, self.modulus)]
+        return self.dist[product_ids(self.spec, inv_v, self.coords[ids], self.modulus)]
 
     def distance(self, u: int, v: int) -> int:
-        self.check_vertex(u)
         self.check_vertex(v)
-        inv_u = coords_invert(self.spec, self.coords[u], self.modulus)
-        w = product_ids(self.spec, inv_u, self.coords[v], self.modulus)
-        return int(self.dist[int(w)])
+        return int(self.distances_from(u, v))
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
         if r < 0:

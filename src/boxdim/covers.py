@@ -315,8 +315,9 @@ def _parts(ids, lengths=None) -> _Parts:
 
 def validate_cover(cover: Cover, layout: list) -> None:
     """Reject malformed covers; layout is cover.layout.  The checks run in
-    turn over all sets: unique labels, no empty set, component indices in
-    range and not repeated within a set, then vertex ids in range."""
+    turn over all sets: unique labels, no empty set or part, component
+    indices in range and not repeated within a set, then vertex ids in
+    range."""
     labels, ps, pc = cover.labels, cover.part_set, cover.part_comp
     if len(set(labels)) != len(labels):
         seen = set()
@@ -325,6 +326,10 @@ def validate_cover(cover: Cover, layout: list) -> None:
     empty = np.flatnonzero(cover.set_sizes() == 0)
     if empty.size:
         raise ConfigError(f"empty set {labels[empty[0]]!r}")
+    hollow = np.flatnonzero(np.diff(cover.offsets) == 0)
+    if hollow.size:
+        raise ConfigError(f"set {labels[ps[hollow[0]]]!r} has no ids on "
+                          f"component {pc[hollow[0]]}")
     bad = np.flatnonzero((pc < 0) | (pc >= len(cover.space.components)))
     if bad.size:
         raise ConfigError(f"set {labels[ps[bad[0]]]!r} references component {pc[bad[0]]}")
@@ -438,7 +443,7 @@ class _DiameterOracle:
             # fixed member; flagged, never silently treated as exact
             self.exact = False
             ids = parts.part(k)
-            out[k] = int(comp.distances_from(int(ids[0]))[ids].max()) * 2
+            out[k] = int(comp.distances_from(int(ids[0]), ids).max()) * 2
         todo &= ~big
         for L in sorted_distinct(lengths[todo]).tolist():
             ks = np.flatnonzero(todo & (lengths == L))

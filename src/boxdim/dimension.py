@@ -225,26 +225,26 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
         raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
     if R < 1 or S < 0:
         raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
-    carve = S // 2
-    assigned = np.full(n_pts, -1, dtype=np.int64)
+    # free lists the uncarved points in increasing order, and nearest[i] is
+    # the distance from free[i] to the nearest center carved so far
+    free = np.arange(n_pts)
     nearest = np.full(n_pts, np.iinfo(np.int32).max, dtype=np.int64)
     clusters = []
-    while (assigned < 0).any():
-        free = np.flatnonzero(assigned < 0)
-        center = int(free[np.argmax(nearest[free])])
-        d = space.distances_from(center).astype(np.int64)
-        cluster = free[d[free] <= carve]
-        assigned[cluster] = len(clusters)
-        clusters.append(cluster)
-        nearest = np.minimum(nearest, d)
+    while free.size:
+        d = space.distances_from(int(free[np.argmax(nearest)]), free)
+        near = d <= S // 2
+        clusters.append(free[near])
+        free, nearest = free[~near], np.minimum(nearest[~near], d[~near])
+    members, sizes = np.concatenate(clusters), list(map(len, clusters))
+    n_cl = len(clusters)
+    assigned = np.empty(n_pts, dtype=np.int64)
+    assigned[members] = np.repeat(np.arange(n_cl), sizes)
 
     # clusters a and b are neighbours when some pair of their points is
     # closer than R: a row (a, v) of the clusters' dilation at R - 1 joins
     # a and b = assigned[v]; first_fit_colors reads only the neighbours b < a
-    n_cl = len(clusters)
     keys = [np.zeros(0, dtype=np.int64)]
-    for a, v, _ in _dilation(space, _parts(np.concatenate(clusters), list(map(len, clusters))),
-                             R - 1):
+    for a, v, _ in _dilation(space, _parts(members, sizes), R - 1):
         b = assigned[v]
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
@@ -500,30 +500,18 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
         t0 = time.perf_counter()
         if mode == "prop41":
             cover, report = cover_prop41(box, R, growth, threads=threads)
-            note = "S_cap exhausted" if report.max_set_diameter > S_cap else ""
-            rows.append(ProfileRow(
-                R=R, s_achieved=report.max_set_diameter,
-                n_achieved=report.r_multiplicity - 1, mode=mode,
-                component_count=box.component_count, hirsch_length=h,
-                wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-                note=note, cover=cover))
-            continue
-        best = None
-        for S in s_ladder(R, S_cap):
-            got = box_witness_cover(box, R, S, mode, threads=threads,
-                                    n_best=None if best is None else best[0])
-            if got is not None:
-                cover, report = got
-                best = (np.unique(cover.set_family).size - 1, report.max_set_diameter, cover)
-        ms = (time.perf_counter() - t0) * 1000.0
-        if best is None:
-            rows.append(ProfileRow(R=R, s_achieved=None, n_achieved=None,
-                                   mode=mode, component_count=box.component_count,
-                                   hirsch_length=h, wall_time_ms=ms,
-                                   note="S_cap exhausted"))
+            s, n = report.max_set_diameter, report.r_multiplicity - 1
+            note = "S_cap exhausted" if s > S_cap else ""
         else:
-            rows.append(ProfileRow(R=R, s_achieved=best[1], n_achieved=best[0],
-                                   mode=mode, component_count=box.component_count,
-                                   hirsch_length=h, wall_time_ms=ms,
-                                   cover=best[2]))
+            n = s = cover = None
+            for S in s_ladder(R, S_cap):
+                got = box_witness_cover(box, R, S, mode, threads=threads, n_best=n)
+                if got is not None:
+                    cover, report = got
+                    n, s = np.unique(cover.set_family).size - 1, report.max_set_diameter
+            note = "S_cap exhausted" if cover is None else ""
+        rows.append(ProfileRow(R=R, s_achieved=s, n_achieved=n, mode=mode,
+                               component_count=box.component_count, hirsch_length=h,
+                               wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+                               note=note, cover=cover))
     return ProfileTable(rows=tuple(rows))

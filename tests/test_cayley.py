@@ -140,7 +140,7 @@ def test_distances_match_networkx():
         # whole distance field from a random vertex
         a = rng.choice(tuples)
         ia = key[flatten(spec, a)]
-        field = g.distances_from(ia)
+        field = g.distances_from(ia, np.arange(g.n_vertices))
         for b, d in nx.single_source_shortest_path_length(ref, a).items():
             assert field[key[flatten(spec, b)]] == d
 
@@ -167,8 +167,32 @@ def test_sphere_sizes_are_vertex_independent():
     base = g.sphere_sizes()
     for _ in range(5):
         v = rng.randrange(g.n_vertices)
-        d = g.distances_from(v)
+        d = g.distances_from(v, np.arange(g.n_vertices))
         assert np.array_equal(np.bincount(d, minlength=len(base)), base)
+
+
+@pytest.mark.parametrize("spec, m", [(unitriangular(3), 4), (free_abelian(2), 5),
+                                     (direct_product(free_abelian(1), unitriangular(3)), 3)])
+def test_distances_from_reads_only_the_ids_asked_for(spec, m):
+    # both component kinds against the BFS table from v, indexed at ids:
+    # the identity, a scalar id, repeated ids, unsorted ids and no ids
+    g = build_quotient_cayley(CongruenceQuotient(spec, m))
+    rng = np.random.default_rng(3)
+    n = g.n_vertices
+    for comp in (g, FiniteMetricSpace.from_graph(g)):
+        for v in (g.identity_id, 1, n - 1, int(rng.integers(n))):
+            table = g.distances_to([v])
+            for ids in (np.arange(n), rng.integers(0, n, 40), np.array([v, v, 0, v]),
+                        [n - 1, 0], np.zeros(0, dtype=np.int64)):
+                got = comp.distances_from(v, ids)
+                assert got.shape == np.shape(ids)
+                assert np.array_equal(got, table[ids]), (type(comp), v, ids)
+            x = int(rng.integers(n))
+            assert int(comp.distances_from(v, x)) == table[x] == comp.distance(v, x)
+        with pytest.raises(ShapeMismatchError):
+            comp.distances_from(n, [0])
+        with pytest.raises(ShapeMismatchError):
+            comp.distance(0, n)
 
 
 def test_encode_roundtrip():

@@ -756,6 +756,78 @@ def test_truncated_witness_exits_2(tmp_path):
         assert "cannot read witness" in proc.stderr, end
 
 
+Z_248_INI = ini_text({"group": Z_SECTIONS["group"], "filtration": {"moduli": "2 4 8"},
+                      "output": {"dir": "out"}})
+
+
+def test_a_witness_part_with_no_ids_exits_2(tmp_path):
+    # four sets, each its own family; an empty part on component 0 lists
+    # no point there, and counting A as meeting component 0 would read its
+    # diameter as 1 + 4 = 5 > S
+    sets = {"A": [[2, [0, 1, 2]]], "B": [[2, [3, 4, 5]]], "C": [[2, [6, 7]]],
+            "D": [[0, [0, 1]], [1, [0, 1, 2, 3]]]}
+    doc = {"kind": "cover-witness", "group": "free_abelian(1)", "moduli": [2, 4, 8],
+           "nested": True, "R": 4, "S": 4, "check_disjoint": True,
+           "families": [[{"label": k, "parts": p, "center": None, "radius": None}]
+                        for k, p in sets.items()]}
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps(doc))
+    assert run_cli(tmp_path, Z_248_INI, "--verify-witness", str(wit)).returncode == 0
+    doc["families"][0][0]["parts"].append([0, []])
+    wit.write_text(json.dumps(doc))
+    proc = run_cli(tmp_path, Z_248_INI, "--verify-witness", str(wit))
+    assert proc.returncode == 2, proc.stderr
+    assert "set 'A' has no ids on component 0" in proc.stderr
+
+
+# each field of a witness is replaced by each of these in turn, then deleted
+WITNESS_VALUES = (None, True, 1.5, "x", [], {}, [[]], -1, 2 ** 70, [[0, [1]], [2]])
+DELETED = object()
+
+
+def witness_row(doc):
+    return doc["rows"][0] if doc["kind"] == "profile-witness" else doc
+
+
+def witness_fields(doc):
+    """(owner, key) for every field of a cover or profile witness: the top
+    level, the first row of a profile witness, its first set and that
+    set's first part (component and ids)."""
+    row = witness_row(doc)
+    return ([(lambda d: d, key) for key in doc]
+            + ([(witness_row, key) for key in row] if row is not doc else [])
+            + [(lambda d: witness_row(d)["families"][0][0], key)
+               for key in row["families"][0][0]]
+            + [(lambda d: witness_row(d)["families"][0][0]["parts"][0], i) for i in (0, 1)])
+
+
+@pytest.mark.parametrize("task", ["cover", "profile"])
+def test_malformed_witness_shapes_exit_cleanly(tmp_path, monkeypatch, capsys, task):
+    # every field of an exported witness, replaced by each malformed value
+    # or deleted, is verified in-process: exit 0, 2 or 4 and no exception
+    heads, task_keys = SMALL_RUNS[task]
+    sections = {**heads, "task": {"name": task, **task_keys}, "output": {"dir": "out"}}
+    monkeypatch.chdir(tmp_path)
+    cfg, wit, bad = tmp_path / "run.ini", tmp_path / "wit.json", tmp_path / "bad.json"
+    cfg.write_text(ini_text(sections))
+    assert cli.main(["--config", str(cfg), "--export-witness", str(wit)]) == 0
+    good = json.loads(wit.read_text())
+    fields = witness_fields(good)
+    assert {key for _, key in fields} == {
+        "kind", "group", "moduli", "nested", "R", "S", "check_disjoint", "families",
+        "label", "parts", "center", "radius", 0, 1} | ({"rows"} if task == "profile" else set())
+    for owner, key in fields:
+        for value in WITNESS_VALUES + (DELETED,):
+            doc = copy.deepcopy(good)
+            if value is DELETED:
+                del owner(doc)[key]
+            else:
+                owner(doc)[key] = value
+            bad.write_text(json.dumps(doc))
+            code = cli.main(["--config", str(cfg), "--verify-witness", str(bad)])
+            assert code in (0, 2, 4), (task, key, value, capsys.readouterr().err)
+
+
 def test_rsdim_component_and_random(tmp_path):
     ini = """\
 [group]

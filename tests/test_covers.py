@@ -380,7 +380,7 @@ def per_set_diameters(box, cover):
                 d = box.diameters[ci]
             elif len(ids) ** 2 > covers_module.PAIR_CAP:
                 exact = False
-                d = 2 * int(comp.distances_from(int(ids[0]))[ids].max())
+                d = 2 * int(comp.distances_from(int(ids[0]), ids).max())
             else:
                 d = comp.subset_diameter(ids)
             best = max(best, d)
@@ -635,6 +635,18 @@ def test_verify_cover_rejects_malformed():
         verify_cover(Cover(space=box, families=((twice,),)), 1, 1)
     with pytest.raises(ConfigError, match="vertex -1 of component 0"):
         verify_cover(Cover(space=box, families=((arc_set("y", 0, (3, -1)),),)), 1, 1)
+
+
+def test_verify_cover_refuses_a_part_with_no_ids():
+    # the empty part lists no point, and counting A as meeting component
+    # 0 would read its diameter as 1 + 4 = 5 and raise the multiplicity
+    box = z_box(2, 4, 8)
+    sets = [arc_set("A", 2, (0, 1, 2)), arc_set("B", 2, (3, 4, 5)), arc_set("C", 2, (6, 7)),
+            CoverSet("D", ((0, (0, 1)), (1, (0, 1, 2, 3))))]
+    assert verify_cover(Cover(space=box, families=[(s,) for s in sets]), 4, 10).ok
+    sets[0] = CoverSet("A", ((2, (0, 1, 2)), (0, ())))
+    with pytest.raises(ConfigError, match="set 'A' has no ids on component 0"):
+        verify_cover(Cover(space=box, families=[(s,) for s in sets]), 4, 10)
 
 
 def test_cover_arrays_and_views():
@@ -1174,6 +1186,16 @@ def test_assembly_refuses_malformed_scale_covers(extra, message):
     fam0 = covers[4].families[0] + (extra,)
     covers[4] = Cover(space=box, families=(fam0, covers[4].families[1]))
     with pytest.raises(ConfigError, match=re.escape(message)):
+        assemble_box_families(box, covers, isometry_profile(box))
+
+
+def test_assembly_refuses_a_part_with_no_ids():
+    box = eight_component_box()
+    covers = scale_covers(box)
+    hollow = CoverSet("hollow", ((5, (0,)), (6, ())))
+    covers[4] = Cover(space=box, families=(covers[4].families[0] + (hollow,),
+                                           covers[4].families[1]))
+    with pytest.raises(ConfigError, match="set 'hollow' has no ids on component 6"):
         assemble_box_families(box, covers, isometry_profile(box))
 
 

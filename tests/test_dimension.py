@@ -12,7 +12,7 @@ import pytest
 from boxdim import covers as covers_module
 from boxdim import dimension as dimension_module
 from boxdim.boxspace import build_box_space
-from boxdim.cayley import GrowthBound, build_quotient_cayley
+from boxdim.cayley import GrowthBound, build_quotient_cayley, sorted_distinct
 from boxdim.covers import (
     Cover,
     CoverSet,
@@ -33,7 +33,13 @@ from boxdim.dimension import (
     structured_component_families,
 )
 from boxdim.errors import ConfigError, ResourceCapError, VerificationError
-from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
+from boxdim.groups import (
+    CongruenceQuotient,
+    Filtration,
+    direct_product,
+    free_abelian,
+    unitriangular,
+)
 from fractions import Fraction
 
 
@@ -294,6 +300,56 @@ def test_greedy_matches_dense_path_in_small_blocks(monkeypatch, name, space):
             res = rs_dim(space, R, S, "greedy")
             assert list(res.coloring) == coloring, (name, R, S)
             assert res.cover.families == families, (name, R, S)
+
+
+def all_points_greedy(space, R, S):
+    """rs_dim_greedy as it was before carving read only the free points:
+    each carve takes the distance table to every point, marks its cluster
+    in assigned, and takes the minimum over all |V| points."""
+    n_pts = space.n_vertices
+    carve = S // 2
+    assigned = np.full(n_pts, -1, dtype=np.int64)
+    nearest = np.full(n_pts, np.iinfo(np.int32).max, dtype=np.int64)
+    clusters = []
+    while (assigned < 0).any():
+        free = np.flatnonzero(assigned < 0)
+        center = int(free[np.argmax(nearest[free])])
+        d = space.distances_from(center, np.arange(n_pts)).astype(np.int64)
+        cluster = free[d[free] <= carve]
+        assigned[cluster] = len(clusters)
+        clusters.append(cluster)
+        nearest = np.minimum(nearest, d)
+
+    n_cl = len(clusters)
+    keys = [np.zeros(0, dtype=np.int64)]
+    parts = covers_module._parts(np.concatenate(clusters), list(map(len, clusters)))
+    for a, v, _ in covers_module._dilation(space, parts, R - 1):
+        b = assigned[v]
+        keys.append(sorted_distinct((a * n_cl + b)[b < a]))
+    a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
+    bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
+    cluster_color = covers_module.first_fit_colors(
+        b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
+    return np.array(cluster_color)[assigned].tolist()
+
+
+def carving_spaces():
+    for spec, m in ((unitriangular(3), 2), (unitriangular(3), 4), (free_abelian(2), 8),
+                    (free_abelian(1), 9), (direct_product(free_abelian(1), unitriangular(3)), 2)):
+        g = build_quotient_cayley(CongruenceQuotient(spec, m))
+        yield f"{spec.describe()}/{m}", g
+        yield f"matrix {spec.describe()}/{m}", FiniteMetricSpace.from_graph(g)
+    rng = random.Random(17)
+    for n, top in ((1, 1), (7, 3), (30, 6)):
+        yield f"random {n}", random_metric_space(rng, n, max_distance=top)
+
+
+@pytest.mark.parametrize("name, space", list(carving_spaces()))
+def test_greedy_carving_matches_the_all_points_loop(name, space):
+    for R in (1, 2, 3, 4):
+        for S in (0, 1, 2, 3, 5, 8, 16):
+            assert dimension_module.rs_dim_greedy(space, R, S) == \
+                all_points_greedy(space, R, S), (name, R, S)
 
 
 def test_greedy_refuses_more_than_4096_points():

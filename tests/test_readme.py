@@ -10,6 +10,7 @@ table, cli.INI_KEYS.
 """
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -55,6 +56,27 @@ def test_readme_flags_are_the_parser_options():
 def test_readme_tasks_are_the_cli_tasks():
     listed = readme_paragraph("Tasks:").split(".")[0]
     assert re.findall(r"`(\w+)`", listed) == list(cli.TASK_FUNCS)
+
+
+def test_component_protocol_is_the_same_on_both_kinds():
+    # every method the README's component paragraph and the list after it
+    # name exists on both component kinds with the same parameter names,
+    # and with the README's where it spells them out
+    paragraphs = README.read_text().split("\n\n")
+    at = paragraphs.index(readme_paragraph("A component is either"))
+    assert paragraphs[at + 1].startswith("- ")
+    kinds = (boxdim.CayleyGraph, boxdim.FiniteMetricSpace)
+    methods = {name: args for name, args in
+               re.findall(r"`(\w+)(?:\(([^)]*)\))?`", "\n".join(paragraphs[at:at + 2]))
+               if any(inspect.isfunction(getattr(kind, name, None)) for kind in kinds)}
+    assert {"check_vertex", "distance", "distances_from", "distances_to",
+            "subset_diameter"} <= set(methods)
+    for name, args in methods.items():
+        assert all(inspect.isfunction(getattr(kind, name, None)) for kind in kinds), name
+        params = [list(inspect.signature(getattr(kind, name)).parameters)[1:] for kind in kinds]
+        assert params[0] == params[1], (name, params)
+        if args:
+            assert params[0] == [a.split("=")[0].strip() for a in args.split(",")], name
 
 
 # the functions that read a witness document, not an INI section
