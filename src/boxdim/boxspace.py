@@ -25,6 +25,7 @@ from .cayley import (
     ball_levels,
     breadth_first_distances,
     build_quotient_cayley,
+    checked_ids,
     neighbour_table,
     row_keys,
     sorted_distinct,
@@ -127,21 +128,20 @@ class FiniteMetricSpace:
             raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
 
     def distance(self, u: int, v: int) -> int:
-        self.check_vertex(v)
         return int(self.distances_from(u, v))
 
     def distances_from(self, v: int, ids) -> np.ndarray:
         """d(v, x) for each x in ids."""
         self.check_vertex(v)
-        return self.dist_matrix[v, ids]
+        return self.dist_matrix[v, checked_ids(ids, self.n_vertices)]
 
     def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
         """Distance from every point to the nearest of ids; -1 beyond cap."""
-        d = self.dist_matrix[np.asarray(ids, dtype=np.int64)].min(axis=0)
+        d = self.dist_matrix[checked_ids(ids, self.n_vertices)].min(axis=0)
         return d if cap is None else np.where(d <= cap, d, -1)
 
     def subset_diameter(self, ids) -> int:
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = checked_ids(ids, self.n_vertices)
         return int(self.dist_matrix[np.ix_(ids, ids)].max())
 
     @classmethod

@@ -214,10 +214,10 @@ class CayleyGraph:
         """d(v, x) for each x in ids, via the translation d(v, x) = d(e, v^-1 x)."""
         self.check_vertex(v)
         inv_v = coords_invert(self.spec, self.coords[v], self.modulus)
+        ids = checked_ids(ids, self.n_vertices)
         return self.dist[product_ids(self.spec, inv_v, self.coords[ids], self.modulus)]
 
     def distance(self, u: int, v: int) -> int:
-        self.check_vertex(v)
         return int(self.distances_from(u, v))
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
@@ -238,7 +238,7 @@ class CayleyGraph:
 
     def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
         """Distance from every vertex to the nearest of ids; -1 beyond cap."""
-        return breadth_first_distances(self.adjacency, ids, cap)
+        return breadth_first_distances(self.adjacency, checked_ids(ids, self.n_vertices), cap)
 
     def distance_blocks(self, rows, cols):
         """d(u, v) for u in rows and v in cols, as d(e, u^-1 v): one
@@ -258,6 +258,7 @@ class CayleyGraph:
         The scan stops once the running max reaches the graph diameter,
         which bounds the diameter of every subset.
         """
+        ids = checked_ids(ids, self.n_vertices)
         best = 0
         for d in self.distance_blocks(ids, ids):
             best = max(best, int(d.max()))
@@ -274,15 +275,18 @@ class CayleyGraph:
 
     def class_keys(self, rows: np.ndarray):
         """The translation classes of equal-length subsets, one per row:
-        the distinct rows of sorted ids of x_0^-1 x, and each row's class.
-        Left translation is an isometry, so a class fixes the diameter."""
+        (first, inverse), class c's first row first[c] and row i's class
+        inverse[i].  A row's key is the sorted ids of x_0^-1 x, compared
+        byte for byte; left translation is an isometry, so a class fixes
+        the diameter."""
         inv_first = coords_invert(self.spec, self.coords[rows[:, 0]], self.modulus)
-        moved = product_ids(self.spec, inv_first[:, None, :], self.coords[rows], self.modulus)
+        # ids are below vertex_cap <= 2^31 - 1, so int64 holds any id dtype exactly
+        moved = product_ids(self.spec, inv_first[:, None, :], self.coords[rows],
+                            self.modulus).astype(np.int64)
         moved.sort(axis=1)
-        # return_index makes np.unique sort the rows with a stable mergesort;
-        # its default sort took about 2.5x as long on the plane profile's keys
-        keys, _, inverse = np.unique(moved, axis=0, return_index=True, return_inverse=True)
-        return keys, inverse.reshape(-1)
+        keys = moved.view(np.dtype((np.void, moved.itemsize * moved.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first, inverse
 
     def row_diameters(self, rows: np.ndarray, block: int) -> np.ndarray:
         """The exact diameter of each row of ids, max |x^-1 y| over its
@@ -309,6 +313,16 @@ class CayleyGraph:
 
     def sphere_sizes(self) -> np.ndarray:
         return np.bincount(self.dist, minlength=self.diameter + 1)
+
+
+def checked_ids(ids, n: int) -> np.ndarray:
+    """ids as int64, refused with ShapeMismatchError unless each lies in
+    [0, n): numpy would read a negative id from the end."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)].flat[0]
+        raise ShapeMismatchError(f"vertex id {bad} out of range [0, {n})")
+    return ids
 
 
 def sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:

@@ -335,8 +335,9 @@ def verify_witness(args, cfg):
     box = build_box_space(Filtration(spec, tuple(moduli), nested),
                           vertex_cap=args.vertex_cap, threads=args.threads)
     rows = data.get("rows") if data.get("kind") == "profile-witness" else [data]
-    _check_witness(isinstance(rows, list) and all(isinstance(r, dict) for r in rows),
-                   "'rows' must be a list of objects")
+    # no rows would verify nothing; the writer never emits such a witness
+    _check_witness(isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows),
+                   "'rows' must be a non-empty list of objects")
     checked = []
     for row in rows:
         R, S = row.get("R"), row.get("S")

@@ -27,6 +27,8 @@ from .cayley import (
     CayleyGraph,
     GrowthBound,
     _ball,
+    coords_invert,
+    coords_multiply,
     product_ids,
     sorted_distinct,
     word_distances,
@@ -382,21 +384,23 @@ class _DiameterOracle:
     none.
 
     Left translation is an isometry, so every other part's diameter depends
-    only on its translation class; the class key is the part translated to
-    put its first vertex at the identity.  Keys are computed in blocks of
-    equal-length parts, and the classes of one length not seen before are
-    measured pairwise in one batched pass.  Components other than Cayley
-    graphs measure every part pairwise.
+    only on its translation class (_classes): each class some part still
+    needs is measured pairwise once, on its first part, in one batched pass
+    per length.  Components other than Cayley graphs measure every part
+    pairwise.
     """
 
     def __init__(self, space):
         self.space = space
-        self._memo = {}
         self.exact = True
 
-    def set_diameters(self, layout, n_sets: int, centers=None, radii=None) -> np.ndarray:
+    def set_diameters(self, layout, n_sets: int, centers=None, radii=None,
+                      classes=None) -> np.ndarray:
         """Diameter of every set the layout was built from, by set index;
-        centers and radii are the cover's ball hints, by set index.
+        centers and radii are the cover's ball hints, by set index, and
+        classes the _classes of each component's parts.  Without them a
+        component's classes are computed only if a part is left to measure
+        after the hints.
 
         A set with parts on several components has diameter at least the
         cross distance of any two of them, the sum of their diameters; the
@@ -405,19 +409,21 @@ class _DiameterOracle:
         diams = self.space.diameters
         centers, radii = centers or {}, radii or {}
         hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
+        classes = classes or [None] * len(layout)
         out = np.zeros(n_sets, dtype=np.int64)
         top = np.full((2, n_sets), -1, dtype=np.int64)
         for ci, parts in enumerate(layout):
             s = parts.sets
             balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints} if hints else {}
-            out[s] = np.maximum(out[s], self._part_diameters(ci, parts, balls))
+            out[s] = np.maximum(out[s], self._part_diameters(ci, parts, balls, classes[ci]))
             top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
             top[0, s] = np.maximum(top[0, s], diams[ci])
         return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0))
 
-    def _part_diameters(self, ci: int, parts: _Parts, balls: dict) -> np.ndarray:
+    def _part_diameters(self, ci: int, parts: _Parts, balls: dict, classes) -> np.ndarray:
         """Diameters of the parts on component ci; balls maps part indices
-        to their sets' (center, radius) hints."""
+        to their sets' (center, radius) hints, and classes is
+        _classes(component, parts) or None."""
         comp = self.space.components[ci]
         lengths = parts.lengths
         out = np.zeros(len(lengths), dtype=np.int64)
@@ -445,23 +451,56 @@ class _DiameterOracle:
             ids = parts.part(k)
             out[k] = int(comp.distances_from(int(ids[0]), ids).max()) * 2
         todo &= ~big
-        for L in sorted_distinct(lengths[todo]).tolist():
-            ks = np.flatnonzero(todo & (lengths == L))
-            step = max(1, ROW_BLOCK // L)
-            blocks, new = [], {}
-            for lo in range(0, len(ks), step):
-                block = ks[lo:lo + step]
-                keys, inverse = comp.class_keys(parts.ids[parts.offsets[block][:, None]
-                                                          + np.arange(L)])
-                names = [(ci, key.tobytes()) for key in keys]
-                new.update((n, key) for n, key in zip(names, keys) if n not in self._memo)
-                blocks.append((block, names, inverse))
-            if new:
-                rows = np.array(list(new.values()))
-                self._memo.update(zip(new, comp.row_diameters(rows, ROW_BLOCK)))
-            for block, names, inverse in blocks:
-                out[block] = np.array([self._memo[n] for n in names], dtype=np.int64)[inverse]
+        if not todo.any():
+            return out
+        cls, first = classes or _classes(comp, parts)
+        need = sorted_distinct(cls[todo])
+        diam, need_lengths = np.zeros(len(first), dtype=np.int64), lengths[first[need]]
+        for L in sorted_distinct(need_lengths).tolist():
+            at = need[need_lengths == L]
+            diam[at] = comp.row_diameters(parts.ids[parts.offsets[first[at]][:, None]
+                                                    + np.arange(L)], ROW_BLOCK)
+        out[todo] = diam[cls[todo]]
         return out
+
+
+def _classes(comp, parts: _Parts):
+    """The translation classes of the parts on a Cayley component, None on
+    another kind: (cls, first), part k in class cls[k] and class c's first
+    part first[c], its smallest index.  Every part Q of the class of P is
+    the translate t P, repeated ids alike, for t = x_Q x_P^-1 with x a
+    part's first id, so Q's diameter and dilation are P's translated.
+
+    Classes come from the ids alone.  A length held by one part is its own
+    class; the parts of each other length are keyed by class_keys in blocks
+    of at most ROW_BLOCK ids, and a class met in several blocks is one
+    class per block.  Parts holding fewer than ROW_BLOCK // 4 ids in all,
+    less than one block of translated rows, are each their own class: on
+    so few the keys and translations cost more than the kernel saves.
+    """
+    if not isinstance(comp, CayleyGraph):
+        return None
+    lengths = parts.lengths
+    if parts.ids.size < ROW_BLOCK // 4:
+        return np.arange(len(lengths)), np.arange(len(lengths))
+    order = np.argsort(lengths, kind="stable")
+    cls = np.empty(len(lengths), dtype=np.int64)
+    first = [np.zeros(0, dtype=np.int64)]
+    n = 0
+    for ks in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        L = int(lengths[ks[0]]) if ks.size else 0
+        step = max(1, ROW_BLOCK // max(L, 1))
+        for lo in range(0, len(ks), step):
+            block = ks[lo:lo + step]
+            if block.size == 1 or not L:
+                at = inverse = np.arange(block.size)
+            else:
+                at, inverse = comp.class_keys(parts.ids[parts.offsets[block][:, None]
+                                                        + np.arange(L)])
+            cls[block] = inverse + n
+            first.append(block[at])
+            n += at.size
+    return cls, np.concatenate(first)
 
 
 def _ball_diameter(ci: int, comp: CayleyGraph, ids, center, radius):
@@ -558,9 +597,55 @@ def _dilation(comp, parts: _Parts, r: int):
         lo = hi
 
 
-def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
+def _class_dilation(comp, parts: _Parts, r: int, classes):
+    """The rows of _dilation(comp, parts, r), from the kernel run on the
+    first part of each class only; classes is _classes(comp, parts).
+
+    A part Q = t P of the class of P has the rows (Q, t v, d) for P's rows
+    (P, v, d): left translation is an isometry, so d(tP, tv) = d(P, v).
+    The translates are built per class in blocks of at most ROW_BLOCK // 4
+    rows (one part's rows at least), with one product_ids each and no sort
+    or dedup.  On another kind of component, or where no class has two
+    parts, every part goes through the kernel.
+    """
+    if classes is None or len(classes[1]) == len(classes[0]):
+        yield from _dilation(comp, parts, r)
+        return
+    cls, first = classes
+    spans = _ranges(parts.offsets[first], parts.offsets[first + 1])
+    reps = _Parts(ids=parts.ids[spans], owner=parts.owner[spans], sets=parts.sets[first],
+                  offsets=np.concatenate(([0], np.cumsum(parts.lengths[first]))))
+    # class c's parts are order[bounds[c]:bounds[c + 1]], its first part first
+    order = np.argsort(cls, kind="stable")
+    bounds = np.searchsorted(cls[order], np.arange(len(first) + 1))
+    spec, m = comp.spec, comp.modulus
+    for c, v, d in _dilation(comp, reps, r):
+        yield first[c], v, d
+        # the kernel's rows come sorted by part: class c[lo] has the rows lo:hi
+        lo = np.flatnonzero(np.diff(c, prepend=-1))
+        hi = np.append(lo[1:], c.size)
+        c, n_members = c[lo], bounds[c[lo] + 1] - bounds[c[lo]] - 1
+        # the other parts Q of these classes, each with t = x_Q x_P^-1 for
+        # the class's first part P; class c[h] has those of end[h - 1]:end[h]
+        q = order[_ranges(bounds[c] + 1, bounds[c + 1])]
+        x = comp.coords[parts.ids[parts.offsets[np.stack((q, first[cls[q]]))]]]
+        t = coords_multiply(spec, x[0], coords_invert(spec, x[1], m), m)
+        end = np.cumsum(n_members)
+        for e, n, i, j in zip(*(a[n_members > 0].tolist() for a in (end, n_members, lo, hi))):
+            reached = comp.coords[v[i:j]][None, :, :]
+            step = max(1, ROW_BLOCK // 4 // (j - i))
+            for a in range(e - n, e, step):
+                b = min(a + step, e)
+                yield (np.repeat(q[a:b], j - i),
+                       product_ids(spec, t[a:b, None, :], reached, m).astype(np.int64).ravel(),
+                       np.tile(d[i:j], b - a))
+
+
+def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True, classes=None):
     """(R-multiplicity, close pairs) of a cover from one _dilation pass per
-    component at radius R; layout is cover.layout.
+    component at radius R, by translation class (_class_dilation); layout is
+    cover.layout and classes the _classes of each component's parts,
+    computed here when None.
 
     The multiplicity is the max over points of the number of sets meeting
     B(point, R).  A set reaches the whole of component cj through another
@@ -577,6 +662,8 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
     if R < 0:
         raise ConfigError(f"R must be >= 0, got {R}")
     space, fam, N = cover.space, cover.set_family, cover.n_sets()
+    if classes is None:
+        classes = list(map(_classes, space.components, layout))
     diams = np.asarray(space.diameters, dtype=np.int64)
     member = np.zeros((len(layout), N), dtype=bool)
     for ci, parts in enumerate(layout):
@@ -594,7 +681,7 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
         holders = parts.owner[np.argsort(parts.ids, kind="stable")]
         first = np.concatenate(([0], np.cumsum(np.bincount(parts.ids, minlength=n))))
         counts = np.zeros(n, dtype=np.int64)
-        for k, v, d in _dilation(space.components[cj], parts, R):
+        for k, v, d in _class_dilation(space.components[cj], parts, R, classes[cj]):
             counts += np.bincount(v[keep[k]], minlength=n)
             if disjoint:
                 near = d < R
@@ -667,8 +754,10 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
             uncovered = (ci, int(missing[0]))
             break
 
+    classes = list(map(_classes, space.components, layout))
     oracle = _DiameterOracle(space)
-    diameters = oracle.set_diameters(layout, cover.n_sets(), cover.centers, cover.radii)
+    diameters = oracle.set_diameters(layout, cover.n_sets(), cover.centers, cover.radii,
+                                     classes)
     max_diam = int(diameters.max(initial=0))
     oversized = None
     if S is not None:
@@ -676,7 +765,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
         if over.size:
             oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
-    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint)
+    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint, classes)
     close, fam_mins = _witnesses(cover, pairs) if check_disjoint else ([], [])
 
     return CoverReport(R=R, S=S,

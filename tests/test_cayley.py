@@ -195,6 +195,22 @@ def test_distances_from_reads_only_the_ids_asked_for(spec, m):
             comp.distance(0, n)
 
 
+@pytest.mark.parametrize("kind", ["cayley", "matrix"])
+@pytest.mark.parametrize("method", ["distances_from", "distances_to", "subset_diameter"])
+@pytest.mark.parametrize("bad", [-1, 8, 2 ** 40])
+def test_component_methods_refuse_ids_out_of_range(kind, method, bad):
+    # numpy would read -1 as the last vertex and raise a bare IndexError at 8
+    g = build_quotient_cayley(CongruenceQuotient(free_abelian(1), 8))
+    comp = g if kind == "cayley" else FiniteMetricSpace.from_graph(g)
+    call = {"distances_from": lambda ids: comp.distances_from(0, ids),
+            "distances_to": comp.distances_to,
+            "subset_diameter": comp.subset_diameter}[method]
+    assert np.asarray(call([0, 3, 7])).size
+    for ids in ([bad], [0, bad, 3], np.array([bad, 7])):
+        with pytest.raises(ShapeMismatchError, match=f"vertex id {bad} out of range"):
+            call(ids)
+
+
 def test_encode_roundtrip():
     # vertex v has the coordinates whose mixed-radix id is v
     g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4))

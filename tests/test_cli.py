@@ -828,6 +828,23 @@ def test_malformed_witness_shapes_exit_cleanly(tmp_path, monkeypatch, capsys, ta
             assert code in (0, 2, 4), (task, key, value, capsys.readouterr().err)
 
 
+def test_a_profile_witness_with_no_rows_exits_2(tmp_path, monkeypatch, capsys):
+    # no rows would verify no cover at all
+    heads, task_keys = SMALL_RUNS["profile"]
+    monkeypatch.chdir(tmp_path)
+    cfg, wit = tmp_path / "run.ini", tmp_path / "wit.json"
+    cfg.write_text(ini_text({**heads, "task": {"name": "profile", **task_keys},
+                             "output": {"dir": "out"}}))
+    assert cli.main(["--config", str(cfg), "--export-witness", str(wit)]) == 0
+    doc = json.loads(wit.read_text())
+    assert doc["kind"] == "profile-witness" and doc["rows"]
+    doc["rows"] = []
+    wit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), "--verify-witness", str(wit)]) == 2
+    assert "malformed witness: 'rows' must be a non-empty list" in capsys.readouterr().err
+
+
 def test_rsdim_component_and_random(tmp_path):
     ini = """\
 [group]

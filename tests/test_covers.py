@@ -16,8 +16,11 @@ import pytest
 from boxdim import covers as covers_module
 from boxdim.boxspace import CoarseUnion, FiniteMetricSpace, build_box_space, isometry_profile
 from boxdim.cayley import (
+    PAIR_CAP,
+    CayleyGraph,
     GrowthBound,
     build_quotient_cayley,
+    coords_invert,
     coords_multiply,
     fit_growth,
     growth_profile,
@@ -472,6 +475,211 @@ def test_batched_diameters_match_per_set_reference(monkeypatch, name, pair_cap):
         assert report.max_set_diameter == max(want)
         assert report.oversized_witness == first_over
         assert report.diameters_exact == exact
+
+
+def frozen_class_keys(comp, rows):
+    """CayleyGraph.class_keys before classes were keyed as bytes: the
+    distinct rows of sorted ids of x_0^-1 x, by np.unique(axis=0)."""
+    inv_first = coords_invert(comp.spec, comp.coords[rows[:, 0]], comp.modulus)
+    moved = covers_module.product_ids(comp.spec, inv_first[:, None, :], comp.coords[rows],
+                                      comp.modulus)
+    moved.sort(axis=1)
+    keys, inverse = np.unique(moved, axis=0, return_inverse=True)
+    return keys, inverse.reshape(-1)
+
+
+class FrozenOracle:
+    """The diameter oracle before the shared class pass, frozen as the
+    reference: per-length key blocks and a memo of measured classes."""
+
+    def __init__(self, space):
+        self.space = space
+        self._memo = {}
+        self.exact = True
+
+    def set_diameters(self, layout, n_sets, centers=None, radii=None):
+        diams = self.space.diameters
+        centers, radii = centers or {}, radii or {}
+        hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
+        out = np.zeros(n_sets, dtype=np.int64)
+        top = np.full((2, n_sets), -1, dtype=np.int64)
+        for ci, parts in enumerate(layout):
+            s = parts.sets
+            balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints}
+            out[s] = np.maximum(out[s], self._part_diameters(ci, parts, balls))
+            top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
+            top[0, s] = np.maximum(top[0, s], diams[ci])
+        return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0))
+
+    def _part_diameters(self, ci, parts, balls):
+        comp = self.space.components[ci]
+        lengths = parts.lengths
+        out = np.zeros(len(lengths), dtype=np.int64)
+        todo = lengths > 1
+        whole = todo & (lengths >= comp.n_vertices)
+        for k in np.flatnonzero(whole):
+            whole[k] = np.unique(parts.part(k)).size == comp.n_vertices
+        out[whole] = self.space.diameters[ci]
+        todo &= ~whole
+        if not isinstance(comp, CayleyGraph):
+            for k in np.flatnonzero(todo):
+                out[k] = comp.subset_diameter(parts.part(k))
+            return out
+        for k, (center, radius) in balls.items():
+            if todo[k]:
+                d = covers_module._ball_diameter(ci, comp, parts.part(k), center, radius)
+                if d is not None:
+                    out[k], todo[k] = d, False
+        big = todo & (lengths ** 2 > covers_module.PAIR_CAP)
+        for k in np.flatnonzero(big):
+            self.exact = False
+            ids = parts.part(k)
+            out[k] = int(comp.distances_from(int(ids[0]), ids).max()) * 2
+        todo &= ~big
+        for L in np.unique(lengths[todo]).tolist():
+            ks = np.flatnonzero(todo & (lengths == L))
+            step = max(1, covers_module.ROW_BLOCK // L)
+            blocks, new = [], {}
+            for lo in range(0, len(ks), step):
+                block = ks[lo:lo + step]
+                keys, inverse = frozen_class_keys(comp, parts.ids[parts.offsets[block][:, None]
+                                                                  + np.arange(L)])
+                names = [(ci, key.tobytes()) for key in keys]
+                new.update((n, key) for n, key in zip(names, keys) if n not in self._memo)
+                blocks.append((block, names, inverse))
+            if new:
+                rows = np.array(list(new.values()))
+                self._memo.update(zip(new, comp.row_diameters(rows, covers_module.ROW_BLOCK)))
+            for block, names, inverse in blocks:
+                out[block] = np.array([self._memo[n] for n in names], dtype=np.int64)[inverse]
+        return out
+
+
+def with_ball_hints(rng, cover):
+    """The cover with a (center, radius) hint on about half its sets: the
+    one-part sets that are balls get their own, the others a lie."""
+    centers, radii = {}, {}
+    bounds = cover.set_parts()
+    for i in range(cover.n_sets()):
+        if rng.random() < 0.5:
+            ci = int(cover.part_comp[bounds[i]])
+            comp = cover.space.components[ci]
+            c, r = rng.randrange(comp.n_vertices), rng.randrange(3)
+            centers[i], radii[i] = (ci, c), r
+    # a ball listed as it is, with its true hint, at the end
+    comp = cover.space.components[0]
+    c, r = rng.randrange(comp.n_vertices), rng.randrange(1, 3)
+    ball = comp.ball_ids(c, r)
+    n = cover.n_sets()
+    centers[n], radii[n] = (0, c), r
+    return Cover.from_arrays(
+        cover.space, 1, np.zeros(n + 1), cover.labels + ["ball"],
+        np.append(cover.part_set, n), np.append(cover.part_comp, 0),
+        np.append(np.diff(cover.offsets), ball.size), np.concatenate((cover.ids, ball)),
+        centers, radii)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+@pytest.mark.parametrize("pair_cap", [PAIR_CAP, 50])
+@pytest.mark.parametrize("row_block", [covers_module.ROW_BLOCK, 40])
+def test_verify_cover_diameters_equal_the_frozen_oracle(monkeypatch, name, pair_cap, row_block):
+    # the shared class pass measures what the per-length key blocks did,
+    # with and without ball hints, exact or bounded alike; a 40-row block
+    # keys components of 10 ids or more, the default none of these
+    monkeypatch.setattr(covers_module, "PAIR_CAP", pair_cap)
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", row_block)
+    spec, moduli = KERNEL_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"frozen-{name}")
+    for _ in range(6):
+        bare = random_cover(rng, box, rng.randrange(3, 12))
+        for cover in (bare, with_ball_hints(rng, bare)):
+            frozen = FrozenOracle(box)
+            want = frozen.set_diameters(cover.layout, cover.n_sets(), cover.centers, cover.radii)
+            oracle = covers_module._DiameterOracle(box)
+            got = oracle.set_diameters(cover.layout, cover.n_sets(), cover.centers, cover.radii)
+            assert (got.tolist(), oracle.exact) == (want.tolist(), frozen.exact)
+            S = int(np.median(want))
+            over = np.flatnonzero(want > S)
+            report = verify_cover(cover, 1, S)
+            assert report.max_set_diameter == int(want.max())
+            assert report.diameters_exact == frozen.exact
+            assert report.oversized_witness == (
+                (cover.labels[over[0]], int(want[over[0]])) if over.size else None)
+
+
+@pytest.mark.parametrize("name", sorted(DILATION_BOXES))
+def test_class_keys_partition_rows_as_unique_rows(name):
+    # the byte keys split rows exactly as np.unique(axis=0) on the sorted
+    # translated rows, on int32 product ids too, and name each class's
+    # first row
+    spec, moduli = DILATION_BOXES[name]
+    box = build_box_space(Filtration(spec, moduli))
+    rng = random.Random(f"keys-{name}")
+    for comp in box.components:
+        for L in (1, 2, 3, 5):
+            shapes = [rng.choices(range(comp.n_vertices), k=L) for _ in range(3)]
+            rows = [translate(comp, rng.choice(shapes), rng.randrange(comp.n_vertices), "left")
+                    for _ in range(20)]
+            rows = np.asarray(rows + [rng.choices(range(comp.n_vertices), k=L)
+                                      for _ in range(5)], dtype=np.int64)
+            assert covers_module.product_ids(comp.spec, comp.coords[rows[:1, :1]],
+                                             comp.coords[rows], comp.modulus).dtype == np.int32
+            first, inverse = comp.class_keys(rows)
+            _, want = frozen_class_keys(comp, rows)
+            assert len(first) == want.max() + 1
+            assert want[first[inverse]].tolist() == want.tolist()
+            assert first.tolist() == [np.flatnonzero(inverse == c)[0] for c in range(len(first))]
+
+
+def test_one_class_pass_per_verify(monkeypatch):
+    # the oracle and the dilation read one class pass: one class_keys call
+    # per component and length held by several parts, none for a lone
+    # length; a 2,000-row block keys components of 500 ids or more, each
+    # length in one block
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", 2000)
+    box = build_box_space(Filtration(free_abelian(2), (16, 32)))
+    sets, want = [], 0
+    for ci, comp in enumerate(box.components):
+        shape = (0, 1, comp.modulus)
+        for k, h in enumerate(range(0, comp.n_vertices, 3)):
+            sets.append(CoverSet(f"c{ci}.t{k}", ((ci, translate(comp, shape, h, "left")),)))
+        sets.append(CoverSet(f"c{ci}.pair", ((ci, (0, 5)), (1 - ci, (2, 3)))))
+        sets.append(CoverSet(f"c{ci}.all", ((ci, tuple(range(comp.n_vertices))),)))
+        want += 2       # lengths 3 and 2; the whole component's length is lone
+    cover = Cover(box, (tuple(sets),))
+    calls = []
+    keys = CayleyGraph.class_keys
+
+    def counted(self, rows):
+        calls.append(rows.shape)
+        return keys(self, rows)
+
+    kernel, dilated = covers_module._dilation, []
+
+    def dilation(comp, parts, r):
+        dilated.append(len(parts.sets))
+        return kernel(comp, parts, r)
+
+    monkeypatch.setattr(CayleyGraph, "class_keys", counted)
+    monkeypatch.setattr(covers_module, "_dilation", dilation)
+    report = verify_cover(cover, 2, check_disjoint=True)
+    assert report.is_cover
+    assert len(calls) == want, calls
+    assert all(L in (2, 3) for _, L in calls)
+    # the kernel dilates one part per class: the translates, two pairs, the
+    # whole component
+    assert dilated == [4, 4]
+    # parts of fewer than 500 ids in all (component 0), like a lone part
+    # (component 1), are each their own class, keyed by nothing: the
+    # kernel sees every part
+    calls.clear()
+    dilated.clear()
+    small = Cover(box, ((CoverSet("a", ((0, tuple(range(256))),)),
+                         CoverSet("b", ((1, tuple(range(1024))),)),
+                         CoverSet("c", ((0, (0, 1)),)), CoverSet("d", ((0, (2, 3)),))),))
+    assert verify_cover(small, 2).is_cover
+    assert (calls, dilated) == ([], [3, 1])
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BOXES))

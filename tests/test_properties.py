@@ -2,16 +2,24 @@
 arithmetic of boxdim.groups on random elements, the sphere sizes of
 ball_levels equal a scalar BFS for random generating sets, the exact (R, S)
 solver equals the exhaustive one on random metric spaces and finds the
-frozen search's first coloring, and the verifier's multiplicity and close
-pairs equal brute force on random covers."""
+frozen search's first coloring, the verifier's multiplicity and close
+pairs equal brute force on random covers, and the dilation by translation
+class equals the direct kernel on random parts."""
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from boxdim import covers as covers_module  # noqa: E402
 from boxdim.boxspace import FiniteMetricSpace, build_box_space  # noqa: E402
-from boxdim.cayley import ball_levels, coords_invert, coords_multiply  # noqa: E402
+from boxdim.cayley import (  # noqa: E402
+    ball_levels,
+    build_quotient_cayley,
+    coords_invert,
+    coords_multiply,
+    product_ids,
+)
 from boxdim.covers import Cover, CoverSet, r_multiplicity, verify_cover  # noqa: E402
 from boxdim.dimension import rs_dim  # noqa: E402
 from boxdim.groups import (  # noqa: E402
@@ -184,3 +192,55 @@ def test_multiplicity_and_close_pairs_equal_brute_force(cover):
         assert report.family_min_distances == tuple(
             min((d for f, _, _, d in close if f == j), default=None)
             for j in range(cover.n_families))
+
+
+CLASS_GROUPS = [build_quotient_cayley(CongruenceQuotient(spec, m)) for spec, m in (
+    (free_abelian(2), 5),
+    (unitriangular(3), 3),
+    (direct_product(free_abelian(1), unitriangular(3)), 2),
+)]
+
+
+@st.composite
+def translated_parts(draw):
+    """Parts on one Cayley component: left translates of a few shapes (ids
+    in the shape's order, repeats kept) and some random parts; parts may
+    overlap or repeat."""
+    comp = draw(st.sampled_from(CLASS_GROUPS))
+    ids = st.integers(0, comp.n_vertices - 1)
+    shapes = draw(st.lists(st.lists(ids, min_size=1, max_size=6), min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            shape = draw(st.sampled_from(shapes))
+            h = comp.coords[draw(ids)]
+            parts.append(product_ids(comp.spec, h, comp.coords[shape], comp.modulus).tolist())
+        else:
+            parts.append(draw(st.lists(ids, min_size=1, max_size=6)))
+    r = draw(st.integers(0, comp.diameter + 1))
+    return comp, parts, r, draw(st.sampled_from([covers_module.ROW_BLOCK, 12, 40]))
+
+
+def dilation_rows(blocks):
+    rows = [tuple(x) for k, v, d in blocks for x in zip(k.tolist(), v.tolist(), d.tolist())]
+    assert len(rows) == len(set(rows))
+    return sorted(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(translated_parts())
+def test_class_dilation_equals_the_direct_kernel(case):
+    # one (part, vertex, least distance) row each, from r = 0 past the
+    # diameter; 12- and 40-row blocks key parts of 3 and 10 ids or more
+    # in all and split the class keys and the translates
+    comp, parts, r, row_block = case
+    saved = covers_module.ROW_BLOCK
+    covers_module.ROW_BLOCK = row_block
+    try:
+        parts = covers_module._parts(np.concatenate(parts), [len(p) for p in parts])
+        classes = covers_module._classes(comp, parts)
+        got = dilation_rows(covers_module._class_dilation(comp, parts, r, classes))
+        want = dilation_rows(covers_module._dilation(comp, parts, r))
+    finally:
+        covers_module.ROW_BLOCK = saved
+    assert got == want
