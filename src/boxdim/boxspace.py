@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, ResourceCapError, ShapeMismatchError
 from .cayley import (
+    PAIR_ROWS,
     CayleyGraph,
+    Component,
     _ball,
     ball_levels,
     breadth_first_distances,
@@ -49,7 +51,8 @@ class CoarseUnion:
     Points are (component_index, vertex_id).  Each component offers
     n_vertices, diameter, check_vertex, distance, distances_from(v, ids)
     and the two verifier methods distances_to (a multi-source distance
-    field) and subset_diameter; CayleyGraph and FiniteMetricSpace both do.
+    field) and row_diameters(rows, block) (the exact diameter of each row
+    of ids); CayleyGraph and FiniteMetricSpace both do.
     """
 
     def __init__(self, components):
@@ -106,7 +109,7 @@ MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at rand
 GRAPH_POINT_CAP = 4096      # largest space from_graph, greedy, an induced ball or transfer takes
 
 
-class FiniteMetricSpace:
+class FiniteMetricSpace(Component):
     """A finite metric space backed by an explicit integer distance matrix.
 
     elements names the points of a ball of the group (coarse_union_of_balls)
@@ -123,13 +126,6 @@ class FiniteMetricSpace:
         # dist_matrix is never mutated after construction
         return int(self.dist_matrix.max())
 
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n_vertices):
-            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self.distances_from(u, v))
-
     def distances_from(self, v: int, ids) -> np.ndarray:
         """d(v, x) for each x in ids."""
         self.check_vertex(v)
@@ -140,9 +136,8 @@ class FiniteMetricSpace:
         d = self.dist_matrix[checked_ids(ids, self.n_vertices)].min(axis=0)
         return d if cap is None else np.where(d <= cap, d, -1)
 
-    def subset_diameter(self, ids) -> int:
-        ids = checked_ids(ids, self.n_vertices)
-        return int(self.dist_matrix[np.ix_(ids, ids)].max())
+    def _pair_distances(self, xs, ys) -> np.ndarray:
+        return self.dist_matrix[xs[:, :, None], ys[:, None, :]]
 
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
@@ -170,15 +165,16 @@ class FiniteMetricSpace:
     @classmethod
     def from_graph(cls, graph) -> "FiniteMetricSpace":
         """The full distance matrix of any component of at most
-        GRAPH_POINT_CAP points; a Cayley graph's is built in row blocks by
-        CayleyGraph.distance_blocks."""
+        GRAPH_POINT_CAP points; a Cayley graph's is d(u, v) = d(e, u^-1 v),
+        built in blocks of PAIR_ROWS rows."""
         n = graph.n_vertices
         if n > GRAPH_POINT_CAP:
             raise ResourceCapError(f"{n} points exceeds the cap {GRAPH_POINT_CAP}")
         if not isinstance(graph, CayleyGraph):
             return cls(graph.dist_matrix)
-        ids = np.arange(n)
-        return cls(np.concatenate(list(graph.distance_blocks(ids, ids))))
+        ids = np.arange(n)[None]
+        return cls(np.concatenate([graph._pair_distances(ids[:, lo:lo + PAIR_ROWS], ids)[0]
+                                   for lo in range(0, n, PAIR_ROWS)]))
 
 
 def build_box_space(filtration: Filtration, vertex_cap: int = 10 ** 6,

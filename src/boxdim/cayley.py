@@ -168,8 +168,38 @@ def _steps(spec: GroupSpec, generators) -> np.ndarray:
     return np.concatenate([gens, _raw_invert(spec, gens, object)])
 
 
+class Component:
+    """What both component kinds share: CayleyGraph and the matrix-backed
+    FiniteMetricSpace each give n_vertices, distances_from(v, ids) and
+    _pair_distances(xs, ys), the (b, s, L) distances from the sources xs
+    (b, s) of b rows of ids to the ids ys (b, L) of their row."""
+
+    def check_vertex(self, v: int) -> None:
+        if not (0 <= v < self.n_vertices):
+            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
+
+    def distance(self, u: int, v: int) -> int:
+        return int(self.distances_from(u, v))
+
+    def row_diameters(self, rows, block: int) -> np.ndarray:
+        """The exact diameter of each row of ids, in blocks of at most block
+        pairs: whole rows at a time, or one row's sources in slices when a
+        row is longer."""
+        rows = checked_ids(rows, self.n_vertices)
+        n, L = rows.shape
+        per = max(1, block // max(L, 1))         # sources per block
+        step = max(1, per // max(L, 1))          # rows per block
+        out = np.zeros(n, dtype=np.int64)
+        for lo in range(0, n, step):
+            ys = rows[lo:lo + step]
+            for a in range(0, L, per):
+                d = self._pair_distances(ys[:, a:a + per], ys)
+                out[lo:lo + step] = np.maximum(out[lo:lo + step], d.max(axis=(1, 2)))
+        return out
+
+
 @dataclass
-class CayleyGraph:
+class CayleyGraph(Component):
     """Cayley graph of a congruence quotient with a fixed generator order.
 
     adjacency column j < g is "multiply by spec.generators[j] on the right";
@@ -206,19 +236,12 @@ class CayleyGraph:
         # dist is never mutated after construction, so the value is cached.
         return int(self.dist.max())
 
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n_vertices):
-            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
-
     def distances_from(self, v: int, ids) -> np.ndarray:
         """d(v, x) for each x in ids, via the translation d(v, x) = d(e, v^-1 x)."""
         self.check_vertex(v)
         inv_v = coords_invert(self.spec, self.coords[v], self.modulus)
         ids = checked_ids(ids, self.n_vertices)
         return self.dist[product_ids(self.spec, inv_v, self.coords[ids], self.modulus)]
-
-    def distance(self, u: int, v: int) -> int:
-        return int(self.distances_from(u, v))
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
         if r < 0:
@@ -239,32 +262,6 @@ class CayleyGraph:
     def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
         """Distance from every vertex to the nearest of ids; -1 beyond cap."""
         return breadth_first_distances(self.adjacency, checked_ids(ids, self.n_vertices), cap)
-
-    def distance_blocks(self, rows, cols):
-        """d(u, v) for u in rows and v in cols, as d(e, u^-1 v): one
-        (block, len(cols)) matrix per block of PAIR_ROWS consecutive rows
-        (fewer when a block would pass PAIR_CAP pairs)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        col_coords = self.coords[np.asarray(cols, dtype=np.int64)][None, :, :]
-        step = max(1, min(PAIR_ROWS, PAIR_CAP // max(1, col_coords.shape[1])))
-        for lo in range(0, len(rows), step):
-            inv = coords_invert(self.spec, self.coords[rows[lo:lo + step]], self.modulus)
-            yield self.dist[product_ids(self.spec, inv[:, None, :], col_coords,
-                                        self.modulus)]
-
-    def subset_diameter(self, ids) -> int:
-        """Exact diameter of a vertex subset, the max over distance_blocks.
-
-        The scan stops once the running max reaches the graph diameter,
-        which bounds the diameter of every subset.
-        """
-        ids = checked_ids(ids, self.n_vertices)
-        best = 0
-        for d in self.distance_blocks(ids, ids):
-            best = max(best, int(d.max()))
-            if best == self.diameter:
-                break
-        return best
 
     def is_ball(self, ids, center: int, r: int) -> bool:
         """Whether the distinct ids are exactly B(center, r), r >= 0.  Its
@@ -288,22 +285,11 @@ class CayleyGraph:
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         return first, inverse
 
-    def row_diameters(self, rows: np.ndarray, block: int) -> np.ndarray:
-        """The exact diameter of each row of ids, max |x^-1 y| over its
-        pairs, in blocks of at most block pairs: whole rows at a time, or
-        one row's sources in slices when a row is longer."""
-        n, L = rows.shape
-        per = max(1, block // L)                 # sources per block
-        step = max(1, per // L)                  # rows per block
-        out = np.zeros(n, dtype=np.int64)
-        for lo in range(0, n, step):
-            ys = self.coords[rows[lo:lo + step]]
-            for a in range(0, L, per):
-                inv = coords_invert(self.spec, ys[:, a:a + per], self.modulus)
-                d = self.dist[product_ids(self.spec, inv[:, :, None, :], ys[:, None, :, :],
-                                          self.modulus)]
-                out[lo:lo + step] = np.maximum(out[lo:lo + step], d.max(axis=(1, 2)))
-        return out
+    def _pair_distances(self, xs, ys) -> np.ndarray:
+        """|x^-1 y| for each source x and id y of a row (Component)."""
+        inv = coords_invert(self.spec, self.coords[xs], self.modulus)
+        return self.dist[product_ids(self.spec, inv[:, :, None, :],
+                                     self.coords[ys][:, None, :, :], self.modulus)]
 
     def ball_size(self, r: int) -> int:
         """|B(v, r)|, independent of v by vertex transitivity."""

@@ -375,113 +375,101 @@ class CoverReport:
 
 # --- exact geometry helpers --------------------------------------------------
 
-class _DiameterOracle:
-    """Exact set diameters from the sets' structure, then their pairs.
+def _set_diameters(space, layout, n_sets: int, centers=None, radii=None, classes=None):
+    """(diameters, exact): the diameter of every set the layout was built
+    from, by set index, and whether none is a bound.  centers and radii
+    are the cover's ball hints, by set index, and classes the _classes of
+    each component's parts.  Without them a component's classes are
+    computed only if a part is left to measure after the hints.
+
+    A set with parts on several components has diameter at least the
+    cross distance of any two of them, the sum of their diameters; the
+    largest such sum is that of its two largest component diameters.
+    """
+    diams = space.diameters
+    centers, radii = centers or {}, radii or {}
+    hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
+    classes = classes or [None] * len(layout)
+    out = np.zeros(n_sets, dtype=np.int64)
+    top = np.full((2, n_sets), -1, dtype=np.int64)
+    exact = True
+    for ci, parts in enumerate(layout):
+        s = parts.sets
+        balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints} if hints else {}
+        d, ok = _part_diameters(ci, space.components[ci], parts, balls, classes[ci])
+        out[s] = np.maximum(out[s], d)
+        exact = exact and ok
+        top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
+        top[0, s] = np.maximum(top[0, s], diams[ci])
+    return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0)), exact
+
+
+def _part_diameters(ci: int, comp, parts: _Parts, balls: dict, classes):
+    """(diameters, exact) of the parts on component ci; balls maps part
+    indices to their sets' (center, radius) hints, and classes is
+    _classes(comp, parts) or None.
 
     On a Cayley graph a part that is exactly the ball B(c, r) its set's
-    center and radius name has diameter min(2r, diam) (CayleyGraph.is_ball).
-    The hint is only a candidate: any other part is measured as if it had
-    none.
-
-    Left translation is an isometry, so every other part's diameter depends
+    center and radius name has diameter min(2r, diam) (CayleyGraph.is_ball);
+    the hint is only a candidate.  There a part past PAIR_CAP comparisons
+    gets a bound, and exact is False.  Every other part's diameter depends
     only on its translation class (_classes): each class some part still
-    needs is measured pairwise once, on its first part, in one batched pass
-    per length.  Components other than Cayley graphs measure every part
-    pairwise.
+    needs is measured once, on its first part, by row_diameters.
     """
-
-    def __init__(self, space):
-        self.space = space
-        self.exact = True
-
-    def set_diameters(self, layout, n_sets: int, centers=None, radii=None,
-                      classes=None) -> np.ndarray:
-        """Diameter of every set the layout was built from, by set index;
-        centers and radii are the cover's ball hints, by set index, and
-        classes the _classes of each component's parts.  Without them a
-        component's classes are computed only if a part is left to measure
-        after the hints.
-
-        A set with parts on several components has diameter at least the
-        cross distance of any two of them, the sum of their diameters; the
-        largest such sum is that of its two largest component diameters.
-        """
-        diams = self.space.diameters
-        centers, radii = centers or {}, radii or {}
-        hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
-        classes = classes or [None] * len(layout)
-        out = np.zeros(n_sets, dtype=np.int64)
-        top = np.full((2, n_sets), -1, dtype=np.int64)
-        for ci, parts in enumerate(layout):
-            s = parts.sets
-            balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints} if hints else {}
-            out[s] = np.maximum(out[s], self._part_diameters(ci, parts, balls, classes[ci]))
-            top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
-            top[0, s] = np.maximum(top[0, s], diams[ci])
-        return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0))
-
-    def _part_diameters(self, ci: int, parts: _Parts, balls: dict, classes) -> np.ndarray:
-        """Diameters of the parts on component ci; balls maps part indices
-        to their sets' (center, radius) hints, and classes is
-        _classes(component, parts) or None."""
-        comp = self.space.components[ci]
-        lengths = parts.lengths
-        out = np.zeros(len(lengths), dtype=np.int64)
-        todo = lengths > 1
-        # the whole component; vertex transitivity gives the diameter
-        whole = todo & (lengths >= comp.n_vertices)
-        for k in np.flatnonzero(whole):
-            whole[k] = sorted_distinct(parts.part(k)).size == comp.n_vertices
-        out[whole] = self.space.diameters[ci]
-        todo &= ~whole
-        if not isinstance(comp, CayleyGraph):
-            for k in np.flatnonzero(todo):
-                out[k] = comp.subset_diameter(parts.part(k))
-            return out
+    lengths = parts.lengths
+    out = np.zeros(len(lengths), dtype=np.int64)
+    todo = lengths > 1
+    exact = True
+    # the whole component; vertex transitivity gives the diameter
+    whole = todo & (lengths >= comp.n_vertices)
+    for k in np.flatnonzero(whole):
+        whole[k] = sorted_distinct(parts.part(k)).size == comp.n_vertices
+    out[whole] = comp.diameter
+    todo &= ~whole
+    if isinstance(comp, CayleyGraph):
         for k, (center, radius) in balls.items():
             if todo[k]:
                 d = _ball_diameter(ci, comp, parts.part(k), center, radius)
                 if d is not None:
                     out[k], todo[k] = d, False
         big = todo & (lengths ** 2 > PAIR_CAP)
+        exact = not big.any()
         for k in np.flatnonzero(big):
             # certified upper bound via the triangle inequality through any
             # fixed member; flagged, never silently treated as exact
-            self.exact = False
             ids = parts.part(k)
             out[k] = int(comp.distances_from(int(ids[0]), ids).max()) * 2
         todo &= ~big
-        if not todo.any():
-            return out
-        cls, first = classes or _classes(comp, parts)
-        need = sorted_distinct(cls[todo])
-        diam, need_lengths = np.zeros(len(first), dtype=np.int64), lengths[first[need]]
-        for L in sorted_distinct(need_lengths).tolist():
-            at = need[need_lengths == L]
-            diam[at] = comp.row_diameters(parts.ids[parts.offsets[first[at]][:, None]
-                                                    + np.arange(L)], ROW_BLOCK)
-        out[todo] = diam[cls[todo]]
-        return out
+    if not todo.any():
+        return out, exact
+    cls, first = classes or _classes(comp, parts)
+    need = sorted_distinct(cls[todo])
+    diam, need_lengths = np.zeros(len(first), dtype=np.int64), lengths[first[need]]
+    for L in sorted_distinct(need_lengths).tolist():
+        at = need[need_lengths == L]
+        diam[at] = comp.row_diameters(parts.ids[parts.offsets[first[at]][:, None]
+                                                + np.arange(L)], ROW_BLOCK)
+    out[todo] = diam[cls[todo]]
+    return out, exact
 
 
 def _classes(comp, parts: _Parts):
-    """The translation classes of the parts on a Cayley component, None on
-    another kind: (cls, first), part k in class cls[k] and class c's first
-    part first[c], its smallest index.  Every part Q of the class of P is
-    the translate t P, repeated ids alike, for t = x_Q x_P^-1 with x a
-    part's first id, so Q's diameter and dilation are P's translated.
+    """The translation classes of the parts on a component: (cls, first),
+    part k in class cls[k] and class c's first part first[c], its smallest
+    index.  Every part Q of the class of P is the translate t P, repeated
+    ids alike, for t = x_Q x_P^-1 with x a part's first id, so Q's
+    diameter and dilation are P's translated.
 
     Classes come from the ids alone.  A length held by one part is its own
     class; the parts of each other length are keyed by class_keys in blocks
     of at most ROW_BLOCK ids, and a class met in several blocks is one
     class per block.  Parts holding fewer than ROW_BLOCK // 4 ids in all,
     less than one block of translated rows, are each their own class: on
-    so few the keys and translations cost more than the kernel saves.
+    so few the keys and translations cost more than the kernel saves.  On
+    a component other than a Cayley graph each part is its own class.
     """
-    if not isinstance(comp, CayleyGraph):
-        return None
     lengths = parts.lengths
-    if parts.ids.size < ROW_BLOCK // 4:
+    if parts.ids.size < ROW_BLOCK // 4 or not isinstance(comp, CayleyGraph):
         return np.arange(len(lengths)), np.arange(len(lengths))
     order = np.argsort(lengths, kind="stable")
     cls = np.empty(len(lengths), dtype=np.int64)
@@ -605,10 +593,10 @@ def _class_dilation(comp, parts: _Parts, r: int, classes):
     (P, v, d): left translation is an isometry, so d(tP, tv) = d(P, v).
     The translates are built per class in blocks of at most ROW_BLOCK // 4
     rows (one part's rows at least), with one product_ids each and no sort
-    or dedup.  On another kind of component, or where no class has two
-    parts, every part goes through the kernel.
+    or dedup.  Where no class has two parts, as on a component other than
+    a Cayley graph, every part goes through the kernel.
     """
-    if classes is None or len(classes[1]) == len(classes[0]):
+    if len(classes[1]) == len(classes[0]):
         yield from _dilation(comp, parts, r)
         return
     cls, first = classes
@@ -755,9 +743,8 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
             break
 
     classes = list(map(_classes, space.components, layout))
-    oracle = _DiameterOracle(space)
-    diameters = oracle.set_diameters(layout, cover.n_sets(), cover.centers, cover.radii,
-                                     classes)
+    diameters, exact = _set_diameters(space, layout, cover.n_sets(), cover.centers,
+                                      cover.radii, classes)
     max_diam = int(diameters.max(initial=0))
     oversized = None
     if S is not None:
@@ -772,7 +759,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
                        is_cover=uncovered is None,
                        uncovered_witness=uncovered,
                        max_set_diameter=max_diam,
-                       diameters_exact=oracle.exact,
+                       diameters_exact=exact,
                        oversized_witness=oversized,
                        family_min_distances=tuple(fam_mins),
                        close_pair_witnesses=tuple(close),
@@ -934,7 +921,7 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> Fami
     starts = joined.set_parts()[:-1]
     low = np.minimum.reduceat(joined.part_comp, starts)
     high = np.maximum.reduceat(joined.part_comp, starts)
-    diameters = _DiameterOracle(box).set_diameters(joined.layout, first[-1], centers, radii)
+    diameters = _set_diameters(box, joined.layout, first[-1], centers, radii)[0]
 
     oracle_diam, i_k = {}, {}
     for k in scales:

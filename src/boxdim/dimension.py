@@ -435,6 +435,8 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     more non-empty families could not improve on it, and None is returned
     before it is built.
     """
+    if R < 1 or S < 0:
+        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
     small = [ci for ci, d in enumerate(box.diameters) if d <= S // 2]
     medium = [ci for ci, d in enumerate(box.diameters) if S // 2 < d <= S]
     large = [ci for ci, d in enumerate(box.diameters) if d > S]

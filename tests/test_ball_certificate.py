@@ -1,5 +1,5 @@
 """The verifier's ball certificate and batched class diameters, against
-pairwise subset_diameter.
+pairwise maxima from one BFS per vertex.
 
 A part that is exactly the ball its set's center and radius name is
 certified without its pairs; every other part, hinted or not, must come
@@ -28,6 +28,12 @@ GROUPS = {
 def component(name):
     spec, m = GROUPS[name]
     return build_quotient_cayley(CongruenceQuotient(spec, m))
+
+
+def bfs_diameter(comp):
+    """The diameter of a list of ids, from every vertex's BFS distances."""
+    D = np.stack([comp.distances_to([v]) for v in range(comp.n_vertices)])
+    return lambda ids: int(D[np.ix_(ids, ids)].max())
 
 
 def one_set_cover(space, ci, ids, center=None, radius=None):
@@ -81,15 +87,17 @@ def test_ball_certificate_matches_pairwise_diameters(monkeypatch, name, pair_cap
     comp = component(name)
     space = CoarseUnion((comp, component("Z/17")))
     rng = random.Random(f"ball-{name}")
+    diameter = bfs_diameter(comp)
     for case, ids, center, radius, certified in hinted_parts(rng, comp):
         ids = np.asarray(ids, dtype=np.int64)
-        want = comp.subset_diameter(ids)
+        want = diameter(ids)
         cover = one_set_cover(space, 0, ids, center, radius)
-        oracle = covers_module._DiameterOracle(space)
-        got = int(oracle.set_diameters(cover.layout, 1, cover.centers, cover.radii)[0])
+        got, got_exact = covers_module._set_diameters(space, cover.layout, 1, cover.centers,
+                                                      cover.radii)
+        got = int(got[0])
         whole = np.unique(ids).size == comp.n_vertices
         exact = certified or whole or ids.size ** 2 <= pair_cap
-        assert oracle.exact == exact, (case, center, radius)
+        assert got_exact == exact, (case, center, radius)
         if exact:
             assert got == want, (case, center, radius)
         else:
@@ -123,7 +131,7 @@ def test_batched_class_diameters_match_pairwise(monkeypatch, name, row_block):
     cover = Cover.from_arrays(space, 1, np.zeros(len(parts)), [f"s{k}" for k in range(len(parts))],
                               np.arange(len(parts)), np.zeros(len(parts)),
                               [len(p) for p in parts], np.concatenate(parts))
-    want = [comp.subset_diameter(np.asarray(p)) for p in parts]
+    want = list(map(bfs_diameter(comp), parts))
     sizes = []
 
     def counted(*args):
@@ -132,9 +140,8 @@ def test_batched_class_diameters_match_pairwise(monkeypatch, name, row_block):
         return out
 
     monkeypatch.setattr(cayley_module, "product_ids", counted)
-    oracle = covers_module._DiameterOracle(space)
-    got = oracle.set_diameters(cover.layout, cover.n_sets())
+    got, exact = covers_module._set_diameters(space, cover.layout, cover.n_sets())
     assert got.tolist() == want
-    assert oracle.exact
+    assert exact
     # a block holds at most ROW_BLOCK ids or pairs, or one part's worth
     assert max(sizes) <= max(row_block, max(lengths))

@@ -12,9 +12,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from boxdim import boxspace as boxspace_module
 from boxdim import cayley as cayley_module
+from boxdim import covers as covers_module
 from boxdim.boxspace import FiniteMetricSpace
 from boxdim.cayley import (
+    CayleyGraph,
     GrowthProfile,
     breadth_first_distances,
     build_quotient_cayley,
@@ -196,7 +199,7 @@ def test_distances_from_reads_only_the_ids_asked_for(spec, m):
 
 
 @pytest.mark.parametrize("kind", ["cayley", "matrix"])
-@pytest.mark.parametrize("method", ["distances_from", "distances_to", "subset_diameter"])
+@pytest.mark.parametrize("method", ["distances_from", "distances_to", "row_diameters"])
 @pytest.mark.parametrize("bad", [-1, 8, 2 ** 40])
 def test_component_methods_refuse_ids_out_of_range(kind, method, bad):
     # numpy would read -1 as the last vertex and raise a bare IndexError at 8
@@ -204,7 +207,7 @@ def test_component_methods_refuse_ids_out_of_range(kind, method, bad):
     comp = g if kind == "cayley" else FiniteMetricSpace.from_graph(g)
     call = {"distances_from": lambda ids: comp.distances_from(0, ids),
             "distances_to": comp.distances_to,
-            "subset_diameter": comp.subset_diameter}[method]
+            "row_diameters": lambda ids: comp.row_diameters(np.atleast_2d(ids), 50_000)}[method]
     assert np.asarray(call([0, 3, 7])).size
     for ids in ([bad], [0, bad, 3], np.array([bad, 7])):
         with pytest.raises(ShapeMismatchError, match=f"vertex id {bad} out of range"):
@@ -480,42 +483,50 @@ DIAMETER_GRAPHS = {
 
 
 @pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
-@pytest.mark.parametrize("rows", [cayley_module.PAIR_ROWS, 1, 7])
-def test_subset_diameter_matches_brute_force(monkeypatch, name, rows):
-    monkeypatch.setattr(cayley_module, "PAIR_ROWS", rows)
+@pytest.mark.parametrize("kind", ["cayley", "matrix"])
+def test_row_diameters_match_brute_force(name, kind):
+    # rows of one id and of several, repeated ids, at blocks of one pair,
+    # of one row's sources (L), of one row (L^2) and the verifier's default
     spec, m = DIAMETER_GRAPHS[name]
     g = build_quotient_cayley(CongruenceQuotient(spec, m))
+    comp = g if kind == "cayley" else FiniteMetricSpace.from_graph(g)
     D = np.stack([breadth_first_distances(g.adjacency, [v]) for v in range(g.n_vertices)])
-
-    def brute(ids):
-        return int(D[np.ix_(ids, ids)].max())
-
-    rng = random.Random(f"{name}-{rows}")
-    for _ in range(30):
-        ids = rng.sample(range(g.n_vertices), rng.randint(1, min(20, g.n_vertices)))
-        assert g.subset_diameter(ids) == brute(ids)
-    # subsets of balls of radius < diameter / 2 never reach the early exit
-    for _ in range(30):
-        ball = g.ball_ids(rng.randrange(g.n_vertices), (g.diameter - 1) // 2).tolist()
-        ids = rng.sample(ball, rng.randint(1, min(20, len(ball))))
-        ids += ids[:rng.randint(0, 2)]
-        want = brute(ids)
-        assert want < g.diameter
-        assert g.subset_diameter(ids) == want
-    for center in (0, g.n_vertices - 1, rng.randrange(g.n_vertices)):
-        for r in range(g.diameter + 1):
-            ids = g.ball_ids(center, r)
-            assert g.subset_diameter(ids) == brute(ids), (center, r)
+    rng = np.random.default_rng(len(name))
+    for L in (1, 2, 5, 17):
+        rows = rng.integers(0, g.n_vertices, (9, L))
+        rows[1] = rows[1, 0]                    # one id, L times
+        rows[2, L // 2:] = rows[2, 0]           # the first id again
+        want = [int(D[np.ix_(r, r)].max()) for r in rows]
+        for block in (1, L, L * L, covers_module.ROW_BLOCK):
+            got = comp.row_diameters(rows, block)
+            assert got.tolist() == want, (L, block)
+    # balls, the whole graph and nothing: every distance the graph holds
+    for r in range(g.diameter + 1):
+        rows = np.stack([g.ball_ids(c, r) for c in (0, g.n_vertices - 1)])
+        want = [int(D[np.ix_(x, x)].max()) for x in rows]
+        assert comp.row_diameters(rows, 7).tolist() == want == [min(2 * r, g.diameter)] * 2
+    assert comp.row_diameters(np.zeros((3, 0), dtype=np.int64), 7).tolist() == [0, 0, 0]
 
 
 def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
-    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 7)
+    # from_graph reads PAIR_ROWS from boxspace: seven rows per block
+    monkeypatch.setattr(boxspace_module, "PAIR_ROWS", 7)
+    blocks = []
+    pairs = CayleyGraph._pair_distances
+
+    def counted(self, xs, ys):
+        blocks.append(xs.size)
+        return pairs(self, xs, ys)
+
+    monkeypatch.setattr(CayleyGraph, "_pair_distances", counted)
     for spec, m in ID_SPECS.values():
         g = build_quotient_cayley(CongruenceQuotient(spec, m))
+        blocks.clear()
         got = FiniteMetricSpace.from_graph(g).dist_matrix
         want = np.stack([breadth_first_distances(g.adjacency, [v])
                          for v in range(g.n_vertices)])
         assert np.array_equal(got, want)
+        assert sum(blocks) == g.n_vertices and max(blocks) == min(7, g.n_vertices)
 
 
 def test_loglog_slope_short_profile():

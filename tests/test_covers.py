@@ -370,8 +370,11 @@ def random_cover(rng, box, n_sets):
 
 def per_set_diameters(box, cover):
     """Set diameters part by part, the way a per-set verifier measures them:
-    exact pairwise maxima, the whole-component diameter, or the flagged
-    2 * eccentricity bound for parts past PAIR_CAP comparisons."""
+    exact pairwise maxima from one BFS per vertex, the whole-component
+    diameter, or the flagged 2 * eccentricity bound for parts past PAIR_CAP
+    comparisons."""
+    bfs = [np.stack([g.distances_to([v]) for v in range(g.n_vertices)])
+           for g in box.components]
     out, exact = [], True
     for _, s in cover.all_sets():
         best = 0
@@ -385,7 +388,7 @@ def per_set_diameters(box, cover):
                 exact = False
                 d = 2 * int(comp.distances_from(int(ids[0]), ids).max())
             else:
-                d = comp.subset_diameter(ids)
+                d = int(bfs[ci][np.ix_(ids, ids)].max())
             best = max(best, d)
         comps = [ci for ci, _ in s.parts]
         for a in range(len(comps)):
@@ -470,8 +473,8 @@ def test_batched_diameters_match_per_set_reference(monkeypatch, name, pair_cap):
         labels = [s.label for _, s in cover.all_sets()]
         first_over = next(((labels[i], d) for i, d in enumerate(want) if d > S), None)
         report = verify_cover(cover, R=1, S=S)
-        oracle = covers_module._DiameterOracle(box)
-        assert oracle.set_diameters(cover.layout, cover.n_sets()).tolist() == want
+        got, got_exact = covers_module._set_diameters(box, cover.layout, cover.n_sets())
+        assert (got.tolist(), got_exact) == (want, exact)
         assert report.max_set_diameter == max(want)
         assert report.oversized_witness == first_over
         assert report.diameters_exact == exact
@@ -523,7 +526,8 @@ class FrozenOracle:
         todo &= ~whole
         if not isinstance(comp, CayleyGraph):
             for k in np.flatnonzero(todo):
-                out[k] = comp.subset_diameter(parts.part(k))
+                ids = parts.part(k)
+                out[k] = comp.dist_matrix[np.ix_(ids, ids)].max()
             return out
         for k, (center, radius) in balls.items():
             if todo[k]:
@@ -596,9 +600,9 @@ def test_verify_cover_diameters_equal_the_frozen_oracle(monkeypatch, name, pair_
         for cover in (bare, with_ball_hints(rng, bare)):
             frozen = FrozenOracle(box)
             want = frozen.set_diameters(cover.layout, cover.n_sets(), cover.centers, cover.radii)
-            oracle = covers_module._DiameterOracle(box)
-            got = oracle.set_diameters(cover.layout, cover.n_sets(), cover.centers, cover.radii)
-            assert (got.tolist(), oracle.exact) == (want.tolist(), frozen.exact)
+            got, exact = covers_module._set_diameters(box, cover.layout, cover.n_sets(),
+                                                      cover.centers, cover.radii)
+            assert (got.tolist(), exact) == (want.tolist(), frozen.exact)
             S = int(np.median(want))
             over = np.flatnonzero(want > S)
             report = verify_cover(cover, 1, S)
@@ -1044,8 +1048,8 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
     assert sizes.size and sizes.min() ** 2 > 50
     assert report.diameters_exact
     assert report.max_set_diameter == max(want)
-    assert covers_module._DiameterOracle(box).set_diameters(
-        cover.layout, cover.n_sets(), cover.centers, cover.radii).tolist() == want
+    assert covers_module._set_diameters(
+        box, cover.layout, cover.n_sets(), cover.centers, cover.radii)[0].tolist() == want
     # the regrouped sets keep their hints, so the assembly measures the same
     assert assemble_box_families(
         box, {2: families_from_multiplicity_cover(cover, 2)[0]},
@@ -1298,8 +1302,8 @@ def view_assembly(box, covers_by_scale, profile):
     oracle_diam = {}
     for k in scales:
         cover = covers_by_scale[k]
-        diameters = covers_module._DiameterOracle(box).set_diameters(
-            cover.layout, cover.n_sets(), cover.centers, cover.radii)
+        diameters = covers_module._set_diameters(
+            box, cover.layout, cover.n_sets(), cover.centers, cover.radii)[0]
         one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
         oracle_diam[k] = int(diameters[one_part].max(initial=0))
     i_k = {k: profile.threshold(max(k, oracle_diam[k])) for k in scales}

@@ -5,6 +5,7 @@ even dumber itertools.product check guards both on tiny spaces.
 """
 import itertools
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -891,6 +892,26 @@ def test_geometry_only_failure_returns_none(mode):
     box = build_box_space(Filtration(free_abelian(1), (2, 4, 8, 16)))
     assert box_witness_cover(box, 6, 4, mode) is None
     assert rs_dim(box.components[3], 6, 4, mode).cover is not None
+
+
+@pytest.mark.parametrize("mode", ["structured", "greedy", "exact"])
+@pytest.mark.parametrize("R, S", [(0, -2), (1, -1)])
+def test_box_witness_cover_refuses_bad_scales_up_front(mode, R, S):
+    # structured mode once looped forever at R = 0, S = -2 and divided by
+    # zero at S = -1; an alarm fails the test rather than hang it
+    box = build_box_space(Filtration(free_abelian(1), (4, 16)))
+
+    def hang(signum, frame):
+        raise AssertionError(f"box_witness_cover still running after 20 s ({mode}, {R}, {S})")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ConfigError, match=rf"^need R >= 1 and S >= 0, got R={R}, S={S}$"):
+            box_witness_cover(box, R, S, mode)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_profile_rejects_unknown_mode():

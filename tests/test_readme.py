@@ -70,7 +70,7 @@ def test_component_protocol_is_the_same_on_both_kinds():
                re.findall(r"`(\w+)(?:\(([^)]*)\))?`", "\n".join(paragraphs[at:at + 2]))
                if any(inspect.isfunction(getattr(kind, name, None)) for kind in kinds)}
     assert {"check_vertex", "distance", "distances_from", "distances_to",
-            "subset_diameter"} <= set(methods)
+            "row_diameters"} <= set(methods)
     for name, args in methods.items():
         assert all(inspect.isfunction(getattr(kind, name, None)) for kind in kinds), name
         params = [list(inspect.signature(getattr(kind, name)).parameters)[1:] for kind in kinds]
