@@ -508,6 +508,40 @@ def test_row_diameters_match_brute_force(name, kind):
     assert comp.row_diameters(np.zeros((3, 0), dtype=np.int64), 7).tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
+@pytest.mark.parametrize("rows", [cayley_module.PAIR_ROWS, 1, 7])
+def test_subset_diameter_matches_brute_force(name, rows):
+    # the diameter of one set of ids, as one row of row_diameters, in
+    # blocks of `rows` pairs
+    spec, m = DIAMETER_GRAPHS[name]
+    g = build_quotient_cayley(CongruenceQuotient(spec, m))
+    D = np.stack([breadth_first_distances(g.adjacency, [v]) for v in range(g.n_vertices)])
+
+    def brute(ids):
+        return int(D[np.ix_(ids, ids)].max())
+
+    def subset_diameter(ids):
+        return int(g.row_diameters(np.asarray([ids], dtype=np.int64), rows)[0])
+
+    rng = random.Random(f"{name}-{rows}")
+    for _ in range(30):
+        ids = rng.sample(range(g.n_vertices), rng.randint(1, min(20, g.n_vertices)))
+        assert subset_diameter(ids) == brute(ids)
+    # subsets of balls of radius < diameter / 2, with repeated ids, stay
+    # below the graph's diameter
+    for _ in range(30):
+        ball = g.ball_ids(rng.randrange(g.n_vertices), (g.diameter - 1) // 2).tolist()
+        ids = rng.sample(ball, rng.randint(1, min(20, len(ball))))
+        ids += ids[:rng.randint(0, 2)]
+        want = brute(ids)
+        assert want < g.diameter
+        assert subset_diameter(ids) == want
+    for center in (0, g.n_vertices - 1, rng.randrange(g.n_vertices)):
+        for r in range(g.diameter + 1):
+            ids = g.ball_ids(center, r)
+            assert subset_diameter(ids) == brute(ids), (center, r)
+
+
 def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
     # from_graph reads PAIR_ROWS from boxspace: seven rows per block
     monkeypatch.setattr(boxspace_module, "PAIR_ROWS", 7)
