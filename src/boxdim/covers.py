@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 
@@ -153,7 +154,7 @@ def maximal_packing(graph, radius: int) -> np.ndarray:
 def packing_count_max(graph, centers: np.ndarray, radius: int) -> int:
     """max_z |B(z, 3*radius) ∩ centers|, counted on one dilation of the centers."""
     counts = np.zeros(graph.n_vertices, dtype=np.int64)
-    for _, v, _ in _dilation(graph, _parts(centers), 3 * radius):
+    for _, v, _ in _dilation(_parts(graph, centers), 3 * radius):
         counts += np.bincount(v, minlength=graph.n_vertices)
     return int(counts.max())
 
@@ -276,13 +277,10 @@ class Cover:
         each access; parts on other component indices are dropped."""
         lengths = np.diff(self.offsets)
         row_comp = np.repeat(self.part_comp, lengths)
-        row_set = np.repeat(self.part_set, lengths)
         out = []
-        for ci in range(len(self.space.components)):
+        for ci, comp in enumerate(self.space.components):
             on = self.part_comp == ci
-            rows = row_comp == ci
-            out.append(_Parts(ids=self.ids[rows], owner=row_set[rows], sets=self.part_set[on],
-                              offsets=np.concatenate(([0], np.cumsum(lengths[on])))))
+            out.append(_parts(comp, self.ids[row_comp == ci], lengths[on], self.part_set[on]))
         return out
 
 
@@ -292,6 +290,7 @@ class _Parts:
     order.  Each set has at most one part per component (validate_cover
     rejects a repeated component), so set indices identify parts."""
 
+    comp: object                 # the component the ids are vertices of
     ids: np.ndarray              # int64 vertex ids
     owner: np.ndarray            # int64 index of the set each id belongs to
     sets: np.ndarray             # int64 index of the set of each part, increasing
@@ -304,14 +303,53 @@ class _Parts:
     def part(self, k: int) -> np.ndarray:
         return self.ids[self.offsets[k]:self.offsets[k + 1]]
 
+    @cached_property
+    def classes(self):
+        """The translation classes of the parts: (cls, first), part k in
+        class cls[k] and class c's first part first[c], its smallest index.
+        Every part Q of the class of P is the translate t P, repeated ids
+        alike, for t = x_Q x_P^-1 with x a part's first id, so Q's diameter
+        and dilation are P's translated.  Computed on first use.
 
-def _parts(ids, lengths=None) -> _Parts:
-    """The _Parts of sets 0, 1, ... on one component, set k listing the
-    next lengths[k] of ids; one id per set when lengths is None."""
+        Classes come from the ids alone.  A length held by one part is its own
+        class; the parts of each other length are keyed by class_keys in blocks
+        of at most ROW_BLOCK ids, and a class met in several blocks is one
+        class per block.  Parts holding fewer than ROW_BLOCK // 4 ids in all,
+        less than one block of translated rows, are each their own class: on
+        so few the keys and translations cost more than the kernel saves.  On
+        a component other than a Cayley graph each part is its own class.
+        """
+        lengths = self.lengths
+        if self.ids.size < ROW_BLOCK // 4 or not isinstance(self.comp, CayleyGraph):
+            return np.arange(len(lengths)), np.arange(len(lengths))
+        order = np.argsort(lengths, kind="stable")
+        cls = np.empty(len(lengths), dtype=np.int64)
+        first = [np.zeros(0, dtype=np.int64)]
+        n = 0
+        for ks in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            L = int(lengths[ks[0]]) if ks.size else 0
+            step = max(1, ROW_BLOCK // max(L, 1))
+            for lo in range(0, len(ks), step):
+                block = ks[lo:lo + step]
+                if block.size == 1 or not L:
+                    at = inverse = np.arange(block.size)
+                else:
+                    at, inverse = self.comp.class_keys(self.ids[self.offsets[block][:, None]
+                                                                + np.arange(L)])
+                cls[block] = inverse + n
+                first.append(block[at])
+                n += at.size
+        return cls, np.concatenate(first)
+
+
+def _parts(comp, ids, lengths=None, sets=None) -> _Parts:
+    """The _Parts on comp of the sets named by sets (0, 1, ... when None),
+    set sets[k] listing the next lengths[k] of ids; one id per set when
+    lengths is None."""
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.ones(ids.size, dtype=np.int64) if lengths is None else np.asarray(lengths)
-    sets = np.arange(len(lengths))
-    return _Parts(ids=ids, owner=np.repeat(sets, lengths), sets=sets,
+    sets = np.arange(len(lengths)) if sets is None else sets
+    return _Parts(comp, ids=ids, owner=np.repeat(sets, lengths), sets=sets,
                   offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))))
 
 
@@ -340,7 +378,7 @@ def validate_cover(cover: Cover, layout: list) -> None:
     if twice.size:
         raise ConfigError(f"set {labels[ps[o[twice[0]]]]!r} lists a component twice")
     for ci, parts in enumerate(layout):
-        n = cover.space.components[ci].n_vertices
+        n = parts.comp.n_vertices
         if parts.ids.size and (parts.ids.min() < 0 or parts.ids.max() >= n):
             k = int(np.flatnonzero((parts.ids < 0) | (parts.ids >= n))[0])
             raise ConfigError(f"set {labels[parts.owner[k]]!r} references vertex "
@@ -375,48 +413,44 @@ class CoverReport:
 
 # --- exact geometry helpers --------------------------------------------------
 
-def _set_diameters(space, layout, n_sets: int, centers=None, radii=None, classes=None):
+def _set_diameters(layout, n_sets: int, centers=None, radii=None):
     """(diameters, exact): the diameter of every set the layout was built
     from, by set index, and whether none is a bound.  centers and radii
-    are the cover's ball hints, by set index, and classes the _classes of
-    each component's parts.  Without them a component's classes are
+    are the cover's ball hints, by set index.  A component's classes are
     computed only if a part is left to measure after the hints.
 
     A set with parts on several components has diameter at least the
     cross distance of any two of them, the sum of their diameters; the
     largest such sum is that of its two largest component diameters.
     """
-    diams = space.diameters
     centers, radii = centers or {}, radii or {}
     hints = {i: (centers[i], radii[i]) for i in centers.keys() & radii.keys()}
-    classes = classes or [None] * len(layout)
     out = np.zeros(n_sets, dtype=np.int64)
     top = np.full((2, n_sets), -1, dtype=np.int64)
     exact = True
     for ci, parts in enumerate(layout):
         s = parts.sets
         balls = {k: hints[i] for k, i in enumerate(s.tolist()) if i in hints} if hints else {}
-        d, ok = _part_diameters(ci, space.components[ci], parts, balls, classes[ci])
+        d, ok = _part_diameters(ci, parts, balls)
         out[s] = np.maximum(out[s], d)
         exact = exact and ok
-        top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], diams[ci]))
-        top[0, s] = np.maximum(top[0, s], diams[ci])
+        top[1, s] = np.maximum(top[1, s], np.minimum(top[0, s], parts.comp.diameter))
+        top[0, s] = np.maximum(top[0, s], parts.comp.diameter)
     return np.maximum(out, np.where(top[1] >= 0, top[0] + top[1], 0)), exact
 
 
-def _part_diameters(ci: int, comp, parts: _Parts, balls: dict, classes):
+def _part_diameters(ci: int, parts: _Parts, balls: dict):
     """(diameters, exact) of the parts on component ci; balls maps part
-    indices to their sets' (center, radius) hints, and classes is
-    _classes(comp, parts) or None.
+    indices to their sets' (center, radius) hints.
 
     On a Cayley graph a part that is exactly the ball B(c, r) its set's
     center and radius name has diameter min(2r, diam) (CayleyGraph.is_ball);
     the hint is only a candidate.  There a part past PAIR_CAP comparisons
     gets a bound, and exact is False.  Every other part's diameter depends
-    only on its translation class (_classes): each class some part still
-    needs is measured once, on its first part, by row_diameters.
+    only on its translation class (_Parts.classes): each class some part
+    still needs is measured once, on its first part, by row_diameters.
     """
-    lengths = parts.lengths
+    comp, lengths = parts.comp, parts.lengths
     out = np.zeros(len(lengths), dtype=np.int64)
     todo = lengths > 1
     exact = True
@@ -442,7 +476,7 @@ def _part_diameters(ci: int, comp, parts: _Parts, balls: dict, classes):
         todo &= ~big
     if not todo.any():
         return out, exact
-    cls, first = classes or _classes(comp, parts)
+    cls, first = parts.classes
     need = sorted_distinct(cls[todo])
     diam, need_lengths = np.zeros(len(first), dtype=np.int64), lengths[first[need]]
     for L in sorted_distinct(need_lengths).tolist():
@@ -451,44 +485,6 @@ def _part_diameters(ci: int, comp, parts: _Parts, balls: dict, classes):
                                                 + np.arange(L)], ROW_BLOCK)
     out[todo] = diam[cls[todo]]
     return out, exact
-
-
-def _classes(comp, parts: _Parts):
-    """The translation classes of the parts on a component: (cls, first),
-    part k in class cls[k] and class c's first part first[c], its smallest
-    index.  Every part Q of the class of P is the translate t P, repeated
-    ids alike, for t = x_Q x_P^-1 with x a part's first id, so Q's
-    diameter and dilation are P's translated.
-
-    Classes come from the ids alone.  A length held by one part is its own
-    class; the parts of each other length are keyed by class_keys in blocks
-    of at most ROW_BLOCK ids, and a class met in several blocks is one
-    class per block.  Parts holding fewer than ROW_BLOCK // 4 ids in all,
-    less than one block of translated rows, are each their own class: on
-    so few the keys and translations cost more than the kernel saves.  On
-    a component other than a Cayley graph each part is its own class.
-    """
-    lengths = parts.lengths
-    if parts.ids.size < ROW_BLOCK // 4 or not isinstance(comp, CayleyGraph):
-        return np.arange(len(lengths)), np.arange(len(lengths))
-    order = np.argsort(lengths, kind="stable")
-    cls = np.empty(len(lengths), dtype=np.int64)
-    first = [np.zeros(0, dtype=np.int64)]
-    n = 0
-    for ks in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        L = int(lengths[ks[0]]) if ks.size else 0
-        step = max(1, ROW_BLOCK // max(L, 1))
-        for lo in range(0, len(ks), step):
-            block = ks[lo:lo + step]
-            if block.size == 1 or not L:
-                at = inverse = np.arange(block.size)
-            else:
-                at, inverse = comp.class_keys(parts.ids[parts.offsets[block][:, None]
-                                                        + np.arange(L)])
-            cls[block] = inverse + n
-            first.append(block[at])
-            n += at.size
-    return cls, np.concatenate(first)
 
 
 def _ball_diameter(ci: int, comp: CayleyGraph, ids, center, radius):
@@ -504,7 +500,7 @@ def _ball_diameter(ci: int, comp: CayleyGraph, ids, center, radius):
     return min(2 * r, comp.diameter)
 
 
-def _dilation(comp, parts: _Parts, r: int):
+def _dilation(parts: _Parts, r: int):
     """Blocks (part, vertex, distance) of int64 arrays: one row for each
     part k of parts and vertex v with d(part k, v) <= r, the distance exact.
 
@@ -520,8 +516,8 @@ def _dilation(comp, parts: _Parts, r: int):
     its distance field; there one-point parts read whole matrix rows, about
     ROW_BLOCK distances a block.
     """
-    n, lengths = comp.n_vertices, parts.lengths
-    r = min(r, comp.diameter)
+    comp, lengths = parts.comp, parts.lengths
+    n, r = comp.n_vertices, min(r, comp.diameter)
     big = lengths != 1
     if isinstance(comp, CayleyGraph):
         ball = comp.identity_ball_ids(r)
@@ -585,9 +581,9 @@ def _dilation(comp, parts: _Parts, r: int):
         lo = hi
 
 
-def _class_dilation(comp, parts: _Parts, r: int, classes):
-    """The rows of _dilation(comp, parts, r), from the kernel run on the
-    first part of each class only; classes is _classes(comp, parts).
+def _class_dilation(parts: _Parts, r: int):
+    """The rows of _dilation(parts, r), from the kernel run on the first
+    part of each class (_Parts.classes) only.
 
     A part Q = t P of the class of P has the rows (Q, t v, d) for P's rows
     (P, v, d): left translation is an isometry, so d(tP, tv) = d(P, v).
@@ -596,18 +592,18 @@ def _class_dilation(comp, parts: _Parts, r: int, classes):
     or dedup.  Where no class has two parts, as on a component other than
     a Cayley graph, every part goes through the kernel.
     """
-    if len(classes[1]) == len(classes[0]):
-        yield from _dilation(comp, parts, r)
+    cls, first = parts.classes
+    if len(first) == len(cls):
+        yield from _dilation(parts, r)
         return
-    cls, first = classes
-    spans = _ranges(parts.offsets[first], parts.offsets[first + 1])
-    reps = _Parts(ids=parts.ids[spans], owner=parts.owner[spans], sets=parts.sets[first],
-                  offsets=np.concatenate(([0], np.cumsum(parts.lengths[first]))))
+    comp = parts.comp
+    reps = _parts(comp, parts.ids[_ranges(parts.offsets[first], parts.offsets[first + 1])],
+                  parts.lengths[first], parts.sets[first])
     # class c's parts are order[bounds[c]:bounds[c + 1]], its first part first
     order = np.argsort(cls, kind="stable")
     bounds = np.searchsorted(cls[order], np.arange(len(first) + 1))
     spec, m = comp.spec, comp.modulus
-    for c, v, d in _dilation(comp, reps, r):
+    for c, v, d in _dilation(reps, r):
         yield first[c], v, d
         # the kernel's rows come sorted by part: class c[lo] has the rows lo:hi
         lo = np.flatnonzero(np.diff(c, prepend=-1))
@@ -629,11 +625,10 @@ def _class_dilation(comp, parts: _Parts, r: int, classes):
                        np.tile(d[i:j], b - a))
 
 
-def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True, classes=None):
+def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
     """(R-multiplicity, close pairs) of a cover from one _dilation pass per
     component at radius R, by translation class (_class_dilation); layout is
-    cover.layout and classes the _classes of each component's parts,
-    computed here when None.
+    cover.layout.
 
     The multiplicity is the max over points of the number of sets meeting
     B(point, R).  A set reaches the whole of component cj through another
@@ -649,10 +644,8 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True, classe
     """
     if R < 0:
         raise ConfigError(f"R must be >= 0, got {R}")
-    space, fam, N = cover.space, cover.set_family, cover.n_sets()
-    if classes is None:
-        classes = list(map(_classes, space.components, layout))
-    diams = np.asarray(space.diameters, dtype=np.int64)
+    fam, N = cover.set_family, cover.n_sets()
+    diams = np.asarray(cover.space.diameters, dtype=np.int64)
     member = np.zeros((len(layout), N), dtype=bool)
     for ci, parts in enumerate(layout):
         member[ci, parts.sets] = True
@@ -660,7 +653,7 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True, classe
     db = int(min(R, 2 * diams.max(initial=0) + 1)).bit_length()
     best, found = 0, []
     for cj, parts in enumerate(layout):
-        n = space.components[cj].n_vertices
+        n = parts.comp.n_vertices
         via = diams + diams[cj] <= R
         via[cj] = False
         cross = member[via].any(axis=0)
@@ -669,7 +662,7 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True, classe
         holders = parts.owner[np.argsort(parts.ids, kind="stable")]
         first = np.concatenate(([0], np.cumsum(np.bincount(parts.ids, minlength=n))))
         counts = np.zeros(n, dtype=np.int64)
-        for k, v, d in _class_dilation(space.components[cj], parts, R, classes[cj]):
+        for k, v, d in _class_dilation(parts, R):
             counts += np.bincount(v[keep[k]], minlength=n)
             if disjoint:
                 near = d < R
@@ -730,21 +723,18 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
     covers bounded by multiplicity instead of disjointness (one family of
     overlapping balls) are verified that way.
     """
-    space = cover.space
     layout = cover.layout
     validate_cover(cover, layout)
     uncovered = None
     for ci, parts in enumerate(layout):
-        covered = np.zeros(space.components[ci].n_vertices, dtype=bool)
+        covered = np.zeros(parts.comp.n_vertices, dtype=bool)
         covered[parts.ids] = True
         missing = np.flatnonzero(~covered)
         if missing.size:
             uncovered = (ci, int(missing[0]))
             break
 
-    classes = list(map(_classes, space.components, layout))
-    diameters, exact = _set_diameters(space, layout, cover.n_sets(), cover.centers,
-                                      cover.radii, classes)
+    diameters, exact = _set_diameters(layout, cover.n_sets(), cover.centers, cover.radii)
     max_diam = int(diameters.max(initial=0))
     oversized = None
     if S is not None:
@@ -752,7 +742,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
         if over.size:
             oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
-    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint, classes)
+    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint)
     close, fam_mins = _witnesses(cover, pairs) if check_disjoint else ([], [])
 
     return CoverReport(R=R, S=S,
@@ -921,7 +911,7 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> Fami
     starts = joined.set_parts()[:-1]
     low = np.minimum.reduceat(joined.part_comp, starts)
     high = np.maximum.reduceat(joined.part_comp, starts)
-    diameters = _set_diameters(box, joined.layout, first[-1], centers, radii)[0]
+    diameters = _set_diameters(joined.layout, first[-1], centers, radii)[0]
 
     oracle_diam, i_k = {}, {}
     for k in scales:
@@ -958,7 +948,7 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> Fami
     # sets on components >= i_k, compared as (family, component, distinct ids)
     at = np.flatnonzero(kept)
     bounds, set_comp, set_scale = joined.offsets.tolist(), low[at].tolist(), scale[at].tolist()
-    keys = [(j, c, np.unique(joined.ids[bounds[p]:bounds[p + 1]]).tobytes())
+    keys = [(j, c, sorted_distinct(joined.ids[bounds[p]:bounds[p + 1]]).tobytes())
             for j, c, p in zip(fam[at].tolist(), set_comp, starts[at].tolist())]
     subtraction_ok = all({x for x, c in zip(keys, set_comp) if c >= i_k[k]}
                          == {x for x, s in zip(keys, set_scale) if s >= k} for k in scales)
@@ -1085,7 +1075,7 @@ def _coloring_to_cover(space, coloring, R: int) -> Cover:
     colors = np.asarray(coloring, dtype=np.int64)
 
     def same_color_pairs():
-        for u, v, _ in _dilation(space, _parts(np.arange(len(colors))), R - 1) if R > 0 else ():
+        for u, v, _ in _dilation(_parts(space, np.arange(len(colors))), R - 1) if R > 0 else ():
             keep = colors[u] == colors[v]
             yield u[keep], v[keep]
 

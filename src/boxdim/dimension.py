@@ -74,6 +74,12 @@ class RSDimResult:
         return None if self.n is None else self.n + 1
 
 
+def _check_rs(R: int, S: int) -> None:
+    """The scales every witness needs: R >= 1 and S >= 0."""
+    if R < 1 or S < 0:
+        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+
+
 def _check(cover: Cover, R: int, S: int, method: str) -> None:
     """verify_cover at (R, S); a failure is the solver's fault."""
     report = verify_cover(cover, R, S)
@@ -103,8 +109,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     n_pts = space.n_vertices
     if n_pts > point_cap:
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+    _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
     order = np.argsort(D[0], kind="stable").tolist() if n_pts else []
     # per point, as bitmasks: the other points closer than R, the points farther than S
@@ -195,8 +200,7 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> list:
     n_pts = space.n_vertices
     if n_pts > point_cap:
         raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+    _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
 
     def valid(coloring) -> bool:
@@ -223,8 +227,7 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
     n_pts = space.n_vertices
     if n_pts > GRAPH_POINT_CAP:
         raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+    _check_rs(R, S)
     # free lists the uncarved points in increasing order, and nearest[i] is
     # the distance from free[i] to the nearest center carved so far
     free = np.arange(n_pts)
@@ -244,7 +247,7 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
     # closer than R: a row (a, v) of the clusters' dilation at R - 1 joins
     # a and b = assigned[v]; first_fit_colors reads only the neighbours b < a
     keys = [np.zeros(0, dtype=np.int64)]
-    for a, v, _ in _dilation(space, _parts(members, sizes), R - 1):
+    for a, v, _ in _dilation(_parts(space, members, sizes), R - 1):
         b = assigned[v]
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
@@ -278,6 +281,7 @@ def interval_families(m: int, R: int, S: int):
     family set_family[k] (non-decreasing, every family non-empty) and lists
     ids[offsets[k]:offsets[k + 1]].
     """
+    _check_rs(R, S)
     if m - 1 <= S:
         return np.zeros(1, np.int64), np.array([0, m]), np.arange(m)
     count = max(2, -(-m // (S + 1)))
@@ -319,6 +323,7 @@ def grid_families(m: int, R: int, S: int):
     in that order, each with its ids increasing.  Families come flat, as in
     interval_families.
     """
+    _check_rs(R, S)
     t1 = -(-R // 2)
     t2 = 2 * t1
     L = None
@@ -435,8 +440,10 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     more non-empty families could not improve on it, and None is returned
     before it is built.
     """
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+    _check_rs(R, S)
+    solver = {"exact": rs_dim_exact, "greedy": rs_dim_greedy}.get(mode)
+    if solver is None and mode != "structured":
+        raise ConfigError(f"unknown witness mode {mode!r}")
     small = [ci for ci, d in enumerate(box.diameters) if d <= S // 2]
     medium = [ci for ci, d in enumerate(box.diameters) if S // 2 < d <= S]
     large = [ci for ci, d in enumerate(box.diameters) if d > S]
@@ -445,14 +452,9 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
         comp = box.components[ci]
         if mode == "structured":
             return structured_component_families(comp, R, S)
-        if mode == "greedy":
-            coloring = rs_dim_greedy(comp, R, S)
-        elif mode == "exact":
-            coloring = rs_dim_exact(comp, R, S)
-            if coloring is None:
-                return None
-        else:
-            raise ConfigError(f"unknown witness mode {mode!r}")
+        coloring = solver(comp, R, S)
+        if coloring is None:
+            return None
         cover = _coloring_to_cover(comp, coloring, R)
         return cover.set_family, cover.offsets, cover.ids, cover
 
@@ -464,7 +466,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     whole = small + medium
     labels = (["F"] if small else []) + [f"w{ci}" for ci in medium]
     family = np.concatenate([np.zeros(len(labels), np.int64)] + [f[0] for f in solved])
-    if n_best is not None and np.unique(family).size - 1 >= n_best:
+    if n_best is not None and sorted_distinct(family).size - 1 >= n_best:
         return None
     for ci, (fam, *_) in zip(large, solved):
         rank = np.arange(len(fam)) - np.searchsorted(fam, fam)
@@ -510,7 +512,7 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
                 got = box_witness_cover(box, R, S, mode, threads=threads, n_best=n)
                 if got is not None:
                     cover, report = got
-                    n, s = np.unique(cover.set_family).size - 1, report.max_set_diameter
+                    n, s = sorted_distinct(cover.set_family).size - 1, report.max_set_diameter
             note = "S_cap exhausted" if cover is None else ""
         rows.append(ProfileRow(R=R, s_achieved=s, n_achieved=n, mode=mode,
                                component_count=box.component_count, hirsch_length=h,

@@ -92,7 +92,7 @@ def test_ball_certificate_matches_pairwise_diameters(monkeypatch, name, pair_cap
         ids = np.asarray(ids, dtype=np.int64)
         want = diameter(ids)
         cover = one_set_cover(space, 0, ids, center, radius)
-        got, got_exact = covers_module._set_diameters(space, cover.layout, 1, cover.centers,
+        got, got_exact = covers_module._set_diameters(cover.layout, 1, cover.centers,
                                                       cover.radii)
         got = int(got[0])
         whole = np.unique(ids).size == comp.n_vertices
@@ -140,7 +140,7 @@ def test_batched_class_diameters_match_pairwise(monkeypatch, name, row_block):
         return out
 
     monkeypatch.setattr(cayley_module, "product_ids", counted)
-    got, exact = covers_module._set_diameters(space, cover.layout, cover.n_sets())
+    got, exact = covers_module._set_diameters(cover.layout, cover.n_sets())
     assert got.tolist() == want
     assert exact
     # a block holds at most ROW_BLOCK ids or pairs, or one part's worth

@@ -4,9 +4,11 @@ Distances are cross-checked against networkx shortest paths on graphs built
 independently from tuple arithmetic, and growth values against lattice-point
 counts and a word-products oracle.
 """
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -605,3 +607,19 @@ def test_sorted_distinct_keeps_the_least_value_per_item(n, shift):
         assert np.array_equal(got, np.unique(keys))
         objects = (keys.astype(object) << 70) - 3
         assert sorted_distinct(objects).tolist() == np.unique(objects).tolist()
+
+
+def test_src_calls_np_unique_only_for_indices():
+    # np.unique without index outputs imports numpy.ma on first use (about
+    # 13 ms and 1.2 MB per process on numpy 2.4); sorted_distinct gives the
+    # same values without it
+    src = Path(__file__).resolve().parent.parent / "src" / "boxdim"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "unique"
+                    and isinstance(f.value, ast.Name) and f.value.id == "np"
+                    and not {k.arg for k in node.keywords} & {"return_index", "return_inverse"}):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []

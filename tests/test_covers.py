@@ -416,7 +416,7 @@ def test_batched_multiplicity_matches_brute_force(monkeypatch, name, row_block):
             for ci, parts in enumerate(cover.layout):
                 comp = box.components[ci]
                 got = np.zeros(comp.n_vertices, dtype=np.int64)
-                for _, v, _ in covers_module._dilation(comp, parts, R):
+                for _, v, _ in covers_module._dilation(parts, R):
                     got += np.bincount(v, minlength=comp.n_vertices)
                 want = [sum(1 for i in parts.sets
                             if any(comp.distance(v, u) <= R
@@ -446,7 +446,7 @@ def test_dilation_matches_distance_fields(monkeypatch, name, row_block):
                 comp = space.components[ci]
                 for r in range(7):
                     got = np.concatenate([np.stack(block)
-                                          for block in covers_module._dilation(comp, parts, r)]
+                                          for block in covers_module._dilation(parts, r)]
                                          + [np.zeros((3, 0), dtype=np.int64)], axis=1)
                     want = []
                     for k in range(len(parts.sets)):
@@ -473,7 +473,7 @@ def test_batched_diameters_match_per_set_reference(monkeypatch, name, pair_cap):
         labels = [s.label for _, s in cover.all_sets()]
         first_over = next(((labels[i], d) for i, d in enumerate(want) if d > S), None)
         report = verify_cover(cover, R=1, S=S)
-        got, got_exact = covers_module._set_diameters(box, cover.layout, cover.n_sets())
+        got, got_exact = covers_module._set_diameters(cover.layout, cover.n_sets())
         assert (got.tolist(), got_exact) == (want, exact)
         assert report.max_set_diameter == max(want)
         assert report.oversized_witness == first_over
@@ -600,7 +600,7 @@ def test_verify_cover_diameters_equal_the_frozen_oracle(monkeypatch, name, pair_
         for cover in (bare, with_ball_hints(rng, bare)):
             frozen = FrozenOracle(box)
             want = frozen.set_diameters(cover.layout, cover.n_sets(), cover.centers, cover.radii)
-            got, exact = covers_module._set_diameters(box, cover.layout, cover.n_sets(),
+            got, exact = covers_module._set_diameters(cover.layout, cover.n_sets(),
                                                       cover.centers, cover.radii)
             assert (got.tolist(), exact) == (want.tolist(), frozen.exact)
             S = int(np.median(want))
@@ -661,9 +661,9 @@ def test_one_class_pass_per_verify(monkeypatch):
 
     kernel, dilated = covers_module._dilation, []
 
-    def dilation(comp, parts, r):
+    def dilation(parts, r):
         dilated.append(len(parts.sets))
-        return kernel(comp, parts, r)
+        return kernel(parts, r)
 
     monkeypatch.setattr(CayleyGraph, "class_keys", counted)
     monkeypatch.setattr(covers_module, "_dilation", dilation)
@@ -684,6 +684,37 @@ def test_one_class_pass_per_verify(monkeypatch):
                          CoverSet("c", ((0, (0, 1)),)), CoverSet("d", ((0, (2, 3)),))),))
     assert verify_cover(small, 2).is_cover
     assert (calls, dilated) == ([], [3, 1])
+
+
+def test_set_diameters_key_classes_only_for_parts_left_after_the_hints(monkeypatch):
+    # four balls of 5 ids share one length; a 40-row block keys parts of
+    # 10 ids or more in all, all four in one block.  Honest hints certify
+    # every ball and leave the classes unkeyed; one ball without its hint
+    # needs the class pass, once
+    monkeypatch.setattr(covers_module, "ROW_BLOCK", 40)
+    box = build_box_space(Filtration(free_abelian(2), (16,)))
+    comp = box.components[0]
+    centers = (0, 50, 100, 200)
+    balls = [comp.ball_ids(c, 1) for c in centers]
+    calls = []
+    keys = CayleyGraph.class_keys
+
+    def counted(self, rows):
+        calls.append(rows.shape)
+        return keys(self, rows)
+
+    monkeypatch.setattr(CayleyGraph, "class_keys", counted)
+    for hinted, want in ((4, []), (3, [(4, 5)])):
+        cover = Cover.from_arrays(box, 1, np.zeros(4), [f"b{c}" for c in centers],
+                                  np.arange(4), np.zeros(4), [b.size for b in balls],
+                                  np.concatenate(balls),
+                                  {i: (0, c) for i, c in enumerate(centers[:hinted])},
+                                  dict.fromkeys(range(hinted), 1))
+        calls.clear()
+        got, exact = covers_module._set_diameters(cover.layout, cover.n_sets(),
+                                                  cover.centers, cover.radii)
+        assert (got.tolist(), exact) == ([2] * 4, True)
+        assert calls == want, hinted
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
@@ -1049,7 +1080,7 @@ def test_prop41_ball_diameters_are_exact_past_the_pair_cap(monkeypatch, spec, mo
     assert report.diameters_exact
     assert report.max_set_diameter == max(want)
     assert covers_module._set_diameters(
-        box, cover.layout, cover.n_sets(), cover.centers, cover.radii)[0].tolist() == want
+        cover.layout, cover.n_sets(), cover.centers, cover.radii)[0].tolist() == want
     # the regrouped sets keep their hints, so the assembly measures the same
     assert assemble_box_families(
         box, {2: families_from_multiplicity_cover(cover, 2)[0]},
@@ -1303,7 +1334,7 @@ def view_assembly(box, covers_by_scale, profile):
     for k in scales:
         cover = covers_by_scale[k]
         diameters = covers_module._set_diameters(
-            box, cover.layout, cover.n_sets(), cover.centers, cover.radii)[0]
+            cover.layout, cover.n_sets(), cover.centers, cover.radii)[0]
         one_part = np.bincount(cover.part_set, minlength=cover.n_sets()) == 1
         oracle_diam[k] = int(diameters[one_part].max(initial=0))
     i_k = {k: profile.threshold(max(k, oracle_diam[k])) for k in scales}

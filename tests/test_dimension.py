@@ -323,8 +323,8 @@ def all_points_greedy(space, R, S):
 
     n_cl = len(clusters)
     keys = [np.zeros(0, dtype=np.int64)]
-    parts = covers_module._parts(np.concatenate(clusters), list(map(len, clusters)))
-    for a, v, _ in covers_module._dilation(space, parts, R - 1):
+    parts = covers_module._parts(space, np.concatenate(clusters), list(map(len, clusters)))
+    for a, v, _ in covers_module._dilation(parts, R - 1):
         b = assigned[v]
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
@@ -384,12 +384,12 @@ def test_point_dilation_lists_the_pairs_within_r(monkeypatch, row_block):
     g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 4))
     twin = FiniteMetricSpace.from_graph(g)
     D = np.stack([g.distances_to([v]) for v in range(g.n_vertices)])
-    points = covers_module._parts(np.arange(g.n_vertices))
     for r in range(0, g.diameter + 2):
         u, v = np.nonzero(D <= r)
         want = sorted(zip(u.tolist(), v.tolist(), D[u, v].tolist()))
         for space in (g, twin):
-            got = sorted(row for block in covers_module._dilation(space, points, r)
+            points = covers_module._parts(space, np.arange(g.n_vertices))
+            got = sorted(row for block in covers_module._dilation(points, r)
                          for row in zip(*(x.tolist() for x in block)))
             assert got == want, (r, space)
 
@@ -410,11 +410,11 @@ def test_matrix_dilation_of_mixed_parts_equals_the_graph(monkeypatch, row_block,
         lengths = []
         while sum(lengths) < len(ids):
             lengths.append(min(rng.choice((1, 1, 1, 2, 3)), len(ids) - sum(lengths)))
-        parts = covers_module._parts(ids, lengths)
+        on_both = [covers_module._parts(space, ids, lengths) for space in (g, twin)]
         for r in range(0, g.diameter + 2):
-            want, got = (sorted(row for block in covers_module._dilation(space, parts, r)
+            want, got = (sorted(row for block in covers_module._dilation(parts, r)
                                 for row in zip(*(x.tolist() for x in block)))
-                         for space in (g, twin))
+                         for parts in on_both)
             assert got == want, (r, lengths)
 
 
@@ -912,6 +912,32 @@ def test_box_witness_cover_refuses_bad_scales_up_front(mode, R, S):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("pattern", [interval_families, grid_families])
+@pytest.mark.parametrize("R, S", [(0, -2), (1, -1)])
+def test_patterns_refuse_bad_scales(pattern, R, S):
+    # interval_families once looped forever at R = 0, S = -2 and divided by
+    # zero at S = -1; an alarm fails the test rather than hang it
+
+    def hang(signum, frame):
+        raise AssertionError(f"{pattern.__name__} still running after 20 s ({R}, {S})")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ConfigError, match=rf"^need R >= 1 and S >= 0, got R={R}, S={S}$"):
+            pattern(16, R, S)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_box_witness_cover_refuses_unknown_mode_up_front():
+    # both components have diameter <= S, so no component is ever solved
+    box = build_box_space(Filtration(free_abelian(1), (4, 8)))
+    with pytest.raises(ConfigError, match="^unknown witness mode 'magic'$"):
+        box_witness_cover(box, 1, 8, "magic")
 
 
 def test_profile_rejects_unknown_mode():

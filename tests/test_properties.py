@@ -237,10 +237,9 @@ def test_class_dilation_equals_the_direct_kernel(case):
     saved = covers_module.ROW_BLOCK
     covers_module.ROW_BLOCK = row_block
     try:
-        parts = covers_module._parts(np.concatenate(parts), [len(p) for p in parts])
-        classes = covers_module._classes(comp, parts)
-        got = dilation_rows(covers_module._class_dilation(comp, parts, r, classes))
-        want = dilation_rows(covers_module._dilation(comp, parts, r))
+        parts = covers_module._parts(comp, np.concatenate(parts), [len(p) for p in parts])
+        got = dilation_rows(covers_module._class_dilation(parts, r))
+        want = dilation_rows(covers_module._dilation(parts, r))
     finally:
         covers_module.ROW_BLOCK = saved
     assert got == want
