@@ -89,8 +89,20 @@ def _check(cover: Cover, R: int, S: int, method: str) -> None:
             f"{report.oversized_witness or report.close_pair_witnesses}")
 
 
+EXACT_POINT_CAP = 60         # rs_dim_exact's default point_cap
+
+
+def _check_points(n_pts: int, point_cap: int | None = None) -> None:
+    """Refuse a space past a solver's point cap: the exact solvers'
+    point_cap, or the greedy solver's GRAPH_POINT_CAP when it is None."""
+    if point_cap is None and n_pts > GRAPH_POINT_CAP:
+        raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
+    if point_cap is not None and n_pts > point_cap:
+        raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
+
+
 def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
-                 point_cap: int = 60) -> list | None:
+                 point_cap: int = EXACT_POINT_CAP) -> list | None:
     """A coloring with the fewest colors that is an (R, S)-witness, by
     branch and bound; None when more than n_cap + 1 colors are needed.
 
@@ -107,8 +119,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     solution is cut and the first coloring found is unchanged.
     """
     n_pts = space.n_vertices
-    if n_pts > point_cap:
-        raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
+    _check_points(n_pts, point_cap)
     _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
     order = np.argsort(D[0], kind="stable").tolist() if n_pts else []
@@ -198,8 +209,7 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> list:
     coloring.
     """
     n_pts = space.n_vertices
-    if n_pts > point_cap:
-        raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
+    _check_points(n_pts, point_cap)
     _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
 
@@ -225,8 +235,7 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
     """Heuristic witness: farthest-point ball carving at radius S//2, then
     greedy coloring of the cluster proximity graph.  Upper bound only."""
     n_pts = space.n_vertices
-    if n_pts > GRAPH_POINT_CAP:
-        raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
+    _check_points(n_pts)
     _check_rs(R, S)
     # free lists the uncarved points in increasing order, and nearest[i] is
     # the distance from free[i] to the nearest center carved so far
@@ -491,7 +500,17 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
 def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
                   growth: GrowthBound | None = None, threads: int = 1) -> ProfileTable:
     """Scale sweep: for each R, the smallest witness family count found
-    with set diameters within S_cap, next to the group's Hirsch length."""
+    with set diameters within S_cap, next to the group's Hirsch length.
+
+    Outside prop41 mode each R's S-ladder is walked by branch and bound
+    over lb(S): 1 at R >= 2 when a component is wider than S (it meets two
+    sets at distance 1 < R, which share no family), else 0.  The lowest
+    rung with lb = 0 goes first, then the others in ascending order, each
+    skipped when lb(S) >= n, the best count so far.  The row is the first
+    rung that reaches the smallest n, as a sweep of every rung finds it.
+    A component past its solver's point cap at the first rung is refused
+    before any rung runs.
+    """
     if mode not in PROFILE_MODES:
         raise ConfigError(f"mode must be one of {PROFILE_MODES}, got {mode!r}")
     if mode == "prop41" and growth is None:
@@ -499,6 +518,8 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
     R_list = sorted(set(int(r) for r in R_list))
     _check_scales(min(R_list, default=1), S_cap)
     h = hirsch_length(box.spec)
+    diameters = box.diameters
+    widest = max(diameters, default=0)
     rows = []
     for R in R_list:
         t0 = time.perf_counter()
@@ -507,8 +528,18 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
             s, n = report.max_set_diameter, report.r_multiplicity - 1
             note = "S_cap exhausted" if s > S_cap else ""
         else:
+            ladder = s_ladder(R, S_cap)
+            if mode != "structured":
+                for comp, d in zip(box.components, diameters):
+                    if d > ladder[0]:
+                        _check_points(comp.n_vertices,
+                                      EXACT_POINT_CAP if mode == "exact" else None)
+            lb = lambda S: int(R >= 2 and widest > S)
+            first = next((S for S in ladder if not lb(S)), ladder[0])
             n = s = cover = None
-            for S in s_ladder(R, S_cap):
+            for S in [first] + [S for S in ladder if S != first]:
+                if n is not None and lb(S) >= n:
+                    continue
                 got = box_witness_cover(box, R, S, mode, threads=threads, n_best=n)
                 if got is not None:
                     cover, report = got

@@ -788,9 +788,11 @@ def test_profile_csv_rows():
     assert rows[1][0] == "2"
 
 
-def old_profile_rows(box, R_list, S_cap, mode, growth=None):
+def old_profile_rows(box, R_list, S_cap, mode, growth=None, rung_n=None):
     """asdim_profile's rows as its loop gave them when every rung that
-    built a cover was verified: (R, s_achieved, n_achieved, families)."""
+    built a cover was verified: (R, s_achieved, n_achieved, families).
+    Given a dict rung_n, each rung's own family count (or None) is stored
+    there under (R, S)."""
     out = []
     for R in sorted(set(R_list)):
         if mode == "prop41":
@@ -801,6 +803,8 @@ def old_profile_rows(box, R_list, S_cap, mode, growth=None):
         best = None
         for S in s_ladder(R, S_cap):
             got = box_witness_cover(box, R, S, mode)
+            if rung_n is not None:
+                rung_n[R, S] = None if got is None else len([f for f in got[0].families if f]) - 1
             if got is None:
                 continue
             cover, report = got
@@ -811,19 +815,45 @@ def old_profile_rows(box, R_list, S_cap, mode, growth=None):
     return out
 
 
+def branch_and_bound_rungs(diameters, R_list, S_cap, rung_n):
+    """How many rungs the profile's walk tries, replayed from each rung's
+    own family count.  A rung's lower bound is 1 at R >= 2 with a component
+    wider than S, else 0.  The walk tries first the lowest rung with bound
+    0 (the first rung at R = 1, or if none has it), then the others in
+    ascending order, skipping a rung whose bound is at least the best
+    count so far."""
+    tried = 0
+    for R in sorted(set(R_list)):
+        ladder = s_ladder(R, S_cap)
+        lb = {S: int(R >= 2 and max(diameters) > S) for S in ladder}
+        first = next((S for S in ladder if lb[S] == 0), ladder[0])
+        best = None
+        for S in [first] + [S for S in ladder if S != first]:
+            if best is not None and lb[S] >= best:
+                continue
+            tried += 1
+            if rung_n[R, S] is not None and (best is None or rung_n[R, S] < best):
+                best = rung_n[R, S]
+    return tried
+
+
 PROFILE_CASES = {
     "structured Z": (free_abelian(1), tuple(2 ** t for t in range(1, 9)), (1, 2, 4, 8), 64,
                      "structured"),
     "structured Z2": (free_abelian(2), (4, 16, 64), (1, 2, 4, 8), 64, "structured"),
     "greedy UT3": (unitriangular(3), (2, 4, 8), (1, 2, 4), 16, "greedy"),
+    # S_cap below every diameter at R >= 2: the bound prunes no rung
+    "greedy Z2 below": (free_abelian(2), (16, 32), (2, 4), 15, "greedy"),
+    "exact Z": (free_abelian(1), (2, 4, 8, 16), (1, 2, 4), 16, "exact"),
     "prop41 Z": (free_abelian(1), (4, 8, 16, 32), (1, 2, 4), 64, "prop41"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROFILE_CASES))
 def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
-    # a rung that cannot beat the best family count is no longer verified;
-    # the rows, their covers and the rungs tried stay the same
+    # a rung that cannot beat the best family count is neither verified
+    # nor, when its lower bound rules it out, tried; the rows and their
+    # covers stay the same
     spec, moduli, R_list, S_cap, mode = PROFILE_CASES[name]
     box = build_box_space(Filtration(spec, moduli))
     growth = GrowthBound(C=Fraction(3), d=1, validated_range=(1, 10 ** 7))
@@ -837,7 +867,8 @@ def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
 
     monkeypatch.setattr(dimension_module, "verify_cover",
                         counted("verify", dimension_module.verify_cover))
-    want = old_profile_rows(box, R_list, S_cap, mode, growth)
+    rung_n = {}
+    want = old_profile_rows(box, R_list, S_cap, mode, growth, rung_n)
     old_verify, calls["verify"] = calls["verify"], 0
     monkeypatch.setattr(dimension_module, "box_witness_cover",
                         counted("rungs", dimension_module.box_witness_cover))
@@ -846,25 +877,76 @@ def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
            for r in table.rows]
     assert got == want
     if mode != "prop41":
-        assert calls["rungs"] == sum(len(s_ladder(R, S_cap)) for R in R_list)
+        assert calls["rungs"] == branch_and_bound_rungs(box.diameters, R_list, S_cap, rung_n)
         assert calls["verify"] < old_verify
+    if name == "greedy Z2 below":
+        assert calls["rungs"] == sum(len(s_ladder(R, S_cap)) for R in R_list)
     assert any(row[1] is not None for row in want)
 
 
-def test_greedy_profile_verifies_each_built_rung_once(monkeypatch):
-    # the heisenberg_profile bench box: four rungs are built and verified,
-    # the solver covers are not verified again on their own
+def test_profile_rows_match_every_rung_on_random_boxes():
+    # seeded sweep over small boxes, scales and the three solver modes; a
+    # refusal must come with the same error and message as the oracle's
+    rng = random.Random(21)
+    boxes = [(free_abelian(1), (2, 4, 8, 16, 32)), (free_abelian(1), (3, 6, 12)),
+             (free_abelian(2), (2, 4, 8)), (free_abelian(2), (4, 8)),
+             (unitriangular(3), (2, 4)), (unitriangular(3), (3,))]
+    seen = set()
+    for _ in range(150):
+        spec, moduli = rng.choice(boxes)
+        moduli = tuple(sorted(rng.sample(moduli, rng.randint(1, len(moduli)))))
+        box = build_box_space(Filtration(spec, moduli))
+        R_list = rng.sample(range(1, 6), rng.randint(1, 3))
+        S_cap = rng.randint(1, 2 * max(box.diameters) + 2)
+        mode = rng.choice(["exact", "greedy", "structured"])
+        try:
+            want = old_profile_rows(box, R_list, S_cap, mode)
+        except ResourceCapError as exc:
+            with pytest.raises(ResourceCapError, match=f"^{exc}$"):
+                asdim_profile(box, R_list, S_cap=S_cap, mode=mode)
+            seen.add("refused")
+            continue
+        table = asdim_profile(box, R_list, S_cap=S_cap, mode=mode)
+        got = [(r.R, r.s_achieved, r.n_achieved,
+                None if r.cover is None else r.cover.families) for r in table.rows]
+        assert got == want, (spec, moduli, R_list, S_cap, mode)
+        seen.update((mode, row[2]) for row in want)
+    assert {"refused", ("exact", 0), ("greedy", 1), ("structured", None)} <= seen
+
+
+def test_greedy_heisenberg_profile_verifies_two_rungs_and_runs_no_solver(monkeypatch):
+    # the heisenberg_profile bench box: at S = 16 every component is one
+    # set, and no lower rung can reach n = 0 at R = 2 or 4
     box = build_box_space(Filtration(unitriangular(3), (2, 4, 8, 16)))
-    calls = []
+    calls, solved = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return verify_cover(*args, **kwargs)
 
     monkeypatch.setattr(dimension_module, "verify_cover", counted)
+    monkeypatch.setattr(dimension_module, "rs_dim_greedy",
+                        lambda space, R, S: solved.append((R, S)))
     table = asdim_profile(box, (2, 4), S_cap=16, mode="greedy")
-    assert len(calls) == 4
-    assert all(row.cover is not None for row in table.rows)
+    assert calls == [(2, 16), (4, 16)]
+    assert solved == []
+    assert [(row.s_achieved, row.n_achieved) for row in table.rows] == [(16, 0), (16, 0)]
+
+
+@pytest.mark.parametrize("mode, spec, moduli, S_cap, message", [
+    ("greedy", unitriangular(3), (2, 4, 8), 16, "64 points exceeds the cap 10"),
+    ("exact", free_abelian(1), (8, 64), 32, "64 points exceeds point_cap=60"),
+])
+def test_profile_refuses_a_component_past_the_solver_cap(monkeypatch, mode, spec, moduli,
+                                                          S_cap, message):
+    # S_cap is past every diameter, but the first rung, 4, hands each wider
+    # component (greedy: 64 and 512 points, with the cap lowered to 10;
+    # exact: Z mod 64) to the solver, which refuses the first
+    monkeypatch.setattr(dimension_module, "GRAPH_POINT_CAP", 10)
+    box = build_box_space(Filtration(spec, moduli))
+    assert max(box.diameters) <= S_cap
+    with pytest.raises(ResourceCapError, match=f"^{message}$"):
+        asdim_profile(box, (2,), S_cap=S_cap, mode=mode)
 
 
 @pytest.mark.parametrize("mode, spec, moduli", [
