@@ -106,7 +106,23 @@ class BoxSpace(CoarseUnion):
 
 
 MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
-GRAPH_POINT_CAP = 4096      # largest space from_graph, greedy, an induced ball or transfer takes
+GRAPH_POINT_CAP = 4096      # check_points' default: from_graph, greedy, an induced ball, transfer
+
+
+def check_points(n: int, cap: int | None = None) -> None:
+    """Refuse n points past cap; None means GRAPH_POINT_CAP, read here at
+    each call."""
+    cap = GRAPH_POINT_CAP if cap is None else cap
+    if n > cap:
+        raise ResourceCapError(f"{n} points exceeds the cap {cap}")
+
+
+def metric_closure(m: np.ndarray) -> np.ndarray:
+    """Shortest-path closure of a non-negative distance matrix, by
+    Floyd-Warshall in n x n memory; a metric is its own closure."""
+    for k in range(m.shape[0]):
+        m = np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :])
+    return m
 
 
 class FiniteMetricSpace(Component):
@@ -148,8 +164,7 @@ class FiniteMetricSpace(Component):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"distance matrix must be square, got {m.shape}")
         n = m.shape[0]
-        if n > MATRIX_POINT_CAP:
-            raise ResourceCapError(f"matrix too large to validate ({n} points)")
+        check_points(n, MATRIX_POINT_CAP)
         if (m.diagonal() != 0).any():
             raise ConfigError("distance matrix has a nonzero diagonal entry")
         if (m != m.T).any():
@@ -157,19 +172,17 @@ class FiniteMetricSpace(Component):
         off = m[~np.eye(n, dtype=bool)]
         if n > 1 and (off <= 0).any():
             raise ConfigError("off-diagonal distances must be positive")
-        # triangle inequality, all triples
-        if n and (m > (m[:, :, None] + m[None, :, :]).min(axis=1)).any():
+        if (metric_closure(m) != m).any():
             raise ConfigError("distance matrix violates the triangle inequality")
         return cls(m)
 
     @classmethod
     def from_graph(cls, graph) -> "FiniteMetricSpace":
-        """The full distance matrix of any component of at most
-        GRAPH_POINT_CAP points; a Cayley graph's is d(u, v) = d(e, u^-1 v),
-        built in blocks of PAIR_ROWS rows."""
+        """The full distance matrix of any component within check_points'
+        cap; a Cayley graph's is d(u, v) = d(e, u^-1 v), built in blocks
+        of PAIR_ROWS rows."""
         n = graph.n_vertices
-        if n > GRAPH_POINT_CAP:
-            raise ResourceCapError(f"{n} points exceeds the cap {GRAPH_POINT_CAP}")
+        check_points(n)
         if not isinstance(graph, CayleyGraph):
             return cls(graph.dist_matrix)
         ids = np.arange(n)[None]
@@ -276,15 +289,14 @@ def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:
 def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
     """B_G(e, radius) with the metric of the subgraph induced by G's edges.
 
-    Points are ordered by word length, then lexicographically.  A ball of
-    more than GRAPH_POINT_CAP points is refused before its matrix.  The
-    neighbour table finds each generator step by searchsorted on the
-    ball's keys; a step that leaves the ball becomes a self-loop, which
-    BFS then never follows.
+    Points are ordered by word length, then lexicographically.  A ball
+    past check_points' cap is refused before its matrix.  The neighbour
+    table finds each generator step by searchsorted on the ball's keys; a
+    step that leaves the ball becomes a self-loop, which BFS then never
+    follows.
     """
     ball = np.concatenate(list(_ball(spec, radius, state_cap)))
-    if ball.shape[0] > GRAPH_POINT_CAP:
-        raise ResourceCapError(f"{ball.shape[0]} points exceeds the cap {GRAPH_POINT_CAP}")
+    check_points(ball.shape[0])
     table = neighbour_table(spec, ball)
     own = np.arange(ball.shape[0])[:, None]
     table = np.where(table < 0, own, table).astype(np.int32)

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .boxspace import GRAPH_POINT_CAP, BoxSpace, CoarseUnion, FiniteMetricSpace, thread_map
+from .boxspace import BoxSpace, CoarseUnion, FiniteMetricSpace, check_points, thread_map
 from .cayley import (
     PAIR_CAP,
     CayleyGraph,
@@ -38,7 +38,6 @@ from .errors import (
     ConfigError,
     GrowthBoundError,
     InsufficientInputError,
-    ResourceCapError,
     VerificationError,
 )
 from .groups import GroupSpec, unflatten
@@ -981,7 +980,7 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
     choice, so on honest inputs the output restricts one of them; its
     (R, S) validity is nevertheless re-checked by verify_cover over
     B(e, r0) with G's word metric (word_distances), and failure raises.
-    A B(e, r0) of more than GRAPH_POINT_CAP points is refused up front.
+    A B(e, r0) past check_points' cap is refused up front.
     """
     if not inputs:
         raise InsufficientInputError("insufficient input radii: none provided")
@@ -999,9 +998,7 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
                 raise ConfigError(f"radius {r}: family index {bad[0]} outside 0..{n}")
 
     levels = list(_ball(spec, 2 * r0, state_cap))
-    size = sum(rows.shape[0] for rows in levels[:r0 + 1])
-    if size > GRAPH_POINT_CAP:
-        raise ResourceCapError(f"{size} points exceeds the cap {GRAPH_POINT_CAP}")
+    check_points(sum(rows.shape[0] for rows in levels[:r0 + 1]))
     ball = [unflatten(spec, row) for row in np.concatenate(levels[:r0 + 1]).tolist()]
 
     live = list(range(len(inputs)))

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxspace import (
-    GRAPH_POINT_CAP,
     MATRIX_POINT_CAP,
     BoxSpace,
     FiniteMetricSpace,
+    check_points,
+    metric_closure,
     thread_map,
 )
 from .cayley import GrowthBound, sorted_distinct
@@ -39,7 +40,7 @@ from .covers import (
     first_fit_colors,
     verify_cover,
 )
-from .errors import ConfigError, ResourceCapError, VerificationError
+from .errors import ConfigError, VerificationError
 from .groups import FREE_ABELIAN, hirsch_length
 
 
@@ -48,15 +49,12 @@ def random_metric_space(rng: random.Random, n_points: int,
     """Random integer metric: symmetric draws closed under shortest paths."""
     if n_points < 1 or not 1 <= max_distance <= np.iinfo(np.int32).max:
         raise ConfigError("need n_points >= 1 and 1 <= max_distance <= 2**31 - 1 (int32)")
-    if n_points > MATRIX_POINT_CAP:
-        raise ResourceCapError(f"{n_points} points exceeds the cap {MATRIX_POINT_CAP}")
+    check_points(n_points, MATRIX_POINT_CAP)
     m = np.zeros((n_points, n_points), dtype=np.int64)
     for i in range(n_points):
         for j in range(i + 1, n_points):
             m[i, j] = m[j, i] = rng.randint(1, max_distance)
-    for k in range(n_points):
-        m = np.minimum(m, m[:, k:k + 1] + m[k:k + 1, :])
-    return FiniteMetricSpace(m)
+    return FiniteMetricSpace(metric_closure(m))
 
 
 @dataclass(frozen=True)
@@ -89,20 +87,8 @@ def _check(cover: Cover, R: int, S: int, method: str) -> None:
             f"{report.oversized_witness or report.close_pair_witnesses}")
 
 
-EXACT_POINT_CAP = 60         # rs_dim_exact's default point_cap
-
-
-def _check_points(n_pts: int, point_cap: int | None = None) -> None:
-    """Refuse a space past a solver's point cap: the exact solvers'
-    point_cap, or the greedy solver's GRAPH_POINT_CAP when it is None."""
-    if point_cap is None and n_pts > GRAPH_POINT_CAP:
-        raise ResourceCapError(f"{n_pts} points exceeds the cap {GRAPH_POINT_CAP}")
-    if point_cap is not None and n_pts > point_cap:
-        raise ResourceCapError(f"{n_pts} points exceeds point_cap={point_cap}")
-
-
 def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
-                 point_cap: int = EXACT_POINT_CAP) -> list | None:
+                 point_cap: int = 60) -> list | None:
     """A coloring with the fewest colors that is an (R, S)-witness, by
     branch and bound; None when more than n_cap + 1 colors are needed.
 
@@ -119,7 +105,7 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     solution is cut and the first coloring found is unchanged.
     """
     n_pts = space.n_vertices
-    _check_points(n_pts, point_cap)
+    check_points(n_pts, point_cap)
     _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
     order = np.argsort(D[0], kind="stable").tolist() if n_pts else []
@@ -209,7 +195,7 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> list:
     coloring.
     """
     n_pts = space.n_vertices
-    _check_points(n_pts, point_cap)
+    check_points(n_pts, point_cap)
     _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
 
@@ -235,7 +221,7 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
     """Heuristic witness: farthest-point ball carving at radius S//2, then
     greedy coloring of the cluster proximity graph.  Upper bound only."""
     n_pts = space.n_vertices
-    _check_points(n_pts)
+    check_points(n_pts)
     _check_rs(R, S)
     # free lists the uncarved points in increasing order, and nearest[i] is
     # the distance from free[i] to the nearest center carved so far
@@ -508,8 +494,8 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
     rung with lb = 0 goes first, then the others in ascending order, each
     skipped when lb(S) >= n, the best count so far.  The row is the first
     rung that reaches the smallest n, as a sweep of every rung finds it.
-    A component past its solver's point cap at the first rung is refused
-    before any rung runs.
+    A solver refuses a component past its point cap only when a rung the
+    walk runs hands it that component.
     """
     if mode not in PROFILE_MODES:
         raise ConfigError(f"mode must be one of {PROFILE_MODES}, got {mode!r}")
@@ -518,8 +504,7 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
     R_list = sorted(set(int(r) for r in R_list))
     _check_scales(min(R_list, default=1), S_cap)
     h = hirsch_length(box.spec)
-    diameters = box.diameters
-    widest = max(diameters, default=0)
+    widest = max(box.diameters, default=0)
     rows = []
     for R in R_list:
         t0 = time.perf_counter()
@@ -529,11 +514,6 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
             note = "S_cap exhausted" if s > S_cap else ""
         else:
             ladder = s_ladder(R, S_cap)
-            if mode != "structured":
-                for comp, d in zip(box.components, diameters):
-                    if d > ladder[0]:
-                        _check_points(comp.n_vertices,
-                                      EXACT_POINT_CAP if mode == "exact" else None)
             lb = lambda S: int(R >= 2 and widest > S)
             first = next((S for S in ladder if not lb(S)), ladder[0])
             n = s = cover = None

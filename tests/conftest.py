@@ -5,6 +5,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def cap_address_space():
+    """Run in a child process only (preexec_fn): 1 GiB of address space."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 def cli_env():
     """Environment for a `python -m boxdim` child process.
 

@@ -1,18 +1,22 @@
 """Box space assembly, the coarse metric, and ball-isometry radii."""
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boxdim import boxspace as boxspace_module
 from boxdim.boxspace import (
     IsometryProfile,
     build_box_space,
+    check_points,
     coarse_union_of_balls,
     isometry_profile,
     isometry_radius,
     verify_ball_isometry,
 )
-from boxdim.errors import ConfigError, ShapeMismatchError
+from boxdim.errors import ConfigError, ResourceCapError, ShapeMismatchError
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, reduce_mod, unitriangular
 
 
@@ -213,3 +217,32 @@ def test_wraparound_breaks_the_full_radius_embedding():
     key = {tuple(int(x) for x in comp.coords[v]): v for v in range(comp.n_vertices)}
     q = comp.quotient
     assert comp.distance(key[reduce_mod(q, (-5,))], key[reduce_mod(q, (5,))]) == 2
+
+
+def test_check_points_reads_the_graph_cap_at_each_call(monkeypatch):
+    check_points(4096)
+    with pytest.raises(ResourceCapError, match=r"^4097 points exceeds the cap 4096$"):
+        check_points(4097)
+    check_points(60, 60)
+    with pytest.raises(ResourceCapError, match=r"^61 points exceeds the cap 60$"):
+        check_points(61, 60)
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 5)
+    check_points(6, 6)
+    with pytest.raises(ResourceCapError, match=r"^6 points exceeds the cap 5$"):
+        check_points(6)
+
+
+def test_one_raise_spells_the_point_cap_refusal():
+    # every point cap is refused through check_points: one wording, and
+    # one GRAPH_POINT_CAP for tests to patch
+    src = Path(__file__).resolve().parent.parent / "src" / "boxdim"
+    raises = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and "points exceeds the cap" in ast.unparse(node):
+                raises.append((path.name, node.lineno))
+    tree = ast.parse((src / "boxspace.py").read_text())
+    check = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_points")
+    assert raises == [("boxspace.py", node.lineno) for node in ast.walk(check)
+                      if isinstance(node, ast.Raise)]

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import cli_env
+from conftest import cap_address_space, cli_env
 from test_exact_solver import old_rs_dim_exact
 
 from boxdim import cli, covers
@@ -24,15 +24,9 @@ def run_cli(tmp_path, ini_text, *flags, **limits):
         capture_output=True, text=True, cwd=tmp_path, env=cli_env(), **limits)
 
 
-def _cap_address_space():
-    """Run in the child only: 1 GiB of address space."""
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
 def run_capped(tmp_path, ini_text, *flags):
     """run_cli with 1 GiB of address space in the child and a 60 s timeout."""
-    return run_cli(tmp_path, ini_text, *flags, preexec_fn=_cap_address_space, timeout=60)
+    return run_cli(tmp_path, ini_text, *flags, preexec_fn=cap_address_space, timeout=60)
 
 
 PROFILE_INI = """\
@@ -418,7 +412,7 @@ HUGE = str(10 ** 20)
                  "s = 2\nmethod = exhaustive\npoint_cap = 30", 2, "[task] point_cap",
                  id="rsdim exhaustive point_cap"),
     pytest.param(UT3_HEAD + "[filtration]\nmoduli = 3\n\n[task]\nname = rsdim\nr = 2\n"
-                 "s = 2\nmethod = exhaustive", 3, "exceeds point_cap=12",
+                 "s = 2\nmethod = exhaustive", 3, "exceeds the cap 12",
                  id="rsdim exhaustive past its 12 points"),
 ])
 def test_huge_radii_and_distances_exit_cleanly_under_a_memory_cap(tmp_path, ini, code, key):

@@ -6,10 +6,15 @@ even dumber itertools.product check guards both on tiny spaces.
 import itertools
 import random
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import cap_address_space, cli_env
+
+from boxdim import boxspace as boxspace_module
 from boxdim import covers as covers_module
 from boxdim import dimension as dimension_module
 from boxdim.boxspace import build_box_space
@@ -454,6 +459,46 @@ def test_random_metric_space_is_metric():
         FiniteMetricSpace.from_matrix(space.dist_matrix)   # revalidates
 
 
+def test_from_matrix_accepts_exactly_the_triangle_inequality():
+    # symmetric draws with a zero diagonal, half of them metrics with one
+    # entry then shortened; from_matrix must agree with every triple
+    rng = random.Random(404)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = np.zeros((n, n), dtype=np.int64)
+        for i, j in itertools.combinations(range(n), 2):
+            m[i, j] = m[j, i] = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            m = random_metric_space(rng, n, max_distance=6).dist_matrix.astype(np.int64)
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                m[i, j] = m[j, i] = rng.randint(1, m[i, j])
+        metric = all(m[i, j] <= m[i, k] + m[k, j]
+                     for i, j, k in itertools.product(range(n), repeat=3))
+        try:
+            FiniteMetricSpace.from_matrix(m)
+            accepted = True
+        except ConfigError as exc:
+            assert str(exc) == "distance matrix violates the triangle inequality"
+            accepted = False
+        assert accepted == metric, m.tolist()
+        seen.add(accepted)
+    assert seen == {True, False}
+
+
+def test_from_matrix_validates_1024_points_in_1_gib():
+    # the triangle check once built an (n, n, n) array, about 8.6 GB here
+    code = ("import numpy as np\n"
+            "from boxdim.boxspace import FiniteMetricSpace\n"
+            "i = np.arange(1024)\n"
+            "print(FiniteMetricSpace.from_matrix(abs(i[:, None] - i[None, :])).diameter)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1023\n"
+
+
 def test_from_graph_matches_graph_distances():
     g = build_quotient_cayley(CongruenceQuotient(free_abelian(2), 4))
     space = FiniteMetricSpace.from_graph(g)
@@ -884,9 +929,25 @@ def test_profile_rows_match_verifying_every_rung(monkeypatch, name):
     assert any(row[1] is not None for row in want)
 
 
-def test_profile_rows_match_every_rung_on_random_boxes():
-    # seeded sweep over small boxes, scales and the three solver modes; a
-    # refusal must come with the same error and message as the oracle's
+def count_solver_calls(monkeypatch):
+    """Wrap both solvers of the profile; return the list their calls
+    append to, as (method, points, R, S)."""
+    calls = []
+    for method in ("exact", "greedy"):
+        def counted(space, R, S, method=method, solver=getattr(dimension_module,
+                                                                f"rs_dim_{method}")):
+            calls.append((method, space.n_vertices, R, S))
+            return solver(space, R, S)
+        monkeypatch.setattr(dimension_module, f"rs_dim_{method}", counted)
+    return calls
+
+
+def test_profile_rows_match_every_rung_on_random_boxes(monkeypatch):
+    # seeded sweep over small boxes, scales and the three solver modes.
+    # Where the oracle refuses, each R is checked alone: at R >= 2 with
+    # S_cap past every diameter the row is n = 0 and no solver runs, and
+    # otherwise the refusal comes with the oracle's error and message
+    calls = count_solver_calls(monkeypatch)
     rng = random.Random(21)
     boxes = [(free_abelian(1), (2, 4, 8, 16, 32)), (free_abelian(1), (3, 6, 12)),
              (free_abelian(2), (2, 4, 8)), (free_abelian(2), (4, 8)),
@@ -900,18 +961,32 @@ def test_profile_rows_match_every_rung_on_random_boxes():
         S_cap = rng.randint(1, 2 * max(box.diameters) + 2)
         mode = rng.choice(["exact", "greedy", "structured"])
         try:
-            want = old_profile_rows(box, R_list, S_cap, mode)
-        except ResourceCapError as exc:
-            with pytest.raises(ResourceCapError, match=f"^{exc}$"):
-                asdim_profile(box, R_list, S_cap=S_cap, mode=mode)
-            seen.add("refused")
-            continue
-        table = asdim_profile(box, R_list, S_cap=S_cap, mode=mode)
-        got = [(r.R, r.s_achieved, r.n_achieved,
-                None if r.cover is None else r.cover.families) for r in table.rows]
-        assert got == want, (spec, moduli, R_list, S_cap, mode)
-        seen.update((mode, row[2]) for row in want)
-    assert {"refused", ("exact", 0), ("greedy", 1), ("structured", None)} <= seen
+            old_profile_rows(box, R_list, S_cap, mode)
+        except ResourceCapError:
+            R_lists = [[R] for R in R_list]
+        else:
+            R_lists = [R_list]
+        for Rs in R_lists:
+            try:
+                want = old_profile_rows(box, Rs, S_cap, mode)
+            except ResourceCapError as exc:
+                (R,) = Rs
+                if R >= 2 and S_cap >= max(box.diameters):
+                    calls.clear()
+                    (row,) = asdim_profile(box, Rs, S_cap=S_cap, mode=mode).rows
+                    assert row.n_achieved == 0 and calls == [], (spec, moduli, R, S_cap)
+                    seen.add("settled")
+                else:
+                    with pytest.raises(ResourceCapError, match=f"^{exc}$"):
+                        asdim_profile(box, Rs, S_cap=S_cap, mode=mode)
+                    seen.add("refused")
+                continue
+            table = asdim_profile(box, Rs, S_cap=S_cap, mode=mode)
+            got = [(r.R, r.s_achieved, r.n_achieved,
+                    None if r.cover is None else r.cover.families) for r in table.rows]
+            assert got == want, (spec, moduli, Rs, S_cap, mode)
+            seen.update((mode, row[2]) for row in want)
+    assert {"refused", "settled", ("exact", 0), ("greedy", 1), ("structured", None)} <= seen
 
 
 def test_greedy_heisenberg_profile_verifies_two_rungs_and_runs_no_solver(monkeypatch):
@@ -933,20 +1008,44 @@ def test_greedy_heisenberg_profile_verifies_two_rungs_and_runs_no_solver(monkeyp
     assert [(row.s_achieved, row.n_achieved) for row in table.rows] == [(16, 0), (16, 0)]
 
 
-@pytest.mark.parametrize("mode, spec, moduli, S_cap, message", [
-    ("greedy", unitriangular(3), (2, 4, 8), 16, "64 points exceeds the cap 10"),
-    ("exact", free_abelian(1), (8, 64), 32, "64 points exceeds point_cap=60"),
+@pytest.mark.parametrize("mode, spec, moduli, S_cap", [
+    pytest.param("greedy", unitriangular(3), (2, 4, 8), 16, id="greedy UT3 2 4 8"),
+    pytest.param("exact", free_abelian(1), (8, 64), 32, id="exact Z 8 64"),
 ])
-def test_profile_refuses_a_component_past_the_solver_cap(monkeypatch, mode, spec, moduli,
-                                                          S_cap, message):
-    # S_cap is past every diameter, but the first rung, 4, hands each wider
-    # component (greedy: 64 and 512 points, with the cap lowered to 10;
-    # exact: Z mod 64) to the solver, which refuses the first
-    monkeypatch.setattr(dimension_module, "GRAPH_POINT_CAP", 10)
+def test_profile_past_every_diameter_runs_no_solver(monkeypatch, mode, spec, moduli, S_cap):
+    # the first rung, 4, would hand each wider component (greedy: 64 and
+    # 512 points, with the cap lowered to 10; exact: Z mod 64, past 60) to
+    # a solver that refuses it; but S_cap is past every diameter, and the
+    # rung at the widest diameter settles R = 2 at n = 0 with no solver
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 10)
+    calls = count_solver_calls(monkeypatch)
     box = build_box_space(Filtration(spec, moduli))
     assert max(box.diameters) <= S_cap
+    (row,) = asdim_profile(box, (2,), S_cap=S_cap, mode=mode).rows
+    assert (row.s_achieved, row.n_achieved) == (max(box.diameters), 0)
+    assert verify_cover(row.cover, 2, S_cap).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode, spec, moduli, R, S_cap, message", [
+    pytest.param("greedy", unitriangular(3), (2, 4, 8), 2, 6, "64 points exceeds the cap 10",
+                 id="greedy UT3 2 4 8 below"),
+    pytest.param("exact", free_abelian(1), (8, 64), 2, 16, "64 points exceeds the cap 60",
+                 id="exact Z 8 64 below"),
+    pytest.param("exact", free_abelian(1), (8, 64), 1, 32, "64 points exceeds the cap 60",
+                 id="exact Z 8 64 at R 1"),
+])
+def test_profile_refuses_a_component_past_the_solver_cap(monkeypatch, mode, spec, moduli,
+                                                          R, S_cap, message):
+    # S_cap is below the widest diameter, or R = 1 (where no rung has a
+    # lower bound of 1), so the first rung the walk runs is 4 or 2; it
+    # hands each wider component to the solver, which refuses the first
+    # past its cap (greedy's lowered to 10)
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 10)
+    box = build_box_space(Filtration(spec, moduli))
+    assert R == 1 or max(box.diameters) > S_cap
     with pytest.raises(ResourceCapError, match=f"^{message}$"):
-        asdim_profile(box, (2,), S_cap=S_cap, mode=mode)
+        asdim_profile(box, (R,), S_cap=S_cap, mode=mode)
 
 
 @pytest.mark.parametrize("mode, spec, moduli", [

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from boxdim import covers as covers_module
+from boxdim import boxspace as boxspace_module
 from boxdim.cayley import enumerate_ball
 from boxdim.covers import close_clusters, diagonal_transfer
 from boxdim.errors import ConfigError, InsufficientInputError, ResourceCapError
@@ -203,7 +203,7 @@ def test_transfer_refuses_a_ball_past_the_point_cap(monkeypatch):
     with pytest.raises(ResourceCapError, match=r"^4141 points exceeds the cap 4096$"):
         diagonal_transfer(free_abelian(2), [(50, {})], R=1, S=1, r0=45)
     # at the cap itself the transfer runs: B(e, 4) of Z^2 has 41 points
-    monkeypatch.setattr(covers_module, "GRAPH_POINT_CAP", 41)
+    monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 41)
     spec = free_abelian(2)
     coloring = {v: 0 for v in enumerate_ball(spec, 4)}
     res = diagonal_transfer(spec, [(20, coloring)], R=1, S=0, r0=4)
