@@ -15,6 +15,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -158,6 +160,10 @@ class FiniteMetricSpace(Component):
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
         m = np.asarray(matrix)
+        if m.dtype.kind not in "biu" and not all(
+                isinstance(x, Integral) or isinstance(x, (float, np.floating)) and x.is_integer()
+                for x in m.flat):
+            raise ConfigError("distance matrix entries must be integers")
         if m.size and abs(m).max() > np.iinfo(np.int32).max:    # stored as int32
             raise ConfigError("distance matrix has an entry past ±(2**31 - 1)")
         m = m.astype(np.int64)
@@ -203,34 +209,41 @@ def build_box_space(filtration: Filtration, vertex_cap: int = 10 ** 6,
 
 @dataclass(frozen=True)
 class IsometryRadius:
-    """Largest verified k with B_G(e, 2k) meeting the kernel only at e.
-
-    exact=False means the BFS budget ran out first, so radius is a certified
-    lower bound rather than the exact value.
-    """
+    """Largest verified k with B_G(e, k) mapping injectively into the quotient;
+    exact=False means the budget ran out first, so k is a certified lower bound."""
 
     radius: int
     exact: bool
 
 
-def isometry_radius(quotient, budget: int = 10 ** 7) -> IsometryRadius:
-    """BFS the infinite group outward until the first kernel element.
+def _injective(quotient, levels):
+    """Yield (rows, ok) per sphere of levels, outward from e: ok holds while
+    the ball so far maps injectively into the quotient, compared on reduced
+    keys (coordinates mod m read as one base-m integer).  Only the last two
+    spheres' keys are kept: if B(e, k-1) maps injectively, the kernel meets
+    B(e, 2k-2) only at e, so x != y of lengths k and j with one image give
+    x^-1 y in the kernel with length <= k + j, hence j >= k - 1."""
+    m, ok, last = quotient.modulus, True, []
+    for rows in levels:
+        if ok:
+            keys = row_keys(rows % m, 0, m)
+            near = np.concatenate(last + [keys])
+            ok, last = sorted_distinct(near).size == near.size, [keys]
+        yield rows, ok
 
-    A first kernel hit at word length L pins the exact radius floor((L-1)/2):
-    every shorter ball misses the kernel and B(e, L) does not.
-    """
-    m = quotient.modulus
-    total = 1
-    for level, rows in enumerate(ball_levels(quotient.spec)):
-        if level == 0:
-            continue
-        if (rows % m == 0).all(axis=1).any():
-            return IsometryRadius(radius=(level - 1) // 2, exact=True)
+
+def isometry_radius(quotient, budget: int = 10 ** 7) -> IsometryRadius:
+    """Walk the spheres until sphere k collides in the quotient: the exact
+    radius is k - 1.  Past budget elements (e included) after sphere k >= 1,
+    B(e, k) is certified and k is a lower bound."""
+    total = 0
+    for k, (rows, ok) in enumerate(_injective(quotient, ball_levels(quotient.spec))):
+        if not ok:
+            return IsometryRadius(radius=k - 1, exact=True)
         total += rows.shape[0]
-        if total > budget:
-            # level fully explored and kernel-free, so B(e, level) is clean
-            return IsometryRadius(radius=level // 2, exact=False)
-    raise ConfigError("group exhausted without reaching the kernel; "
+        if k and total > budget:
+            return IsometryRadius(radius=k, exact=False)
+    raise ConfigError("group exhausted without a collision in the quotient; "
                       "generators do not generate an infinite group")
 
 
@@ -239,14 +252,9 @@ def verify_ball_isometry(quotient, k: int, state_cap: int = 10 ** 7) -> bool:
 
     Injectivity makes the rooted, generator-labeled ball of the quotient an
     exact copy of the ball of G: edges and labels are preserved by any
-    homomorphism, so injectivity is the entire content.  It holds iff the
-    reduced coordinates of the ball's elements, read as base-m keys, are
-    distinct.
-    """
-    m = quotient.modulus
-    keys = np.concatenate([row_keys(rows % m, 0, m) for rows in
-                           _ball(quotient.spec, k, state_cap)])
-    return sorted_distinct(keys).size == keys.size
+    homomorphism, so injectivity is the entire content.  Every sphere is
+    read, so a ball past state_cap raises ResourceCapError."""
+    return [ok for _, ok in _injective(quotient, _ball(quotient.spec, k, state_cap))][-1]
 
 
 @dataclass(frozen=True)
@@ -263,20 +271,12 @@ class IsometryProfile:
 
     @property
     def effective_radii(self) -> tuple:
-        out = []
-        best = 0
-        for r in self.radii:
-            best = max(best, r.radius)
-            out.append(best)
-        return tuple(out)
+        return tuple(accumulate((r.radius for r in self.radii), max))
 
     def threshold(self, k: int):
         """Smallest component index whose ball of radius k is a copy of the
         ball of G, or None if the truncation has no such component."""
-        for i, r in enumerate(self.effective_radii):
-            if r >= k:
-                return i
-        return None
+        return next((i for i, r in enumerate(self.effective_radii) if r >= k), None)
 
 
 def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:

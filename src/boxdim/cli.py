@@ -559,8 +559,8 @@ def task_transfer(args, cfg, sec):
     r0 = _get(sec, "r0")
     radii = _get(sec, "radii", _ints)
     stripe = S + 1
-    if stripe < R:
-        raise ConfigError(f"striped inputs need S + 1 >= R, got S={S} R={R}")
+    if stripe < max(R, 1):
+        raise ConfigError(f"striped inputs need S + 1 >= max(R, 1), got S={S} R={R}")
     if any(2 * r + 1 > args.state_cap for r in radii):
         raise ResourceCapError(f"[task] radii: a striped input passes state_cap = {args.state_cap}")
     inputs = [(r, {(x,): (x // stripe) % 2 for x in range(-r, r + 1)}) for r in radii]

@@ -236,23 +236,6 @@ class CongruenceQuotient:
         return self.modulus ** num_coordinates(self.spec)
 
 
-def reduce_mod(quotient: CongruenceQuotient, elt):
-    """Image of elt in the quotient, coordinates in [0, m)."""
-    m = quotient.modulus
-
-    def red(spec, e):
-        if spec.kind == DIRECT_PRODUCT:
-            return tuple(red(f, p) for f, p in zip(spec.factors, e))
-        return tuple(c % m for c in e)
-
-    return red(quotient.spec, elt)
-
-
-def is_kernel_element(quotient: CongruenceQuotient, elt) -> bool:
-    """True iff every coordinate of elt is divisible by the modulus."""
-    return all(c % quotient.modulus == 0 for c in flatten(quotient.spec, elt))
-
-
 @dataclass(frozen=True)
 class Filtration:
     """The moduli of a box space's components.

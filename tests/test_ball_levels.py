@@ -3,9 +3,12 @@
 The oracles below are the tuple-arithmetic loops that ball enumeration,
 isometry radii, ball-isometry checks and induced balls used before they
 were rebuilt on cayley.ball_levels; every result must agree exactly,
-including cap errors and budget cuts.
+including cap errors.  isometry_radius now tests injectivity on B(e, k)
+sphere by sphere, so the old kernel walk over B(e, 2k) is an independent
+check of its exact radii, and a scalar injectivity walk checks its budget
+cuts.
 """
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -18,7 +21,13 @@ from boxdim.boxspace import (
     isometry_radius,
     verify_ball_isometry,
 )
-from boxdim.cayley import ball_levels, breadth_first_distances, enumerate_ball, growth_profile
+from boxdim.cayley import (
+    ball_levels,
+    breadth_first_distances,
+    build_quotient_cayley,
+    enumerate_ball,
+    growth_profile,
+)
 from boxdim.errors import ConfigError, ResourceCapError
 from boxdim.groups import (
     CongruenceQuotient,
@@ -27,11 +36,10 @@ from boxdim.groups import (
     free_abelian,
     identity,
     invert,
-    is_kernel_element,
     multiply,
-    reduce_mod,
     unitriangular,
 )
+from scalar_oracle import is_kernel_element, reduce_mod
 
 
 def old_enumerate_ball(spec, r_max, state_cap=10 ** 7):
@@ -77,6 +85,22 @@ def old_isometry_radius(quotient, budget=10 ** 7):
             return (level // 2, False)
         frontier = nxt
     raise ConfigError("group exhausted")
+
+
+def injective_radius(quotient, budget=10 ** 7):
+    """The first k whose ball B(e, k) holds two elements with one reduced
+    image gives (k - 1, exact); else |B(e, k)| > budget at k >= 1 gives
+    (k, cut).  A ball that stops growing has exhausted the group."""
+    size = 0
+    for k in count():
+        ball = old_enumerate_ball(quotient.spec, k)
+        if len({reduce_mod(quotient, v) for v in ball}) < len(ball):
+            return (k - 1, True)
+        if k and len(ball) > budget:
+            return (k, False)
+        if len(ball) == size:
+            raise ConfigError("group exhausted")
+        size = len(ball)
 
 
 def old_verify_ball_isometry(quotient, k, state_cap=10 ** 7):
@@ -240,31 +264,60 @@ ISO_CASES = [
 ]
 
 
+def check_against_oracles(q, budget):
+    """Exact where the kernel walk is exact, the injectivity walk's answer
+    everywhere, and never a smaller radius than the kernel walk's."""
+    r = isometry_radius(q, budget=budget)
+    got, old = (r.radius, r.exact), old_isometry_radius(q, budget)
+    if old[1]:
+        assert got == old, (q.modulus, budget)
+    assert got[0] >= old[0], (q.modulus, budget)
+    assert got == injective_radius(q, budget), (q.modulus, budget)
+    return got
+
+
 @pytest.mark.parametrize("name,moduli", ISO_CASES)
 def test_isometry_radius_matches_scalar_bfs(name, moduli):
     spec, _ = SPECS[name]
     for m in moduli:
         q = CongruenceQuotient(spec, m)
         for budget in (0, 1, 2, 5, 20, 100, 10 ** 7):
-            got = isometry_radius(q, budget=budget)
-            assert (got.radius, got.exact) == old_isometry_radius(q, budget), (m, budget)
+            check_against_oracles(q, budget)
+
+
+@pytest.mark.parametrize("name,moduli", ISO_CASES)
+def test_isometry_radius_matches_quotient_ball_sizes(name, moduli):
+    # the quotient map sends B_G(e, k) onto B_Q(e, k), so it is injective
+    # on B_G(e, k) exactly when the two balls have the same size
+    spec, _ = SPECS[name]
+    for m in moduli:
+        q = CongruenceQuotient(spec, m)
+        try:
+            graph = build_quotient_cayley(q, vertex_cap=10 ** 5)
+        except ResourceCapError:
+            continue
+        except ConfigError as e:
+            # generators whose images do not generate, say 2^61 mod 2
+            assert "does not generate the quotient" in str(e)
+            continue
+        r = isometry_radius(q)
+        assert r.exact
+        sizes = growth_profile(spec, r.radius + 1).sizes
+        same = [sizes[k] == graph.ball_size(k) for k in range(r.radius + 2)]
+        assert same == [True] * (r.radius + 1) + [False], m
 
 
 def test_isometry_radius_budget_cuts_are_inexact():
     q = CongruenceQuotient(unitriangular(3), 32)
-    cut = isometry_radius(q, budget=1000)
-    assert not cut.exact
-    assert (cut.radius, cut.exact) == old_isometry_radius(q, 1000)
+    assert check_against_oracles(q, 1000) == (7, False)
 
 
 def test_isometry_radius_on_a_finite_group():
     q = CongruenceQuotient(free_abelian(1, [(0,)]), 5)
-    with pytest.raises(ConfigError):
-        isometry_radius(q)
-    with pytest.raises(ConfigError):
-        old_isometry_radius(q)
-    got = isometry_radius(q, budget=0)
-    assert (got.radius, got.exact) == old_isometry_radius(q, budget=0)
+    for radius in (isometry_radius, old_isometry_radius, injective_radius):
+        with pytest.raises(ConfigError):
+            radius(q)
+    assert check_against_oracles(q, 0) == (1, False)
 
 
 @pytest.mark.parametrize("name,moduli", [

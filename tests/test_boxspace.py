@@ -17,7 +17,8 @@ from boxdim.boxspace import (
     verify_ball_isometry,
 )
 from boxdim.errors import ConfigError, ResourceCapError, ShapeMismatchError
-from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, reduce_mod, unitriangular
+from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
+from scalar_oracle import reduce_mod
 
 
 def test_build_small_box():

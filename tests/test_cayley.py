@@ -43,10 +43,10 @@ from boxdim.groups import (
     identity,
     invert,
     multiply,
-    reduce_mod,
     unflatten,
     unitriangular,
 )
+from scalar_oracle import reduce_mod
 
 # Heisenberg ball sizes r = 0..12, from an independent word-products
 # enumeration with raw matrix arithmetic (frozen).

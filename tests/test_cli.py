@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -389,6 +390,11 @@ HUGE = str(10 ** 20)
                  "k_list = " + HUGE, 0, {"thresholds": {HUGE: None}}, id="isoradius k_list"),
     pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = " + HUGE + "\nradii = 4 6",
                  2, "need r0", id="transfer r0"),
+    # a stripe of width S + 1 = 0 divided by zero; a negative one wrote outputs
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr = 0\ns = -1\nr0 = 1\nradii = 6 8",
+                 2, "striped inputs need", id="transfer stripe 0"),
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr = -5\ns = -3\nr0 = 1\nradii = 6 8",
+                 2, "striped inputs need", id="transfer stripe -2"),
     pytest.param(RANDOM_RSDIM.replace("random", HUGE), 2, "unknown rsdim source",
                  id="rsdim source"),
     pytest.param(RANDOM_RSDIM + "points = " + HUGE, 3, "exceeds the cap 1024",
@@ -736,6 +742,12 @@ def test_malformed_values_of_every_key_exit_cleanly(tmp_path, monkeypatch, capsy
                 cfg.write_text(ini_text(sections))
                 code = cli.main(["--config", str(cfg)])
                 assert code in (0, 2, 3, 4), (section, key, value, capsys.readouterr().err)
+    # every pair of task keys at once, each -1 or 0
+    for pair in combinations(sorted(task_keys), 2):
+        for values in product(("-1", "0"), repeat=2):
+            cfg.write_text(ini_text({**base, "task": {**base["task"], **dict(zip(pair, values))}}))
+            code = cli.main(["--config", str(cfg)])
+            assert code in (0, 2, 3, 4), (pair, values, capsys.readouterr().err)
 
 
 def test_truncated_witness_exits_2(tmp_path):

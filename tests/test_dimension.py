@@ -436,6 +436,19 @@ def test_from_matrix_validation():
         FiniteMetricSpace.from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     with pytest.raises(ConfigError):
         FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1]])
+    # entries that are not integers used to be truncated, or to raise
+    # numpy's UFuncTypeError
+    nan, inf = float("nan"), float("inf")
+    for matrix in ([[0, 1.5, 2.5], [1.5, 0, 1.5], [2.5, 1.5, 0]],
+                   np.array([[0, 1.5], [1.5, 0]], dtype=np.float32),
+                   [[0, nan], [nan, 0]], [[0, inf], [inf, 0]], [[0, -inf], [1, 0]],
+                   [["0", "1"], ["1", "0"]], [[0, "a"], [1, 0]], [[0, None], [None, 0]],
+                   [[0, 10 ** 20], [1.5, 0]], [[0, 1 + 0j], [1 + 0j, 0]]):
+        with pytest.raises(ConfigError, match="entries must be integers"):
+            FiniteMetricSpace.from_matrix(matrix)
+    for matrix in ([[0, 2.0], [2.0, 0]], np.array([[0, 2], [2, 0]], dtype=np.float32),
+                   np.array([[0, 2], [2, 0]], dtype=object)):
+        assert FiniteMetricSpace.from_matrix(matrix).dist_matrix.tolist() == [[0, 2], [2, 0]]
 
 
 def test_distances_past_int32_are_refused():

@@ -20,13 +20,12 @@ from boxdim.groups import (
     hirsch_length,
     identity,
     invert,
-    is_kernel_element,
     multiply,
     num_coordinates,
-    reduce_mod,
     unflatten,
     unitriangular,
 )
+from scalar_oracle import is_kernel_element, reduce_mod
 
 
 # --- independent matrix oracle -------------------------------------------

@@ -32,10 +32,10 @@ from boxdim.groups import (  # noqa: E402
     invert,
     multiply,
     num_coordinates,
-    reduce_mod,
     unflatten,
     unitriangular,
 )
+from scalar_oracle import reduce_mod  # noqa: E402
 from test_covers import brute_multiplicity  # noqa: E402
 from test_exact_solver import old_rs_dim_exact  # noqa: E402
 
