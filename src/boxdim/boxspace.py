@@ -6,12 +6,14 @@ Within a component distances are graph distances; between components
 i != j the distance is exactly diameters[i] + diameters[j].
 
 Also provided: ball-isometry radii (the largest k such that B(e, k) of the
-infinite group maps injectively into the quotient) and coarse unions of
-balls of the infinite group (matrix-backed FiniteMetricSpace components),
-which serve as the subspace substrate for the transfer arguments.
+infinite group maps injectively into the quotient) and balls of the
+infinite group as subspaces of it: ball_space gives B(e, r) with G's word
+metric, the one metric space per ball that coarse_union_of_balls and the
+diagonal transfer both read.
 """
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,12 +29,11 @@ from .cayley import (
     Component,
     _ball,
     ball_levels,
-    breadth_first_distances,
     build_quotient_cayley,
     checked_ids,
-    neighbour_table,
     row_keys,
     sorted_distinct,
+    word_distances,
 )
 from .groups import Filtration, GroupSpec, unflatten
 
@@ -108,7 +109,7 @@ class BoxSpace(CoarseUnion):
 
 
 MATRIX_POINT_CAP = 1024     # largest explicit matrix validated or drawn at random
-GRAPH_POINT_CAP = 4096      # check_points' default: from_graph, greedy, an induced ball, transfer
+GRAPH_POINT_CAP = 4096      # check_points' default: from_graph, greedy, ball_space
 
 
 def check_points(n: int, cap: int | None = None) -> None:
@@ -130,8 +131,8 @@ def metric_closure(m: np.ndarray) -> np.ndarray:
 class FiniteMetricSpace(Component):
     """A finite metric space backed by an explicit integer distance matrix.
 
-    elements names the points of a ball of the group (coarse_union_of_balls)
-    and is None otherwise.
+    elements names the points of a ball of the group (ball_space) and is
+    None otherwise.
     """
 
     def __init__(self, dist_matrix: np.ndarray, elements: tuple | None = None):
@@ -159,7 +160,10 @@ class FiniteMetricSpace(Component):
 
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
-        m = np.asarray(matrix)
+        try:
+            m = np.asarray(matrix)
+        except ValueError:      # numpy's "inhomogeneous shape"
+            raise ConfigError("distance matrix rows are ragged") from None
         if m.dtype.kind not in "biu" and not all(
                 isinstance(x, Integral) or isinstance(x, (float, np.floating)) and x.is_integer()
                 for x in m.flat):
@@ -261,17 +265,20 @@ def verify_ball_isometry(quotient, k: int, state_cap: int = 10 ** 7) -> bool:
 class IsometryProfile:
     """Per-component isometry radii of a box space and the scale thresholds.
 
-    effective_radii is the running maximum of the computed radii: kernels
-    shrink along the filtration, so a radius certified for component i is
-    also valid for every later component even when a budget cut the later
-    computation short.
+    On a nested filtration effective_radii is the running maximum of the
+    computed radii: kernels shrink along the filtration, so a radius
+    certified for component i is also valid for every later component even
+    when a budget cut the later computation short.  Otherwise each
+    component keeps its own radius.
     """
 
     radii: tuple                 # of IsometryRadius, one per component
+    nested: bool = True
 
     @property
     def effective_radii(self) -> tuple:
-        return tuple(accumulate((r.radius for r in self.radii), max))
+        radii = (r.radius for r in self.radii)
+        return tuple(accumulate(radii, max) if self.nested else radii)
 
     def threshold(self, k: int):
         """Smallest component index whose ball of radius k is a copy of the
@@ -281,36 +288,35 @@ class IsometryProfile:
 
 def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:
     return IsometryProfile(radii=tuple(
-        isometry_radius(g.quotient, budget) for g in box.components))
+        isometry_radius(g.quotient, budget) for g in box.components),
+        nested=box.filtration.nested)
 
 
 # --- coarse unions of balls of the infinite group ---------------------------
 
-def _induced_ball(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
-    """B_G(e, radius) with the metric of the subgraph induced by G's edges.
+def ball_space(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpace:
+    """B_G(e, radius) as a subspace of G, with the word metric |u^-1 v|.
 
-    Points are ordered by word length, then lexicographically.  A ball
-    past check_points' cap is refused before its matrix.  The neighbour
-    table finds each generator step by searchsorted on the ball's keys; a
-    step that leaves the ball becomes a self-loop, which BFS then never
-    follows.
-    """
-    ball = np.concatenate(list(_ball(spec, radius, state_cap)))
-    check_points(ball.shape[0])
-    table = neighbour_table(spec, ball)
-    own = np.arange(ball.shape[0])[:, None]
-    table = np.where(table < 0, own, table).astype(np.int32)
-    dist = np.stack([breadth_first_distances(table, [s]) for s in range(ball.shape[0])])
-    # balls of a connected graph stay connected through the identity
-    assert (dist >= 0).all()
-    elements = tuple(unflatten(spec, row) for row in ball.tolist())
-    return FiniteMetricSpace(dist, elements=elements)
+    elements names the points, by word length, then lexicographically.  The
+    spheres of B(e, 2 radius) are read lazily: a ball past check_points'
+    cap is refused before the rest is built."""
+    if radius < 0:
+        raise ConfigError(f"ball radius must be >= 0, got {radius}")
+    levels = _ball(spec, 2 * radius, state_cap)
+    ball = [rows for _, rows in zip(range(radius + 1), levels)]
+    check_points(sum(rows.shape[0] for rows in ball))
+    elements = tuple(unflatten(spec, row) for row in np.concatenate(ball).tolist())
+    return FiniteMetricSpace(word_distances(spec, ball + list(levels), radius),
+                             elements=elements)
 
 
 def coarse_union_of_balls(spec: GroupSpec, radii,
                           state_cap: int = 10 ** 6) -> CoarseUnion:
     """The balls B_G(e, r), r in radii, as one coarse disjoint union."""
-    radii = tuple(int(r) for r in radii)
+    try:
+        radii = tuple(map(operator.index, radii))
+    except TypeError:
+        raise ConfigError("radii must be integers") from None
     if not radii:
         raise ConfigError("need at least one radius")
     for a, b in zip(radii, radii[1:]):
@@ -318,4 +324,4 @@ def coarse_union_of_balls(spec: GroupSpec, radii,
             raise ConfigError(f"radii must be strictly increasing, got {a} then {b}")
     if radii[0] < 0:
         raise ConfigError("radii must be non-negative")
-    return CoarseUnion(_induced_ball(spec, r, state_cap) for r in radii)
+    return CoarseUnion(ball_space(spec, r, state_cap) for r in radii)

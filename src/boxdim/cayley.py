@@ -454,15 +454,6 @@ def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarra
     return np.stack(list(cols), axis=-1)
 
 
-def neighbour_table(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """(n, 2g) int64: entry (i, j) is the index in rows of rows[i] times
-    generator j (the inverses follow the generators), or -1 where that
-    product is not a row.  Rows must be distinct."""
-    steps = _products(spec, rows, _steps(spec, spec.generators))
-    find = _row_index(rows, max(_abs_max(rows), _abs_max(steps)))
-    return find(steps.reshape(-1, rows.shape[1])).reshape(steps.shape[:2])
-
-
 def ball_levels(spec: GroupSpec, state_cap: int | None = None):
     """The spheres of the infinite group's Cayley graph, outward from e.
 

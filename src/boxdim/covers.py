@@ -22,17 +22,15 @@ from itertools import chain
 
 import numpy as np
 
-from .boxspace import BoxSpace, CoarseUnion, FiniteMetricSpace, check_points, thread_map
+from .boxspace import BoxSpace, CoarseUnion, ball_space, thread_map
 from .cayley import (
     PAIR_CAP,
     CayleyGraph,
     GrowthBound,
-    _ball,
     coords_invert,
     coords_multiply,
     product_ids,
     sorted_distinct,
-    word_distances,
 )
 from .errors import (
     ConfigError,
@@ -40,7 +38,7 @@ from .errors import (
     InsufficientInputError,
     VerificationError,
 )
-from .groups import GroupSpec, unflatten
+from .groups import GroupSpec
 
 # Rows per batched verifier block: translated ball points for multiplicity,
 # set points for diameter keys.  It bounds the verifier's extra memory, so it
@@ -979,8 +977,8 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
     disagree are discarded.  Radii surviving to the end agreed with every
     choice, so on honest inputs the output restricts one of them; its
     (R, S) validity is nevertheless re-checked by verify_cover over
-    B(e, r0) with G's word metric (word_distances), and failure raises.
-    A B(e, r0) past check_points' cap is refused up front.
+    B(e, r0) with G's word metric (ball_space, which refuses a B(e, r0)
+    past check_points' cap), and failure raises.
     """
     if not inputs:
         raise InsufficientInputError("insufficient input radii: none provided")
@@ -997,13 +995,10 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
             if bad:
                 raise ConfigError(f"radius {r}: family index {bad[0]} outside 0..{n}")
 
-    levels = list(_ball(spec, 2 * r0, state_cap))
-    check_points(sum(rows.shape[0] for rows in levels[:r0 + 1]))
-    ball = [unflatten(spec, row) for row in np.concatenate(levels[:r0 + 1]).tolist()]
-
+    space = ball_space(spec, r0, state_cap)
     live = list(range(len(inputs)))
     coloring = {}
-    for elt in ball:
+    for elt in space.elements:
         voters = {}
         for idx in live:
             val = inputs[idx][1].get(elt)
@@ -1018,8 +1013,7 @@ def diagonal_transfer(spec: GroupSpec, inputs, R: int, S: int, r0: int,
         live = voters[choice]
 
     palette = {c: i for i, c in enumerate(dict.fromkeys(coloring.values()))}
-    cover = _coloring_to_cover(FiniteMetricSpace(word_distances(spec, levels, r0)),
-                               [palette[c] for c in coloring.values()], R)
+    cover = _coloring_to_cover(space, [palette[c] for c in coloring.values()], R)
     # no pair is closer than R <= 0, and a set has diameter > S for S < 0
     # exactly when it does for S = 0: when it has two points
     if not verify_cover(cover, max(R, 0), max(S, 0)).ok:

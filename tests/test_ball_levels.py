@@ -1,9 +1,9 @@
 """The frontier BFS of the infinite group against a scalar tuple oracle.
 
 The oracles below are the tuple-arithmetic loops that ball enumeration,
-isometry radii, ball-isometry checks and induced balls used before they
-were rebuilt on cayley.ball_levels; every result must agree exactly,
-including cap errors.  isometry_radius now tests injectivity on B(e, k)
+isometry radii and ball-isometry checks used before they were rebuilt on
+cayley.ball_levels, and the word metric of a ball read from scalar
+products; every result must agree exactly, including cap errors.  isometry_radius now tests injectivity on B(e, k)
 sphere by sphere, so the old kernel walk over B(e, 2k) is an independent
 check of its exact radii, and a scalar injectivity walk checks its budget
 cuts.
@@ -16,14 +16,13 @@ import pytest
 from boxdim import boxspace as boxspace_module
 from boxdim import cayley as cayley_module
 from boxdim.boxspace import (
-    _induced_ball,
+    ball_space,
     coarse_union_of_balls,
     isometry_radius,
     verify_ball_isometry,
 )
 from boxdim.cayley import (
     ball_levels,
-    breadth_first_distances,
     build_quotient_cayley,
     enumerate_ball,
     growth_profile,
@@ -108,15 +107,13 @@ def old_verify_ball_isometry(quotient, k, state_cap=10 ** 7):
     return len({reduce_mod(quotient, v) for v in ball}) == len(ball)
 
 
-def old_induced_ball(spec, radius, state_cap):
-    lengths = old_enumerate_ball(spec, radius, state_cap)
-    elements = sorted(lengths, key=lambda v: (lengths[v], flatten(spec, v)))
-    index = {v: i for i, v in enumerate(elements)}
-    gens = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    table = np.array([[index.get(multiply(spec, v, g), i) for g in gens]
-                      for i, v in enumerate(elements)], dtype=np.int32)
-    dist = np.stack([breadth_first_distances(table, [s]) for s in range(len(elements))])
-    return dist, tuple(elements)
+def scalar_word_metric(spec, r):
+    """B(e, r) sorted by (word length, coordinates) and its word metric
+    |u^-1 v|, each length read from the scalar B(e, 2r)."""
+    lengths = old_enumerate_ball(spec, 2 * r)
+    ball = sorted((v for v in lengths if lengths[v] <= r),
+                  key=lambda v: (lengths[v], flatten(spec, v)))
+    return [[lengths[multiply(spec, invert(spec, u), v)] for v in ball] for u in ball], ball
 
 
 BIG = 2 ** 61
@@ -233,7 +230,7 @@ def test_radii_past_the_state_cap_raise_the_same_error(name):
         calls = (lambda r: enumerate_ball(spec, r, state_cap=cap),
                  lambda r: growth_profile(spec, r, state_cap=cap),
                  lambda r: verify_ball_isometry(q, r, state_cap=cap),
-                 lambda r: _induced_ball(spec, r, cap))
+                 lambda r: ball_space(spec, r, cap))
         for call in calls:
             with pytest.raises(ResourceCapError) as want:
                 call(max(cap, 1))
@@ -363,26 +360,14 @@ def test_verify_ball_isometry_with_keys_beyond_int64():
     ("UT3_gen_2^31", (2,)),
 ])
 def test_induced_ball_matches_scalar_tables(name, radii):
+    # B(e, r) with the metric induced from G: its word metric, not the path
+    # metric of the subgraph it spans (on UT(3) the two differ from r = 3)
     spec, _ = SPECS[name]
     for r in radii:
-        ball = _induced_ball(spec, r, 10 ** 6)
-        dist, elements = old_induced_ball(spec, r, 10 ** 6)
-        assert ball.elements == elements
-        assert np.array_equal(ball.dist_matrix, dist)
-
-
-def test_neighbour_table_marks_steps_out_of_the_rows():
-    spec = unitriangular(3)
-    steps = list(spec.generators) + [invert(spec, g) for g in spec.generators]
-    identity_row = np.zeros((1, 3), dtype=np.int64)
-    assert cayley_module.neighbour_table(spec, identity_row).tolist() == [[-1] * 4]
-    ball = np.concatenate([rows for _, rows in zip(range(3), ball_levels(spec))])
-    table = cayley_module.neighbour_table(spec, ball)
-    elements = [tuple(row) for row in ball.tolist()]
-    for i, v in enumerate(elements):
-        for j, g in enumerate(steps):
-            w = multiply(spec, v, g)
-            assert table[i, j] == (elements.index(w) if w in elements else -1)
+        ball = ball_space(spec, r, 10 ** 6)
+        want, elements = scalar_word_metric(spec, r)
+        assert ball.elements == tuple(elements)
+        assert ball.dist_matrix.tolist() == want
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -390,10 +375,7 @@ def test_word_distances_match_scalar_products(name):
     # int64 products and keys, object keys, and object arithmetic
     spec, r_max = SPECS[name]
     r = min(3, r_max // 2)
-    lengths = old_enumerate_ball(spec, 2 * r)
-    ball = sorted((v for v in lengths if lengths[v] <= r),
-                  key=lambda v: (lengths[v], flatten(spec, v)))
-    want = [[lengths[multiply(spec, invert(spec, u), v)] for v in ball] for u in ball]
+    want, _ = scalar_word_metric(spec, r)
     levels = list(islice(ball_levels(spec), 2 * r + 1))
     assert cayley_module.word_distances(spec, levels, r).tolist() == want
 
@@ -402,10 +384,7 @@ def test_word_distances_in_row_blocks(monkeypatch):
     monkeypatch.setattr(cayley_module, "PAIR_ROWS", 7)
     spec = unitriangular(3)
     levels = list(islice(ball_levels(spec), 5))
-    lengths = old_enumerate_ball(spec, 4)
-    ball = sorted((v for v in lengths if lengths[v] <= 2),
-                  key=lambda v: (lengths[v], flatten(spec, v)))
-    want = [[lengths[multiply(spec, invert(spec, u), v)] for v in ball] for u in ball]
+    want, ball = scalar_word_metric(spec, 2)
     assert len(ball) > 7
     assert cayley_module.word_distances(spec, levels, 2).tolist() == want
 
@@ -416,7 +395,7 @@ def test_induced_ball_refuses_past_the_point_cap(monkeypatch):
         coarse_union_of_balls(unitriangular(3), [10])
     # the cap is inclusive: B(e, 2) of UT(3) has 17 points
     monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 17)
-    assert _induced_ball(unitriangular(3), 2, 10 ** 6).n_vertices == 17
+    assert ball_space(unitriangular(3), 2, 10 ** 6).n_vertices == 17
     monkeypatch.setattr(boxspace_module, "GRAPH_POINT_CAP", 16)
     with pytest.raises(ResourceCapError, match=r"^17 points exceeds the cap 16$"):
-        _induced_ball(unitriangular(3), 2, 10 ** 6)
+        ball_space(unitriangular(3), 2, 10 ** 6)

@@ -9,6 +9,7 @@ import pytest
 from boxdim import boxspace as boxspace_module
 from boxdim.boxspace import (
     IsometryProfile,
+    IsometryRadius,
     build_box_space,
     check_points,
     coarse_union_of_balls,
@@ -153,6 +154,19 @@ def test_effective_radii_absorb_budget_cuts():
     assert prof.effective_radii[1] >= prof.effective_radii[0] == 31
 
 
+def test_effective_radii_of_a_non_nested_family_are_its_own_radii():
+    # listed after Z mod 16, Z mod 4 keeps its own radius 1: a running
+    # maximum would claim 7, and B(e, 2) of Z already wraps mod 4
+    box = build_box_space(Filtration(free_abelian(1), (16, 4), nested=False))
+    prof = isometry_profile(box)
+    assert [r.radius for r in prof.radii] == [7, 1]
+    assert prof.effective_radii == (7, 1)
+    assert (prof.threshold(2), prof.threshold(8)) == (0, None)
+    radii = (IsometryRadius(7, True), IsometryRadius(1, True))
+    assert IsometryProfile(radii, nested=False).effective_radii == (7, 1)
+    assert IsometryProfile(radii).effective_radii == (7, 7)
+
+
 # --- coarse unions of balls -------------------------------------------------
 
 def test_union_of_balls_z():
@@ -172,7 +186,7 @@ def test_union_of_balls_z2():
 def test_union_ball_metric_is_induced_path_metric():
     u = coarse_union_of_balls(free_abelian(1), (3,))
     c = u.components[0]
-    # a ball of Z is an interval; induced distance is plain difference
+    # a ball of Z is an interval; its word metric is plain difference
     for i, a in enumerate(c.elements):
         for j, b in enumerate(c.elements):
             assert c.distance(i, j) == abs(a[0] - b[0])
@@ -185,6 +199,23 @@ def test_union_of_balls_validation():
         coarse_union_of_balls(free_abelian(1), (3, 3))
     with pytest.raises(ConfigError):
         coarse_union_of_balls(free_abelian(1), (-1, 2))
+    # a radius is read as an integer, never truncated or parsed
+    for radii in ((2.7,), ("3",), (1, 2.0), (None,)):
+        with pytest.raises(ConfigError, match="radii must be integers"):
+            coarse_union_of_balls(free_abelian(1), radii)
+    assert coarse_union_of_balls(free_abelian(1), (np.int64(2),)).n_points == 5
+
+
+def assert_balls_embed(box, radii):
+    """Each ball of coarse_union_of_balls maps injectively into its
+    component, and its distances are the quotient distances of the images."""
+    union = coarse_union_of_balls(box.spec, radii)
+    for ball, comp in zip(union.components, box.components):
+        key = {tuple(int(x) for x in comp.coords[v]): v for v in range(comp.n_vertices)}
+        image = np.array([key[reduce_mod(comp.quotient, e)] for e in ball.elements])
+        assert len(set(image.tolist())) == ball.n_vertices
+        for i in range(ball.n_vertices):
+            assert ball.dist_matrix[i].tolist() == comp.distances_from(image[i], image).tolist()
 
 
 def test_balls_embed_in_components_at_quarter_modulus():
@@ -193,17 +224,14 @@ def test_balls_embed_in_components_at_quarter_modulus():
     # subspace-embedding check (at the full isometry radius the restricted
     # metrics genuinely differ: opposite ends of the interval wrap around)
     box = build_box_space(Filtration(free_abelian(1), (8, 16, 32)))
-    radii = tuple(m // 4 for m in box.moduli)
-    union = coarse_union_of_balls(free_abelian(1), radii)
-    for ci, ball in enumerate(union.components):
-        comp = box.components[ci]
-        q = comp.quotient
-        key = {tuple(int(x) for x in comp.coords[v]): v for v in range(comp.n_vertices)}
-        image = [key[reduce_mod(q, e)] for e in ball.elements]
-        assert len(set(image)) == ball.n_vertices
-        for i in range(ball.n_vertices):
-            for j in range(ball.n_vertices):
-                assert ball.distance(i, j) == comp.distance(image[i], image[j])
+    assert_balls_embed(box, tuple(m // 4 for m in box.moduli))
+    # UT(3): with B(e, rho) injective, u^-1 v of u, v in B(e, rho // 2) has
+    # the same length in G and in the quotient, so the ball carries G's word
+    # metric; the path metric of the subgraph it spans is longer on some pairs
+    box = build_box_space(Filtration(unitriangular(3), (16, 32)))
+    radii = tuple(r // 2 for r in isometry_profile(box).effective_radii)
+    assert radii == (3, 5)
+    assert_balls_embed(box, radii)
 
 
 def test_wraparound_breaks_the_full_radius_embedding():
@@ -247,3 +275,23 @@ def test_one_raise_spells_the_point_cap_refusal():
                  if isinstance(node, ast.FunctionDef) and node.name == "check_points")
     assert raises == [("boxspace.py", node.lineno) for node in ast.walk(check)
                       if isinstance(node, ast.Raise)]
+
+
+def uses_in_src(name):
+    """(file, top-level definition) of each use of name in src/boxdim: a
+    call, or the name passed on as a value."""
+    src = Path(__file__).resolve().parent.parent / "src" / "boxdim"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and node.id == name
+                      or isinstance(node, ast.Attribute) and node.attr == name]
+    return found
+
+
+def test_one_builder_spells_the_metric_of_a_ball_of_g():
+    # every B_G(e, r) as a metric space comes from ball_space, and no
+    # per-point BFS runs outside the quotient Cayley graphs
+    assert uses_in_src("word_distances") == [("boxspace.py", "ball_space")]
+    assert {f for f, _ in uses_in_src("breadth_first_distances")} == {"cayley.py"}

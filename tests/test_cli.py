@@ -200,6 +200,17 @@ def test_non_nested_witness_roundtrip(tmp_path, task):
     assert ok.returncode == 0, ok.stderr
 
 
+def test_non_nested_isoradius_keeps_each_components_radius(tmp_path):
+    # no running maximum across a family that is not nested: Z mod 4 has
+    # radius 1 even after Z mod 16's 7
+    ini = NON_NESTED_INI.replace("6 9 15", "16 4").format(task="name = isoradius\nk_list = 2 8\n")
+    proc = run_cli(tmp_path, ini)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["radii"] == summary["effective_radii"] == [7, 1]
+    assert summary["thresholds"] == {"2": 0, "8": None}
+
+
 def test_malformed_moduli_exit_code(tmp_path):
     ini = PROFILE_INI.replace("rule = powers\nbase = 2\ncount = 8",
                               "moduli = 3 4")
@@ -390,6 +401,12 @@ HUGE = str(10 ** 20)
                  "k_list = " + HUGE, 0, {"thresholds": {HUGE: None}}, id="isoradius k_list"),
     pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = " + HUGE + "\nradii = 4 6",
                  2, "need r0", id="transfer r0"),
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = -1\nradii = 4 6",
+                 2, "ball radius must be >= 0, got -1", id="transfer r0 -1"),
+    # B(e, r0) is refused at the point cap before B(e, 2 r0) meets state_cap
+    pytest.param(Z_HEAD + "[task]\nname = transfer\nr0 = 4990\nradii = 4999\n\n"
+                 "[limits]\nstate_cap = 10000", 3, "9981 points exceeds the cap 4096",
+                 id="transfer r0 past the point cap"),
     # a stripe of width S + 1 = 0 divided by zero; a negative one wrote outputs
     pytest.param(Z_HEAD + "[task]\nname = transfer\nr = 0\ns = -1\nr0 = 1\nradii = 6 8",
                  2, "striped inputs need", id="transfer stripe 0"),

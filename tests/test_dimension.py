@@ -436,6 +436,10 @@ def test_from_matrix_validation():
         FiniteMetricSpace.from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     with pytest.raises(ConfigError):
         FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1]])
+    # ragged rows used to raise numpy's "inhomogeneous shape" ValueError
+    for matrix in ([[0, 1], [1]], [[0, [1]], [1, 0]]):
+        with pytest.raises(ConfigError, match="ragged"):
+            FiniteMetricSpace.from_matrix(matrix)
     # entries that are not integers used to be truncated, or to raise
     # numpy's UFuncTypeError
     nan, inf = float("nan"), float("inf")
