@@ -42,7 +42,8 @@ for m in (4, 16, 64):
 print()
 
 # The profile collects the radii across the box space; threshold(k) is the
-# first component whose balls of radius k are exact copies of the group's.
+# first component from which on every component's balls of radius k are
+# exact copies of the group's (on a nested filtration, the first to reach k).
 profile = isometry_profile(box)
 print(f"effective radii: {profile.effective_radii}")
 for k in (1, 4, 16, 60):

@@ -281,9 +281,15 @@ class IsometryProfile:
         return tuple(accumulate(radii, max) if self.nested else radii)
 
     def threshold(self, k: int):
-        """Smallest component index whose ball of radius k is a copy of the
-        ball of G, or None if the truncation has no such component."""
-        return next((i for i, r in enumerate(self.effective_radii) if r >= k), None)
+        """Smallest component index i such that every component from i on
+        has a ball of radius k that is a copy of the ball of G, or None if
+        the last component has none.  On a nested profile that is the first
+        component whose effective radius reaches k."""
+        radii = self.effective_radii
+        i = len(radii)
+        while i and radii[i - 1] >= k:
+            i -= 1
+        return i if i < len(radii) else None
 
 
 def isometry_profile(box: BoxSpace, budget: int = 10 ** 7) -> IsometryProfile:

@@ -126,7 +126,7 @@ def _raw_multiply(spec, a, b):
         for (i, j) in _ut_entries(n):
             s = a[..., idx[(i, j)]] + b[..., idx[(i, j)]]
             for k in range(i + 1, j):
-                s = s + a[..., idx[(i, k)]] * b[..., idx[(k, j)]]
+                s += a[..., idx[(i, k)]] * b[..., idx[(k, j)]]
             yield s
         return
     pos = 0
@@ -311,17 +311,22 @@ def checked_ids(ids, n: int) -> np.ndarray:
     return ids
 
 
-def sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
+def sorted_distinct(a: np.ndarray, shift: int = 0, overwrite: bool = False) -> np.ndarray:
     """The sorted distinct values of an integer array, flattened; with a
     shift, for keys packed as item << shift | value, each item once with
-    its least value.
+    its least value.  With overwrite, a caller that owns a contiguous a
+    lets it be sorted in place instead of a copy.
 
     At shift 0 this equals np.unique(a), by one sort and a neighbour
     compare.  np.unique takes a hash-based path for plain integer arrays in
     numpy 2.x; with numpy 2.4 on a 2-core Xeon it measured about 25x slower
     than this on 50k int64 values.
     """
-    s = np.sort(a, axis=None)
+    if overwrite:
+        s = a.reshape(-1)
+        s.sort()
+    else:
+        s = np.sort(a, axis=None)
     if s.size > 1:
         item = s >> shift if shift else s
         keep = np.empty(s.size, dtype=bool)
@@ -428,30 +433,42 @@ def _key_rows(keys: np.ndarray, lo: int, base: int, k: int) -> np.ndarray:
     return rows
 
 
-def _row_index(rows: np.ndarray, span: int):
-    """find(q) for distinct (n, k) rows with entries in [-span, span]: the
-    index in rows of each row of the (m, k) rows q, else -1.  q's entries
-    must lie in [-span, span] too, and rows may be empty only if q is.
-    Rows are found by a searchsorted on their sorted mixed-radix keys."""
-    keys = row_keys(rows, -span, 2 * span + 1)
+def _row_index(keys: np.ndarray):
+    """find(q) for distinct keys: the index in keys of each key of q, else
+    -1, by a searchsorted on the sorted keys.  keys may be empty only if q
+    is."""
     order = np.argsort(keys)
     keys = keys[order]
 
     def find(q: np.ndarray) -> np.ndarray:
-        q = row_keys(q, -span, 2 * span + 1)
-        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        return np.where(keys[pos] == q, order[pos], -1)
+        pos = np.searchsorted(keys, q)
+        np.minimum(pos, keys.size - 1, out=pos)
+        at = order[pos]
+        at[keys[pos] != q] = -1
+        return at
     return find
 
 
-def _products(spec: GroupSpec, rows: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """(n, s, k) exact products rows[i]·steps[j], in int64 when the
-    overflow bound at the largest |coordinate| proves it, else object."""
-    c = max(_abs_max(rows), _abs_max(steps))
-    dtype = _work_dtype(spec, c + 1)
-    cols = _raw_multiply(spec, rows.astype(dtype)[:, None, :],
-                         steps.astype(dtype)[None, :, :])
-    return np.stack(list(cols), axis=-1)
+def _product_keys(spec: GroupSpec, a: np.ndarray, b: np.ndarray, span: int) -> np.ndarray:
+    """row_keys(p, -span, 2 span + 1) of the row-wise products p = a·b, for
+    a and b broadcast as in coords_multiply and products with entries in
+    [-span, span], without building p: each product column is added into
+    the keys as it is produced, in the dtype row_keys picks.  Products are
+    exact: int64 where _work_dtype proves it at the operands' largest
+    |coordinate|, else object integers."""
+    base = 2 * span + 1
+    dtype = np.int64 if base ** num_coordinates(spec) < _INT64_SAFE else object
+    work = _work_dtype(spec, max(_abs_max(a), _abs_max(b)) + 1)
+    keys = None
+    for col in _raw_multiply(spec, a.astype(work, copy=False), b.astype(work, copy=False)):
+        col = col.astype(dtype, copy=False)     # exact: every entry is within span
+        col += span
+        if keys is None:
+            keys = col
+        else:
+            keys *= base
+            keys += col
+    return keys
 
 
 def ball_levels(spec: GroupSpec, state_cap: int | None = None):
@@ -469,9 +486,10 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
     elsewhere.  Raises ResourceCapError once a sphere takes the ball past
     state_cap elements.
 
-    The candidates are built in slices of at most SLICE coordinates (at
-    least one element's products), and only each slice's new keys are
-    kept.  Their keys' span is bounded before any slice is built: a product
+    The candidates' keys are built in slices of at most SLICE coordinates
+    (at least one element's products), straight from the products'
+    columns (_product_keys), and only each slice's new keys are kept.
+    Their keys' span is bounded before any slice is built: a product
     coordinate is a polynomial with coefficients +1 in the operands'
     coordinates, so at the column maxima of |sphere| and |steps| it bounds
     that coordinate of every candidate.
@@ -480,6 +498,7 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
     steps = _steps(spec, spec.generators)
     step_max = np.abs(steps).max(axis=0)
     per = max(1, SLICE // steps.size)           # sphere rows per slice
+    steps = steps[None]
 
     prev = np.zeros((0, k), dtype=np.int64)
     level = np.zeros((1, k), dtype=np.int64)
@@ -495,15 +514,14 @@ def ball_levels(spec: GroupSpec, state_cap: int | None = None):
         base = 2 * span + 1
         new, known = [], None
         for lo in range(0, level.shape[0], per):
-            cand = _products(spec, level[lo:lo + per], steps).reshape(-1, k)
-            keys = sorted_distinct(row_keys(cand, -span, base))
-            del cand
-            if known is None:   # built once the first products, at twice their size, are gone
+            keys = sorted_distinct(_product_keys(spec, level[lo:lo + per, None], steps, span),
+                                   overwrite=True)
+            if known is None:   # built once the first slice's keys are deduplicated
                 known = np.sort(np.concatenate([row_keys(level, -span, base),
                                                 row_keys(prev, -span, base)]))
             pos = np.minimum(np.searchsorted(known, keys), known.size - 1)
             new.append(keys[known[pos] != keys])
-        keys = new[0] if len(new) == 1 else sorted_distinct(np.concatenate(new))
+        keys = new[0] if len(new) == 1 else sorted_distinct(np.concatenate(new), overwrite=True)
         prev, level = level, _key_rows(keys, -span, base, k)
         total += keys.size
         if keys.size and state_cap is not None and total > state_cap:
@@ -525,22 +543,24 @@ def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
     elements of B(e, r), in ball_levels order.
 
     levels are the spheres of B(e, 2r), which holds every u^-1 v; its
-    length is the index of the sphere that holds it.  Products go
+    length is the index of the sphere that holds it, found by the
+    product's key (_product_keys) among the keys of B(e, 2r).  Products go
     in blocks of PAIR_ROWS rows, in int64 where _work_dtype proves it at
     the ball's largest |coordinate|, else in object integers.
     """
     rows = np.concatenate(levels)
-    lengths = np.repeat(np.arange(len(levels)), [s.shape[0] for s in levels])
-    find = _row_index(rows, _abs_max(rows))
+    lengths = np.repeat(np.arange(len(levels), dtype=np.int32), [s.shape[0] for s in levels])
+    span = _abs_max(rows)
+    find = _row_index(row_keys(rows, -span, 2 * span + 1))
     ball = rows[:sum(s.shape[0] for s in levels[:r + 1])]
     dtype = _work_dtype(spec, _abs_max(ball) + 1)
-    n, k = ball.shape
+    n = ball.shape[0]
     out = np.empty((n, n), dtype=np.int32)
     for lo in range(0, n, PAIR_ROWS):
-        prod = _products(spec, _raw_invert(spec, ball[lo:lo + PAIR_ROWS], dtype), ball)
-        at = find(prod.reshape(-1, k))
+        inv = _raw_invert(spec, ball[lo:lo + PAIR_ROWS], dtype)
+        at = find(_product_keys(spec, inv[:, None], ball[None], span))
         assert (at >= 0).all()
-        out[lo:lo + PAIR_ROWS] = lengths[at].reshape(-1, n)
+        out[lo:lo + PAIR_ROWS] = lengths[at]
     return out
 
 

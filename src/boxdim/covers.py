@@ -869,9 +869,10 @@ class FamilyAssembly:
 def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> FamilyAssembly:
     """Per-scale family assembly over a truncated box space.
 
-    For each scale k the admissible window starts at i_k, the first
-    component whose balls of radius max(k, S_k) are exact copies of the
-    group's (S_k = the scale's max set diameter); sets of the scale-k cover
+    For each scale k the admissible window starts at i_k, the least i
+    such that every component from i on has balls of radius max(k, S_k)
+    that are exact copies of the group's (S_k = the scale's max set
+    diameter); sets of the scale-k cover
     that sit inside a single component of the window [i_k, i_(k+1)) are
     kept.  The assembled family at scale k is the union over scales >= k;
     k-disjointness of every family and the subtraction identity against the

@@ -8,6 +8,8 @@ sphere by sphere, so the old kernel walk over B(e, 2k) is an independent
 check of its exact radii, and a scalar injectivity walk checks its budget
 cuts.
 """
+import random
+import tracemalloc
 from itertools import count, islice
 
 import numpy as np
@@ -161,19 +163,19 @@ def test_spheres_of_several_slices_build_each_slice_once(monkeypatch, name):
     spec, r = SPECS[name]
     steps = cayley_module._steps(spec, spec.generators)
     monkeypatch.setattr(cayley_module, "SLICE", 2 * steps.size)   # two rows a slice
-    calls, products = [], cayley_module._products
+    calls, product_keys = [], cayley_module._product_keys
 
-    def counted(spec, rows, steps):
-        calls.append(rows.shape[0])
-        return products(spec, rows, steps)
+    def counted(spec, a, b, span):
+        calls.append(a.shape[0])
+        return product_keys(spec, a, b, span)
 
-    monkeypatch.setattr(cayley_module, "_products", counted)
+    monkeypatch.setattr(cayley_module, "_product_keys", counted)
     old = old_enumerate_ball(spec, r)
     spheres = [rows for _, rows in zip(range(r + 1), ball_levels(spec))]
     for L, rows in enumerate(spheres):
         flat = [tuple(row) for row in rows.tolist()]
         assert flat == sorted(flatten(spec, v) for v, d in old.items() if d == L)
-    # spheres 0..r-1 were expanded, one _products call per slice of two rows
+    # spheres 0..r-1 were expanded, one _product_keys call per slice of two rows
     assert calls == [min(2, rows.shape[0] - lo) for rows in spheres[:-1]
                      for lo in range(0, rows.shape[0], 2)]
 
@@ -387,6 +389,72 @@ def test_word_distances_in_row_blocks(monkeypatch):
     want, ball = scalar_word_metric(spec, 2)
     assert len(ball) > 7
     assert cayley_module.word_distances(spec, levels, 2).tolist() == want
+
+
+def test_word_distances_of_a_larger_ball_match_the_scalar_pairs(monkeypatch):
+    # B(e, 4) of UT(3), 135 points in ragged blocks of 50 rows, against the
+    # scalar pairwise oracle: each d(u, v) is the scalar length of u^-1 v
+    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 50)
+    spec = unitriangular(3)
+    levels = list(islice(ball_levels(spec), 9))
+    want, ball = scalar_word_metric(spec, 4)
+    assert len(ball) == 135
+    assert cayley_module.word_distances(spec, levels, 4).tolist() == want
+
+
+def stacked_products(spec, a, b):
+    """The stacked _raw_multiply columns as (rows, k) coordinates, which
+    _product_keys no longer builds: products in _work_dtype at the
+    operands' largest |coordinate|."""
+    c = max(cayley_module._abs_max(a), cayley_module._abs_max(b))
+    dtype = cayley_module._work_dtype(spec, c + 1)
+    cols = cayley_module._raw_multiply(spec, a.astype(dtype), b.astype(dtype))
+    prod = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    return prod.reshape(-1, prod.shape[-1])
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_product_keys_match_keys_of_the_stacked_products(name):
+    # Z, Z^2, UT(3), UT(4), Z x UT(3) in int64, and the huge-generator specs
+    # on object keys or object arithmetic
+    spec, r = SPECS[name]
+    rows = np.concatenate(list(islice(ball_levels(spec), min(r, 4) + 1)))
+    steps = cayley_module._steps(spec, spec.generators)
+    k, top = rows.shape[1], cayley_module._abs_max(rows)
+    rng = random.Random(name)
+    rand = [np.array([[rng.randint(-top, top) for _ in range(k)] for _ in range(30)],
+                     dtype=object) for _ in range(2)]
+    inv = cayley_module._raw_invert(spec, rows, object)
+    for a, b in [(rows[:, None], steps[None]),      # ball_levels' slices
+                 (inv[:, None], rows[None]),        # word_distances' blocks
+                 (rand[0], rand[1]),                # random rows, row by row
+                 (rand[0][:, None], rand[1][None])]:
+        prod = stacked_products(spec, a, b)
+        span = cayley_module._abs_max(prod)
+        for s in (span, span + 3):
+            want = cayley_module.row_keys(prod, -s, 2 * s + 1)
+            got = cayley_module._product_keys(spec, a, b, s)
+            assert got.dtype == want.dtype
+            assert got.ravel().tolist() == want.tolist()
+
+
+def traced_peak(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_peaks_of_growth_and_ball_space():
+    # products go straight into keys: a (rows, steps or points, k) block of
+    # coordinates would be seen here.  The traced peaks are 2.86 MiB and
+    # 62.5 MiB (31 MiB of it the 2,845 x 2,845 int32 matrix); stacking the
+    # products took them to 3.63 and 89.8 MiB.
+    spec = unitriangular(3)
+    assert traced_peak(lambda: growth_profile(spec, 22)) < 3.3 * 2 ** 20
+    assert traced_peak(lambda: ball_space(spec, 9, 10 ** 6)) < 72 * 2 ** 20
 
 
 def test_induced_ball_refuses_past_the_point_cap(monkeypatch):

@@ -202,13 +202,14 @@ def test_non_nested_witness_roundtrip(tmp_path, task):
 
 def test_non_nested_isoradius_keeps_each_components_radius(tmp_path):
     # no running maximum across a family that is not nested: Z mod 4 has
-    # radius 1 even after Z mod 16's 7
+    # radius 1 even after Z mod 16's 7, so no suffix of components has
+    # radius 2
     ini = NON_NESTED_INI.replace("6 9 15", "16 4").format(task="name = isoradius\nk_list = 2 8\n")
     proc = run_cli(tmp_path, ini)
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["radii"] == summary["effective_radii"] == [7, 1]
-    assert summary["thresholds"] == {"2": 0, "8": None}
+    assert summary["thresholds"] == {"2": None, "8": None}
 
 
 def test_malformed_moduli_exit_code(tmp_path):

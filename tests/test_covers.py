@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from boxdim import covers as covers_module
-from boxdim.boxspace import CoarseUnion, FiniteMetricSpace, build_box_space, isometry_profile
+from boxdim.boxspace import (
+    CoarseUnion,
+    FiniteMetricSpace,
+    build_box_space,
+    isometry_profile,
+    verify_ball_isometry,
+)
 from boxdim.cayley import (
     PAIR_CAP,
     CayleyGraph,
@@ -41,7 +47,7 @@ from boxdim.covers import (
     r_multiplicity,
     verify_cover,
 )
-from boxdim.dimension import rs_dim
+from boxdim.dimension import box_witness_cover, rs_dim
 from boxdim.errors import (
     ConfigError,
     GrowthBoundError,
@@ -1322,6 +1328,74 @@ def test_assembly_needs_usable_truncation():
     cover = Cover(space=box, families=((arc_set("a", 1, tuple(range(4))),),))
     with pytest.raises(ConfigError):
         assemble_box_families(box, {5: cover}, profile)
+
+
+def test_assembly_refuses_a_window_past_a_smaller_radius():
+    # non-nested Z mod 16 then Z mod 4, radii [7, 1]: the first component
+    # reaching radius 2 is Z mod 16, but Z mod 4 after it holds no copy of
+    # B(e, 2), so no window at scale 1 (S_1 = 2) is admissible
+    box = build_box_space(Filtration(free_abelian(1), (16, 4), nested=False))
+    covers = {k: box_witness_cover(box, k, 3, "greedy")[0] for k in (1, 2)}
+    with pytest.raises(ConfigError, match=r"no component usable at scale 1 "
+                                          r"\(needs ball-isometry radius >= 2\)"):
+        assemble_box_families(box, covers, isometry_profile(box))
+
+
+def random_filtrations(seed):
+    """Nested divisibility chains and non-nested moduli in any order, on Z
+    (moduli up to 40) and Z^2 (up to 12)."""
+    rng = random.Random(seed)
+    for spec, top in ((free_abelian(1), 40), (free_abelian(2), 12)):
+        for _ in range(4):
+            m, chain = rng.randint(2, 4), []
+            while m <= top:
+                chain.append(m)
+                m *= rng.randint(2, 3)
+            yield Filtration(spec, tuple(chain))
+            moduli = rng.sample(range(2, top + 1), rng.randint(2, 4))
+            yield Filtration(spec, tuple(moduli), nested=False)
+
+
+@pytest.mark.parametrize("budget", [10 ** 7, 3], ids=["exact radii", "budget-cut radii"])
+def test_assembly_windows_hold_copies_of_the_balls(budget):
+    # an admissibility oracle that does not read threshold: every component
+    # from i_k on maps B(e, max(k, S_k)) injectively, and with exact radii
+    # component i_k - 1 does not (or no component qualifies at all)
+    assembled = 0
+    for filtration in random_filtrations(budget):
+        box = build_box_space(filtration)
+        quotients = [g.quotient for g in box.components]
+        profile = isometry_profile(box, budget)
+        exact = all(r.exact for r in profile.radii)
+        for k in range(1, 5):
+            i = profile.threshold(k)
+            ok = [verify_ball_isometry(q, k) for q in quotients]
+            if i is not None:
+                assert all(ok[i:]), (filtration, k)
+            j = len(ok) if i is None else i     # the component before i_k holds no copy
+            if exact and j:
+                assert not ok[j - 1], (filtration, k)
+        covers = {}
+        for k in (1, 2):
+            cover = next((c for S in range(k + 1, 4 * k + 2)
+                          if (c := box_witness_cover(box, k, S, "greedy")) is not None), None)
+            if cover is not None:
+                covers[k] = cover[0]
+        try:
+            asm = assemble_box_families(box, covers, profile)
+        except ConfigError as e:
+            assert "no component usable" in str(e)
+            continue
+        assembled += 1
+        assert asm.report.ok
+        for k in asm.scales:
+            i, radius = asm.thresholds[k], max(k, asm.scale_diameters[k])
+            assert all(verify_ball_isometry(q, radius) for q in quotients[i:]), (filtration, k)
+            if exact and i:
+                assert not verify_ball_isometry(quotients[i - 1], radius)
+            kept = asm.families[k].part_comp
+            assert (kept >= i).all()
+    assert assembled >= 4
 
 
 def view_assembly(box, covers_by_scale, profile):
