@@ -545,7 +545,7 @@ def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
     levels are the spheres of B(e, 2r), which holds every u^-1 v; its
     length is the index of the sphere that holds it, found by the
     product's key (_product_keys) among the keys of B(e, 2r).  Products go
-    in blocks of PAIR_ROWS rows, in int64 where _work_dtype proves it at
+    in blocks of about SLICE pairs, in int64 where _work_dtype proves it at
     the ball's largest |coordinate|, else in object integers.
     """
     rows = np.concatenate(levels)
@@ -556,11 +556,12 @@ def word_distances(spec: GroupSpec, levels: list, r: int) -> np.ndarray:
     dtype = _work_dtype(spec, _abs_max(ball) + 1)
     n = ball.shape[0]
     out = np.empty((n, n), dtype=np.int32)
-    for lo in range(0, n, PAIR_ROWS):
-        inv = _raw_invert(spec, ball[lo:lo + PAIR_ROWS], dtype)
+    per = max(1, SLICE // n)                    # rows per block
+    for lo in range(0, n, per):
+        inv = _raw_invert(spec, ball[lo:lo + per], dtype)
         at = find(_product_keys(spec, inv[:, None], ball[None], span))
         assert (at >= 0).all()
-        out[lo:lo + PAIR_ROWS] = lengths[at]
+        out[lo:lo + per] = lengths[at]
     return out
 
 

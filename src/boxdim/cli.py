@@ -11,6 +11,7 @@ import configparser
 import json
 import re
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .cayley import SLICE, GrowthBound, build_quotient_cayley, fit_growth, growt
 from .covers import (
     Cover,
     CoverParams,
+    _ranges,
     cover_prop41,
     diagonal_transfer,
     families_from_multiplicity_cover,
@@ -293,34 +295,64 @@ def _set_ok(s):
             and (s.get("radius") is None or type(s["radius"]) is int))
 
 
-def cover_from_json(box, data):
-    """The cover a witness row describes, read straight into a Cover's
-    arrays; schema errors, and integers past 64 bits, are ConfigError."""
+def read_witness(fh):
+    """json.load(fh), with every set that keeps to the schema packed as the
+    parse goes: its parts are appended to three flat int64 buffers
+    (component, length, vertex ids) and its 'parts' becomes the (first,
+    end) range of them, a tuple no JSON text can spell.  So the document
+    never holds a Python int per vertex id.  A set with an integer past 64
+    bits is left as it was, for cover_from_json to refuse."""
+    buffers = comps, lengths, ids = array("q"), array("q"), array("q")
+
+    def pack(d):
+        if _set_ok(d):
+            first, at = len(comps), len(ids)
+            try:
+                for c, vs in d["parts"]:
+                    comps.append(c)
+                    lengths.append(len(vs))
+                    ids.extend(vs)
+            except OverflowError:
+                del comps[first:], lengths[first:], ids[at:]
+                return d
+            d["parts"] = (first, len(comps))
+        return d
+
+    return json.load(fh, object_hook=pack), buffers
+
+
+def cover_from_json(box, data, buffers):
+    """The cover a row of a read_witness document describes, its parts
+    taken from the buffers that read_witness packed them into; schema
+    errors, and integers past 64 bits, are ConfigError."""
     families = data.get("families")
     _check_witness(type(families) is list and all(type(f) is list for f in families),
                    "'families' must be a list of lists of sets")
     sets = [s for family in families for s in family]
-    _check_witness(all(map(_set_ok, sets)),
+    packed = [type(s) is dict and type(s.get("parts")) is tuple for s in sets]
+    _check_witness(all(p or _set_ok(s) for p, s in zip(packed, sets)),
                    "each set needs a string 'label', 'parts' as "
                    "[component, [vertex ids]] of integers, and an "
                    "integer list 'center' and integer 'radius' or null")
-    parts = [p for s in sets for p in s["parts"]]
-    try:
-        return Cover.from_arrays(
-            box, len(families), [j for j, family in enumerate(families) for _ in family],
-            [s["label"] for s in sets], [i for i, s in enumerate(sets) for _ in s["parts"]],
-            [p[0] for p in parts], [len(p[1]) for p in parts], [v for p in parts for v in p[1]],
-            {i: tuple(s["center"]) for i, s in enumerate(sets) if s.get("center") is not None},
-            {i: s["radius"] for i, s in enumerate(sets) if s.get("radius") is not None})
-    except OverflowError:
+    if not all(packed):     # read_witness packs every set that fits in 64 bits
         raise ConfigError("malformed witness: a component index or vertex id "
-                          "does not fit in 64 bits") from None
+                          "does not fit in 64 bits")
+    comps, lengths, ids = (np.frombuffer(b, dtype=np.int64) for b in buffers)
+    first, end = np.array([s["parts"] for s in sets], dtype=np.int64).reshape(-1, 2).T
+    parts = _ranges(first, end)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return Cover.from_arrays(
+        box, len(families), np.repeat(np.arange(len(families)), list(map(len, families))),
+        [s["label"] for s in sets], np.repeat(np.arange(len(sets)), end - first),
+        comps[parts], lengths[parts], ids[_ranges(offsets[parts], offsets[parts + 1])],
+        {i: tuple(s["center"]) for i, s in enumerate(sets) if s.get("center") is not None},
+        {i: s["radius"] for i, s in enumerate(sets) if s.get("radius") is not None})
 
 
 def verify_witness(args, cfg):
     try:
         with open(args.verify_witness) as fh:
-            data = json.load(fh)
+            data, buffers = read_witness(fh)
     except (OSError, ValueError) as e:      # ValueError: bad JSON, or past 4,300 digits
         raise ConfigError(f"cannot read witness {args.verify_witness}: {e}") from None
     _check_witness(isinstance(data, dict), "the top level must be an object")
@@ -346,7 +378,7 @@ def verify_witness(args, cfg):
         _check_witness(S is None or type(S) is int, "'S' must be an integer or null")
         _check_witness(isinstance(check_disjoint, bool),
                        "'check_disjoint' must be true or false")
-        cover = cover_from_json(box, row)
+        cover = cover_from_json(box, row, buffers)
         report = verify_cover(cover, R, S, check_disjoint=check_disjoint)
         if not report.ok:
             raise VerificationError(

@@ -383,22 +383,23 @@ def test_word_distances_match_scalar_products(name):
 
 
 def test_word_distances_in_row_blocks(monkeypatch):
-    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 7)
+    # blocks of SLICE // n rows: seven here
     spec = unitriangular(3)
     levels = list(islice(ball_levels(spec), 5))
     want, ball = scalar_word_metric(spec, 2)
     assert len(ball) > 7
+    monkeypatch.setattr(cayley_module, "SLICE", 7 * len(ball))
     assert cayley_module.word_distances(spec, levels, 2).tolist() == want
 
 
 def test_word_distances_of_a_larger_ball_match_the_scalar_pairs(monkeypatch):
     # B(e, 4) of UT(3), 135 points in ragged blocks of 50 rows, against the
     # scalar pairwise oracle: each d(u, v) is the scalar length of u^-1 v
-    monkeypatch.setattr(cayley_module, "PAIR_ROWS", 50)
     spec = unitriangular(3)
     levels = list(islice(ball_levels(spec), 9))
     want, ball = scalar_word_metric(spec, 4)
     assert len(ball) == 135
+    monkeypatch.setattr(cayley_module, "SLICE", 50 * 135)
     assert cayley_module.word_distances(spec, levels, 4).tolist() == want
 
 
@@ -450,11 +451,12 @@ def traced_peak(f) -> int:
 def test_traced_peaks_of_growth_and_ball_space():
     # products go straight into keys: a (rows, steps or points, k) block of
     # coordinates would be seen here.  The traced peaks are 2.86 MiB and
-    # 62.5 MiB (31 MiB of it the 2,845 x 2,845 int32 matrix); stacking the
-    # products took them to 3.63 and 89.8 MiB.
+    # 44.1 MiB (31 MiB of it the 2,845 x 2,845 int32 matrix); stacking the
+    # products took them to 3.63 and 89.8 MiB, and word_distances' blocks
+    # of a fixed 256 rows, not SLICE // n, the second to 62.5 MiB.
     spec = unitriangular(3)
     assert traced_peak(lambda: growth_profile(spec, 22)) < 3.3 * 2 ** 20
-    assert traced_peak(lambda: ball_space(spec, 9, 10 ** 6)) < 72 * 2 ** 20
+    assert traced_peak(lambda: ball_space(spec, 9, 10 ** 6)) < 51 * 2 ** 20
 
 
 def test_induced_ball_refuses_past_the_point_cap(monkeypatch):

@@ -131,6 +131,21 @@ def test_malformed_witness_exit_codes(tmp_path):
             return d
         return edit
 
+    def set_last_vertex(value):
+        # the last id of the last set of a row, after valid sets
+        def edit(d):
+            d["rows"][0]["families"][-1][-1]["parts"][-1][1][-1] = value
+            return d
+        return edit
+
+    def extra_set(last_vertex):
+        # a copy of a set with more than one id, ahead of the rows
+        def edit(d):
+            s = copy.deepcopy(d["rows"][0]["families"][-1][-1])
+            s["parts"][-1][1][-1] = last_vertex
+            return {"extra": s, **d}
+        return edit
+
     cases = [  # (case, edit, exit code)
         ("missing moduli", drop(lambda d: d, "moduli"), 2),
         ("missing families", drop(lambda d: d["rows"][0], "families"), 2),
@@ -143,6 +158,14 @@ def test_malformed_witness_exit_codes(tmp_path):
         ("component 2**70", set_component(2 ** 70), 2),
         ("component -2**70", set_component(-2 ** 70), 2),
         ("vertex id 2**63 - 1", set_vertex(2 ** 63 - 1), 2),
+        ("last vertex id 2**70", set_last_vertex(2 ** 70), 2),
+        # a bool is not an integer here, so it is never read as 0 or 1
+        ("vertex id true", set_vertex(True), 2),
+        ("component true", set_component(True), 2),
+        # the reader packs a set wherever it stands, and one past 64 bits
+        # is rolled back mid-part; only the rows' sets are read
+        ("set under an extra key", extra_set(0), 0),
+        ("set with last id 2**70 under an extra key", extra_set(2 ** 70), 0),
         ("top-level list", lambda d: [d], 2),
         ("dropped set", drop(lambda d: d["rows"][0]["families"][0], 0), 4),
         # a non-nested family refuses an empty list, as a filtration does
@@ -155,14 +178,23 @@ def test_malformed_witness_exit_codes(tmp_path):
          lambda d: (PLANE_INI, {**d, "group": "free_abelian(2)", "moduli": [10 ** 3000]}), 3),
     ]
     bad = tmp_path / "bad.json"
+    summary = tmp_path / "out" / "profile.json"
+    bad.write_text(json.dumps(good))
+    assert run_capped(tmp_path, PROFILE_INI, "--verify-witness", str(bad)).returncode == 0
+    clean = summary.read_text()
     for case, edit, code in cases:
         ini, doc = PROFILE_INI, edit(copy.deepcopy(good))
         if type(doc) is tuple:
             ini, doc = doc
         bad.write_text(doc if type(doc) is str else json.dumps(doc))
+        summary.unlink(missing_ok=True)
         proc = run_capped(tmp_path, ini, "--verify-witness", str(bad))
         assert proc.returncode == code, (case, proc.stderr)
         assert "Traceback" not in proc.stderr, case
+        if "2**70" in case and code == 2:
+            assert "does not fit in 64 bits" in proc.stderr, (case, proc.stderr)
+        if code == 0:
+            assert summary.read_text() == clean, case
 
 
 NON_NESTED_INI = """\

@@ -7,6 +7,7 @@ must agree byte for byte.
 """
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -107,14 +108,37 @@ def test_writer_matches_json_dump(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(EXPORTS))
 def test_witness_reads_back_to_the_same_families(tmp_path, name):
     _, _, witness = task_output(tmp_path, *EXPORTS[name])
-    data = json.loads(written(witness))
+    data, buffers = cli.read_witness(io.StringIO(written(witness)))
     rows = data["rows"] if data["kind"] == "profile-witness" else [data]
     covers = witness_covers(witness)
     assert len(rows) == len(covers) > 0
     for row, cover in zip(rows, covers):
-        back = cli.cover_from_json(cover.space, row)
+        back = cli.cover_from_json(cover.space, row, buffers)
         assert back.families == cover.families
         assert back.n_families == cover.n_families
+
+
+def test_reader_traces_less_than_json_load(tmp_path):
+    # read_witness packs the ids into int64 buffers as the parse goes, so
+    # it never holds an int object and a list slot per id; its peak is the
+    # read of the text.  On this 342 kB witness the traced peaks are 0.65
+    # and 0.94 MiB; on the benchmark's plane_profile witness, 18.5 and
+    # 25.7 MiB
+    _, _, witness = task_output(tmp_path, Z2, "moduli = 64",
+                                "name = profile\nr_list = 2\ns_cap = 8\nmode = structured")
+    path = tmp_path / "wit.json"
+    path.write_text(written(witness))
+
+    def traced_peak(read):
+        with open(path) as fh:
+            tracemalloc.start()
+            try:
+                read(fh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert traced_peak(cli.read_witness) <= 0.8 * traced_peak(json.load)
 
 
 def test_writer_edge_cases_match_json_dump():
