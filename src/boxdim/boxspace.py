@@ -14,7 +14,6 @@ diagonal transfer both read.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -40,9 +39,11 @@ from .groups import Filtration, GroupSpec, unflatten
 
 def thread_map(fn, items, threads: int) -> list:
     """list(map(fn, items)), on a pool of threads when threads > 1 and
-    there is more than one item; results keep the order of items."""
+    there is more than one item; results keep the order of items.  The
+    pool is imported here, so a run on one thread never loads it."""
     items = list(items)
     if threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,11 +244,16 @@ def write_json(fh, value, depth=0):
         fh.write(json.dumps(value, indent=2).replace("\n", pad))
 
 
+# The writer renders at most this many sets, and (past one set) ids, at a time
+BLOCK_SETS, BLOCK_IDS = 4096, 2 ** 14
+
+
 def _families_text(cover, depth):
     """Pieces of the json.dump(indent=2, sort_keys=True) text, at the given
     depth, of a cover's families: lists of {center, label, parts, radius} sets."""
     p = ["\n" + "  " * (depth + k) for k in range(7)]
     first, off = cover.set_parts().tolist(), cover.offsets.tolist()
+    starts = [off[k] for k in first]    # the first id of each set
     comps = cover.part_comp.tolist()
 
     def block(texts, k):
@@ -271,8 +277,12 @@ def _families_text(cover, depth):
     fams = cover.set_family.searchsorted(range(cover.n_families + 1)).tolist()
     for j, (lo, hi) in enumerate(zip(fams, fams[1:])):
         yield ("," if j else "[") + p[1] + ("[" + p[2] if hi > lo else "[]")
-        for a in range(lo, hi, 4096):
-            yield ("," + p[2] if a > lo else "") + ("," + p[2]).join(sets(a, min(a + 4096, hi)))
+        a = lo
+        while a < hi:
+            b = bisect_right(starts, starts[a] + BLOCK_IDS, a, hi + 1) - 1
+            b = min(hi, a + BLOCK_SETS, max(a + 1, b))
+            yield ("," + p[2] if a > lo else "") + ("," + p[2]).join(sets(a, b))
+            a = b
         yield p[1] + "]" if hi > lo else ""
     yield p[0] + "]" if cover.n_families else "[]"
 
@@ -295,13 +305,26 @@ def _set_ok(s):
             and (s.get("radius") is None or type(s["radius"]) is int))
 
 
+SET_KEYS = frozenset({"label", "parts", "center", "radius"})
+
+
+def _packed_set(s, first, end):
+    """A set as read_witness keeps it: a tuple, which no JSON text spells,
+    of its label, the range [first, end) of its parts in the buffers, its
+    center as a tuple or None, and its radius or None."""
+    center = s.get("center")
+    return s["label"], first, end, None if center is None else tuple(center), s.get("radius")
+
+
 def read_witness(fh):
     """json.load(fh), with every set that keeps to the schema packed as the
     parse goes: its parts are appended to three flat int64 buffers
-    (component, length, vertex ids) and its 'parts' becomes the (first,
-    end) range of them, a tuple no JSON text can spell.  So the document
-    never holds a Python int per vertex id.  A set with an integer past 64
-    bits is left as it was, for cover_from_json to refuse."""
+    (component, length, vertex ids), so the document never holds a Python
+    int per vertex id.  A set with no other keys becomes a _packed_set
+    tuple, so no dict per set outlives the parse; an object with other
+    keys (a row, say) stays a dict, its 'parts' replaced by the (first,
+    end) tuple.  A set with an integer past 64 bits is left as it was,
+    for cover_from_json to refuse."""
     buffers = comps, lengths, ids = array("q"), array("q"), array("q")
 
     def pack(d):
@@ -315,6 +338,8 @@ def read_witness(fh):
             except OverflowError:
                 del comps[first:], lengths[first:], ids[at:]
                 return d
+            if d.keys() <= SET_KEYS:
+                return _packed_set(d, first, len(comps))
             d["parts"] = (first, len(comps))
         return d
 
@@ -329,31 +354,36 @@ def cover_from_json(box, data, buffers):
     _check_witness(type(families) is list and all(type(f) is list for f in families),
                    "'families' must be a list of lists of sets")
     sets = [s for family in families for s in family]
-    packed = [type(s) is dict and type(s.get("parts")) is tuple for s in sets]
-    _check_witness(all(p or _set_ok(s) for p, s in zip(packed, sets)),
+    loose = [s for s in sets if type(s) is not tuple]
+    _check_witness(all(type(s) is dict and (type(s.get("parts")) is tuple or _set_ok(s))
+                       for s in loose),
                    "each set needs a string 'label', 'parts' as "
                    "[component, [vertex ids]] of integers, and an "
                    "integer list 'center' and integer 'radius' or null")
-    if not all(packed):     # read_witness packs every set that fits in 64 bits
+    if not all(type(s["parts"]) is tuple for s in loose):
+        # read_witness packs every set that fits in 64 bits
         raise ConfigError("malformed witness: a component index or vertex id "
                           "does not fit in 64 bits")
+    sets = [s if type(s) is tuple else _packed_set(s, *s["parts"]) for s in sets]
+    labels, first, end, centers, radii = zip(*sets) if sets else ((),) * 5
     comps, lengths, ids = (np.frombuffer(b, dtype=np.int64) for b in buffers)
-    first, end = np.array([s["parts"] for s in sets], dtype=np.int64).reshape(-1, 2).T
+    first, end = np.array(first, dtype=np.int64), np.array(end, dtype=np.int64)
     parts = _ranges(first, end)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     return Cover.from_arrays(
         box, len(families), np.repeat(np.arange(len(families)), list(map(len, families))),
-        [s["label"] for s in sets], np.repeat(np.arange(len(sets)), end - first),
+        labels, np.repeat(np.arange(len(sets)), end - first),
         comps[parts], lengths[parts], ids[_ranges(offsets[parts], offsets[parts + 1])],
-        {i: tuple(s["center"]) for i, s in enumerate(sets) if s.get("center") is not None},
-        {i: s["radius"] for i, s in enumerate(sets) if s.get("radius") is not None})
+        {i: c for i, c in enumerate(centers) if c is not None},
+        {i: r for i, r in enumerate(radii) if r is not None})
 
 
 def verify_witness(args, cfg):
     try:
         with open(args.verify_witness) as fh:
             data, buffers = read_witness(fh)
-    except (OSError, ValueError) as e:      # ValueError: bad JSON, or past 4,300 digits
+    # ValueError: bad JSON, or past 4,300 digits; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read witness {args.verify_witness}: {e}") from None
     _check_witness(isinstance(data, dict), "the top level must be an object")
     spec = group_from_config(cfg)

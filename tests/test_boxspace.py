@@ -1,6 +1,8 @@
 """Box space assembly, the coarse metric, and ball-isometry radii."""
 import ast
 import itertools
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,26 @@ from boxdim.boxspace import (
     coarse_union_of_balls,
     isometry_profile,
     isometry_radius,
+    thread_map,
     verify_ball_isometry,
 )
 from boxdim.errors import ConfigError, ResourceCapError, ShapeMismatchError
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
 from scalar_oracle import reduce_mod
+
+
+def test_thread_map_keeps_the_order_of_items():
+    # the first item finishes last, on a pool of two threads
+    threads = set()
+
+    def square(x):
+        threads.add(threading.get_ident())
+        time.sleep(0.05 if x == 0 else 0)
+        return x * x
+
+    assert thread_map(square, range(8), threads=2) == [x * x for x in range(8)]
+    assert len(threads) == 2
+    assert thread_map(square, range(8), threads=1) == [x * x for x in range(8)]
 
 
 def test_build_small_box():

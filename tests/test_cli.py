@@ -146,6 +146,13 @@ def test_malformed_witness_exit_codes(tmp_path):
             return {"extra": s, **d}
         return edit
 
+    def add(owner, **keys):
+        def edit(d):
+            owner(d).update(keys)
+            return d
+        return edit
+
+    set_keys = {"label": "x", "parts": [[0, [1, 2]]], "center": None, "radius": 3}
     cases = [  # (case, edit, exit code)
         ("missing moduli", drop(lambda d: d, "moduli"), 2),
         ("missing families", drop(lambda d: d["rows"][0], "families"), 2),
@@ -166,6 +173,11 @@ def test_malformed_witness_exit_codes(tmp_path):
         # is rolled back mid-part; only the rows' sets are read
         ("set under an extra key", extra_set(0), 0),
         ("set with last id 2**70 under an extra key", extra_set(2 ** 70), 0),
+        # a set with other keys stays a dict, packed in place; so do a row
+        # and the top level when they also carry a set's keys
+        ("set with an extra key", add(first_set, note="x"), 0),
+        ("row with a set's keys", add(lambda d: d["rows"][0], **set_keys), 0),
+        ("top level with a set's keys", add(lambda d: d, **set_keys), 0),
         ("top-level list", lambda d: [d], 2),
         ("dropped set", drop(lambda d: d["rows"][0]["families"][0], 0), 4),
         # a non-nested family refuses an empty list, as a filtration does
@@ -173,6 +185,8 @@ def test_malformed_witness_exit_codes(tmp_path):
         # json.load refuses integer literals past 4,300 digits
         ("vertex id of 5,001 digits", lambda d: json.dumps(d).replace(
             '"parts": [[0, [', '"parts": [[0, [' + "7" * 5001 + ", ", 1), 2),
+        # json.load recurses once per level of nesting
+        ("200,000 nested lists", lambda d: "[" * 200_000, 2),
         # Z^2 mod m has m^2 vertices, 6,001 digits: refused without printing them
         ("Z^2 modulus of 3,001 digits",
          lambda d: (PLANE_INI, {**d, "group": "free_abelian(2)", "moduli": [10 ** 3000]}), 3),
@@ -195,6 +209,8 @@ def test_malformed_witness_exit_codes(tmp_path):
             assert "does not fit in 64 bits" in proc.stderr, (case, proc.stderr)
         if code == 0:
             assert summary.read_text() == clean, case
+        if case == "200,000 nested lists":
+            assert "cannot read witness" in proc.stderr, proc.stderr
 
 
 NON_NESTED_INI = """\
@@ -558,6 +574,16 @@ dir = r
     proc = run_cli(tmp_path, ini)
     assert proc.returncode == 3, proc.stderr
     assert "resource cap" in proc.stderr
+
+
+def test_the_cli_imports_no_thread_pool():
+    # thread_map imports its pool only when threads > 1, so a child on one
+    # thread never loads concurrent.futures (and the logging it imports)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, boxdim.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=cli_env())
+    assert proc.stdout.split() == ["False"], proc.stderr
+
 
 def test_missing_config_and_unknown_task(tmp_path):
     proc = subprocess.run(

@@ -80,7 +80,7 @@ def test_component_protocol_is_the_same_on_both_kinds():
 
 
 # the functions that read a witness document, not an INI section
-WITNESS_READERS = ("verify_witness", "cover_from_json", "_set_ok")
+WITNESS_READERS = ("verify_witness", "cover_from_json", "_set_ok", "_packed_set")
 
 
 def _key_names(node, assigned):

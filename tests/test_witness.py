@@ -5,8 +5,10 @@ here every exporting task's witness is also serialised the way the CLI did
 before the writer (CoverSet views through json.dump), and the two texts
 must agree byte for byte.
 """
+import hashlib
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -141,6 +143,25 @@ def test_reader_traces_less_than_json_load(tmp_path):
     assert traced_peak(cli.read_witness) <= 0.8 * traced_peak(json.load)
 
 
+def test_read_document_keeps_no_dict_per_set(tmp_path):
+    # a set with no other keys is kept as a tuple of its label, part range,
+    # center and radius: the document retains about 200 bytes per set
+    # beyond the id buffers on this 4,096-set witness, where one dict per
+    # set retained about 360
+    _, _, witness = task_output(tmp_path, Z2, "moduli = 128",
+                                "name = profile\nr_list = 2\ns_cap = 8\nmode = structured")
+    fh = io.StringIO(written(witness))
+    tracemalloc.start()
+    try:
+        data, buffers = cli.read_witness(fh)
+        retained = tracemalloc.get_traced_memory()[0] - sum(map(sys.getsizeof, buffers))
+    finally:
+        tracemalloc.stop()
+    n_sets = sum(len(f) for row in data["rows"] for f in row["families"])
+    assert n_sets >= 4000
+    assert retained <= 250 * n_sets
+
+
 def test_writer_edge_cases_match_json_dump():
     # empty families, a set without parts, an empty part, centers of any
     # length, labels that need escaping, and values at every depth
@@ -158,3 +179,41 @@ def test_writer_edge_cases_match_json_dump():
     assert written(witness) == dumped(witness)
     for top in (cover, Cover(box, ()), Cover(box, ((), ()))):
         assert written(top) == dumped(top)
+
+
+class DigestSink:
+    """A text file that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_writer_renders_huge_sets_a_few_ids_at_a_time():
+    # one family of four sets of 2^16 ids (one in two parts, one a ball),
+    # then 3,000 small sets, more ids than one block takes.  The writer
+    # renders one huge set at a time (traced peak 9.4 MiB), where blocks of
+    # 4,096 sets rendered the first family's 2^18 ids at once (27.6 MiB)
+    n = 2 ** 16
+    box = build_box_space(Filtration(free_abelian(1), (n,)))
+    huge = (CoverSet("a", ((0, tuple(range(n))),)),
+            CoverSet("b", ((0, tuple(range(0, n, 2))), (0, tuple(range(1, n, 2))))),
+            CoverSet("c", ((0, tuple(range(n))),), center=(5,), radius=3),
+            CoverSet("d", ((0, tuple(range(n - 1, -1, -1))),)))
+    small = tuple(CoverSet(f"s{i}", ((0, tuple(range(7 * i, 7 * i + 7))),)) for i in range(3000))
+    witness = {"families": Cover(box, (huge, small)), "R": 1}
+    sink = DigestSink()
+    tracemalloc.start()
+    try:
+        cli.write_json(sink, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == hashlib.sha256(dumped(witness)[:-1].encode()).hexdigest()
+    assert peak < 12 * 2 ** 20
