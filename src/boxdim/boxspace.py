@@ -13,7 +13,6 @@ diagonal transfer both read.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -21,9 +20,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, ResourceCapError, ShapeMismatchError
+from .errors import ConfigError, ResourceCapError, ShapeMismatchError, check_int
 from .cayley import (
-    PAIR_ROWS,
+    SLICE,
     CayleyGraph,
     Component,
     _ball,
@@ -191,14 +190,14 @@ class FiniteMetricSpace(Component):
     def from_graph(cls, graph) -> "FiniteMetricSpace":
         """The full distance matrix of any component within check_points'
         cap; a Cayley graph's is d(u, v) = d(e, u^-1 v), built in blocks
-        of PAIR_ROWS rows."""
+        of SLICE // n rows, as word_distances builds G's."""
         n = graph.n_vertices
         check_points(n)
         if not isinstance(graph, CayleyGraph):
             return cls(graph.dist_matrix)
-        ids = np.arange(n)[None]
-        return cls(np.concatenate([graph._pair_distances(ids[:, lo:lo + PAIR_ROWS], ids)[0]
-                                   for lo in range(0, n, PAIR_ROWS)]))
+        ids, per = np.arange(n)[None], max(1, SLICE // n)
+        return cls(np.concatenate([graph._pair_distances(ids[:, lo:lo + per], ids)[0]
+                                   for lo in range(0, n, per)]))
 
 
 def build_box_space(filtration: Filtration, vertex_cap: int = 10 ** 6,
@@ -307,8 +306,7 @@ def ball_space(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpac
     elements names the points, by word length, then lexicographically.  The
     spheres of B(e, 2 radius) are read lazily: a ball past check_points'
     cap is refused before the rest is built."""
-    if radius < 0:
-        raise ConfigError(f"ball radius must be >= 0, got {radius}")
+    radius = check_int("ball radius", radius, 0)
     levels = _ball(spec, 2 * radius, state_cap)
     ball = [rows for _, rows in zip(range(radius + 1), levels)]
     check_points(sum(rows.shape[0] for rows in ball))
@@ -320,15 +318,10 @@ def ball_space(spec: GroupSpec, radius: int, state_cap: int) -> FiniteMetricSpac
 def coarse_union_of_balls(spec: GroupSpec, radii,
                           state_cap: int = 10 ** 6) -> CoarseUnion:
     """The balls B_G(e, r), r in radii, as one coarse disjoint union."""
-    try:
-        radii = tuple(map(operator.index, radii))
-    except TypeError:
-        raise ConfigError("radii must be integers") from None
+    radii = tuple(check_int("ball radius", r, 0) for r in radii)
     if not radii:
         raise ConfigError("need at least one radius")
     for a, b in zip(radii, radii[1:]):
         if b <= a:
             raise ConfigError(f"radii must be strictly increasing, got {a} then {b}")
-    if radii[0] < 0:
-        raise ConfigError("radii must be non-negative")
     return CoarseUnion(ball_space(spec, r, state_cap) for r in radii)

@@ -21,7 +21,7 @@ from math import log
 
 import numpy as np
 
-from .errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
+from .errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError, check_int
 from .groups import (
     FREE_ABELIAN,
     UNITRIANGULAR,
@@ -37,7 +37,6 @@ from .groups import (
 
 _INT64_SAFE = 2 ** 62
 PAIR_CAP = 4 * 10 ** 6      # max pairwise comparisons for an exact set diameter
-PAIR_ROWS = 256             # rows per block of pairwise distances
 SLICE = 2 ** 18             # coordinates per slice of a sphere's candidate products
 
 
@@ -244,9 +243,7 @@ class CayleyGraph(Component):
         return self.dist[product_ids(self.spec, inv_v, self.coords[ids], self.modulus)]
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
-        if r < 0:
-            raise ConfigError(f"ball radius must be >= 0, got {r}")
-        return np.flatnonzero(self.dist <= r)
+        return np.flatnonzero(self.dist <= check_int("ball radius", r, 0))
 
     def ball_ids(self, center: int, r: int) -> np.ndarray:
         """Sorted vertex ids of B(center, r), by translating the identity ball."""
@@ -293,9 +290,7 @@ class CayleyGraph(Component):
 
     def ball_size(self, r: int) -> int:
         """|B(v, r)|, independent of v by vertex transitivity."""
-        if r < 0:
-            raise ConfigError(f"ball radius must be >= 0, got {r}")
-        return int(np.count_nonzero(self.dist <= r))
+        return int(np.count_nonzero(self.dist <= check_int("ball radius", r, 0)))
 
     def sphere_sizes(self) -> np.ndarray:
         return np.bincount(self.dist, minlength=self.diameter + 1)
@@ -533,8 +528,7 @@ def _ball(spec: GroupSpec, r_max: int, state_cap: int):
     """The spheres of ball_levels out to word length r_max.  A ball of radius
     L >= 1 with no empty sphere has over L elements, so ball_levels ends or
     raises by length max(state_cap, 1); no larger r_max changes anything."""
-    if r_max < 0:
-        raise ConfigError(f"r_max must be >= 0, got {r_max}")
+    r_max = check_int("r_max", r_max, 0)
     return islice(ball_levels(spec, state_cap), min(r_max, max(state_cap, 1)) + 1)
 
 

@@ -37,6 +37,7 @@ from .errors import (
     InsufficientInputError,
     ResourceCapError,
     VerificationError,
+    check_int,
 )
 from .groups import (
     Filtration,
@@ -320,28 +321,25 @@ def read_witness(fh):
     """json.load(fh), with every set that keeps to the schema packed as the
     parse goes: its parts are appended to three flat int64 buffers
     (component, length, vertex ids), so the document never holds a Python
-    int per vertex id.  A set with no other keys becomes a _packed_set
-    tuple, so no dict per set outlives the parse; an object with other
-    keys (a row, say) stays a dict, its 'parts' replaced by the (first,
-    end) tuple.  A set with an integer past 64 bits is left as it was,
-    for cover_from_json to refuse."""
+    int per vertex id, and the set becomes a _packed_set tuple, so no dict
+    per set outlives the parse.  Every other object is left as it was: a
+    row, the top level, and a set with another key or an integer past 64
+    bits, which cover_from_json refuses."""
     buffers = comps, lengths, ids = array("q"), array("q"), array("q")
 
     def pack(d):
-        if _set_ok(d):
-            first, at = len(comps), len(ids)
-            try:
-                for c, vs in d["parts"]:
-                    comps.append(c)
-                    lengths.append(len(vs))
-                    ids.extend(vs)
-            except OverflowError:
-                del comps[first:], lengths[first:], ids[at:]
-                return d
-            if d.keys() <= SET_KEYS:
-                return _packed_set(d, first, len(comps))
-            d["parts"] = (first, len(comps))
-        return d
+        if not (d.keys() <= SET_KEYS and _set_ok(d)):
+            return d
+        first, at = len(comps), len(ids)
+        try:
+            for c, vs in d["parts"]:
+                comps.append(c)
+                lengths.append(len(vs))
+                ids.extend(vs)
+        except OverflowError:
+            del comps[first:], lengths[first:], ids[at:]
+            return d
+        return _packed_set(d, first, len(comps))
 
     return json.load(fh, object_hook=pack), buffers
 
@@ -355,16 +353,14 @@ def cover_from_json(box, data, buffers):
                    "'families' must be a list of lists of sets")
     sets = [s for family in families for s in family]
     loose = [s for s in sets if type(s) is not tuple]
-    _check_witness(all(type(s) is dict and (type(s.get("parts")) is tuple or _set_ok(s))
-                       for s in loose),
+    _check_witness(all(type(s) is dict and s.keys() <= SET_KEYS and _set_ok(s) for s in loose),
                    "each set needs a string 'label', 'parts' as "
                    "[component, [vertex ids]] of integers, and an "
-                   "integer list 'center' and integer 'radius' or null")
-    if not all(type(s["parts"]) is tuple for s in loose):
-        # read_witness packs every set that fits in 64 bits
+                   "integer list 'center' and integer 'radius' or null, and no other key")
+    if loose:
+        # read_witness packs every set that keeps to the schema and fits in 64 bits
         raise ConfigError("malformed witness: a component index or vertex id "
                           "does not fit in 64 bits")
-    sets = [s if type(s) is tuple else _packed_set(s, *s["parts"]) for s in sets]
     labels, first, end, centers, radii = zip(*sets) if sets else ((),) * 5
     comps, lengths, ids = (np.frombuffer(b, dtype=np.int64) for b in buffers)
     first, end = np.array(first, dtype=np.int64), np.array(end, dtype=np.int64)
@@ -676,8 +672,7 @@ def build_parser():
 
 def run(args):
     cfg = load_config(args.config)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    check_int("--threads", args.threads, 1)
     args.state_cap = 10 ** 7
     args.vertex_cap = 10 ** 6
     if "limits" in cfg:

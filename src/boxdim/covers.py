@@ -27,6 +27,7 @@ from .cayley import (
     PAIR_CAP,
     CayleyGraph,
     GrowthBound,
+    checked_ids,
     coords_invert,
     coords_multiply,
     product_ids,
@@ -37,6 +38,7 @@ from .errors import (
     GrowthBoundError,
     InsufficientInputError,
     VerificationError,
+    check_int,
 )
 from .groups import GroupSpec
 
@@ -68,8 +70,7 @@ class CoverParams:
 
     @classmethod
     def from_growth(cls, R: int, growth: GrowthBound) -> "CoverParams":
-        if R < 1:
-            raise ConfigError(f"R must be >= 1, got {R}")
+        R = check_int("R", R, 1)
         C = Fraction(growth.C)
         d = int(growth.d)
         if C <= 0 or d < 0:
@@ -137,8 +138,7 @@ def maximal_packing(graph, radius: int) -> np.ndarray:
     would meet an earlier chosen ball, i.e. unless it lies within 2*radius
     of a chosen center.  Ascending order makes the packing canonical.
     """
-    if radius < 1:
-        raise ConfigError(f"packing radius must be >= 1, got {radius}")
+    check_int("packing radius", radius, 1)
     blocked = np.zeros(graph.n_vertices, dtype=bool)
     centers = []
     for v in range(graph.n_vertices):
@@ -150,9 +150,10 @@ def maximal_packing(graph, radius: int) -> np.ndarray:
 
 def packing_count_max(graph, centers: np.ndarray, radius: int) -> int:
     """max_z |B(z, 3*radius) ∩ centers|, counted on one dilation of the centers."""
-    counts = np.zeros(graph.n_vertices, dtype=np.int64)
-    for _, v, _ in _dilation(_parts(graph, centers), 3 * radius):
-        counts += np.bincount(v, minlength=graph.n_vertices)
+    n = graph.n_vertices
+    counts = np.zeros(n, dtype=np.int64)
+    for _, v, _ in _dilation(_parts(graph, checked_ids(centers, n)), 3 * radius):
+        counts += np.bincount(v, minlength=n)
     return int(counts.max())
 
 
@@ -397,7 +398,6 @@ class CoverReport:
     family_min_distances: tuple              # per family: int < R, or None (>= R verified)
     close_pair_witnesses: tuple              # (family, label_a, label_b, distance)
     r_multiplicity: int
-    disjointness_checked: bool = True
     doubling_radii: tuple | None = None      # packing-cover extras
     packing_counts: tuple | None = None
     params: CoverParams | None = None
@@ -622,10 +622,10 @@ def _class_dilation(parts: _Parts, r: int):
                        np.tile(d[i:j], b - a))
 
 
-def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
-    """(R-multiplicity, close pairs) of a cover from one _dilation pass per
-    component at radius R, by translation class (_class_dilation); layout is
-    cover.layout.
+def _near_sets(space, layout: list, fam, R: int, disjoint: bool = True):
+    """(R-multiplicity, close pairs) of a cover of space from one _dilation
+    pass per component at radius R, by translation class (_class_dilation);
+    layout is the cover's layout and fam[i] the family of its set i.
 
     The multiplicity is the max over points of the number of sets meeting
     B(point, R).  A set reaches the whole of component cj through another
@@ -639,10 +639,9 @@ def _near_sets(cover: Cover, layout: list, R: int, disjoint: bool = True):
     a pair on several components keeps its smallest distance, and sets on
     two components sit at the sum of their diameters.
     """
-    if R < 0:
-        raise ConfigError(f"R must be >= 0, got {R}")
-    fam, N = cover.set_family, cover.n_sets()
-    diams = np.asarray(cover.space.diameters, dtype=np.int64)
+    R = check_int("R", R, 0)
+    N = len(fam)
+    diams = np.asarray(space.diameters, dtype=np.int64)
     member = np.zeros((len(layout), N), dtype=bool)
     for ci, parts in enumerate(layout):
         member[ci, parts.sets] = True
@@ -700,13 +699,13 @@ def family_violations(space, family, R: int):
     CoverSets."""
     if not isinstance(family, Cover):
         family = Cover(space, (tuple(family),))
-    _, pairs = _near_sets(family, family.layout, max(R, 0))
+    _, pairs = _near_sets(family.space, family.layout, family.set_family, R)
     return [w[1:] for w in _witnesses(family, pairs)[0]]
 
 
 def r_multiplicity(cover: Cover, R: int) -> int:
     """max over points of the number of cover sets meeting B(point, R)."""
-    return _near_sets(cover, cover.layout, R, disjoint=False)[0]
+    return _near_sets(cover.space, cover.layout, cover.set_family, R, disjoint=False)[0]
 
 
 def verify_cover(cover: Cover, R: int, S: int | None = None,
@@ -739,7 +738,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
         if over.size:
             oversized = (cover.labels[over[0]], int(diameters[over[0]]))
 
-    multiplicity, pairs = _near_sets(cover, layout, R, check_disjoint)
+    multiplicity, pairs = _near_sets(cover.space, layout, cover.set_family, R, check_disjoint)
     close, fam_mins = _witnesses(cover, pairs) if check_disjoint else ([], [])
 
     return CoverReport(R=R, S=S,
@@ -750,8 +749,7 @@ def verify_cover(cover: Cover, R: int, S: int | None = None,
                        oversized_witness=oversized,
                        family_min_distances=tuple(fam_mins),
                        close_pair_witnesses=tuple(close),
-                       r_multiplicity=multiplicity,
-                       disjointness_checked=check_disjoint)
+                       r_multiplicity=multiplicity)
 
 
 # --- the packing cover -------------------------------------------------------
@@ -824,19 +822,15 @@ def families_from_multiplicity_cover(cover: Cover, R: int):
 
     Two sets closer than R (in particular overlapping ones) get different
     families.  The family count is whatever the proximity graph forces.
-    Returns (cover, report), report being the one verify_cover(cover,
-    max(R, 0)) of the result; a family that is not R-disjoint raises.
+    Returns (cover, report), report being the one verify_cover(cover, R)
+    of the result, R >= 0; a family that is not R-disjoint raises.
     """
-    # one family holds every set; R < 1 still separates overlapping sets
-    n = cover.n_sets()
-    one = cover.take(np.arange(n), np.zeros(n), 1)
-    a, b, _ = _near_sets(one, one.layout, max(R, 1))[1]
-    order = np.argsort(b, kind="stable")
-    a, bounds = a[order].tolist(), np.searchsorted(b[order], np.arange(n + 1)).tolist()
-    colors = np.asarray(first_fit_colors(a[bounds[i]:bounds[i + 1]] for i in range(n)),
-                        dtype=np.int64)
+    # every set in family 0; R = 0 still separates overlapping sets
+    n, R = cover.n_sets(), check_int("R", R, 0)
+    a, b, _ = _near_sets(cover.space, cover.layout, np.zeros(n), max(R, 1))[1]
+    colors = first_fit_colors(n, a, b)
     out = cover.take(np.arange(n), colors, int(colors.max(initial=0)) + 1)
-    report = verify_cover(out, max(R, 0))
+    report = verify_cover(out, R)
     if report.close_pair_witnesses:
         j, *viol = report.close_pair_witnesses[0]
         raise VerificationError(f"regrouped family {j} is not {R}-disjoint: {tuple(viol)}")
@@ -880,9 +874,9 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> Fami
     sets kept at scales >= k, stably ordered by family.  i_k is
     profile.threshold(max(k, S_k)), the only thing read of profile.
     """
-    scales = sorted(int(k) for k in covers_by_scale)
-    if not scales or scales[0] < 1:
-        raise ConfigError("scales must be integers >= 1")
+    scales = sorted(check_int("scale", k, 1) for k in covers_by_scale)
+    if not scales:
+        raise ConfigError("need at least one scale")
     covers = [covers_by_scale[k] for k in scales]
     for k, cover in zip(scales, covers):
         if cover.space is not box:
@@ -938,7 +932,8 @@ def assemble_box_families(box: BoxSpace, covers_by_scale: dict, profile) -> Fami
         at = np.flatnonzero(kept & (scale >= k))
         cover = joined.take(at, fam[at], n_fam)
         families[k] = cover
-        close, mins = _witnesses(cover, _near_sets(cover, cover.layout, k)[1])
+        pairs = _near_sets(cover.space, cover.layout, cover.set_family, k)[1]
+        close, mins = _witnesses(cover, pairs)
         disjointness += [(k, j, d) for j, d in enumerate(mins)]
         violations += [(k, *w) for w in close]
 
@@ -1084,15 +1079,19 @@ def _coloring_to_cover(space, coloring, R: int) -> Cover:
                              [len(s) for s in sets], np.concatenate(sets or [[]]))
 
 
-def first_fit_colors(neighbours) -> list:
-    """Greedy coloring in index order: index i takes the smallest color
-    no neighbour j < i has.  neighbours yields the neighbour indices of
-    0, 1, 2, ... in turn; larger indices among them are ignored."""
+def first_fit_colors(n: int, a, b) -> np.ndarray:
+    """Greedy coloring of 0..n-1 in index order: index i takes the smallest
+    color that no j < i paired with it has.  The pairs are (a[k], b[k]), in
+    either order; a repeated pair, or one of an index with itself, is
+    harmless."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(hi, kind="stable")
+    lo, bounds = lo[order].tolist(), np.searchsorted(hi[order], np.arange(n + 1)).tolist()
     colors = []
-    for i, adj in enumerate(neighbours):
-        used = {colors[j] for j in adj if j < i}
+    for i in range(n):
+        used = {colors[j] for j in lo[bounds[i]:bounds[i + 1]] if j < i}
         c = 0
         while c in used:
             c += 1
         colors.append(c)
-    return colors
+    return np.array(colors, dtype=np.int64)

@@ -40,15 +40,16 @@ from .covers import (
     first_fit_colors,
     verify_cover,
 )
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, VerificationError, check_int
 from .groups import FREE_ABELIAN, hirsch_length
 
 
 def random_metric_space(rng: random.Random, n_points: int,
                         max_distance: int = 6) -> FiniteMetricSpace:
     """Random integer metric: symmetric draws closed under shortest paths."""
-    if n_points < 1 or not 1 <= max_distance <= np.iinfo(np.int32).max:
-        raise ConfigError("need n_points >= 1 and 1 <= max_distance <= 2**31 - 1 (int32)")
+    n_points = check_int("n_points", n_points, 1)
+    if check_int("max_distance", max_distance, 1) > np.iinfo(np.int32).max:
+        raise ConfigError(f"need max_distance <= 2**31 - 1 (int32), got {max_distance}")
     check_points(n_points, MATRIX_POINT_CAP)
     m = np.zeros((n_points, n_points), dtype=np.int64)
     for i in range(n_points):
@@ -72,10 +73,9 @@ class RSDimResult:
         return None if self.n is None else self.n + 1
 
 
-def _check_rs(R: int, S: int) -> None:
-    """The scales every witness needs: R >= 1 and S >= 0."""
-    if R < 1 or S < 0:
-        raise ConfigError(f"need R >= 1 and S >= 0, got R={R}, S={S}")
+def _check_rs(R: int, S: int) -> tuple:
+    """(R, S) as ints: the scales every witness needs, R >= 1 and S >= 0."""
+    return check_int("R", R, 1), check_int("S", S, 0)
 
 
 def _check(cover: Cover, R: int, S: int, method: str) -> None:
@@ -105,8 +105,9 @@ def rs_dim_exact(space, R: int, S: int, n_cap: int = 8,
     solution is cut and the first coloring found is unchanged.
     """
     n_pts = space.n_vertices
-    check_points(n_pts, point_cap)
-    _check_rs(R, S)
+    check_points(n_pts, check_int("point_cap", point_cap, 0))
+    R, S = _check_rs(R, S)
+    n_cap = check_int("n_cap", n_cap, 0)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
     order = np.argsort(D[0], kind="stable").tolist() if n_pts else []
     # per point, as bitmasks: the other points closer than R, the points farther than S
@@ -195,8 +196,8 @@ def rs_dim_exhaustive(space, R: int, S: int, point_cap: int = 12) -> list:
     coloring.
     """
     n_pts = space.n_vertices
-    check_points(n_pts, point_cap)
-    _check_rs(R, S)
+    check_points(n_pts, check_int("point_cap", point_cap, 0))
+    R, S = _check_rs(R, S)
     D = FiniteMetricSpace.from_graph(space).dist_matrix
 
     def valid(coloring) -> bool:
@@ -222,7 +223,7 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
     greedy coloring of the cluster proximity graph.  Upper bound only."""
     n_pts = space.n_vertices
     check_points(n_pts)
-    _check_rs(R, S)
+    R, S = _check_rs(R, S)
     # free lists the uncarved points in increasing order, and nearest[i] is
     # the distance from free[i] to the nearest center carved so far
     free = np.arange(n_pts)
@@ -240,15 +241,13 @@ def rs_dim_greedy(space, R: int, S: int) -> list:
 
     # clusters a and b are neighbours when some pair of their points is
     # closer than R: a row (a, v) of the clusters' dilation at R - 1 joins
-    # a and b = assigned[v]; first_fit_colors reads only the neighbours b < a
+    # a and b = assigned[v]; each pair is kept once, as b < a
     keys = [np.zeros(0, dtype=np.int64)]
     for a, v, _ in _dilation(_parts(space, members, sizes), R - 1):
         b = assigned[v]
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
-    bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
-    cluster_color = first_fit_colors(b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
-    return np.array(cluster_color)[assigned].tolist()
+    return first_fit_colors(n_cl, a, b)[assigned].tolist()
 
 
 def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResult:
@@ -257,6 +256,7 @@ def rs_dim(space, R: int, S: int, method: str = "exact", **kwargs) -> RSDimResul
               "greedy": rs_dim_greedy}.get(method)
     if solver is None:
         raise ConfigError(f"unknown method {method!r}")
+    R, S = _check_rs(R, S)
     coloring = solver(space, R, S, **kwargs)
     if coloring is None:
         return RSDimResult(None, R, S, method, exceeded_cap=True)
@@ -276,7 +276,7 @@ def interval_families(m: int, R: int, S: int):
     family set_family[k] (non-decreasing, every family non-empty) and lists
     ids[offsets[k]:offsets[k + 1]].
     """
-    _check_rs(R, S)
+    R, S = _check_rs(R, S)
     if m - 1 <= S:
         return np.zeros(1, np.int64), np.array([0, m]), np.arange(m)
     count = max(2, -(-m // (S + 1)))
@@ -318,7 +318,7 @@ def grid_families(m: int, R: int, S: int):
     in that order, each with its ids increasing.  Families come flat, as in
     interval_families.
     """
-    _check_rs(R, S)
+    R, S = _check_rs(R, S)
     t1 = -(-R // 2)
     t2 = 2 * t1
     L = None
@@ -403,14 +403,10 @@ class ProfileTable:
             yield tuple(str(v) for v in row.csv_values())
 
 
-def _check_scales(R: int, S_cap: int) -> None:
-    if R < 1 or S_cap < 1:
-        raise ConfigError(f"need R >= 1 and S_cap >= 1, got R={R}, S_cap={S_cap}")
-
-
 def s_ladder(R: int, S_cap: int):
     """Candidate diameter budgets: 2R, 4R, ... capped at S_cap."""
-    _check_scales(R, S_cap)
+    check_int("R", R, 1)
+    check_int("S_cap", S_cap, 1)
     out = []
     v = 2 * R
     while v < S_cap:
@@ -435,7 +431,7 @@ def box_witness_cover(box: BoxSpace, R: int, S: int, mode: str,
     more non-empty families could not improve on it, and None is returned
     before it is built.
     """
-    _check_rs(R, S)
+    R, S = _check_rs(R, S)
     solver = {"exact": rs_dim_exact, "greedy": rs_dim_greedy}.get(mode)
     if solver is None and mode != "structured":
         raise ConfigError(f"unknown witness mode {mode!r}")
@@ -501,8 +497,8 @@ def asdim_profile(box: BoxSpace, R_list, S_cap: int, mode: str,
         raise ConfigError(f"mode must be one of {PROFILE_MODES}, got {mode!r}")
     if mode == "prop41" and growth is None:
         raise ConfigError("prop41 mode needs a growth bound")
-    R_list = sorted(set(int(r) for r in R_list))
-    _check_scales(min(R_list, default=1), S_cap)
+    R_list = sorted({check_int("R", r, 1) for r in R_list})
+    check_int("S_cap", S_cap, 1)
     h = hirsch_length(box.spec)
     widest = max(box.diameters, default=0)
     rows = []

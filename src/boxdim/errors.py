@@ -3,6 +3,7 @@
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific type that applies rather than bare ValueError/RuntimeError.
 """
+import operator
 
 
 class BoxdimError(Exception):
@@ -36,3 +37,16 @@ class GrowthBoundError(BoxdimError, ValueError):
 
 class InsufficientInputError(BoxdimError, RuntimeError):
     """The diagonal-transfer machinery ran out of usable input radii."""
+
+
+def check_int(name: str, value, low: int) -> int:
+    """value as an int, refused with ConfigError unless operator.index
+    reads it (so 2.5, 2.0, "3" and None are refused, numpy integers pass)
+    and it is at least low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError, check_int
 
 FREE_ABELIAN = "free_abelian"
 UNITRIANGULAR = "unitriangular"
@@ -76,8 +76,7 @@ def _generated(spec: GroupSpec, generators, default: tuple) -> GroupSpec:
 
 def free_abelian(rank: int, generators: Sequence[tuple] | None = None) -> GroupSpec:
     """Z^rank with word metric from +/- the standard basis by default."""
-    if rank < 1:
-        raise ConfigError(f"free_abelian rank must be >= 1, got {rank}")
+    rank = check_int("free_abelian rank", rank, 1)
     return _generated(GroupSpec(kind=FREE_ABELIAN, rank=rank), generators, tuple(
         tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
 
@@ -88,8 +87,7 @@ def unitriangular(size: int, generators: Sequence[tuple] | None = None) -> Group
     Default generators are the elementary matrices e_{i,i+1}(1), so for
     size = 3 these are x = (1, 0, 0) and y = (0, 1, 0).
     """
-    if size < 2:
-        raise ConfigError(f"unitriangular size must be >= 2, got {size}")
+    size = check_int("unitriangular size", size, 2)
     idx = _ut_index(size)
     return _generated(GroupSpec(kind=UNITRIANGULAR, size=size), generators, tuple(
         tuple(int(t == idx[(i, i + 1)]) for t in range(len(idx))) for i in range(size - 1)))
@@ -228,8 +226,7 @@ class CongruenceQuotient:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ConfigError(f"modulus must be >= 2, got {self.modulus}")
+        check_int("modulus", self.modulus, 2)
 
     @property
     def order(self) -> int:

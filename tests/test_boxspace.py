@@ -216,11 +216,11 @@ def test_union_of_balls_validation():
         coarse_union_of_balls(free_abelian(1), ())
     with pytest.raises(ConfigError):
         coarse_union_of_balls(free_abelian(1), (3, 3))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^ball radius must be >= 0, got -1$"):
         coarse_union_of_balls(free_abelian(1), (-1, 2))
     # a radius is read as an integer, never truncated or parsed
     for radii in ((2.7,), ("3",), (1, 2.0), (None,)):
-        with pytest.raises(ConfigError, match="radii must be integers"):
+        with pytest.raises(ConfigError, match=r"^ball radius must be an integer, got "):
             coarse_union_of_balls(free_abelian(1), radii)
     assert coarse_union_of_balls(free_abelian(1), (np.int64(2),)).n_points == 5
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from boxdim import boxspace as boxspace_module
-from boxdim import cayley as cayley_module
 from boxdim import covers as covers_module
 from boxdim.boxspace import FiniteMetricSpace
 from boxdim.cayley import (
@@ -511,7 +510,7 @@ def test_row_diameters_match_brute_force(name, kind):
 
 
 @pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
-@pytest.mark.parametrize("rows", [cayley_module.PAIR_ROWS, 1, 7])
+@pytest.mark.parametrize("rows", [256, 1, 7])
 def test_subset_diameter_matches_brute_force(name, rows):
     # the diameter of one set of ids, as one row of row_diameters, in
     # blocks of `rows` pairs
@@ -545,8 +544,8 @@ def test_subset_diameter_matches_brute_force(name, rows):
 
 
 def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
-    # from_graph reads PAIR_ROWS from boxspace: seven rows per block
-    monkeypatch.setattr(boxspace_module, "PAIR_ROWS", 7)
+    # from_graph reads SLICE from boxspace and takes SLICE // n rows a
+    # block: one and seven rows per block
     blocks = []
     pairs = CayleyGraph._pair_distances
 
@@ -555,14 +554,15 @@ def test_blocked_distance_matrix_matches_bfs_rows(monkeypatch):
         return pairs(self, xs, ys)
 
     monkeypatch.setattr(CayleyGraph, "_pair_distances", counted)
-    for spec, m in ID_SPECS.values():
+    for (spec, m), rows in itertools.product(ID_SPECS.values(), (1, 7)):
         g = build_quotient_cayley(CongruenceQuotient(spec, m))
+        monkeypatch.setattr(boxspace_module, "SLICE", rows * g.n_vertices)
         blocks.clear()
         got = FiniteMetricSpace.from_graph(g).dist_matrix
         want = np.stack([breadth_first_distances(g.adjacency, [v])
                          for v in range(g.n_vertices)])
         assert np.array_equal(got, want)
-        assert sum(blocks) == g.n_vertices and max(blocks) == min(7, g.n_vertices)
+        assert sum(blocks) == g.n_vertices and max(blocks) == min(rows, g.n_vertices)
 
 
 def test_loglog_slope_short_profile():

@@ -8,6 +8,7 @@ import sys
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import cap_address_space, cli_env
 from test_exact_solver import old_rs_dim_exact
@@ -131,10 +132,13 @@ def test_malformed_witness_exit_codes(tmp_path):
             return d
         return edit
 
+    def last_set(d):
+        return d["rows"][0]["families"][-1][-1]
+
     def set_last_vertex(value):
         # the last id of the last set of a row, after valid sets
         def edit(d):
-            d["rows"][0]["families"][-1][-1]["parts"][-1][1][-1] = value
+            last_set(d)["parts"][-1][1][-1] = value
             return d
         return edit
 
@@ -173,9 +177,12 @@ def test_malformed_witness_exit_codes(tmp_path):
         # is rolled back mid-part; only the rows' sets are read
         ("set under an extra key", extra_set(0), 0),
         ("set with last id 2**70 under an extra key", extra_set(2 ** 70), 0),
-        # a set with other keys stays a dict, packed in place; so do a row
-        # and the top level when they also carry a set's keys
-        ("set with an extra key", add(first_set, note="x"), 0),
+        # a set with another key is refused, like an unknown INI key, and
+        # the schema message comes before the 64-bit one; a row and the top
+        # level that also carry a set's keys are left as they are
+        ("set with an extra key", add(first_set, note="x"), 2),
+        ("set with an extra key and a last id of 2**70",
+         lambda d: add(last_set, note="x")(set_last_vertex(2 ** 70)(d)), 2),
         ("row with a set's keys", add(lambda d: d["rows"][0], **set_keys), 0),
         ("top level with a set's keys", add(lambda d: d, **set_keys), 0),
         ("top-level list", lambda d: [d], 2),
@@ -205,7 +212,9 @@ def test_malformed_witness_exit_codes(tmp_path):
         proc = run_capped(tmp_path, ini, "--verify-witness", str(bad))
         assert proc.returncode == code, (case, proc.stderr)
         assert "Traceback" not in proc.stderr, case
-        if "2**70" in case and code == 2:
+        if "extra key" in case and code == 2:
+            assert "and no other key" in proc.stderr, (case, proc.stderr)
+        elif "2**70" in case and code == 2:
             assert "does not fit in 64 bits" in proc.stderr, (case, proc.stderr)
         if code == 0:
             assert summary.read_text() == clean, case
@@ -720,7 +729,7 @@ def test_families_task_verifies_the_regrouping_once(tmp_path, monkeypatch):
 
 def test_families_task_exits_4_on_a_bad_regrouping(tmp_path, monkeypatch, capsys):
     # every set in family 0: the overlapping packing balls are close pairs
-    monkeypatch.setattr(covers, "first_fit_colors", lambda adj: [0 for _ in adj])
+    monkeypatch.setattr(covers, "first_fit_colors", lambda n, a, b: np.zeros(n, dtype=np.int64))
     cfg = tmp_path / "run.ini"
     cfg.write_text(COVER_INI.replace("name = cover", "name = families"))
     monkeypatch.chdir(tmp_path)

@@ -52,6 +52,7 @@ from boxdim.errors import (
     ConfigError,
     GrowthBoundError,
     InsufficientInputError,
+    ShapeMismatchError,
     VerificationError,
 )
 from boxdim.groups import (
@@ -278,6 +279,15 @@ def test_packing_count_matches_brute_force(monkeypatch):
                 D = np.stack([g.distances_to([int(c)]) for c in centers])
                 want = int((D <= 3 * rn).sum(axis=0).max())
                 assert packing_count_max(g, centers, rn) == want, (spec, rn, row_block)
+
+
+@pytest.mark.parametrize("center", [-1, 99])
+def test_packing_count_refuses_centers_out_of_range(center):
+    # -1 once counted the ball of vertex 7, and 99 raised a bare IndexError
+    g = cycle(8)
+    assert packing_count_max(g, np.array([7]), 1) == 1
+    with pytest.raises(ShapeMismatchError, match=rf"^vertex id {center} out of range \[0, 8\)$"):
+        packing_count_max(g, np.array([center]), 1)
 
 
 # --- multiplicity --------------------------------------------------------------
@@ -1129,10 +1139,14 @@ def test_regroup_overlapping_sets_get_distinct_families():
 
 
 def test_first_fit_colors_takes_the_smallest_free_color():
-    # neighbours with a larger index (and the index itself) are ignored
-    assert first_fit_colors([[1], [0, 2], [0, 1, 2], [1, 4], [0, 1, 2, 3]]) == [0, 1, 2, 0, 3]
-    assert first_fit_colors(iter([set(), {0}, {0}])) == [0, 1, 1]
-    assert first_fit_colors([]) == []
+    # the pairs come in either order, repeated, or of an index with itself;
+    # index 5 is in no pair
+    a = np.array([0, 2, 1, 2, 3, 1, 0, 2, 4])
+    b = np.array([1, 0, 2, 1, 1, 0, 4, 2, 1])
+    assert first_fit_colors(6, a, b).tolist() == [0, 1, 2, 0, 2, 0]
+    assert first_fit_colors(3, [1, 2], [0, 0]).tolist() == [0, 1, 1]
+    assert first_fit_colors(0, [], []).tolist() == []
+    assert first_fit_colors(2, [], []).tolist() == [0, 0]
 
 
 def old_regroup(cover, R):
@@ -1548,7 +1562,8 @@ def test_bad_regrouping_still_raises(monkeypatch):
     g = box.components[0]
     cover = Cover(space=box, families=(tuple(arc_set(f"b{c}", 0, g.ball_ids(c, 2))
                                              for c in (0, 3, 6, 9)),))
-    monkeypatch.setattr(covers_module, "first_fit_colors", lambda adj: [0 for _ in adj])
+    monkeypatch.setattr(covers_module, "first_fit_colors",
+                        lambda n, a, b: np.zeros(n, dtype=np.int64))
     with pytest.raises(VerificationError,
                        match=re.escape("regrouped family 0 is not 2-disjoint: ('b0', 'b3', 0)")):
         families_from_multiplicity_cover(cover, R=2)

@@ -334,8 +334,14 @@ def all_points_greedy(space, R, S):
         keys.append(sorted_distinct((a * n_cl + b)[b < a]))
     a, b = np.divmod(sorted_distinct(np.concatenate(keys)), n_cl)
     bounds = np.searchsorted(a, np.arange(n_cl + 1)).tolist()
-    cluster_color = covers_module.first_fit_colors(
-        b[bounds[i]:bounds[i + 1]].tolist() for i in range(n_cl))
+    # first fit in cluster order: the smallest color no neighbour b < a has
+    cluster_color = []
+    for i in range(n_cl):
+        used = {cluster_color[j] for j in b[bounds[i]:bounds[i + 1]].tolist()}
+        c = 0
+        while c in used:
+            c += 1
+        cluster_color.append(c)
     return np.array(cluster_color)[assigned].tolist()
 
 
@@ -1092,8 +1098,12 @@ def test_geometry_only_failure_returns_none(mode):
     assert rs_dim(box.components[3], 6, 4, mode).cover is not None
 
 
+# the first scale out of range, as check_int names it
+BAD_SCALES = {(0, -2): "R must be >= 1, got 0", (1, -1): "S must be >= 0, got -1"}
+
+
 @pytest.mark.parametrize("mode", ["structured", "greedy", "exact"])
-@pytest.mark.parametrize("R, S", [(0, -2), (1, -1)])
+@pytest.mark.parametrize("R, S", list(BAD_SCALES))
 def test_box_witness_cover_refuses_bad_scales_up_front(mode, R, S):
     # structured mode once looped forever at R = 0, S = -2 and divided by
     # zero at S = -1; an alarm fails the test rather than hang it
@@ -1105,7 +1115,7 @@ def test_box_witness_cover_refuses_bad_scales_up_front(mode, R, S):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(20)
     try:
-        with pytest.raises(ConfigError, match=rf"^need R >= 1 and S >= 0, got R={R}, S={S}$"):
+        with pytest.raises(ConfigError, match=rf"^{BAD_SCALES[R, S]}$"):
             box_witness_cover(box, R, S, mode)
     finally:
         signal.alarm(0)
@@ -1113,7 +1123,7 @@ def test_box_witness_cover_refuses_bad_scales_up_front(mode, R, S):
 
 
 @pytest.mark.parametrize("pattern", [interval_families, grid_families])
-@pytest.mark.parametrize("R, S", [(0, -2), (1, -1)])
+@pytest.mark.parametrize("R, S", list(BAD_SCALES))
 def test_patterns_refuse_bad_scales(pattern, R, S):
     # interval_families once looped forever at R = 0, S = -2 and divided by
     # zero at S = -1; an alarm fails the test rather than hang it
@@ -1124,7 +1134,7 @@ def test_patterns_refuse_bad_scales(pattern, R, S):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(20)
     try:
-        with pytest.raises(ConfigError, match=rf"^need R >= 1 and S >= 0, got R={R}, S={S}$"):
+        with pytest.raises(ConfigError, match=rf"^{BAD_SCALES[R, S]}$"):
             pattern(16, R, S)
     finally:
         signal.alarm(0)
