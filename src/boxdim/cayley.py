@@ -150,7 +150,8 @@ def _raw_invert(spec, a, dtype):
                 for k in range(i + 1, j):
                     s = s - a[..., idx[(i, k)]] * out[(k, j)]
                 out[(i, j)] = s
-        return np.stack(np.broadcast_arrays(*[out[p] for p in _ut_entries(n)]), axis=-1)
+        # cast: on one row these are ints, and 2**63 beside -1 stacks as float64
+        return np.stack([np.asarray(out[p], dtype) for p in _ut_entries(n)], axis=-1)
     pos = 0
     parts = []
     for f in spec.factors:
@@ -174,8 +175,8 @@ class Component:
     (b, s) of b rows of ids to the ids ys (b, L) of their row."""
 
     def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n_vertices):
-            raise ShapeMismatchError(f"vertex id {v} out of range [0, {self.n_vertices})")
+        if checked_ids(v, self.n_vertices).ndim:
+            raise ShapeMismatchError(f"vertex id {v!r} is not a single id")
 
     def distance(self, u: int, v: int) -> int:
         return int(self.distances_from(u, v))
@@ -235,6 +236,14 @@ class CayleyGraph(Component):
         # dist is never mutated after construction, so the value is cached.
         return int(self.dist.max())
 
+    @cached_property
+    def _by_distance(self) -> np.ndarray:
+        return np.argsort(self.dist, kind="stable")
+
+    @cached_property
+    def _ball_sizes(self) -> np.ndarray:
+        return np.cumsum(self.sphere_sizes())
+
     def distances_from(self, v: int, ids) -> np.ndarray:
         """d(v, x) for each x in ids, via the translation d(v, x) = d(e, v^-1 x)."""
         self.check_vertex(v)
@@ -243,29 +252,27 @@ class CayleyGraph(Component):
         return self.dist[product_ids(self.spec, inv_v, self.coords[ids], self.modulus)]
 
     def identity_ball_ids(self, r: int) -> np.ndarray:
-        return np.flatnonzero(self.dist <= check_int("ball radius", r, 0))
+        return self.ball_ids(self.identity_id, r)
 
     def ball_ids(self, center: int, r: int) -> np.ndarray:
-        """Sorted vertex ids of B(center, r), by translating the identity ball."""
+        """Sorted ids of B(center, r): the first |B(e, r)| ids by distance from e, moved."""
         self.check_vertex(center)
-        base = self.identity_ball_ids(r)
-        if center == self.identity_id:
-            return base
-        out = product_ids(self.spec, self.coords[center], self.coords[base],
-                          self.modulus).astype(np.int64)
-        out.sort()
-        return out
+        ball = self._by_distance[:self.ball_size(r)]
+        if center != self.identity_id:
+            ball = product_ids(self.spec, self.coords[center], self.coords[ball],
+                               self.modulus).astype(np.int64)
+        return np.sort(ball)
 
     def distances_to(self, ids, cap: int | None = None) -> np.ndarray:
         """Distance from every vertex to the nearest of ids; -1 beyond cap."""
         return breadth_first_distances(self.adjacency, checked_ids(ids, self.n_vertices), cap)
 
     def is_ball(self, ids, center: int, r: int) -> bool:
-        """Whether the distinct ids are exactly B(center, r), r >= 0.  Its
-        diameter is then min(2r, diam): the generators are symmetric, so
-        B(e, r)^-1 B(e, r) = B(e, 2r), and the identity's BFS levels run
-        without gaps up to the diameter."""
-        return np.array_equal(sorted_distinct(ids), self.ball_ids(center, min(r, self.diameter)))
+        """Whether the distinct ids are exactly B(center, r), r >= 0: as many as it
+        holds, all within r.  Its diameter is then min(2r, diam): B(e, r)^-1 B(e, r) =
+        B(e, 2r) for symmetric generators, and e's BFS levels have no gaps up to diam."""
+        ids = sorted_distinct(ids)
+        return ids.size == self.ball_size(r) and self.distances_from(center, ids).max() <= r
 
     def class_keys(self, rows: np.ndarray):
         """The translation classes of equal-length subsets, one per row:
@@ -290,20 +297,28 @@ class CayleyGraph(Component):
 
     def ball_size(self, r: int) -> int:
         """|B(v, r)|, independent of v by vertex transitivity."""
-        return int(np.count_nonzero(self.dist <= check_int("ball radius", r, 0)))
+        return int(self._ball_sizes[min(check_int("ball radius", r, 0), self.diameter)])
 
     def sphere_sizes(self) -> np.ndarray:
         return np.bincount(self.dist, minlength=self.diameter + 1)
 
 
 def checked_ids(ids, n: int) -> np.ndarray:
-    """ids as int64, refused with ShapeMismatchError unless each lies in
-    [0, n): numpy would read a negative id from the end."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """ids as int64, or a ShapeMismatchError naming an id that is not an integer
+    (bools count) in [0, n): numpy would read 1.5 as 1 and -1 from the end."""
+    try:
+        ids = np.asarray(ids)
+    except ValueError:                  # a ragged list
+        raise ShapeMismatchError(f"vertex ids {ids!r} are not an array") from None
+    # floats, strings, None and integers past 64 bits are read one by one
+    bad = ids.dtype.kind not in "iub" and [x for x in ids.ravel().tolist()
+                                           if not isinstance(x, int)]
+    if bad:
+        raise ShapeMismatchError(f"vertex id {bad[0]!r} is not an integer")
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = ids[(ids < 0) | (ids >= n)].flat[0]
         raise ShapeMismatchError(f"vertex id {bad} out of range [0, {n})")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def sorted_distinct(a: np.ndarray, shift: int = 0, overwrite: bool = False) -> np.ndarray:

@@ -23,7 +23,6 @@ from .cayley import SLICE, GrowthBound, build_quotient_cayley, fit_growth, growt
 from .covers import (
     Cover,
     CoverParams,
-    _ranges,
     cover_prop41,
     diagonal_transfer,
     families_from_multiplicity_cover,
@@ -363,13 +362,13 @@ def cover_from_json(box, data, buffers):
                           "does not fit in 64 bits")
     labels, first, end, centers, radii = zip(*sets) if sets else ((),) * 5
     comps, lengths, ids = (np.frombuffer(b, dtype=np.int64) for b in buffers)
-    first, end = np.array(first, dtype=np.int64), np.array(end, dtype=np.int64)
-    parts = _ranges(first, end)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    # the row's sets were packed one after another: its parts are views of one run
+    lo, hi = (first[0], end[-1]) if sets else (0, 0)
+    at = int(lengths[:lo].sum())
     return Cover.from_arrays(
         box, len(families), np.repeat(np.arange(len(families)), list(map(len, families))),
-        labels, np.repeat(np.arange(len(sets)), end - first),
-        comps[parts], lengths[parts], ids[_ranges(offsets[parts], offsets[parts + 1])],
+        labels, np.repeat(np.arange(len(sets)), np.diff((lo, *end))),
+        comps[lo:hi], lengths[lo:hi], ids[at:at + int(lengths[lo:hi].sum())],
         {i: c for i, c in enumerate(centers) if c is not None},
         {i: r for i, r in enumerate(radii) if r is not None})
 

@@ -10,10 +10,13 @@ nilpotent, represented by integer coordinate tuples:
   tuple (a, b, c) means the matrix [[1, a, c], [0, 1, b], [0, 0, 1]];
 * direct products of the above: elements are tuples of factor elements.
 
-All arithmetic uses native Python integers, which are arbitrary precision,
-so coordinate overflow cannot occur.  Congruence quotients reduce every
-coordinate mod m; coordinate-wise reduction is a homomorphism for these
-groups because multiplication is polynomial with integer coefficients.
+multiply and invert run cayley's vectorised kernels, the package's one
+arithmetic in the group (imported on first use, as cayley imports this
+module), on a row of native Python integers, which are arbitrary
+precision, so coordinate overflow cannot occur.  Congruence quotients
+reduce every coordinate mod m; coordinate-wise reduction is a
+homomorphism for these groups because multiplication is polynomial with
+integer coefficients.
 """
 from __future__ import annotations
 
@@ -143,41 +146,23 @@ def validate_element(spec: GroupSpec, elt) -> None:
 
 
 def multiply(spec: GroupSpec, a, b):
-    """Group product a * b."""
-    if spec.kind == FREE_ABELIAN:
-        return tuple(x + y for x, y in zip(a, b))
-    if spec.kind == UNITRIANGULAR:
-        n = spec.size
-        entries = _ut_entries(n)
-        idx = _ut_index(n)
-        out = []
-        for (i, j) in entries:
-            s = a[idx[(i, j)]] + b[idx[(i, j)]]
-            for k in range(i + 1, j):
-                s += a[idx[(i, k)]] * b[idx[(k, j)]]
-            out.append(s)
-        return tuple(out)
-    return tuple(multiply(f, x, y) for f, x, y in zip(spec.factors, a, b))
+    """Group product a * b, exact: cayley's row kernel on object integers."""
+    from .cayley import _raw_multiply
+    cols = _raw_multiply(spec, _object_row(spec, a), _object_row(spec, b))
+    return unflatten(spec, [int(c) for c in cols])
 
 
 def invert(spec: GroupSpec, a):
-    """Group inverse, exact."""
-    if spec.kind == FREE_ABELIAN:
-        return tuple(-x for x in a)
-    if spec.kind == UNITRIANGULAR:
-        # Back-substitution on (I + A) X = I, filling short diagonals first.
-        n = spec.size
-        idx = _ut_index(n)
-        out = {}
-        for d in range(1, n):
-            for i in range(n - d):
-                j = i + d
-                s = -a[idx[(i, j)]]
-                for k in range(i + 1, j):
-                    s -= a[idx[(i, k)]] * out[(k, j)]
-                out[(i, j)] = s
-        return tuple(out[pos] for pos in _ut_entries(n))
-    return tuple(invert(f, x) for f, x in zip(spec.factors, a))
+    """Group inverse, exact: cayley's row kernel on object integers."""
+    from .cayley import _raw_invert
+    return unflatten(spec, [int(c) for c in _raw_invert(spec, _object_row(spec, a), object)])
+
+
+def _object_row(spec: GroupSpec, elt):
+    """A validated element's coordinates as a row of exact integers."""
+    import numpy as np
+    validate_element(spec, elt)
+    return np.array(flatten(spec, elt), dtype=object)
 
 
 def flatten(spec: GroupSpec, elt) -> tuple:

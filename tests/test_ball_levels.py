@@ -36,11 +36,9 @@ from boxdim.groups import (
     flatten,
     free_abelian,
     identity,
-    invert,
-    multiply,
     unitriangular,
 )
-from scalar_oracle import is_kernel_element, reduce_mod
+from scalar_oracle import invert, is_kernel_element, multiply, reduce_mod
 
 
 def old_enumerate_ball(spec, r_max, state_cap=10 ** 7):

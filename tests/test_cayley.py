@@ -7,6 +7,7 @@ counts and a word-products oracle.
 import ast
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from boxdim import covers as covers_module
 from boxdim.boxspace import FiniteMetricSpace
 from boxdim.cayley import (
     CayleyGraph,
+    GrowthBound,
     GrowthProfile,
     breadth_first_distances,
     build_quotient_cayley,
@@ -36,16 +38,15 @@ from boxdim.cayley import (
 from boxdim.errors import ConfigError, GrowthBoundError, ResourceCapError, ShapeMismatchError
 from boxdim.groups import (
     CongruenceQuotient,
+    Filtration,
     direct_product,
     flatten,
     free_abelian,
     identity,
-    invert,
-    multiply,
     unflatten,
     unitriangular,
 )
-from scalar_oracle import reduce_mod
+from scalar_oracle import invert, multiply, reduce_mod
 
 # Heisenberg ball sizes r = 0..12, from an independent word-products
 # enumeration with raw matrix arithmetic (frozen).
@@ -163,6 +164,63 @@ def test_ball_translation_matches_networkx():
         expect = sorted(key[flatten(spec, b)] for b, d in lengths.items() if d <= r)
         got = g.ball_ids(key[flatten(spec, c)], r).tolist()
         assert got == expect
+
+
+def test_balls_scan_no_table():
+    # B(e, r) is a prefix of the ids ordered by distance from e, so the
+    # packing, its cover's balls, the verifier's hints and dilations and the
+    # doubling ladder never compare a whole table with r (355 scans of
+    # dist <= r at one scan per call), and a verifier given hints of every
+    # radius keeps no ball: a graph holds only its diameter, its id order
+    # and its ball sizes
+    scans = []
+
+    class LoggedTable(np.ndarray):
+        def __le__(self, r):
+            scans.append(self.ctypes.data)
+            return np.asarray(self) <= r
+
+    box = boxspace_module.build_box_space(Filtration(free_abelian(2), (8, 16, 32)))
+    for comp in box.components:
+        comp.dist = comp.dist.view(LoggedTable)
+    tables = {comp.dist.ctypes.data for comp in box.components}
+    growth = GrowthBound(C=Fraction(5), d=2, validated_range=(1, 20))
+    cover, report = covers_module.cover_prop41(box, 2, growth)
+    assert report.ok and report.doubling_radii == (2, 2, 2)
+    assert covers_module.verify_cover(cover, 2, check_disjoint=False).ok
+    comp = box.components[2]
+    radii = range(comp.diameter + 3)
+    balls = [comp.ball_ids(5, r) for r in radii]
+    n = len(balls)
+    hinted = covers_module.Cover.from_arrays(
+        box, 1, np.zeros(n), [f"r{r}" for r in radii], np.arange(n), np.full(n, 2),
+        [b.size for b in balls], np.concatenate(balls), dict.fromkeys(range(n), (2, 5)),
+        dict(enumerate(radii)))
+    got = covers_module.verify_cover(hinted, 1, check_disjoint=False)
+    assert got.diameters_exact and got.max_set_diameter == comp.diameter
+    assert not tables & set(scans)
+    for comp in box.components:
+        assert set(vars(comp)) - {"quotient", "coords", "adjacency", "dist"} <= {
+            "diameter", "_by_distance", "_ball_sizes"}
+
+
+def test_balls_equal_the_table_at_every_radius():
+    g = build_quotient_cayley(CongruenceQuotient(unitriangular(3), 3))
+    for r in range(g.diameter + 2):
+        want = np.flatnonzero(np.asarray(g.dist) <= r)
+        assert g.ball_size(r) == want.size
+        assert np.array_equal(g.identity_ball_ids(r), want)
+        assert np.array_equal(g.ball_ids(g.identity_id, r), want)
+        for c in (1, 7, g.n_vertices - 1):
+            ball = g.ball_ids(c, r)
+            assert np.array_equal(ball, np.flatnonzero(g.distances_to([c]) <= r))
+            assert g.is_ball(ball[::-1], c, r) and g.is_ball(np.tile(ball, 2), c, r)
+            assert not g.is_ball(ball[1:], c, r)
+            if ball.size < g.n_vertices:        # as many ids, one outside the ball
+                outside = np.setdiff1d(np.arange(g.n_vertices), ball)[0]
+                assert not g.is_ball(np.append(ball[1:], outside), c, r)
+    g.identity_ball_ids(1)[0] = 5        # a fresh array each call
+    assert g.identity_ball_ids(1)[0] == 0
 
 
 def test_sphere_sizes_are_vertex_independent():

@@ -25,6 +25,7 @@ from boxdim.groups import (
     unflatten,
     unitriangular,
 )
+import scalar_oracle as oracle
 from scalar_oracle import is_kernel_element, reduce_mod
 
 
@@ -250,16 +251,51 @@ def test_quotient_family_non_nested():
 
 
 def test_validate_shapes():
-    g = unitriangular(3)
-    with pytest.raises(ShapeMismatchError):
-        multiply_checked(g, (1, 0), (0, 1, 0))
+    # zip would truncate the first two to a result, and the short UT(3)
+    # operand would raise a bare IndexError; lists, generators and floats
+    # are refused as well, in every factor of a product
+    z2, h = free_abelian(2), unitriangular(3)
+    prod = direct_product(free_abelian(1), h)
+    calls = [lambda: multiply(z2, (1, 2), (3,)),
+             lambda: multiply(z2, (1, 2, 5), (3, 4)),
+             lambda: invert(h, (1, 2)),
+             lambda: multiply(h, (1, 0), (0, 1, 0)),
+             lambda: multiply(z2, [1, 2], (3, 4)),
+             lambda: invert(z2, (c for c in (1, 2))),
+             lambda: multiply(z2, (1, 2.0), (3, 4)),
+             lambda: invert(prod, ((1,),)),
+             lambda: multiply(prod, ((1,), (1, 2, 3)), ((1, 2), (1, 2, 3)))]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError, match="^expected "):
+            call()
 
 
-def multiply_checked(spec, a, b):
-    from boxdim.groups import validate_element
-    validate_element(spec, a)
-    validate_element(spec, b)
-    return multiply(spec, a, b)
+ORACLE_GROUPS = (free_abelian(3), unitriangular(3), unitriangular(4),
+                 direct_product(free_abelian(1), unitriangular(3)))
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.describe())
+def test_multiply_and_invert_equal_the_scalar_oracle(g):
+    # the exact kernel route against the loops it replaced, on small
+    # coordinates, on coordinates whose products pass 2^63 and 2^126, and on
+    # small ones beside ones near 2^63 and 2^64, whose results fall in
+    # [2^63, 2^64) next to small ones (a float64 stack would round them)
+    rng = random.Random(num_coordinates(g))
+    k = num_coordinates(g)
+    edge = (0, 1, -1, 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1, 2 ** 64)
+    draws = (lambda: rng.randint(-9, 9), lambda: rng.randint(-2 ** 70, 2 ** 70),
+             lambda: rng.choice(edge) * rng.choice((1, -1)))
+    for draw in draws:
+        for _ in range(50):
+            a, b = (unflatten(g, [draw() for _ in range(k)]) for _ in range(2))
+            assert multiply(g, a, b) == oracle.multiply(g, a, b)
+            assert invert(g, a) == oracle.invert(g, a)
+            assert all(type(c) is int for c in flatten(g, multiply(g, a, b)))
+            assert all(type(c) is int for c in flatten(g, invert(g, a)))
+    big = 2 ** 63 + 1
+    ut = unitriangular(3)
+    assert invert(ut, (-big, 0, 0)) == oracle.invert(ut, (-big, 0, 0)) == (big, 0, 0)
+    assert invert(ut, (1, -big, 0)) == oracle.invert(ut, (1, -big, 0)) == (-1, big, -big)
 
 
 def test_generators():
@@ -283,16 +319,25 @@ def test_flatten_roundtrip():
 
 
 def test_only_groups_imports_the_scalar_arithmetic():
-    # the vectorised kernels in cayley serve src; the scalar multiply and
-    # invert stay in groups as the tests' oracle
+    # src computes in G in one place, cayley's row kernels: groups.multiply
+    # and invert wrap them, no other module imports those two, and the
+    # coordinate layout tables are read only by the two kernels, by the
+    # generator layout of unitriangular and by _ut_index itself
     src = Path(__file__).resolve().parent.parent / "src" / "boxdim"
-    offenders = []
+    allowed = {("cayley.py", "_raw_multiply"), ("cayley.py", "_raw_invert"),
+               ("groups.py", "unitriangular"), ("groups.py", "_ut_index")}
+    offenders, readers = [], set()
     for path in sorted(src.glob("*.py")):
-        if path.name == "groups.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.ImportFrom)
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (path.name != "groups.py" and isinstance(node, ast.ImportFrom)
                     and (node.module, node.level) in (("groups", 1), ("boxdim.groups", 0))):
                 offenders += [(path.name, a.name) for a in node.names
                               if a.name in ("multiply", "invert")]
+        # each node's innermost function: ast.walk visits outer ones first
+        owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        readers |= {(path.name, owner.get(node, "<module>")) for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id in ("_ut_entries", "_ut_index")}
     assert offenders == []
+    assert readers == allowed

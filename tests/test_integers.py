@@ -1,7 +1,10 @@
 """Every count, scale and radius the library takes is read by one helper,
 errors.check_int: a value operator.index refuses (2.5, 2.0, "3", None) is a
 ConfigError naming the argument, never a TypeError, an AttributeError, a
-KeyError or a numpy error, and a numpy integer runs as the int it holds."""
+KeyError or a numpy error, and a numpy integer runs as the int it holds.
+Vertex ids follow the same rule through cayley.checked_ids: a float, a
+string, None, an id past 64 bits or a ragged list is a ShapeMismatchError
+naming it, and integer and boolean arrays pass."""
 import ast
 import random
 import re
@@ -13,6 +16,7 @@ import pytest
 
 from boxdim import cli
 from boxdim.boxspace import (
+    FiniteMetricSpace,
     ball_space,
     build_box_space,
     coarse_union_of_balls,
@@ -26,6 +30,7 @@ from boxdim.covers import (
     families_from_multiplicity_cover,
     family_violations,
     maximal_packing,
+    packing_count_max,
     r_multiplicity,
     verify_cover,
 )
@@ -38,7 +43,7 @@ from boxdim.dimension import (
     rs_dim,
     s_ladder,
 )
-from boxdim.errors import ConfigError, check_int
+from boxdim.errors import ConfigError, ShapeMismatchError, check_int
 from boxdim.groups import CongruenceQuotient, Filtration, free_abelian, unitriangular
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "boxdim"
@@ -182,3 +187,46 @@ def test_regrouping_takes_the_cover_once(monkeypatch):
     cover, _ = cover_prop41(BOX, 2, GROWTH)
     out, report = families_from_multiplicity_cover(cover, 2)
     assert takes == [cover.n_sets()] and report.ok
+
+
+# ids that are not integers in [0, n), each with the text its refusal names
+BAD_IDS = (([1.5], "1.5"), ([2.0], "2.0"), (np.array([3.0, 1.5]), "3.0"),
+           ([2 ** 63], str(2 ** 63)), ([10 ** 30], str(10 ** 30)), (["a"], "'a'"),
+           ([[0, 1], [2]], "[[0, 1], [2]]"), (None, "None"), ([0, None], "None"))
+
+
+def id_readers(comp):
+    """Every library call that reads vertex ids, as one-argument calls."""
+    return {"distances_from": lambda ids: comp.distances_from(0, ids),
+            "distances_to": comp.distances_to,
+            "distance": lambda ids: comp.distance(0, ids),
+            "row_diameters": lambda ids: comp.row_diameters(ids, 100),
+            "packing_count_max": lambda ids: packing_count_max(comp, ids, 1),
+            "source": lambda v: comp.distances_from(v, [0]),
+            "ball center": lambda v: comp.ball_ids(v, 1)}
+
+
+@pytest.mark.parametrize("kind", ["cayley", "matrix"])
+def test_vertex_ids_are_read_exactly_or_refused(kind):
+    # numpy would read 1.5 as vertex 1, and raise a bare OverflowError past
+    # 64 bits, a ValueError on "a" or a ragged list and a TypeError on None;
+    # a source or center of 1.5 would pass a range check into an IndexError
+    comp = Z8 if kind == "cayley" else FiniteMetricSpace.from_graph(Z8)
+    for name, call in id_readers(comp).items():
+        if kind == "matrix" and name in ("packing_count_max", "ball center"):
+            continue
+        for ids, text in BAD_IDS:
+            with pytest.raises(ShapeMismatchError, match=re.escape(text)):
+                call(ids)
+    # a source or a center is one id: a list of ids is refused, not read as
+    # several sources
+    readers = id_readers(comp)
+    for name in ("source", "ball center") if kind == "cayley" else ("source",):
+        for v in ([1, 2], [3], np.array([1])):
+            with pytest.raises(ShapeMismatchError, match="not a single id"):
+                readers[name](v)
+    # integer and boolean arrays and an empty list pass, as check_int lets True pass
+    assert Z8.distances_from(0, [True, 3]).tolist() == [1, 3]
+    assert Z8.distances_from(0, np.array([2, 3], dtype=np.uint8)).tolist() == [2, 3]
+    assert Z8.distances_from(0, []).size == 0 and Z8.distances_to([]).tolist() == [-1] * 8
+    assert comp.distance(0, True) == 1

@@ -29,13 +29,11 @@ from boxdim.groups import (  # noqa: E402
     flatten,
     free_abelian,
     identity,
-    invert,
-    multiply,
     num_coordinates,
     unflatten,
     unitriangular,
 )
-from scalar_oracle import reduce_mod  # noqa: E402
+from scalar_oracle import invert, multiply, reduce_mod  # noqa: E402
 from test_covers import brute_multiplicity  # noqa: E402
 from test_exact_solver import old_rs_dim_exact  # noqa: E402
 

@@ -2,9 +2,9 @@
 
 old_diagonal_transfer below is the transfer as it stood on the scalar
 tuple arithmetic: the ball from the enumerate_ball dict, pair distances
-from multiply/invert, and its own pairwise (R, S) check.  The ported
-transfer must return the same coloring and radii, and raise the same
-error type with the same message, on every input.
+from the scalar oracle's multiply/invert, and its own pairwise (R, S)
+check.  The ported transfer must return the same coloring and radii, and
+raise the same error type with the same message, on every input.
 """
 import random
 
@@ -15,7 +15,8 @@ from boxdim import boxspace as boxspace_module
 from boxdim.cayley import enumerate_ball
 from boxdim.covers import close_clusters, diagonal_transfer
 from boxdim.errors import ConfigError, InsufficientInputError, ResourceCapError
-from boxdim.groups import direct_product, flatten, free_abelian, invert, multiply, unitriangular
+from boxdim.groups import direct_product, flatten, free_abelian, unitriangular
+from scalar_oracle import invert, multiply
 
 
 def old_partition_valid(points, dist, coloring, R, S):

@@ -11,6 +11,7 @@ import json
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from boxdim import cli
@@ -118,6 +119,50 @@ def test_witness_reads_back_to_the_same_families(tmp_path, name):
         back = cli.cover_from_json(cover.space, row, buffers)
         assert back.families == cover.families
         assert back.n_families == cover.n_families
+
+
+def test_row_parts_are_views_of_the_buffers(tmp_path):
+    # a row's sets are packed one after another, so its parts are one run
+    # of the buffers, taken as slices, not gathered into copies
+    _, _, witness = task_output(tmp_path, *EXPORTS["profile structured"])
+    data, buffers = cli.read_witness(io.StringIO(written(witness)))
+    comps, lengths, ids = (np.frombuffer(b, dtype=np.int64) for b in buffers)
+    for row, cover in zip(data["rows"], witness_covers(witness)):
+        back = cli.cover_from_json(cover.space, row, buffers)
+        assert np.shares_memory(back.ids, ids) and np.shares_memory(back.part_comp, comps)
+        assert back.families == cover.families
+
+
+STRAY = '{"label": "stray", "parts": [[0, [0, 1, 2]]], "center": null, "radius": null}'
+
+
+def verified(tmp_path, text):
+    """The summary of --verify-witness on a witness text, run in-process
+    on the run.ini task_output wrote, without the witness path."""
+    wit = tmp_path / "variant.json"
+    wit.write_text(text)
+    ini = tmp_path / "run.ini"
+    args = cli.build_parser().parse_args(["--config", str(ini), "--verify-witness", str(wit)])
+    args.vertex_cap = 10 ** 6
+    summary = cli.verify_witness(args, cli.load_config(ini))[1]
+    del summary["witness"]
+    return summary
+
+
+@pytest.mark.parametrize("name", ["cover Z", "profile structured"])
+def test_sets_outside_a_row_s_families_are_not_read(tmp_path, name):
+    # read_witness packs every set-shaped object into the buffers, also one
+    # under a row's extra key and one under a "families" key that a later
+    # one overwrites; the row's own sets are still read, and only them
+    _, _, witness = task_output(tmp_path, *EXPORTS[name])
+    text = written(witness)
+    want = verified(tmp_path, text)
+    assert want["verified"] and text.count('"families": [') >= 1
+    extra = text.replace('"families": [', f'"extra": {STRAY}, "families": [')
+    extra = extra.replace('"group": ', f'"late": {STRAY}, "group": ', 1)
+    repeated = text.replace('"families": [', f'"families": [[{STRAY}]], "families": [')
+    for variant in (extra, repeated):
+        assert verified(tmp_path, variant) == want
 
 
 def test_reader_traces_less_than_json_load(tmp_path):
